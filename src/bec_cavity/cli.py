@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -56,6 +55,9 @@ def _pool_map(fn, items):
     workers = _worker_count(len(items))
     if workers == 1:
         return [fn(item) for item in items]
+    # imported only here: single-worker runs never pay its ~2 MB
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -96,6 +96,20 @@ def _require_number(data: dict, key: str) -> float:
     return float(value)
 
 
+def _require_count(data: dict, key: str) -> int:
+    value = _require_number(data, key)
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {data[key]!r}")
+    return int(value)
+
+
+def _require_flag(data: dict, key: str) -> bool:
+    value = data[key]
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
@@ -109,8 +123,8 @@ def parse_config(data: dict) -> RunConfig:
                 kappa=_require_number(data, "kappa"),
                 eta=_require_number(data, "eta"),
                 u0=_require_number(data, "u0"),
-                n_atoms=int(data["n_atoms"]),
-                grid_points=int(data["grid_points"]),
+                n_atoms=_require_count(data, "n_atoms"),
+                grid_points=_require_count(data, "grid_points"),
             )
         )
     except (ParameterError, TypeError, ValueError) as exc:
@@ -121,8 +135,7 @@ def parse_config(data: dict) -> RunConfig:
         if key in data:
             value = data[key]
             if isinstance(default, bool):
-                if not isinstance(value, bool):
-                    raise ConfigError(f"{key} must be a boolean, got {value!r}")
+                value = _require_flag(data, key)
             elif isinstance(default, int):
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -144,16 +157,13 @@ def parse_config(data: dict) -> RunConfig:
         if not isinstance(det, list) or not det:
             raise ConfigError("detunings must be a non-empty list of numbers")
         cfg.detunings = [float(x) for x in det]
-    if "eta_follows_detuning" in data:
-        cfg.eta_follows_detuning = bool(data["eta_follows_detuning"])
+    for flag in ("eta_follows_detuning", "nonneg_re_only", "oracle"):
+        if flag in data:
+            setattr(cfg, flag, _require_flag(data, flag))
     if "times" in data:
         cfg.times = _parse_times(data["times"])
     if "out" in data:
         cfg.out = str(data["out"])
-    if "nonneg_re_only" in data:
-        cfg.nonneg_re_only = bool(data["nonneg_re_only"])
-    if "oracle" in data:
-        cfg.oracle = bool(data["oracle"])
     if "fault_injection" in data:
         cfg.fault_injection = str(data["fault_injection"])
     return cfg
@@ -219,7 +229,7 @@ def format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
-        return value
+        return value.replace(",", ";")  # cells are never quoted
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

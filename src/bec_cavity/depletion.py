@@ -34,14 +34,14 @@ import numpy as np
 
 from .fluctuation import FluctuationMatrix, build_matrix
 from .grid import Grid
-from .meanfield import ConvergenceError, solve_ground_state
+from .meanfield import solve_ground_state
 from .params import SystemParams
 from .spectral import (
-    DecompositionError,
     ModeDecomposition,
     StabilityReport,
     classify_stability,
     decompose,
+    error_status,
 )
 
 
@@ -528,8 +528,8 @@ def solve_depletion_point(
     """Full pipeline at one (detuning, light shift) point.
 
     Returns one row for the steady state, or one row per requested time.
-    Divergences and refusals land in the status field, never in the
-    numeric columns.
+    Divergences, refusals and any exception raised on the way land in
+    the status field, never in the numeric columns.
     """
     eta = -delta_c if eta_follows_detuning else params.eta
     point = dc_replace(params, delta_c=float(delta_c), u0=float(u0), eta=float(eta))
@@ -538,70 +538,50 @@ def solve_depletion_point(
         state = solve_ground_state(point, grid, **opts)
         fm = build_matrix(state, point, grid, subtract_mu=subtract_mu)
         dec = decompose(fm)
-    except (ConvergenceError, DecompositionError) as exc:
-        return [DepletionPoint(delta_c=delta_c, u0=u0, status=f"error: {exc}")]
-    stability = classify_stability(dec, tol_zero=tol_zero, tol_noise=tol_noise)
+        stability = classify_stability(dec, tol_zero=tol_zero, tol_noise=tol_noise)
+        label = stability.label
 
-    if times:
-        result = depletion_at_times(dec, grid, times)
-        rows = []
-        for t, value in zip(result.times, result.values):
-            row = DepletionPoint(
-                delta_c=delta_c,
-                u0=u0,
-                status="ok",
-                depletion=value,
-                stability=stability.label,
-                time=t,
-            )
-            rows.append(row)
+        if times:
+            result = depletion_at_times(dec, grid, times)
+            rows = [
+                DepletionPoint(
+                    delta_c=delta_c, u0=u0, status="ok", depletion=value, stability=label, time=t
+                )
+                for t, value in zip(result.times, result.values)
+            ]
+            if oracle and grid.n <= 32:
+                oracle_result = lyapunov_oracle(fm, grid, times)
+                for row, value in zip(rows, oracle_result.values):
+                    row.oracle = value
+            return rows
+
+        if state.heating or label != "stable":
+            status = "heating" if state.heating else label
+            return [DepletionPoint(delta_c=delta_c, u0=u0, status=status, stability=label)]
+        steady = steady_state_depletion(
+            dec, grid, stability, heating=state.heating,
+            tol_pair=tol_pair, tol_noise=tol_noise,
+        )
+        if steady.diverged:
+            return [DepletionPoint(delta_c=delta_c, u0=u0, status="diverged", stability=label)]
+        row = DepletionPoint(
+            delta_c=delta_c,
+            u0=u0,
+            status="ok",
+            depletion=steady.value,
+            stability=label,
+            dominated_fraction=steady.dominated_fraction,
+        )
         if oracle and grid.n <= 32:
-            oracle_result = lyapunov_oracle(fm, grid, times)
-            for row, value in zip(rows, oracle_result.values):
-                row.oracle = value
-        return rows
-
-    if state.heating:
-        return [
-            DepletionPoint(
-                delta_c=delta_c, u0=u0, status="heating", stability=stability.label
-            )
-        ]
-    if stability.label != "stable":
-        return [
-            DepletionPoint(
-                delta_c=delta_c,
-                u0=u0,
-                status=stability.label,
-                stability=stability.label,
-            )
-        ]
-    steady = steady_state_depletion(
-        dec, grid, stability, heating=state.heating,
-        tol_pair=tol_pair, tol_noise=tol_noise,
-    )
-    if steady.diverged:
-        return [
-            DepletionPoint(
-                delta_c=delta_c, u0=u0, status="diverged", stability=stability.label
-            )
-        ]
-    row = DepletionPoint(
-        delta_c=delta_c,
-        u0=u0,
-        status="ok",
-        depletion=steady.value,
-        stability=stability.label,
-        dominated_fraction=steady.dominated_fraction,
-    )
-    if oracle and grid.n <= 32:
-        try:
-            proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
-            oracle_result = lyapunov_oracle(fm, grid, steady=True, deflate=proj)
-            row.oracle = oracle_result.values[0]
-        except OracleSingularError:
-            pass
-    return [row]
+            try:
+                proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
+                oracle_result = lyapunov_oracle(fm, grid, steady=True, deflate=proj)
+                row.oracle = oracle_result.values[0]
+            except OracleSingularError:
+                pass
+        return [row]
+    except Exception as exc:  # one failed point must never abort a sweep
+        return [DepletionPoint(delta_c=delta_c, u0=u0, status=error_status(exc))]
 
 
 def depletion_sweep(

@@ -1,22 +1,30 @@
 """Biorthogonal eigendecomposition of the fluctuation generator.
 
-The generator is non-normal, so left and right eigenvectors differ.  We
-compute right eigenpairs with a dense general eigensolver, take the left
-matrix as the (refined) inverse of the right one, and report the right
-basis condition number as the honesty metric.  Rows of ``left`` satisfy
-left @ right = I, so row k conjugated is the left eigenvector in the
-conjugate-linear scalar product convention; the noise weights used by
-the depletion sums are exactly left[k, 0] and left[k, 1].
+The lattice potential cos^2 x and the condensate are even under the
+reflection x -> pi - x, so M splits into two exact sectors.  Only even
+matter modes couple to the cavity.  The odd modes form the real
+symmetric block diag(H0 - mu, -(H0 - mu)) on the odd grid combinations,
+solved by one ``eigh``: normal and noiseless, with right and left
+vectors (v, 0) at +e and (0, v) at -e.  The non-normality, and with it
+the Petermann-type excess noise, lives in the even sector of dimension
+n + 4 (the photon pair plus the even combinations of each matter block).
 
-Phase symmetry of the condensate makes the generator defective: with the
-chemical potential subtracted the vector (0, 0, phi, -phi) is an exact
-null vector whose dual partner (the number fluctuation) forms a 2 x 2
-Jordan chain with it.  A naive eigensolve splits this pair into two
-spurious eigenvalues ~ +/- sqrt(eps) with nearly parallel vectors, which
-poisons the inverse.  ``decompose`` detects the cluster and replaces it
-by the analytically known chain basis (exact zeros, well conditioned);
-the cluster indices are exposed so downstream sums can treat them
-separately.
+The even sector gets a dense general eigensolve; the left matrix is the
+(refined) inverse of the right one, and the right basis condition
+number is the honesty metric.  Rows of ``left`` satisfy left @ right =
+I, so row k conjugated is the left eigenvector in the conjugate-linear
+scalar product convention; the noise weights used by the depletion sums
+are exactly left[k, 0] and left[k, 1].
+
+Phase symmetry of the condensate makes the even sector defective: with
+the chemical potential subtracted the vector (0, 0, phi, -phi) is an
+exact null vector whose dual partner (the number fluctuation) forms a
+2 x 2 Jordan chain with it.  A naive eigensolve splits this pair into
+two spurious eigenvalues ~ +/- sqrt(eps) with nearly parallel vectors,
+which poisons the inverse.  ``decompose`` detects the cluster and
+replaces it by the analytically known chain basis (exact zeros, well
+conditioned); the cluster indices are exposed so downstream sums can
+treat them separately.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from .fluctuation import FluctuationMatrix, build_matrix
 from .grid import Grid
-from .meanfield import ConvergenceError, solve_ground_state
+from .meanfield import solve_ground_state
 from .params import SystemParams
 
 
@@ -57,7 +65,8 @@ class ModeDecomposition:
     omegas    -- complex mode frequencies, sorted by (Re, Im); the
                  Goldstone cluster entries are exact zeros when the
                  chain basis was substituted
-    right     -- columns are right vectors (unit norm, canonical phase)
+    right     -- columns are right vectors (unit photon plus
+                 quadrature-weighted matter norm)
     left      -- rows, with left @ right = I
     pairing   -- involution k -> k' with omega_k' ~ -conj(omega_k)
     goldstone -- indices of the condensate phase/number cluster
@@ -96,14 +105,7 @@ def eigendecompose(m: np.ndarray, *, cond_limit: float = 1e12):
     omegas = omegas[order]
     right = right[:, order]
     right, _ = _canonical_columns(right)
-    cond_r = float(np.linalg.cond(right))
-    if not np.isfinite(cond_r) or cond_r > cond_limit:
-        raise DecompositionError(
-            f"right eigenvector basis is numerically singular "
-            f"(cond = {cond_r:.3e} > {cond_limit:.1e}); "
-            "use the Lyapunov second-moment oracle instead"
-        )
-    left = _refined_inverse(right)
+    left, cond_r = _refined_inverse(right, cond_limit)
     return omegas, right, left, cond_r
 
 
@@ -129,82 +131,19 @@ def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     return 1.0 / np.sqrt(photon + dx * atom)
 
 
-def _degenerate_groups(omegas: np.ndarray, skip: set[int], tol_abs: float):
-    """Runs of consecutive (sorted) eigenvalues closer than tol_abs."""
-    dim = omegas.size
-    groups = []
-    start = 0
-    for k in range(1, dim + 1):
-        if k == dim or abs(omegas[k] - omegas[start]) > tol_abs:
-            members = [j for j in range(start, k) if j not in skip]
-            if len(members) > 1:
-                groups.append(members)
-            start = k
-    return groups
-
-
-def _householder_concentrating(v: np.ndarray) -> np.ndarray:
-    """Unitary H (Hermitian involution) with H v proportional to e_0."""
-    nv = np.linalg.norm(v)
-    beta = v[0] / abs(v[0]) if v[0] != 0 else 1.0
-    u = v.copy()
-    u[0] += beta * nv
-    un = np.linalg.norm(u)
-    if un < 1e-300:
-        return np.eye(v.size, dtype=complex)
-    u /= un
-    return np.eye(v.size, dtype=complex) - 2.0 * np.outer(u, u.conj())
-
-
-def _align_degenerate_clusters(
-    omegas: np.ndarray,
-    right: np.ndarray,
-    left: np.ndarray,
-    skip: set[int],
-    tol_abs: float = 1e-7,
-):
-    """Concentrate the photon noise inside numerically degenerate clusters.
-
-    When eigenvalues coincide below the eigensolver's resolution the
-    returned basis inside the cluster is arbitrary, which smears photon
-    components over modes that are exactly decoupled by parity.  A
-    unitary rotation aligning the cluster's l1 components (which, by
-    parity, aligns l2 as well) restores the physical split: one coupled
-    mode carrying the noise and damping, the rest exactly noiseless.
-
-    The rotation is applied to the right columns and, contragrediently
-    and exactly, to the left rows, so left @ right is untouched.
-    Returns the updated (right, left) and the affected clusters.
-    """
-    groups = _degenerate_groups(omegas, skip, tol_abs)
-    if not groups:
-        return right, left, []
-    right = right.copy()
-    left = left.copy()
-    for members in groups:
-        # orthonormalize the cluster basis first: the eigensolver's columns
-        # inside a degenerate eigenspace can be visibly non-orthogonal
-        q, rf = np.linalg.qr(right[:, members])
-        right[:, members] = q
-        left[members, :] = rf @ left[members, :]
-        sub = left[np.ix_(members, [0, 1])]
-        col = 0 if np.abs(sub[:, 0]).max() >= np.abs(sub[:, 1]).max() else 1
-        v = sub[:, col]
-        if np.linalg.norm(v) < 1e-300:
-            continue
-        h = _householder_concentrating(v)
-        # left rows transform with H, right columns with H^{-1} = H
-        left[members, :] = h @ left[members, :]
-        right[:, members] = right[:, members] @ h
-    return right, left, groups
-
-
-def _refined_inverse(right: np.ndarray) -> np.ndarray:
+def _refined_inverse(right: np.ndarray, cond_limit: float):
+    """(left, cond_r): the inverse of a right basis that is not singular."""
+    cond_r = float(np.linalg.cond(right))
+    if not np.isfinite(cond_r) or cond_r > cond_limit:
+        raise DecompositionError(
+            f"right eigenvector basis is numerically singular "
+            f"(cond = {cond_r:.3e} > {cond_limit:.1e}); "
+            "use the Lyapunov second-moment oracle instead"
+        )
     # one Newton step on the inverse knocks the biorthogonality defect
     # down to the product-evaluation noise floor
     left = np.linalg.inv(right)
-    left = left + (np.eye(right.shape[0]) - left @ right) @ left
-    return left
+    return left + (np.eye(right.shape[0]) - left @ right) @ left, cond_r
 
 
 def _match_pairs(omegas: np.ndarray):
@@ -220,8 +159,7 @@ def _match_pairs(omegas: np.ndarray):
         best = min(free, key=lambda l: abs(omegas[l] - targets[k]))
         pairing[k] = best
         pairing[best] = k
-    error = float(np.abs(omegas[pairing] - targets).max())
-    return pairing, error
+    return pairing
 
 
 def _goldstone_cluster(
@@ -277,68 +215,122 @@ def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
     return None
 
 
+# largest coupling between the parity sectors, or departure of the odd
+# block from diag(H0 - mu, mu - H0), that decompose accepts as roundoff,
+# relative to max|M|; the assembled generator sits near 1e-15
+PARITY_TOL = 1e-12
+
+
+def _parity_embeddings(n: int):
+    """Orthonormal even and odd embeddings under the reflection x -> pi - x.
+
+    Grid point j maps to (n - j) mod n in both matter blocks.  The even
+    columns (n + 4) are the photon rows, the fixed points j = 0, n/2 and
+    the pair sums (e_j + e_(n-j)) / sqrt 2, laid out like M with n/2 + 1
+    points per block; the odd columns (n - 2) are the pair differences.
+    """
+    dim = 2 * n + 2
+    mirror = np.arange(dim)
+    for offset in (2, 2 + n):
+        mirror[offset : offset + n] = offset + (-np.arange(n)) % n
+    swap = np.eye(dim)[mirror]
+    even = (np.eye(dim) + swap)[:, mirror >= np.arange(dim)]
+    odd = (np.eye(dim) - swap)[:, mirror > np.arange(dim)]
+    return even / np.linalg.norm(even, axis=0), odd / np.linalg.norm(odd, axis=0)
+
+
 def decompose(
     fm: FluctuationMatrix,
     *,
     cond_limit: float = 1e12,
     goldstone_tol: float = 1e-3,
 ) -> ModeDecomposition:
-    """Full decomposition of a fluctuation matrix.
+    """Full decomposition of a fluctuation matrix, one parity sector at a time.
 
-    Detects the condensate phase/number cluster among the near-zero
-    modes and substitutes the analytic (chain or pair) basis for it
-    before inverting, which keeps the left matrix well conditioned.
+    In the even sector the phase/number cluster is replaced by its
+    analytic (chain or pair) basis before inverting.  Raises
+    DecompositionError when M couples the sectors beyond PARITY_TOL or
+    when the even right basis is numerically singular.
     """
     m = fm.m
     n = fm.n_grid
-    omegas, right = np.linalg.eig(m)
-    order = np.lexsort((omegas.imag, omegas.real))
-    omegas = omegas[order].copy()
-    right = right[:, order]
-    right, _ = _canonical_columns(right)
+    dim = m.shape[0]
+    half = n // 2
+    k = half - 1  # odd points per matter block; the even sector has half + 1
+    even, odd = _parity_embeddings(n)
+    m_even_cols = m @ even
+    m_odd_cols = m @ odd
+    m_even = even.T @ m_even_cols
+    m_odd = odd.T @ m_odd_cols
+    h_odd = 0.5 * (m_odd[:k, :k] + m_odd[:k, :k].T).real
+    m_odd[:k, :k] -= h_odd
+    m_odd[k:, k:] += h_odd
+    leftover = max(np.abs(odd.T @ m_even_cols).max(), np.abs(even.T @ m_odd_cols).max(),
+                   np.abs(m_odd).max()) / np.abs(m).max()
+    if leftover > PARITY_TOL:
+        raise DecompositionError(f"M breaks reflection parity ({leftover:.2e} max|M|)")
 
-    cluster = _goldstone_cluster(omegas, right, fm.phi, n, goldstone_tol)
+    phi_even = (even[2 : 2 + n].T @ fm.phi)[2 : 3 + half]
+    omegas_even, right_even = np.linalg.eig(m_even)
+    right_even, _ = _canonical_columns(right_even)
+    cluster = _goldstone_cluster(omegas_even, right_even, phi_even, half + 1, goldstone_tol)
     chain = False
     if len(cluster) == 2:
-        canonical = _canonical_goldstone(m, fm.phi, n)
+        canonical = _canonical_goldstone(m_even, phi_even, half + 1)
         if canonical is not None:
             kind, v1, v2 = canonical
-            right[:, cluster[0]] = v1
-            right[:, cluster[1]] = v2
-            omegas[list(cluster)] = 0.0
+            right_even[:, cluster[0]] = v1
+            right_even[:, cluster[1]] = v2
+            omegas_even[list(cluster)] = 0.0
             chain = kind == "chain"
 
-    cond_r = float(np.linalg.cond(right))
-    if not np.isfinite(cond_r) or cond_r > cond_limit:
-        raise DecompositionError(
-            f"right eigenvector basis is numerically singular "
-            f"(cond = {cond_r:.3e} > {cond_limit:.1e}); "
-            "use the Lyapunov second-moment oracle instead"
-        )
-    left = _refined_inverse(right)
+    # W S (M + i kappa P) is Hermitian (W: quadrature weights, S: +1 on field
+    # and -1 on conjugate rows, P: photon projector), so Im omega is exactly
+    # -kappa (|r0|^2 - |r1|^2) / (r^H W S r) where that norm is not null; eig
+    # resolves Im omega only to eps max|M|, coarser than slow modes' damping
+    metric = np.concatenate([[1.0, -1.0], np.full(half + 1, fm.dx), np.full(half + 1, -fm.dx)])
+    weights = np.abs(right_even) ** 2
+    norm = metric @ weights
+    definite = np.abs(norm) > 1e-3 * (np.abs(metric) @ weights)
+    definite[list(cluster)] = False
+    damping = -fm.kappa * (weights[0] - weights[1]) / np.where(definite, norm, 1.0)
+    omegas_even[definite] = omegas_even[definite].real + 1j * damping[definite]
 
-    right, left, aligned = _align_degenerate_clusters(
-        omegas, right, left, set(cluster)
-    )
-    if aligned:
-        # rotated columns are no longer tied to single solver eigenvalues;
-        # the Rayleigh quotient recovers each canonical mode's frequency
-        m_right = m @ right
-        for members in aligned:
-            for k in members:
-                omegas[k] = (left[k] @ m_right[:, k]) / (left[k] @ right[:, k])
+    # the odd columns are orthonormal and orthogonal to the even ones, and
+    # the even block has unit columns, so this is also the whole basis's
+    left_even, cond_r = _refined_inverse(right_even, cond_limit)
+
+    energies, vecs = np.linalg.eigh(h_odd)
+    omegas = np.concatenate([omegas_even, energies, -energies])
+    order = np.lexsort((omegas.imag, omegas.real))
+    omegas = omegas[order]
+    slot = np.empty(dim, dtype=int)
+    slot[order] = np.arange(dim)
+    even_slots, odd_slots = slot[: n + 4], slot[n + 4 :]
+    right = np.empty((dim, dim), dtype=complex)
+    left = np.empty_like(right)
+    right[:, even_slots] = even @ right_even
+    left[even_slots, :] = left_even @ even.T
+    # (v, 0) at +e and (0, v) at -e, each its own left vector
+    right[:, odd_slots] = odd @ np.kron(np.eye(2), vecs)
+    left[odd_slots, :] = right[:, odd_slots].T
+    cluster = tuple(int(even_slots[c]) for c in cluster)
 
     # rescaling columns by f and rows by 1/f keeps left @ right = I exactly
     factors = _physical_norm_factors(right, fm.dx)
-    right = right * factors[None, :]
-    left = left / factors[:, None]
-    biorth_defect = float(np.abs(left @ right - np.eye(m.shape[0])).max())
+    right *= factors[None, :]
+    left /= factors[:, None]
+    biorth_defect = float(np.abs(left @ right - np.eye(dim)).max())
 
     chain_coupling = 0.0 + 0.0j
     if chain:
         chain_coupling = complex(factors[cluster[1]] / factors[cluster[0]])
 
-    pairing, pairing_error = _match_pairs(omegas)
+    # pairs never straddle the sectors; odd pairs are +e and -e exactly
+    pairing = np.empty(dim, dtype=int)
+    pairing[even_slots] = even_slots[_match_pairs(omegas_even)]
+    pairing[odd_slots] = np.roll(odd_slots, k)
+    pairing_error = float(np.abs(omegas[pairing] + omegas.conj()).max())
     # G M G = -conj(M) holds exactly for the assembled matrix, so the true
     # spectrum is exactly (-conj)-symmetric; averaging each pair removes the
     # eigensolver's asymmetric noise, which otherwise leaks a spurious real
@@ -451,6 +443,11 @@ def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     ) ** 2
 
 
+def error_status(exc: Exception) -> str:
+    """Status cell recording an exception raised inside one sweep point."""
+    return f"error: {type(exc).__name__}: {exc}"
+
+
 @dataclass
 class SpectrumPoint:
     """One sweep point: either a full mode table or a failure record."""
@@ -479,9 +476,9 @@ def solve_spectrum_point(
         state = solve_ground_state(point_params, grid, **opts)
         fm = build_matrix(state, point_params, grid, subtract_mu=subtract_mu)
         dec = decompose(fm)
-    except (ConvergenceError, DecompositionError) as exc:
-        return SpectrumPoint(u0=float(u0), status=f"error: {exc}")
-    stability = classify_stability(dec)
+        stability = classify_stability(dec)
+    except Exception as exc:  # one failed point must never abort a sweep
+        return SpectrumPoint(u0=float(u0), status=error_status(exc))
     return SpectrumPoint(
         u0=float(u0),
         status="ok",

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bec_cavity.depletion
 from bec_cavity.cli import main
 from bec_cavity.config import (
     ConfigError,
@@ -66,6 +71,24 @@ def test_config_rejects_nonpositive_knob(tmp_path):
 def test_config_rejects_bad_physics(tmp_path):
     with pytest.raises(ConfigError, match="kappa"):
         load_config(write_config(tmp_path, kappa=-1.0))
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"eta_follows_detuning": "false"},
+        {"nonneg_re_only": "no"},
+        {"oracle": 1},
+        {"n_atoms": 1000.7},
+        {"n_atoms": "1000"},
+        {"grid_points": 16.5},
+    ],
+)
+def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, override):
+    path = write_config(tmp_path, **override)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["groundstate", "--config", path]) == 2
 
 
 def test_sweep_values_linear_and_log():
@@ -209,6 +232,47 @@ def test_depletion_finite_times_and_oracle(tmp_path):
     oracle = [r[table.columns.index("oracle")] for r in table.rows]
     assert dep[0] == 0.0
     assert oracle[1] == pytest.approx(dep[1], rel=1e-3)
+
+
+def test_depletion_failing_point_is_recorded_and_the_sweep_continues(tmp_path, monkeypatch):
+    real_to_real = bec_cavity.depletion._to_real
+    calls = []
+
+    def failing_second_call(value, *args, **kwargs):
+        # a stable steady-state point calls _to_real once, so the second
+        # call belongs to the middle u0 of the sweep
+        calls.append(value)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure, middle point")
+        return real_to_real(value, *args, **kwargs)
+
+    monkeypatch.setattr(bec_cavity.depletion, "_to_real", failing_second_call)
+    monkeypatch.setenv("BEC_CAVITY_THREADS", "1")
+    cfg = write_config(tmp_path, sweep={"parameter": "u0", "from": -0.3, "to": -0.5, "points": 3})
+    out = tmp_path / "dep.csv"
+    assert main(["depletion", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 3
+    with open(out) as fh:
+        table = ResultTable.read_csv(fh)
+    assert len(table.rows) == 3
+    assert all(len(row) == len(table.columns) for row in table.rows)
+    status = [row[table.columns.index("status")] for row in table.rows]
+    assert status[0] == "ok" and status[2] == "ok"
+    assert status[1].startswith("error: RuntimeError: injected failure")
+    assert table.rows[1][2:5] == (None, None, None)
+
+
+def test_cli_import_loads_neither_process_pool_nor_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, bec_cavity.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'scipy') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_depletion_eta_follows_detunings(tmp_path):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bec_cavity import (
+    DecompositionError,
     DegenerateClusterError,
     classify_stability,
     decompose,
@@ -71,6 +74,28 @@ def test_goldstone_cluster_detected(pipeline):
         for k in dec.goldstone
     )
     assert left_photon <= 1e-8
+
+
+def test_odd_modes_are_noiseless_and_normal(pipeline):
+    *_, dec = pipeline(u0=-0.5, ng=16)
+    n = dec.n_grid
+    flip = (-np.arange(n)) % n  # grid point j -> n - j under x -> pi - x
+    mirror = np.concatenate([[0, 1], 2 + flip, 2 + n + flip])
+    right = dec.right
+    odd = np.nonzero(
+        np.abs(right[mirror] + right).max(axis=0) <= 1e-12 * np.abs(right).max(axis=0)
+    )[0]
+    assert odd.size == n - 2
+    assert np.all(dec.left[odd, 0] == 0.0) and np.all(dec.left[odd, 1] == 0.0)
+    assert np.abs(petermann_raw(dec)[odd] - 1.0).max() <= 1e-12
+
+
+def test_decompose_refuses_a_parity_breaking_matrix(pipeline):
+    *_, fm, _ = pipeline(u0=-0.5, ng=16)
+    m = fm.m.copy()
+    m[0, 3] += 1e-3 * (1.0 + 1.0j)  # the corrupt-matrix fault of `verify`
+    with pytest.raises(DecompositionError, match="parity"):
+        decompose(dataclasses.replace(fm, m=m))
 
 
 def test_petermann_of_normal_spectrum_is_unity(pipeline):
