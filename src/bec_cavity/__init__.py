@@ -5,9 +5,10 @@ from .depletion import (
     DepletionResult,
     OracleSingularError,
     StabilityError,
+    PointAnalysis,
     SteadyDepletion,
+    analyze_point,
     depletion_at_times,
-    depletion_sweep,
     finite_time_kernel,
     lyapunov_oracle,
     mode_projector,
@@ -37,8 +38,6 @@ from .spectral import (
     petermann_factor,
     petermann_raw,
     reconstruction_defect,
-    spectrum_sweep,
-    solve_spectrum_point,
 )
 
 __version__ = "0.1.0"
@@ -54,15 +53,16 @@ __all__ = [
     "ModeDecomposition",
     "OracleSingularError",
     "ParameterError",
+    "PointAnalysis",
     "StabilityError",
     "StabilityReport",
     "SteadyDepletion",
     "SystemParams",
+    "analyze_point",
     "build_matrix",
     "classify_stability",
     "decompose",
     "depletion_at_times",
-    "depletion_sweep",
     "eigendecompose",
     "finite_time_kernel",
     "gamma_transform",
@@ -80,8 +80,6 @@ __all__ = [
     "save_matrix",
     "solve_depletion_point",
     "solve_ground_state",
-    "solve_spectrum_point",
-    "spectrum_sweep",
     "steady_alpha",
     "steady_state_depletion",
     "symmetry_defect",

@@ -2,6 +2,9 @@
 
 Every command takes --config pointing at a JSON file (see config.py)
 and writes its result to --out, the config's "out" entry, or stdout.
+spectrum, depletion and verify all run each point through
+``depletion.analyze_point``; a sweep worker reduces that record to its
+output rows, so no matrix ever crosses the process boundary.
 Sweeps fan out over a process pool capped by the BEC_CAVITY_THREADS
 environment variable (default 1); results are merged in sweep order, so
 the output bytes do not depend on the pool size.  Exit codes: 0 on
@@ -15,31 +18,29 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
+from dataclasses import replace as dc_replace
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, ResultTable, RunConfig, load_config, sweep_values
 from .depletion import (
-    OracleSingularError,
+    analyze_point,
     depletion_at_times,
+    error_status,
     lyapunov_oracle,
     mode_projector,
     solve_depletion_point,
     steady_state_depletion,
 )
-from .fluctuation import build_matrix, symmetry_defect
+from .fluctuation import symmetry_defect
 from .grid import make_grid
 from .meanfield import ConvergenceError, solve_ground_state
 from .params import SystemParams
-from .spectral import (
-    DecompositionError,
-    classify_stability,
-    decompose,
-    solve_spectrum_point,
-)
+from .spectral import petermann_raw
 
 
 def _worker_count(n_items: int) -> int:
@@ -130,46 +131,48 @@ def cmd_groundstate(cfg: RunConfig, out: str | None) -> int:
     return 0
 
 
+def _chain_options(cfg: RunConfig) -> dict:
+    return dict(
+        solver_options=cfg.solver_options(),
+        subtract_mu=cfg.subtract_mu,
+        tol_zero=cfg.tol_zero,
+        tol_noise=cfg.tol_noise,
+    )
+
+
+def _spectrum_rows(u0: float, params: SystemParams, grid, options: dict, nonneg_re_only: bool):
+    """CSV rows of one light shift, built where the point record is made."""
+    point = analyze_point(dc_replace(params, u0=u0), grid, **options)
+    if point.error is not None:
+        return [(u0, -1, None, None, None, None, None, error_status(point.error))]
+    dec = point.dec
+    abs_l1 = np.abs(dec.left[:, 0])
+    abs_l2 = np.abs(dec.left[:, 1])
+    petermann = petermann_raw(dec)
+    shown = [k for k, w in enumerate(dec.omegas) if not (nonneg_re_only and w.real < 0.0)]
+    return [
+        (u0, index, dec.omegas[k].real, dec.omegas[k].imag,
+         float(abs_l1[k]), float(abs_l2[k]), float(petermann[k]), "ok")
+        for index, k in enumerate(shown)
+    ]
+
+
 def cmd_spectrum(cfg: RunConfig, out: str | None, nonneg_re_only: bool | None = None) -> int:
     if nonneg_re_only is None:
         nonneg_re_only = cfg.nonneg_re_only
-    grid = make_grid(cfg.params.grid_points)
-    u0s = _u0_values(cfg)
     worker = functools.partial(
-        solve_spectrum_point,
-        cfg.params,
-        grid,
-        solver_options=cfg.solver_options(),
-        subtract_mu=cfg.subtract_mu,
+        _spectrum_rows,
+        params=cfg.params,
+        grid=make_grid(cfg.params.grid_points),
+        options=_chain_options(cfg),
+        nonneg_re_only=nonneg_re_only,
     )
-    points = _pool_map(worker, [float(u) for u in u0s])
-
     columns = [
         "u0", "mode_index", "re_omega", "im_omega",
         "abs_l1", "abs_l2", "petermann", "status",
     ]
-    rows = []
-    for point in points:
-        if point.status != "ok":
-            rows.append((point.u0, -1, None, None, None, None, None, point.status))
-            continue
-        index = 0
-        for k in range(point.omegas.size):
-            if nonneg_re_only and point.omegas[k].real < 0.0:
-                continue
-            rows.append(
-                (
-                    point.u0,
-                    index,
-                    point.omegas[k].real,
-                    point.omegas[k].imag,
-                    float(point.abs_l1[k]),
-                    float(point.abs_l2[k]),
-                    float(point.petermann[k]),
-                    "ok",
-                )
-            )
-            index += 1
+    points = _pool_map(worker, [float(u) for u in _u0_values(cfg)])
+    rows = [row for point_rows in points for row in point_rows]
     table = ResultTable(columns=columns, rows=rows, meta=_meta(cfg))
     stream, close = _open_out(out or cfg.out)
     try:
@@ -200,14 +203,11 @@ def cmd_depletion(
     detunings = _detunings(cfg)
     items = [(dc, u0) for dc in detunings for u0 in u0s]
     options = dict(
+        _chain_options(cfg),
         eta_follows_detuning=cfg.eta_follows_detuning,
         times=times,
         oracle=oracle,
-        solver_options=cfg.solver_options(),
-        subtract_mu=cfg.subtract_mu,
         tol_pair=cfg.tol_pair,
-        tol_noise=cfg.tol_noise,
-        tol_zero=cfg.tol_zero,
     )
     worker = functools.partial(_depletion_worker, params=cfg.params, grid=grid, options=options)
     results = _pool_map(worker, items)
@@ -238,6 +238,29 @@ def cmd_depletion(
     return 0
 
 
+def _oracle_equivalence(cfg: RunConfig, grid, point) -> tuple[bool, str]:
+    """Mode sums against the second-moment oracle on the same observable."""
+    fm, dec, stability = point.fm, point.dec, point.stability
+    if stability.label != "stable" or point.state.heating:
+        finite = depletion_at_times(dec, grid, [1.0])
+        oracle_t = lyapunov_oracle(fm, grid, [1.0])
+        diff = abs(finite.values[0] - oracle_t.values[0])
+        denom = max(abs(oracle_t.values[0]), 1e-8)
+        return diff / denom <= 1e-4 or diff <= 1e-10, f"non-stable point, t=1 |diff|={diff:.2e}"
+    steady = steady_state_depletion(
+        dec, grid, stability, tol_pair=cfg.tol_pair, tol_noise=cfg.tol_noise
+    )
+    if steady.diverged:
+        return False, "steady sum diverged"
+    proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
+    oracle = lyapunov_oracle(fm, grid, steady=True, deflate=proj)
+    rel = abs(steady.value - oracle.values[0]) / max(abs(oracle.values[0]), 1e-300)
+    finite = depletion_at_times(dec, grid, [1.0], exclude_modes=steady.excluded_modes)
+    oracle_t = lyapunov_oracle(fm, grid, [1.0], deflate=proj)
+    rel_t = abs(finite.values[0] - oracle_t.values[0]) / max(abs(oracle_t.values[0]), 1e-300)
+    return rel <= 1e-6 and rel_t <= 1e-4, f"steady rel={rel:.2e}, t=1 rel={rel_t:.2e}"
+
+
 def cmd_verify(cfg: RunConfig, out: str | None = None) -> int:
     """Run the invariant suite on a reduced grid, one PASS/FAIL per line."""
     stream, close = _open_out(out)
@@ -247,30 +270,20 @@ def cmd_verify(cfg: RunConfig, out: str | None = None) -> int:
         checks.append((name, passed, detail))
 
     n_red = min(cfg.params.grid_points, 16)
-    params = SystemParams(
-        delta_c=cfg.params.delta_c,
-        kappa=cfg.params.kappa,
-        eta=cfg.params.eta,
-        u0=cfg.params.u0,
-        n_atoms=cfg.params.n_atoms,
-        grid_points=n_red,
-    )
+    params = dc_replace(cfg.params, grid_points=n_red)
     grid = make_grid(n_red)
-    try:
-        state = solve_ground_state(params, grid, **cfg.solver_options())
+    point = analyze_point(params, grid, fault_injection=cfg.fault_injection, **_chain_options(cfg))
+    state, fm, dec, stability = point.state, point.fm, point.dec, point.stability
+    if state is not None:
         record(
             "meanfield-selfconsistency",
             state.residual_phi < 1e-8 and state.residual_alpha < 1e-8,
             f"residual_phi={state.residual_phi:.2e} residual_alpha={state.residual_alpha:.2e}",
         )
-
-        fm = build_matrix(state, params, grid, subtract_mu=cfg.subtract_mu)
-        if cfg.fault_injection == "corrupt-matrix":
-            fm.m[0, 3] += 1e-3 * (1.0 + 1.0j)
+    if fm is not None:
         defect = symmetry_defect(fm.m)
         record("symmetry", defect <= 1e-13, f"max|GMG + conj(M)|={defect:.2e}")
-
-        dec = decompose(fm)
+    if dec is not None:
         record(
             "biorthonormality",
             dec.biorth_defect <= 1e-10,
@@ -295,46 +308,13 @@ def cmd_verify(cfg: RunConfig, out: str | None = None) -> int:
                 )
             else:
                 record("goldstone", False, f"cluster size {len(dec.goldstone)} != 2")
-
-        stability = classify_stability(dec, tol_zero=cfg.tol_zero, tol_noise=cfg.tol_noise)
+    if stability is not None:
         try:
-            if stability.label == "stable" and not state.heating:
-                steady = steady_state_depletion(
-                    dec, grid, stability,
-                    tol_pair=cfg.tol_pair, tol_noise=cfg.tol_noise,
-                )
-                if steady.diverged:
-                    record("oracle-equivalence", False, "steady sum diverged")
-                else:
-                    proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
-                    oracle = lyapunov_oracle(fm, grid, steady=True, deflate=proj)
-                    rel = abs(steady.value - oracle.values[0]) / max(abs(oracle.values[0]), 1e-300)
-                    finite = depletion_at_times(
-                        dec, grid, [1.0], exclude_modes=steady.excluded_modes
-                    )
-                    oracle_t = lyapunov_oracle(fm, grid, [1.0], deflate=proj)
-                    rel_t = abs(finite.values[0] - oracle_t.values[0]) / max(
-                        abs(oracle_t.values[0]), 1e-300
-                    )
-                    record(
-                        "oracle-equivalence",
-                        rel <= 1e-6 and rel_t <= 1e-4,
-                        f"steady rel={rel:.2e}, t=1 rel={rel_t:.2e}",
-                    )
-            else:
-                finite = depletion_at_times(dec, grid, [1.0])
-                oracle_t = lyapunov_oracle(fm, grid, [1.0])
-                diff = abs(finite.values[0] - oracle_t.values[0])
-                denom = max(abs(oracle_t.values[0]), 1e-8)
-                record(
-                    "oracle-equivalence",
-                    diff / denom <= 1e-4 or diff <= 1e-10,
-                    f"non-stable point, t=1 |diff|={diff:.2e}",
-                )
-        except (OracleSingularError, RuntimeError) as exc:
+            record("oracle-equivalence", *_oracle_equivalence(cfg, grid, point))
+        except Exception as exc:  # a failing oracle is a failed check, not a crash
             record("oracle-equivalence", False, str(exc))
-    except (ConvergenceError, DecompositionError) as exc:
-        record("pipeline", False, str(exc))
+    if point.error is not None:
+        record("pipeline", False, str(point.error))
 
     failed = [c for c in checks if not c[1]]
     try:
@@ -390,30 +370,28 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        if args.command == "groundstate":
-            return cmd_groundstate(cfg, args.out)
-        if args.command == "spectrum":
-            flag = True if args.nonneg_re_only else None
-            return cmd_spectrum(cfg, args.out, nonneg_re_only=flag)
-        if args.command == "depletion":
-            times = None
-            if args.times is not None:
-                try:
-                    times = [float(t) for t in args.times.split(",") if t.strip()]
-                except ValueError:
-                    print(f"bad --times value: {args.times!r}", file=sys.stderr)
-                    return 2
-                if any(t < 0 for t in times):
-                    print("--times must be nonnegative", file=sys.stderr)
-                    return 2
-            oracle = True if args.oracle else None
-            return cmd_depletion(cfg, args.out, times=times, oracle=oracle)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out)
-    except ConvergenceError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 1
+    # every command reports its own runtime failures: groundstate catches the
+    # mean field's ConvergenceError, the others record each point's error
+    if args.command == "groundstate":
+        return cmd_groundstate(cfg, args.out)
+    if args.command == "spectrum":
+        flag = True if args.nonneg_re_only else None
+        return cmd_spectrum(cfg, args.out, nonneg_re_only=flag)
+    if args.command == "depletion":
+        times = None
+        if args.times is not None:
+            try:
+                times = [float(t) for t in args.times.split(",") if t.strip()]
+            except ValueError:
+                print(f"bad --times value: {args.times!r}", file=sys.stderr)
+                return 2
+            if not all(0.0 <= t < math.inf for t in times):
+                print("--times must be finite and nonnegative", file=sys.stderr)
+                return 2
+        oracle = True if args.oracle else None
+        return cmd_depletion(cfg, args.out, times=times, oracle=oracle)
+    if args.command == "verify":
+        return cmd_verify(cfg, args.out)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -89,24 +90,24 @@ class RunConfig:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
 
-def _require_number(data: dict, key: str) -> float:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+def _require_number(value: Any, name: str) -> float:
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound also rejects NaN, infinities and integers too large for a float
+    if not (numeric and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _require_count(data: dict, key: str) -> int:
-    value = _require_number(data, key)
-    if not value.is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {data[key]!r}")
-    return int(value)
+def _require_count(value: Any, name: str) -> int:
+    number = _require_number(value, name)
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
-def _require_flag(data: dict, key: str) -> bool:
-    value = data[key]
+def _require_flag(value: Any, name: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -119,12 +120,12 @@ def parse_config(data: dict) -> RunConfig:
     try:
         params = validate(
             SystemParams(
-                delta_c=_require_number(data, "delta_c"),
-                kappa=_require_number(data, "kappa"),
-                eta=_require_number(data, "eta"),
-                u0=_require_number(data, "u0"),
-                n_atoms=_require_count(data, "n_atoms"),
-                grid_points=_require_count(data, "grid_points"),
+                delta_c=_require_number(data["delta_c"], "delta_c"),
+                kappa=_require_number(data["kappa"], "kappa"),
+                eta=_require_number(data["eta"], "eta"),
+                u0=_require_number(data["u0"], "u0"),
+                n_atoms=_require_count(data["n_atoms"], "n_atoms"),
+                grid_points=_require_count(data["grid_points"], "grid_points"),
             )
         )
     except (ParameterError, TypeError, ValueError) as exc:
@@ -135,12 +136,12 @@ def parse_config(data: dict) -> RunConfig:
         if key in data:
             value = data[key]
             if isinstance(default, bool):
-                value = _require_flag(data, key)
+                value = _require_flag(value, key)
             elif isinstance(default, int):
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ConfigError(f"{key} must be an integer, got {value!r}")
             else:
-                value = _require_number(data, key)
+                value = _require_number(value, key)
             setattr(cfg, key, value)
     for knob in ("itp_dt", "tol_phi", "tol_alpha", "tol_pair", "tol_noise", "tol_zero"):
         if getattr(cfg, knob) <= 0:
@@ -156,16 +157,19 @@ def parse_config(data: dict) -> RunConfig:
         det = data["detunings"]
         if not isinstance(det, list) or not det:
             raise ConfigError("detunings must be a non-empty list of numbers")
-        cfg.detunings = [float(x) for x in det]
+        cfg.detunings = [_require_number(x, "detunings entry") for x in det]
     for flag in ("eta_follows_detuning", "nonneg_re_only", "oracle"):
         if flag in data:
-            setattr(cfg, flag, _require_flag(data, flag))
+            setattr(cfg, flag, _require_flag(data[flag], flag))
     if "times" in data:
         cfg.times = _parse_times(data["times"])
     if "out" in data:
         cfg.out = str(data["out"])
     if "fault_injection" in data:
-        cfg.fault_injection = str(data["fault_injection"])
+        fault = data["fault_injection"]
+        if fault != "corrupt-matrix":  # the one fault analyze_point can inject
+            raise ConfigError(f"fault_injection must be 'corrupt-matrix', got {fault!r}")
+        cfg.fault_injection = fault
     return cfg
 
 
@@ -178,8 +182,8 @@ def _parse_sweep(block: Any) -> SweepSpec:
     parameter = block["parameter"]
     if parameter not in ("u0", "delta_c"):
         raise ConfigError(f"sweep parameter must be 'u0' or 'delta_c', got {parameter!r}")
-    start = float(block["from"])
-    stop = float(block["to"])
+    start = _require_number(block["from"], "sweep from")
+    stop = _require_number(block["to"], "sweep to")
     points = block["points"]
     if isinstance(points, bool) or not isinstance(points, int) or points < 1:
         raise ConfigError(f"sweep points must be a positive integer, got {points!r}")
@@ -196,7 +200,7 @@ def _parse_sweep(block: Any) -> SweepSpec:
 def _parse_times(value: Any) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError("times must be a non-empty list of nonnegative numbers")
-    times = [float(t) for t in value]
+    times = [_require_number(t, "times entry") for t in value]
     if any(t < 0 for t in times):
         raise ConfigError("times must be nonnegative")
     return times

@@ -16,13 +16,17 @@ Two independent routes to the same number:
   dS/dt = -i M S - i S M^T + D with the single noise entry
   D[0, 1] = 2 kappa, and dN = dx * trace of the (dPsi^dag, dPsi) block.
 
-The condensate phase/number chain sector is excluded from the sums by
-default and its noise drive is projected out of the oracle: photon noise
-leaking through the number mode makes the condensate phase diffuse,
-which shows up in the unprojected <dPsi^dag dPsi> as secular growth that
-is condensate bookkeeping, not occupation of other modes.  Both routes
-apply the same exclusion, so they remain directly comparable (and
-``include_goldstone=True`` restores the literal sums on both sides).
+The condensate phase/number chain sector is excluded from the sums and
+its noise drive is projected out of the oracle: photon noise leaking
+through the number mode makes the condensate phase diffuse, which shows
+up in the unprojected <dPsi^dag dPsi> as secular growth that is
+condensate bookkeeping, not occupation of other modes.  Both routes
+apply the same exclusion, so they remain directly comparable.
+
+Every command reaches these sums through ``analyze_point``, the one
+chain mean field -> generator M -> biorthogonal modes -> stability
+verdict.  It records the exception that stops the chain instead of
+raising it, so a failed point becomes a status and never aborts a sweep.
 """
 
 from __future__ import annotations
@@ -34,15 +38,15 @@ import numpy as np
 
 from .fluctuation import FluctuationMatrix, build_matrix
 from .grid import Grid
-from .meanfield import solve_ground_state
+from .meanfield import MeanFieldState, solve_ground_state
 from .params import SystemParams
-from .spectral import (
-    ModeDecomposition,
-    StabilityReport,
-    classify_stability,
-    decompose,
-    error_status,
-)
+from .spectral import ModeDecomposition, StabilityReport, classify_stability, decompose
+
+# numerical resolution floor for frequency sums and for the singular values
+# of the second-moment flow; anything below it counts as exactly zero
+Z_FLOOR = 1e-11
+# largest steady-state pair contributions kept for inspection
+TOP_PAIRS = 20
 
 
 class StabilityError(RuntimeError):
@@ -146,7 +150,6 @@ def depletion_at_times(
     grid: Grid,
     times,
     *,
-    include_goldstone: bool = False,
     exclude_modes=(),
 ) -> DepletionResult:
     """Finite-time depletion from the mode double sum.
@@ -160,21 +163,19 @@ def depletion_at_times(
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
     weight, zsum, _, _ = _pair_data(dec)
-    if include_goldstone:
-        keep = np.ones_like(weight, dtype=bool)
-        skipped: list[tuple[int, int, str]] = []
-    else:
-        keep, skipped = _goldstone_mask_and_log(dec)
+    keep, skipped = _goldstone_mask_and_log(dec)
     for k in exclude_modes:
         keep[k, :] = False
         keep[:, k] = False
+    # only even x even pairs carry weight: odd modes have l1 = l2 = 0 exactly
+    keep &= weight != 0
+    weight, zsum = weight[keep], zsum[keep]
     values = []
     for t in times:
         if t == 0.0:
             values.append(0.0)
             continue
-        kernel = finite_time_kernel(zsum, t)
-        total = 2.0 * dec.kappa * (weight * kernel)[keep].sum()
+        total = 2.0 * dec.kappa * (weight * finite_time_kernel(zsum, t)).sum()
         values.append(_to_real(total))
     return DepletionResult(
         times=times, values=values, pair_contributions=None, skipped_pairs=skipped
@@ -189,22 +190,20 @@ def steady_state_depletion(
     heating: bool = False,
     tol_pair: float = 1e-8,
     tol_noise: float = 1e-10,
-    z_floor: float = 1e-11,
-    include_goldstone: bool = False,
-    top_pairs: int = 20,
 ) -> SteadyDepletion:
     """Steady-state depletion, refusing non-stable states.
 
     Zero-denominator policy: pairs with |w_k + w_l| < tol_pair and
     photon noise weight |l1_k l2_l| < tol_noise are dropped and logged
     (they are exactly the numerically unresolvable, noise-free pairs).
-    A pair below the resolution floor z_floor that still carries weight
+    A pair below the resolution floor Z_FLOOR that still carries weight
     above tol_noise makes the sum meaningless and the result is flagged
-    diverged.  Pairs between z_floor and tol_pair with real weight are
+    diverged.  Pairs between Z_FLOOR and tol_pair with real weight are
     kept: their denominators are accurate, since the paired eigenvalues
     are symmetrized against the exact G M G = -conj(M) relation.  The
     dominated_fraction is the share contributed by symmetry-paired
-    (k, pairing[k]) terms.
+    (k, pairing[k]) terms; pair_contributions holds the TOP_PAIRS
+    largest terms.
     """
     if heating:
         raise StabilityError(
@@ -216,15 +215,11 @@ def steady_state_depletion(
             f"'{stability.label}' (max growth rate {stability.max_growth_rate:.3e})"
         )
     weight, zsum, l1, l2 = _pair_data(dec)
-    if include_goldstone:
-        keep = np.ones_like(weight, dtype=bool)
-        skipped: list[tuple[int, int, str]] = []
-    else:
-        keep, skipped = _goldstone_mask_and_log(dec)
+    keep, skipped = _goldstone_mask_and_log(dec)
 
     absz = np.abs(zsum)
     noise_mag = np.abs(np.outer(l1, l2))
-    blocking = (absz < z_floor) & (noise_mag >= tol_noise) & keep
+    blocking = (absz < Z_FLOOR) & (noise_mag >= tol_noise) & keep
     if blocking.any():
         ks, ls = np.nonzero(blocking)
         skipped.extend(
@@ -261,7 +256,7 @@ def steady_state_depletion(
     dominated = paired_sum / value if value != 0.0 else None
 
     flat = np.abs(contrib).ravel()
-    order = np.argsort(flat)[::-1][:top_pairs]
+    order = np.argsort(flat)[::-1][:TOP_PAIRS]
     dim = dec.omegas.size
     top = [
         (int(i // dim), int(i % dim), complex(contrib.ravel()[i]))
@@ -382,8 +377,6 @@ def lyapunov_oracle(
     times=None,
     *,
     steady: bool = False,
-    z_floor: float = 1e-11,
-    include_goldstone: bool = False,
     deflate: np.ndarray | None = None,
 ) -> DepletionResult:
     """Depletion from direct second-moment propagation.
@@ -394,7 +387,7 @@ def lyapunov_oracle(
     a fixed affine map, so the N-step result is evaluated by repeated
     squaring of that map, which is the same scheme reorganized to run in
     O(log N) dense products.  The steady state solves the vectorized
-    linear system, truncating singular directions below the z_floor
+    linear system, truncating singular directions below the Z_FLOOR
     resolution limit; directions dropped that way must carry negligible
     noise, otherwise no steady state exists and OracleSingularError is
     raised.
@@ -411,14 +404,12 @@ def lyapunov_oracle(
     dim = m.shape[0]
     n = fm.n_grid
     d = _noise_matrix(dim, fm.kappa)
-    proj = deflate
-    if proj is None and not include_goldstone:
-        proj = _chain_projector(fm)
+    proj = deflate if deflate is not None else _chain_projector(fm)
     if proj is not None:
         d = proj @ d @ proj.T
 
     if steady:
-        value = _steady_moment_value(m, d, n, fm.dx, z_floor, proj)
+        value = _steady_moment_value(m, d, n, fm.dx, proj)
         return DepletionResult(
             times=[math.inf], values=[value], pair_contributions=None, skipped_pairs=[]
         )
@@ -448,14 +439,14 @@ def lyapunov_oracle(
     )
 
 
-def _steady_moment_value(m, d, n, dx, z_floor, proj=None):
+def _steady_moment_value(m, d, n, dx, proj=None):
     dim = m.shape[0]
     eye = np.eye(dim)
     k_super = np.kron(m, eye) + np.kron(eye, m)  # vec(M S + S M^T), row-major
     rhs = (-1j * d).ravel()
     u, s, vh = np.linalg.svd(k_super)
     coeff = u.conj().T @ rhs
-    keep = s >= z_floor
+    keep = s >= Z_FLOOR
     dropped = np.abs(coeff[~keep]) if (~keep).any() else np.zeros(1)
     if dropped.max() > 1e-6 * max(np.abs(rhs).max(), 1e-300):
         raise OracleSingularError(
@@ -493,7 +484,57 @@ def _rk4_fixed_steps(l_super, forcing_vec, h, n_steps):
 
 
 # ---------------------------------------------------------------------------
-# sweep orchestration
+# one parameter point
+
+
+def error_status(exc: Exception) -> str:
+    """Status cell recording an exception raised inside one sweep point."""
+    return f"error: {type(exc).__name__}: {exc}"
+
+
+@dataclass
+class PointAnalysis:
+    """The layer chain at one parameter point.
+
+    Stages fill in order; error holds the exception that stopped the
+    chain, and every stage after it stays None.  One record holds M and
+    both mode bases (about 8 MB at n = 200), so sweeps reduce it to rows
+    where it is made.
+    """
+
+    state: MeanFieldState | None = None
+    fm: FluctuationMatrix | None = None
+    dec: ModeDecomposition | None = None
+    stability: StabilityReport | None = None
+    error: Exception | None = None
+
+
+def analyze_point(
+    params: SystemParams,
+    grid: Grid,
+    *,
+    solver_options: dict | None = None,
+    subtract_mu: bool = True,
+    tol_zero: float = 1e-6,
+    tol_noise: float = 1e-10,
+    fault_injection: str | None = None,
+) -> PointAnalysis:
+    """Mean field, generator, decomposition and stability verdict.
+
+    fault_injection "corrupt-matrix" breaks the symmetry of M before it
+    is decomposed, as a negative control for the invariant checks.
+    """
+    point = PointAnalysis()
+    try:
+        point.state = solve_ground_state(params, grid, **(solver_options or {}))
+        point.fm = build_matrix(point.state, params, grid, subtract_mu=subtract_mu)
+        if fault_injection == "corrupt-matrix":
+            point.fm.m[0, 3] += 1e-3 * (1.0 + 1.0j)
+        point.dec = decompose(point.fm)
+        point.stability = classify_stability(point.dec, tol_zero=tol_zero, tol_noise=tol_noise)
+    except Exception as exc:  # one failed point must never abort a sweep
+        point.error = exc
+    return point
 
 
 @dataclass
@@ -525,7 +566,7 @@ def solve_depletion_point(
     tol_noise: float = 1e-10,
     tol_zero: float = 1e-6,
 ) -> list[DepletionPoint]:
-    """Full pipeline at one (detuning, light shift) point.
+    """Depletion rows at one (detuning, light shift) point.
 
     Returns one row for the steady state, or one row per requested time.
     Divergences, refusals and any exception raised on the way land in
@@ -533,13 +574,14 @@ def solve_depletion_point(
     """
     eta = -delta_c if eta_follows_detuning else params.eta
     point = dc_replace(params, delta_c=float(delta_c), u0=float(u0), eta=float(eta))
-    opts = dict(solver_options or {})
+    chain = analyze_point(
+        point, grid, solver_options=solver_options, subtract_mu=subtract_mu,
+        tol_zero=tol_zero, tol_noise=tol_noise,
+    )
     try:
-        state = solve_ground_state(point, grid, **opts)
-        fm = build_matrix(state, point, grid, subtract_mu=subtract_mu)
-        dec = decompose(fm)
-        stability = classify_stability(dec, tol_zero=tol_zero, tol_noise=tol_noise)
-        label = stability.label
+        if chain.error is not None:
+            raise chain.error
+        fm, dec, label = chain.fm, chain.dec, chain.stability.label
 
         if times:
             result = depletion_at_times(dec, grid, times)
@@ -555,11 +597,12 @@ def solve_depletion_point(
                     row.oracle = value
             return rows
 
-        if state.heating or label != "stable":
-            status = "heating" if state.heating else label
+        heating = chain.state.heating
+        if heating or label != "stable":
+            status = "heating" if heating else label
             return [DepletionPoint(delta_c=delta_c, u0=u0, status=status, stability=label)]
         steady = steady_state_depletion(
-            dec, grid, stability, heating=state.heating,
+            dec, grid, chain.stability, heating=heating,
             tol_pair=tol_pair, tol_noise=tol_noise,
         )
         if steady.diverged:
@@ -582,23 +625,3 @@ def solve_depletion_point(
         return [row]
     except Exception as exc:  # one failed point must never abort a sweep
         return [DepletionPoint(delta_c=delta_c, u0=u0, status=error_status(exc))]
-
-
-def depletion_sweep(
-    params: SystemParams,
-    grid: Grid,
-    u0_values,
-    detunings=None,
-    **point_options,
-) -> list[DepletionPoint]:
-    """Steady-state (or finite-time) depletion over a grid of
-    (detuning, light shift) points; per-point failures are recorded in
-    the status column and the sweep continues."""
-    detunings = list(detunings) if detunings is not None else [params.delta_c]
-    rows: list[DepletionPoint] = []
-    for delta_c in detunings:
-        for u0 in u0_values:
-            rows.extend(
-                solve_depletion_point(params, grid, delta_c, u0, **point_options)
-            )
-    return rows

@@ -25,18 +25,28 @@ which poisons the inverse.  ``decompose`` detects the cluster and
 replaces it by the analytically known chain basis (exact zeros, well
 conditioned); the cluster indices are exposed so downstream sums can
 treat them separately.
+
+The module sees only the generator: the mean field and the per-point
+chain that feeds M in here are ``depletion.analyze_point``'s business.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fluctuation import FluctuationMatrix, build_matrix
-from .grid import Grid
-from .meanfield import solve_ground_state
-from .params import SystemParams
+from .fluctuation import FluctuationMatrix
+
+# largest right-basis condition number accepted before the decomposition
+# is declared numerically singular
+COND_LIMIT = 1e12
+# |omega| below which a condensate-direction mode joins the Goldstone cluster
+GOLDSTONE_TOL = 1e-3
+# slowest decay rate classify_stability resolves as damping
+DAMPING_FLOOR = 5e-12
+# relative frequency spread of a degenerate cluster in petermann_factor
+CLUSTER_RTOL = 1e-6
 
 
 class DecompositionError(RuntimeError):
@@ -91,7 +101,7 @@ class ModeDecomposition:
     kappa: float
 
 
-def eigendecompose(m: np.ndarray, *, cond_limit: float = 1e12):
+def eigendecompose(m: np.ndarray):
     """Plain biorthogonal decomposition of a dense complex matrix.
 
     Returns (omegas, right, left, cond_r) with columns of ``right``
@@ -105,7 +115,7 @@ def eigendecompose(m: np.ndarray, *, cond_limit: float = 1e12):
     omegas = omegas[order]
     right = right[:, order]
     right, _ = _canonical_columns(right)
-    left, cond_r = _refined_inverse(right, cond_limit)
+    left, cond_r = _refined_inverse(right)
     return omegas, right, left, cond_r
 
 
@@ -131,13 +141,13 @@ def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     return 1.0 / np.sqrt(photon + dx * atom)
 
 
-def _refined_inverse(right: np.ndarray, cond_limit: float):
+def _refined_inverse(right: np.ndarray):
     """(left, cond_r): the inverse of a right basis that is not singular."""
     cond_r = float(np.linalg.cond(right))
-    if not np.isfinite(cond_r) or cond_r > cond_limit:
+    if not np.isfinite(cond_r) or cond_r > COND_LIMIT:
         raise DecompositionError(
             f"right eigenvector basis is numerically singular "
-            f"(cond = {cond_r:.3e} > {cond_limit:.1e}); "
+            f"(cond = {cond_r:.3e} > {COND_LIMIT:.1e}); "
             "use the Lyapunov second-moment oracle instead"
         )
     # one Newton step on the inverse knocks the biorthogonality defect
@@ -167,7 +177,6 @@ def _goldstone_cluster(
     right: np.ndarray,
     phi: np.ndarray,
     n: int,
-    tol_abs: float,
 ) -> tuple[int, ...]:
     """Indices of near-zero modes living in the condensate direction."""
     phi_unit = phi / np.linalg.norm(phi)
@@ -180,7 +189,7 @@ def _goldstone_cluster(
     cond_frac = np.where(
         atom_norm > 0, (np.abs(c3) ** 2 + np.abs(c4) ** 2) / np.maximum(atom_norm, 1e-300), 0.0
     )
-    mask = (np.abs(omegas) < tol_abs) & (photon_frac < 1e-6) & (cond_frac > 0.5)
+    mask = (np.abs(omegas) < GOLDSTONE_TOL) & (photon_frac < 1e-6) & (cond_frac > 0.5)
     return tuple(int(i) for i in np.nonzero(mask)[0])
 
 
@@ -239,12 +248,7 @@ def _parity_embeddings(n: int):
     return even / np.linalg.norm(even, axis=0), odd / np.linalg.norm(odd, axis=0)
 
 
-def decompose(
-    fm: FluctuationMatrix,
-    *,
-    cond_limit: float = 1e12,
-    goldstone_tol: float = 1e-3,
-) -> ModeDecomposition:
+def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     """Full decomposition of a fluctuation matrix, one parity sector at a time.
 
     In the even sector the phase/number cluster is replaced by its
@@ -273,7 +277,7 @@ def decompose(
     phi_even = (even[2 : 2 + n].T @ fm.phi)[2 : 3 + half]
     omegas_even, right_even = np.linalg.eig(m_even)
     right_even, _ = _canonical_columns(right_even)
-    cluster = _goldstone_cluster(omegas_even, right_even, phi_even, half + 1, goldstone_tol)
+    cluster = _goldstone_cluster(omegas_even, right_even, phi_even, half + 1)
     chain = False
     if len(cluster) == 2:
         canonical = _canonical_goldstone(m_even, phi_even, half + 1)
@@ -298,7 +302,7 @@ def decompose(
 
     # the odd columns are orthonormal and orthogonal to the even ones, and
     # the even block has unit columns, so this is also the whole basis's
-    left_even, cond_r = _refined_inverse(right_even, cond_limit)
+    left_even, cond_r = _refined_inverse(right_even)
 
     energies, vecs = np.linalg.eigh(h_odd)
     omegas = np.concatenate([omegas_even, energies, -energies])
@@ -376,7 +380,6 @@ def classify_stability(
     *,
     tol_zero: float = 1e-6,
     tol_noise: float = 1e-10,
-    damping_floor: float = 5e-12,
 ) -> StabilityReport:
     """Stability of the steady state from the mode spectrum.
 
@@ -384,7 +387,7 @@ def classify_stability(
     Otherwise the verdict rests on the noise-coupled modes only (photon
     weight |l1 l2| above tol_noise): a steady state exists when every
     such mode decays at a numerically resolvable rate (at least
-    damping_floor).  No coupled mode at all (decoupled cavity), or a
+    DAMPING_FLOOR).  No coupled mode at all (decoupled cavity), or a
     coupled one whose decay is unresolvable, means marginal.  Modes with
     negligible photon weight never receive noise, so their numerically
     zero damping is harmless for the existence of the steady state.
@@ -397,7 +400,7 @@ def classify_stability(
         return StabilityReport("unstable", max_growth)
     weights = np.abs(dec.left[non_g, 0] * dec.left[non_g, 1])
     coupled = weights > tol_noise
-    if coupled.any() and (growth[coupled] < -damping_floor).all():
+    if coupled.any() and (growth[coupled] < -DAMPING_FLOOR).all():
         return StabilityReport("stable", max_growth)
     return StabilityReport("marginal", max_growth)
 
@@ -406,7 +409,6 @@ def petermann_factor(
     dec: ModeDecomposition,
     k: int,
     *,
-    cluster_rtol: float = 1e-6,
     on_degenerate: str = "cluster_cond",
 ):
     """Excess-noise factor K_k = |l|^2 |r|^2 under (l, r) = 1.
@@ -420,7 +422,7 @@ def petermann_factor(
     """
     omegas = dec.omegas
     scale = float(np.abs(omegas).max())
-    cluster = np.nonzero(np.abs(omegas - omegas[k]) <= cluster_rtol * max(scale, 1.0))[0]
+    cluster = np.nonzero(np.abs(omegas - omegas[k]) <= CLUSTER_RTOL * max(scale, 1.0))[0]
     if cluster.size > 1 and on_degenerate != "raw":
         cond = float(np.linalg.cond(dec.right[:, cluster]))
         if on_degenerate == "raise":
@@ -441,66 +443,3 @@ def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     return (
         np.linalg.norm(dec.left, axis=1) * np.linalg.norm(dec.right, axis=0)
     ) ** 2
-
-
-def error_status(exc: Exception) -> str:
-    """Status cell recording an exception raised inside one sweep point."""
-    return f"error: {type(exc).__name__}: {exc}"
-
-
-@dataclass
-class SpectrumPoint:
-    """One sweep point: either a full mode table or a failure record."""
-
-    u0: float
-    status: str
-    omegas: np.ndarray | None = None
-    abs_l1: np.ndarray | None = None
-    abs_l2: np.ndarray | None = None
-    petermann: np.ndarray | None = None
-    stability: str | None = None
-
-
-def solve_spectrum_point(
-    params: SystemParams,
-    grid: Grid,
-    u0: float,
-    solver_options: dict | None = None,
-    *,
-    subtract_mu: bool = True,
-) -> SpectrumPoint:
-    """Mean-field solve plus decomposition at a single light shift."""
-    point_params = dc_replace(params, u0=float(u0))
-    opts = dict(solver_options or {})
-    try:
-        state = solve_ground_state(point_params, grid, **opts)
-        fm = build_matrix(state, point_params, grid, subtract_mu=subtract_mu)
-        dec = decompose(fm)
-        stability = classify_stability(dec)
-    except Exception as exc:  # one failed point must never abort a sweep
-        return SpectrumPoint(u0=float(u0), status=error_status(exc))
-    return SpectrumPoint(
-        u0=float(u0),
-        status="ok",
-        omegas=dec.omegas,
-        abs_l1=np.abs(dec.left[:, 0]),
-        abs_l2=np.abs(dec.left[:, 1]),
-        petermann=petermann_raw(dec),
-        stability=stability.label,
-    )
-
-
-def spectrum_sweep(
-    params: SystemParams,
-    grid: Grid,
-    u0_values,
-    solver_options: dict | None = None,
-    *,
-    subtract_mu: bool = True,
-) -> list[SpectrumPoint]:
-    """Spectrum at each light shift of a monotone range; failures are
-    recorded per point and the sweep continues."""
-    return [
-        solve_spectrum_point(params, grid, u0, solver_options, subtract_mu=subtract_mu)
-        for u0 in u0_values
-    ]

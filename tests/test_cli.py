@@ -82,6 +82,16 @@ def test_config_rejects_bad_physics(tmp_path):
         {"n_atoms": 1000.7},
         {"n_atoms": "1000"},
         {"grid_points": 16.5},
+        {"detunings": ["abc"]},
+        {"times": ["x"]},
+        {"sweep": {"parameter": "u0", "from": "abc", "to": -0.5, "points": 2}},
+        {"detunings": [True]},
+        {"itp_dt": float("nan")},
+        {"tol_noise": float("nan")},
+        {"tol_pair": float("inf")},
+        {"times": [float("nan")]},
+        {"fault_injection": "corrupt_matrix"},
+        {"delta_c": 10**400},
     ],
 )
 def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, override):
@@ -89,6 +99,12 @@ def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, overri
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["groundstate", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("times", ["nan", "1,inf"])
+def test_depletion_rejects_non_finite_times_flag(tmp_path, times):
+    cfg = write_config(tmp_path)
+    assert main(["depletion", "--config", cfg, "--times", times]) == 2
 
 
 def test_sweep_values_linear_and_log():
@@ -317,3 +333,16 @@ def test_verify_fault_injection_negative_control(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 1
     report = capsys.readouterr().out
     assert "FAIL symmetry" in report
+
+
+def test_verify_reports_a_chain_failure_instead_of_crashing(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("injected stability failure")
+
+    monkeypatch.setattr(bec_cavity.depletion, "classify_stability", broken)
+    cfg = write_config(tmp_path)
+    assert main(["verify", "--config", cfg]) == 1
+    report = capsys.readouterr().out
+    assert "PASS biorthonormality" in report
+    assert "FAIL pipeline: injected stability failure" in report
+    assert "oracle-equivalence" not in report

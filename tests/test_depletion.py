@@ -11,11 +11,11 @@ from bec_cavity import (
     build_matrix,
     classify_stability,
     depletion_at_times,
-    depletion_sweep,
     finite_time_kernel,
     lyapunov_oracle,
     mode_projector,
     relaxation_time,
+    solve_depletion_point,
     steady_state_depletion,
 )
 from bec_cavity.depletion import _noise_matrix
@@ -261,7 +261,9 @@ def test_oracle_zero_without_coupling(pipeline):
 
 def test_depletion_sweep_statuses(pipeline):
     params, grid, *_ = pipeline(u0=-0.5, ng=16)
-    rows = depletion_sweep(params, grid, [0.0, -0.5])
+    rows = [
+        row for u0 in (0.0, -0.5) for row in solve_depletion_point(params, grid, params.delta_c, u0)
+    ]
     assert len(rows) == 2
     by_u0 = {r.u0: r for r in rows}
     assert by_u0[0.0].status == "marginal"
@@ -272,17 +274,15 @@ def test_depletion_sweep_statuses(pipeline):
 
 def test_depletion_sweep_eta_follows_detuning(pipeline):
     params, grid, *_ = pipeline(u0=-0.5, ng=16)
-    rows = depletion_sweep(params, grid, [-0.5], detunings=[-1000.0])
-    explicit = depletion_sweep(
-        params, grid, [-0.5], detunings=[-1000.0], eta_follows_detuning=False
-    )
+    rows = solve_depletion_point(params, grid, -1000.0, -0.5)
+    explicit = solve_depletion_point(params, grid, -1000.0, -0.5, eta_follows_detuning=False)
     # here eta = 1000 = -delta_c already, so both conventions agree
     assert rows[0].depletion == pytest.approx(explicit[0].depletion, rel=1e-12)
 
 
 def test_depletion_sweep_finite_times(pipeline):
     params, grid, *_ = pipeline(u0=-0.5, ng=16)
-    rows = depletion_sweep(params, grid, [-0.5], times=[0.0, 1.0])
+    rows = solve_depletion_point(params, grid, params.delta_c, -0.5, times=[0.0, 1.0])
     assert [r.time for r in rows] == [0.0, 1.0]
     assert rows[0].depletion == 0.0
     assert rows[1].depletion > 0.0

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from bec_cavity import (
+    ConvergenceError,
     DecompositionError,
     DegenerateClusterError,
+    analyze_point,
     classify_stability,
     decompose,
     eigendecompose,
     petermann_factor,
     petermann_raw,
     reconstruction_defect,
-    spectrum_sweep,
-    solve_spectrum_point,
 )
+from bec_cavity.depletion import error_status
 from conftest import run_pipeline
 
 
@@ -149,23 +150,30 @@ def test_stability_beyond_critical_is_unstable():
 
 def test_spectrum_sweep_rows(pipeline):
     params, grid, *_ = pipeline(u0=0.0, ng=16)
-    points = spectrum_sweep(params, grid, [0.0, -0.25, -0.5])
-    assert [p.u0 for p in points] == [0.0, -0.25, -0.5]
-    assert all(p.status == "ok" for p in points)
+    points = [
+        analyze_point(dataclasses.replace(params, u0=u0), grid) for u0 in (0.0, -0.25, -0.5)
+    ]
+    u_avg = [p.state.u_avg for p in points]  # <U> follows u0: sweep order preserved
+    assert u_avg[0] == 0.0 and u_avg[0] > u_avg[1] > u_avg[2]
+    assert all(p.error is None and p.stability is not None for p in points)
     # photon line at (-delta_c, -kappa) when the coupling is off
-    omegas0 = points[0].omegas
+    omegas0 = points[0].dec.omegas
     k = int(np.argmin(np.abs(omegas0 - (1000.0 - 100.0j))))
     assert omegas0[k].real == pytest.approx(1000.0, rel=1e-10)
     assert omegas0[k].imag == pytest.approx(-100.0, rel=1e-10)
     # low-lying motional branches stay flat across the plateau (the weak
     # lattice splits the lowest pair by a few percent at u0 = -0.5)
     for point in points:
-        lowest = np.sort(point.omegas.real[point.omegas.real > 2.0])[0]
+        omegas = point.dec.omegas
+        lowest = np.sort(omegas.real[omegas.real > 2.0])[0]
         assert lowest == pytest.approx(4.0, rel=0.05)
 
 
 def test_spectrum_sweep_records_failures(pipeline):
     params, grid, *_ = pipeline(u0=0.0, ng=16)
-    point = solve_spectrum_point(params, grid, -0.5, {"max_iters": 2})
-    assert point.status.startswith("error:")
-    assert point.omegas is None
+    point = analyze_point(
+        dataclasses.replace(params, u0=-0.5), grid, solver_options={"max_iters": 2}
+    )
+    assert isinstance(point.error, ConvergenceError)
+    assert error_status(point.error).startswith("error: ConvergenceError:")
+    assert point.state is None and point.fm is None and point.dec is None
