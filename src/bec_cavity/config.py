@@ -164,7 +164,9 @@ def parse_config(data: dict) -> RunConfig:
     if "times" in data:
         cfg.times = _parse_times(data["times"])
     if "out" in data:
-        cfg.out = str(data["out"])
+        if not isinstance(data["out"], str) or not data["out"]:
+            raise ConfigError(f"out must be a non-empty file path, got {data['out']!r}")
+        cfg.out = data["out"]
     if "fault_injection" in data:
         fault = data["fault_injection"]
         if fault != "corrupt-matrix":  # the one fault analyze_point can inject

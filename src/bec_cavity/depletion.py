@@ -111,15 +111,22 @@ def finite_time_kernel(z, t: float):
 
 
 def _pair_data(dec: ModeDecomposition):
+    """(modes, weight, zsum) on the modes that carry photon weight.
+
+    Odd modes have l1 = l2 = 0 exactly, so only pairs of the returned
+    modes can have a nonzero weight l1_k l2_l O_kl; weight and zsum are
+    indexed by positions in ``modes``.
+    """
     n = dec.n_grid
     l1 = dec.left[:, 0]
     l2 = dec.left[:, 1]
-    r3 = dec.right[2 : 2 + n, :]
-    r4 = dec.right[2 + n :, :]
+    modes = np.flatnonzero((l1 != 0) | (l2 != 0))
+    r3 = dec.right[2 : 2 + n, modes]
+    r4 = dec.right[2 + n :, modes]
     overlap = dec.dx * (r4.T @ r3)  # no conjugation anywhere in O_kl
-    weight = np.outer(l1, l2) * overlap
-    zsum = dec.omegas[:, None] + dec.omegas[None, :]
-    return weight, zsum, l1, l2
+    weight = np.outer(l1[modes], l2[modes]) * overlap
+    zsum = dec.omegas[modes, None] + dec.omegas[None, modes]
+    return modes, weight, zsum
 
 
 def _to_real(value: complex, floor: float = 1e-10) -> float:
@@ -162,14 +169,18 @@ def depletion_at_times(
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    weight, zsum, _, _ = _pair_data(dec)
+    modes, weight, zsum = _pair_data(dec)
     keep, skipped = _goldstone_mask_and_log(dec)
     for k in exclude_modes:
         keep[k, :] = False
         keep[:, k] = False
-    # only even x even pairs carry weight: odd modes have l1 = l2 = 0 exactly
-    keep &= weight != 0
-    weight, zsum = weight[keep], zsum[keep]
+    weight = np.where(keep[np.ix_(modes, modes)], weight, 0.0)
+    # the kernel depends on w_k + w_l alone: one evaluation per unordered pair
+    diagonal = np.diag(weight).copy()
+    weight = weight + weight.T
+    np.fill_diagonal(weight, diagonal)
+    carried = (weight != 0) & ~np.tri(modes.size, k=-1, dtype=bool)
+    weight, zsum = weight[carried], zsum[carried]
     values = []
     for t in times:
         if t == 0.0:
@@ -214,11 +225,9 @@ def steady_state_depletion(
             f"steady-state depletion requires a stable spectrum, got "
             f"'{stability.label}' (max growth rate {stability.max_growth_rate:.3e})"
         )
-    weight, zsum, l1, l2 = _pair_data(dec)
     keep, skipped = _goldstone_mask_and_log(dec)
-
-    absz = np.abs(zsum)
-    noise_mag = np.abs(np.outer(l1, l2))
+    absz = np.abs(dec.omegas[:, None] + dec.omegas[None, :])
+    noise_mag = np.abs(np.outer(dec.left[:, 0], dec.left[:, 1]))
     blocking = (absz < Z_FLOOR) & (noise_mag >= tol_noise) & keep
     if blocking.any():
         ks, ls = np.nonzero(blocking)
@@ -245,23 +254,29 @@ def steady_state_depletion(
         if k not in dec.goldstone and small[k, dec.pairing[k]]
     )
 
+    modes, weight, zsum = _pair_data(dec)
+    keep = keep[np.ix_(modes, modes)]
     contrib = np.zeros_like(weight)
     contrib[keep] = 2.0 * dec.kappa * weight[keep] / (1j * zsum[keep])
     total = contrib.sum()
     value = _to_real(total)
 
+    position = np.full(dec.omegas.size, -1)
+    position[modes] = np.arange(modes.size)
+    partner = position[dec.pairing[modes]]
+    rows = np.flatnonzero(partner >= 0)
     paired = np.zeros_like(keep)
-    paired[np.arange(dec.omegas.size), dec.pairing] = True
+    paired[rows, partner[rows]] = True
     paired_sum = contrib[paired & keep].sum().real
     dominated = paired_sum / value if value != 0.0 else None
 
     flat = np.abs(contrib).ravel()
-    order = np.argsort(flat)[::-1][:TOP_PAIRS]
-    dim = dec.omegas.size
+    nonzero = np.flatnonzero(flat)
+    # largest first; equal terms, as mirror pairs give, in (k, l) order
+    order = nonzero[np.argsort(-flat[nonzero], kind="stable")[:TOP_PAIRS]]
     top = [
-        (int(i // dim), int(i % dim), complex(contrib.ravel()[i]))
+        (int(modes[i // modes.size]), int(modes[i % modes.size]), complex(contrib.flat[i]))
         for i in order
-        if flat[i] > 0.0
     ]
     return SteadyDepletion(
         value=value,

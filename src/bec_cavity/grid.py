@@ -42,6 +42,15 @@ def potential_profile(grid: Grid, u0: float) -> np.ndarray:
     return u0 * np.cos(grid.points) ** 2
 
 
+def mirror_points(n: int):
+    """Grid points j = 0 .. n/2 and their images (n - j) mod n under x -> pi - x.
+
+    j = 0 and n/2 are the fixed points; every other j pairs with n - j.
+    """
+    j = np.arange(n // 2 + 1)
+    return j, (-j) % n
+
+
 def kinetic_matrix(grid: Grid) -> np.ndarray:
     """Dense matrix of -d^2/dx^2 in the point basis.
 

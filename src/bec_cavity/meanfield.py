@@ -9,9 +9,11 @@ with <U> = integral of U |phi|^2.  The stationary cavity amplitude for a
 given <U> is the closed form ``steady_alpha``.  The condensate ground
 state is found by imaginary-time propagation with second-order operator
 splitting, with the cavity amplitude updated under-relaxed after every
-step; a Rayleigh-quotient refinement stage then polishes the fixed point
-to near machine precision (the splitting alone leaves an O(dt^2) bias in
-phi).
+step.  The splitting leaves an O(dt^2) bias in phi, so a polish then
+solves the fixed point to near machine precision: the ground state is
+reflection even, and <U> is a scalar, so a secant method on
+F(u) = <U>(ground state of K + |alpha(u)|^2 U) - u needs one ``eigh``
+of the (n/2 + 1)-dimensional even block of H0 per step.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, kinetic_matrix, potential_profile
+from .grid import Grid, kinetic_matrix, mirror_points, potential_profile
 from .params import SystemParams
+
+
+# cap on the secant steps of the fixed-point polish, which takes 2-7
+SECANT_STEPS = 50
 
 
 class ConvergenceError(RuntimeError):
@@ -156,9 +162,7 @@ def solve_ground_state(
 
     kin = kinetic_matrix(grid)
     if refine:
-        phi, alpha, u_avg = _refine_fixed_point(
-            params, grid, kin, u_pot, phi, alpha, frozen_alpha, mixing
-        )
+        phi, alpha, u_avg = _refine_fixed_point(params, grid, kin, u_pot, u_avg, frozen_alpha)
 
     # gauge: real phi, nonnegative at the potential minimum
     if phi[int(np.argmin(u_pot))] < 0:
@@ -188,45 +192,50 @@ def solve_ground_state(
     )
 
 
-def _refine_fixed_point(params, grid, kin, u_pot, phi, alpha, frozen_alpha, mixing):
-    """Polish (phi, alpha) with Rayleigh-quotient inverse iteration.
+def _refine_fixed_point(params, grid, kin, u_pot, u_avg, frozen_alpha):
+    """Polish the fixed point to the discrete ground state of H0.
 
     The split-step fixed point carries an O(dt^2) bias relative to the
-    discrete ground state of H0; a few shifted solves remove it.  The
-    self-consistent alpha is re-converged along the way, with the same
-    under-relaxation as the main loop so the map stays contractive near
-    the cavity resonance.
+    discrete ground state.  That state is reflection even, so it is the
+    lowest eigenvector of the (n/2 + 1)-dimensional even block of
+    H0 = K + |alpha|^2 U.  With alpha = steady_alpha(u) the fixed point is
+    the root of F(u) = <U> - u; a secant method started at the
+    imaginary-time <U> finds it with one ``eigh`` per step, and stops when
+    |F| stops falling.  A frozen alpha takes the one ``eigh``.
     """
-    n = grid.n
-    dx = grid.dx
-    eye = np.eye(n)
-    w = phi * np.sqrt(dx)  # unit 2-norm eigenvector of the dense matrix
-    for _ in range(400):
-        h = kin + np.diag(np.abs(alpha) ** 2 * u_pot)
-        for _ in range(3):
-            mu_r = float(w @ h @ w)
-            try:
-                w_next = np.linalg.solve(h - mu_r * eye, w)
-            except np.linalg.LinAlgError:
+    j, mj = mirror_points(grid.n)
+    # orthonormal even embedding: column c is s_c (e_j + e_(n-j)), with
+    # s = 1/2 on the fixed points j = n - j and 1/sqrt 2 elsewhere
+    s = np.where(j == mj, 0.5, np.sqrt(0.5))
+    cols = s * (kin[:, j] + kin[:, mj])
+    kin_even = s[:, None] * (cols[j] + cols[mj])
+    u_even = 0.5 * (u_pot[j] + u_pot[mj])
+
+    def alpha_at(u):
+        return steady_alpha(params, u) if frozen_alpha is None else frozen_alpha
+
+    def residual(u):
+        """(F(u), the even ground state it comes from)."""
+        depth = np.abs(alpha_at(u)) ** 2
+        vec = np.linalg.eigh(kin_even + np.diag(depth * u_even))[1][:, 0]
+        return float(u_even @ vec**2) - u, vec
+
+    f, vec = residual(u_avg)
+    if frozen_alpha is None and f != 0.0:
+        best_abs, best_vec = abs(f), vec
+        # a fixed-point step gives the second secant point
+        u_prev, f_prev, u = u_avg, f, u_avg + f
+        for step in range(SECANT_STEPS):
+            f, vec = residual(u)
+            if abs(f) < best_abs:
+                best_abs, best_vec = abs(f), vec
+            elif step:
+                break  # |F| stopped falling
+            if f == 0.0 or f == f_prev:
                 break
-            w_next /= np.linalg.norm(w_next)
-            if w_next[int(np.argmax(np.abs(w_next)))] < 0:
-                w_next = -w_next
-            w = w_next
-            if np.abs(h @ w - (w @ h @ w) * w).max() < 1e-13 * max(
-                1.0, np.abs(h).max()
-            ):
-                break
-        # w*w already carries the quadrature weight: sum(u w^2) = <U>
-        u_new = float((u_pot * w**2).sum())
-        if frozen_alpha is not None:
-            break
-        alpha_new = (1.0 - mixing) * alpha + mixing * steady_alpha(params, u_new)
-        done = abs(alpha_new - alpha) < 1e-14 * max(1.0, abs(alpha_new))
-        alpha = alpha_new
-        if done:
-            alpha = steady_alpha(params, u_new)
-            break
-    phi = w / np.sqrt(dx)
-    u_avg = float((u_pot * phi**2).sum() * dx)
-    return phi, alpha, u_avg
+            u_prev, f_prev, u = u, f, u - f * (u - u_prev) / (f - f_prev)
+        vec = best_vec
+    phi = np.empty(grid.n)
+    phi[j] = phi[mj] = np.where(j == mj, 1.0, np.sqrt(0.5)) * vec / np.sqrt(grid.dx)
+    u_avg = float((u_pot * phi**2).sum() * grid.dx)
+    return phi, alpha_at(u_avg), u_avg

@@ -8,13 +8,21 @@ solved by one ``eigh``: normal and noiseless, with right and left
 vectors (v, 0) at +e and (0, v) at -e.  The non-normality, and with it
 the Petermann-type excess noise, lives in the even sector of dimension
 n + 4 (the photon pair plus the even combinations of each matter block).
+Both sectors are folded out of M by index gathers over the mirror pairs
+(j, n - j).
 
-The even sector gets a dense general eigensolve; the left matrix is the
-(refined) inverse of the right one, and the right basis condition
-number is the honesty metric.  Rows of ``left`` satisfy left @ right =
-I, so row k conjugated is the left eigenvector in the conjugate-linear
-scalar product convention; the noise weights used by the depletion sums
-are exactly left[k, 0] and left[k, 1].
+The even sector gets one dense eigensolve in quadrature form.  The
+symmetry G M G = -conj(M) makes A = T (-i M) T^H real, with T taking each
+(field, conjugate) pair to its quadratures (x, p); so a real ``eig``
+solves it, and its conjugate eigenvalue pairs lambda, conj(lambda) are
+the mode pairs omega = i lambda, -conj(omega), matched exactly with no
+search.  The left matrix is the (refined) inverse of the right one, and
+the right basis condition number is the honesty metric.  The eigen
+residual and the biorthogonality defect are computed sector by sector;
+the blocks between the sectors vanish by construction.  Rows of ``left``
+satisfy left @ right = I, so row k conjugated is the left eigenvector in
+the conjugate-linear scalar product convention; the noise weights used
+by the depletion sums are exactly left[k, 0] and left[k, 1].
 
 Phase symmetry of the condensate makes the even sector defective: with
 the chemical potential subtracted the vector (0, 0, phi, -phi) is an
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluctuation import FluctuationMatrix
+from .grid import mirror_points
 
 # largest right-basis condition number accepted before the decomposition
 # is declared numerically singular
@@ -78,7 +87,8 @@ class ModeDecomposition:
     right     -- columns are right vectors (unit photon plus
                  quadrature-weighted matter norm)
     left      -- rows, with left @ right = I
-    pairing   -- involution k -> k' with omega_k' ~ -conj(omega_k)
+    pairing   -- involution k -> k' with omega_k' = -conj(omega_k)
+                 exactly (Goldstone modes pair with themselves)
     goldstone -- indices of the condensate phase/number cluster
     chain     -- True when the cluster is a Jordan chain
                  (M r2 = c r1, M r1 = 0) rather than two eigenvectors;
@@ -156,22 +166,6 @@ def _refined_inverse(right: np.ndarray):
     return left + (np.eye(right.shape[0]) - left @ right) @ left, cond_r
 
 
-def _match_pairs(omegas: np.ndarray):
-    """Involution pairing each omega with its -conj partner."""
-    dim = omegas.size
-    targets = -omegas.conj()
-    pairing = np.full(dim, -1, dtype=int)
-    free = list(range(dim))
-    for k in range(dim):
-        if pairing[k] >= 0:
-            continue
-        free = [l for l in free if pairing[l] < 0]
-        best = min(free, key=lambda l: abs(omegas[l] - targets[k]))
-        pairing[k] = best
-        pairing[best] = k
-    return pairing
-
-
 def _goldstone_cluster(
     omegas: np.ndarray,
     right: np.ndarray,
@@ -224,28 +218,30 @@ def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
     return None
 
 
-# largest coupling between the parity sectors, or departure of the odd
-# block from diag(H0 - mu, mu - H0), that decompose accepts as roundoff,
-# relative to max|M|; the assembled generator sits near 1e-15
+# largest coupling between the parity sectors, departure of the odd block
+# from diag(H0 - mu, mu - H0), or imaginary part of the even quadrature
+# matrix that decompose accepts as roundoff, relative to max|M|; the
+# assembled generator sits near 1e-15
 PARITY_TOL = 1e-12
 
 
-def _parity_embeddings(n: int):
-    """Orthonormal even and odd embeddings under the reflection x -> pi - x.
+def _sector_pairs(n: int):
+    """Index pairs (p, q) and weights s of the reflection parity sectors.
 
-    Grid point j maps to (n - j) mod n in both matter blocks.  The even
-    columns (n + 4) are the photon rows, the fixed points j = 0, n/2 and
-    the pair sums (e_j + e_(n-j)) / sqrt 2, laid out like M with n/2 + 1
-    points per block; the odd columns (n - 2) are the pair differences.
+    Even column c of the embedding is s_c (e_p + e_q), odd column c is
+    (e_p - e_q) / sqrt 2, in the layout of M; q is the mirror image of p
+    under x -> pi - x (grid point j -> n - j in both matter blocks).  The
+    even sector holds the photon rows and points j = 0 .. n/2 of each
+    block, n + 4 columns with s = 1/2 on the fixed points (p = q) and
+    1/sqrt 2 on pairs; the odd sector holds j = 1 .. n/2 - 1 of each block.
     """
-    dim = 2 * n + 2
-    mirror = np.arange(dim)
-    for offset in (2, 2 + n):
-        mirror[offset : offset + n] = offset + (-np.arange(n)) % n
-    swap = np.eye(dim)[mirror]
-    even = (np.eye(dim) + swap)[:, mirror >= np.arange(dim)]
-    odd = (np.eye(dim) - swap)[:, mirror > np.arange(dim)]
-    return even / np.linalg.norm(even, axis=0), odd / np.linalg.norm(odd, axis=0)
+    j, mj = mirror_points(n)
+    p_even = np.concatenate([[0, 1], 2 + j, 2 + n + j])
+    q_even = np.concatenate([[0, 1], 2 + mj, 2 + n + mj])
+    p_odd = np.concatenate([2 + j[1:-1], 2 + n + j[1:-1]])
+    q_odd = np.concatenate([2 + mj[1:-1], 2 + n + mj[1:-1]])
+    s_even = np.where(p_even == q_even, 0.5, np.sqrt(0.5))
+    return p_even, q_even, s_even, p_odd, q_odd
 
 
 def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
@@ -253,30 +249,64 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 
     In the even sector the phase/number cluster is replaced by its
     analytic (chain or pair) basis before inverting.  Raises
-    DecompositionError when M couples the sectors beyond PARITY_TOL or
-    when the even right basis is numerically singular.
+    DecompositionError when M couples the sectors beyond PARITY_TOL,
+    when it breaks G M G = -conj(M) beyond PARITY_TOL, or when the even
+    right basis is numerically singular.
     """
     m = fm.m
     n = fm.n_grid
     dim = m.shape[0]
     half = n // 2
     k = half - 1  # odd points per matter block; the even sector has half + 1
-    even, odd = _parity_embeddings(n)
-    m_even_cols = m @ even
-    m_odd_cols = m @ odd
-    m_even = even.T @ m_even_cols
-    m_odd = odd.T @ m_odd_cols
+    p_e, q_e, s_e, p_o, q_o = _sector_pairs(n)
+    s_o = np.sqrt(0.5)
+    m_e_cols = s_e * (m[:, p_e] + m[:, q_e])  # M E
+    m_o_cols = s_o * (m[:, p_o] - m[:, q_o])  # M O
+    m_even = s_e[:, None] * (m_e_cols[p_e] + m_e_cols[q_e])
+    m_odd = s_o * (m_o_cols[p_o] - m_o_cols[q_o])
     h_odd = 0.5 * (m_odd[:k, :k] + m_odd[:k, :k].T).real
     m_odd[:k, :k] -= h_odd
     m_odd[k:, k:] += h_odd
-    leftover = max(np.abs(odd.T @ m_even_cols).max(), np.abs(even.T @ m_odd_cols).max(),
-                   np.abs(m_odd).max()) / np.abs(m).max()
+    scale = np.abs(m).max()
+    leftover = max(
+        np.abs(m_e_cols[p_o] - m_e_cols[q_o]).max() * s_o,  # O^T M E
+        np.abs(s_e[:, None] * (m_o_cols[p_e] + m_o_cols[q_e])).max(),  # E^T M O
+        np.abs(m_odd).max(),
+    ) / scale
     if leftover > PARITY_TOL:
         raise DecompositionError(f"M breaks reflection parity ({leftover:.2e} max|M|)")
 
-    phi_even = (even[2 : 2 + n].T @ fm.phi)[2 : 3 + half]
-    omegas_even, right_even = np.linalg.eig(m_even)
+    # G M G = -conj(M) makes A = T (-i M) T^H real, where T takes each
+    # (field, conjugate) pair to (x, p) = ((f + c), -i (f - c)) / sqrt 2; so
+    # the even modes come from one real eig, in exact pairs lambda,
+    # conj(lambda) <-> omega = i lambda, -conj(omega)
+    field = np.r_[0, 2 : 3 + half]
+    conj = np.r_[1, 3 + half : 4 + 2 * half]
+    b = -1j * m_even
+    ff, fc = b[np.ix_(field, field)], b[np.ix_(field, conj)]
+    cf, cc = b[np.ix_(conj, field)], b[np.ix_(conj, conj)]
+    quad = 0.5 * np.block([
+        [ff + cf + fc + cc, 1j * (ff + cf - fc - cc)],
+        [-1j * (ff - cf + fc - cc), ff - cf - fc + cc],
+    ])
+    breach = np.abs(quad.imag).max() / scale
+    if breach > PARITY_TOL:
+        raise DecompositionError(f"M breaks G M G = -conj(M) ({breach:.2e} max|M|)")
+    lam, v = np.linalg.eig(quad.real)
+    lam = lam.astype(complex)
+    right_even = np.empty((n + 4, n + 4), dtype=complex)
+    right_even[field] = np.sqrt(0.5) * (v[: half + 2] + 1j * v[half + 2 :])
+    right_even[conj] = np.sqrt(0.5) * (v[: half + 2] - 1j * v[half + 2 :])
+    omegas_even = 1j * lam
+    # eig lists each conjugate pair in a row, positive imaginary part first
+    pairing_even = np.arange(n + 4)
+    upper = np.flatnonzero(lam.imag > 0)
+    pairing_even[upper] = upper + 1
+    pairing_even[upper + 1] = upper
+
     right_even, _ = _canonical_columns(right_even)
+    j, mj = mirror_points(n)
+    phi_even = s_e[2 : 3 + half] * (fm.phi[j] + fm.phi[mj])
     cluster = _goldstone_cluster(omegas_even, right_even, phi_even, half + 1)
     chain = False
     if len(cluster) == 2:
@@ -286,6 +316,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
             right_even[:, cluster[0]] = v1
             right_even[:, cluster[1]] = v2
             omegas_even[list(cluster)] = 0.0
+            pairing_even[list(cluster)] = cluster
             chain = kind == "chain"
 
     # W S (M + i kappa P) is Hermitian (W: quadrature weights, S: +1 on field
@@ -300,52 +331,69 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     damping = -fm.kappa * (weights[0] - weights[1]) / np.where(definite, norm, 1.0)
     omegas_even[definite] = omegas_even[definite].real + 1j * damping[definite]
 
-    # the odd columns are orthonormal and orthogonal to the even ones, and
-    # the even block has unit columns, so this is also the whole basis's
+    # the even embedding is orthonormal, so this is also the sector's
+    # condition number in the grid basis
     left_even, cond_r = _refined_inverse(right_even)
-
     energies, vecs = np.linalg.eigh(h_odd)
+
+    # rescaling columns by f and rows by 1/f keeps left @ right = I exactly
+    f_even = _physical_norm_factors(right_even, fm.dx)
+    f_odd = 1.0 / np.sqrt(fm.dx * (vecs**2).sum(axis=0))  # no photon rows
+    right_even *= f_even
+    left_even /= f_even[:, None]
+    chain_coupling = 0.0 + 0.0j
+    if chain:
+        chain_coupling = complex(f_even[cluster[1]] / f_even[cluster[0]])
+
     omegas = np.concatenate([omegas_even, energies, -energies])
     order = np.lexsort((omegas.imag, omegas.real))
     omegas = omegas[order]
     slot = np.empty(dim, dtype=int)
     slot[order] = np.arange(dim)
-    even_slots, odd_slots = slot[: n + 4], slot[n + 4 :]
-    right = np.empty((dim, dim), dtype=complex)
-    left = np.empty_like(right)
-    right[:, even_slots] = even @ right_even
-    left[even_slots, :] = left_even @ even.T
+    even_slots, plus_slots, minus_slots = slot[: n + 4], slot[n + 4 : n + 4 + k], slot[n + 4 + k :]
+
+    # scatter E right_even and left_even E^T; fixed points (p = q) get both halves
+    right = np.zeros((dim, dim), dtype=complex)
+    left = np.zeros_like(right)
+    right[np.ix_(q_e, even_slots)] = s_e[:, None] * right_even
+    right[np.ix_(p_e, even_slots)] += s_e[:, None] * right_even
+    left[np.ix_(even_slots, q_e)] = left_even * s_e
+    left[np.ix_(even_slots, p_e)] += left_even * s_e
     # (v, 0) at +e and (0, v) at -e, each its own left vector
-    right[:, odd_slots] = odd @ np.kron(np.eye(2), vecs)
-    left[odd_slots, :] = right[:, odd_slots].T
-    cluster = tuple(int(even_slots[c]) for c in cluster)
-
-    # rescaling columns by f and rows by 1/f keeps left @ right = I exactly
-    factors = _physical_norm_factors(right, fm.dx)
-    right *= factors[None, :]
-    left /= factors[:, None]
-    biorth_defect = float(np.abs(left @ right - np.eye(dim)).max())
-
-    chain_coupling = 0.0 + 0.0j
-    if chain:
-        chain_coupling = complex(factors[cluster[1]] / factors[cluster[0]])
+    right_odd = s_o * vecs * f_odd
+    left_odd = (s_o * vecs / f_odd).T
+    for block, slots in ((slice(None, k), plus_slots), (slice(k, None), minus_slots)):
+        right[np.ix_(p_o[block], slots)] = right_odd
+        right[np.ix_(q_o[block], slots)] = -right_odd
+        left[np.ix_(slots, p_o[block])] = left_odd
+        left[np.ix_(slots, q_o[block])] = -left_odd
+    goldstone = tuple(int(even_slots[c]) for c in cluster)
 
     # pairs never straddle the sectors; odd pairs are +e and -e exactly
     pairing = np.empty(dim, dtype=int)
-    pairing[even_slots] = even_slots[_match_pairs(omegas_even)]
-    pairing[odd_slots] = np.roll(odd_slots, k)
+    pairing[even_slots] = even_slots[pairing_even]
+    pairing[plus_slots] = minus_slots
+    pairing[minus_slots] = plus_slots
     pairing_error = float(np.abs(omegas[pairing] + omegas.conj()).max())
     # G M G = -conj(M) holds exactly for the assembled matrix, so the true
     # spectrum is exactly (-conj)-symmetric; averaging each pair removes the
-    # eigensolver's asymmetric noise, which otherwise leaks a spurious real
+    # damping identity's rounding, which otherwise leaks a spurious real
     # part into the near-zero pair denominators of the depletion sums
     omegas = 0.5 * (omegas - omegas[pairing].conj())
 
-    residual = m @ right - right * omegas[None, :]
+    # sector by sector; the blocks between the sectors vanish by construction
+    res_even = m_e_cols @ right_even - right[:, even_slots] * omegas[even_slots]
     if chain:
         # the chain column satisfies M r2 = c r1 instead of an eigen relation
-        residual[:, cluster[1]] -= chain_coupling * right[:, cluster[0]]
-    eigen_residual = float(np.abs(residual).max())
+        res_even[:, cluster[1]] -= chain_coupling * right[:, goldstone[0]]
+    eigen_residual = float(np.abs(res_even).max())
+    for cols, slots in ((m_o_cols[:, :k], plus_slots), (m_o_cols[:, k:], minus_slots)):
+        res_odd = cols @ (vecs * f_odd) - right[:, slots] * omegas[slots]
+        eigen_residual = max(eigen_residual, float(np.abs(res_odd).max()))
+    biorth_defect = max(
+        float(np.abs(left_even @ right_even - np.eye(n + 4)).max()),
+        float(np.abs(vecs.T @ vecs - np.eye(k)).max()),
+    )
 
     return ModeDecomposition(
         omegas=omegas,
@@ -354,7 +402,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         cond_r=cond_r,
         pairing=pairing,
         pairing_error=pairing_error,
-        goldstone=cluster,
+        goldstone=goldstone,
         chain=chain,
         chain_coupling=chain_coupling,
         eigen_residual=eigen_residual,

@@ -92,6 +92,9 @@ def test_config_rejects_bad_physics(tmp_path):
         {"times": [float("nan")]},
         {"fault_injection": "corrupt_matrix"},
         {"delta_c": 10**400},
+        {"out": None},
+        {"out": 123},
+        {"out": ""},
     ],
 )
 def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, override):

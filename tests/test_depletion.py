@@ -221,6 +221,47 @@ def test_small_denominator_with_negligible_noise_is_skipped():
     assert any("negligible noise" in r for (_, _, r) in steady.skipped_pairs)
 
 
+def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10, top=20):
+    """The steady double sum evaluated on every one of the dim^2 pairs."""
+    dim = dec.omegas.size
+    n = dec.n_grid
+    l1, l2 = dec.left[:, 0], dec.left[:, 1]
+    overlap = dec.dx * (dec.right[2 + n :].T @ dec.right[2 : 2 + n])
+    weight = np.outer(l1, l2) * overlap
+    zsum = dec.omegas[:, None] + dec.omegas[None, :]
+    keep = np.ones((dim, dim), dtype=bool)
+    keep[list(dec.goldstone), :] = False
+    keep[:, list(dec.goldstone)] = False
+    small = (np.abs(zsum) < tol_pair) & (np.abs(np.outer(l1, l2)) < tol_noise) & keep
+    keep &= ~small
+    excluded = tuple(
+        k for k in range(dim) if k not in dec.goldstone and small[k, dec.pairing[k]]
+    )
+    contrib = np.zeros((dim, dim), dtype=complex)
+    for k, l in zip(*np.nonzero(keep)):
+        contrib[k, l] = 2.0 * dec.kappa * weight[k, l] / (1j * zsum[k, l])
+    value = contrib.sum().real
+    paired = sum(contrib[k, dec.pairing[k]] for k in range(dim) if keep[k, dec.pairing[k]])
+    flat = np.abs(contrib).ravel()
+    order = [i for i in np.argsort(-flat, kind="stable") if flat[i] > 0.0][:top]
+    pairs = [(int(i // dim), int(i % dim), contrib.flat[i]) for i in order]
+    return value, paired.real / value, excluded, pairs
+
+
+@pytest.mark.parametrize("ng", [16, 64])
+@pytest.mark.parametrize("delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05)])
+def test_steady_sum_matches_full_pair_reference(ng, delta_c, u0):
+    _, grid, _, _, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
+    steady = steady_state_depletion(dec, grid, classify_stability(dec))
+    value, dominated, excluded, pairs = _steady_reference(dec)
+    assert steady.value == pytest.approx(value, rel=1e-12)
+    assert steady.dominated_fraction == pytest.approx(dominated, rel=1e-12)
+    assert steady.excluded_modes == excluded
+    assert [(k, l) for k, l, _ in steady.pair_contributions] == [(k, l) for k, l, _ in pairs]
+    got = np.array([c for *_, c in steady.pair_contributions])
+    assert np.abs(got - np.array([c for *_, c in pairs])).max() <= 1e-12 * np.abs(got).max()
+
+
 def test_relaxation_time_infinite_without_coupling(pipeline):
     *_, dec = pipeline(u0=0.0, ng=16)
     assert relaxation_time(dec) == math.inf

@@ -69,6 +69,21 @@ def test_frozen_lattice_matches_dense_diagonalization():
     assert np.abs(st.phi.real - phi_ref).max() < 1e-8
 
 
+def test_self_consistent_state_is_the_dense_ground_state():
+    # production grid; a polish that stops on |d alpha| < 1e-14 |alpha| stalls here
+    p = params(u0=-0.5, grid_points=200)
+    g = make_grid(p.grid_points)
+    st = solve_ground_state(p, g)
+    assert abs(st.alpha - steady_alpha(p, st.u_avg)) <= 1e-12 * abs(st.alpha)
+    h = kinetic_matrix(g) + np.diag(abs(st.alpha) ** 2 * potential_profile(g, p.u0))
+    evals, evecs = np.linalg.eigh(h)
+    phi_ref = evecs[:, 0] / np.sqrt(g.dx)
+    if phi_ref[int(np.argmin(potential_profile(g, p.u0)))] < 0:
+        phi_ref = -phi_ref
+    assert np.abs(st.phi.real - phi_ref).max() <= 1e-10
+    assert abs(st.mu - evals[0]) <= 1e-10 * max(1.0, abs(evals[0]))
+
+
 def test_energy_never_increases_with_frozen_cavity():
     p = params(u0=-5.0)
     g = make_grid(p.grid_points)

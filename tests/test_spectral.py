@@ -99,6 +99,30 @@ def test_decompose_refuses_a_parity_breaking_matrix(pipeline):
         decompose(dataclasses.replace(fm, m=m))
 
 
+@pytest.mark.parametrize("ng", [16, 64])
+@pytest.mark.parametrize("subtract_mu", [True, False])
+def test_decompose_spectrum_matches_plain_eigvals(ng, subtract_mu):
+    *_, fm, dec = run_pipeline(u0=-0.5, ng=ng, subtract_mu=subtract_mu)
+    reference = np.sort(np.linalg.eigvals(fm.m))
+    scale = np.abs(dec.omegas).max()
+    assert np.abs(np.sort(dec.omegas) - reference).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("u0, ng", [(-0.5, 16), (-1.0, 64)])
+def test_pairs_are_exact_mirror_frequencies(u0, ng):
+    *_, dec = run_pipeline(u0=u0, ng=ng)
+    modes = np.setdiff1d(np.arange(dec.omegas.size), dec.goldstone)
+    assert np.array_equal(dec.omegas[dec.pairing[modes]], -dec.omegas[modes].conj())
+
+
+def test_decompose_refuses_a_matrix_without_the_g_symmetry(pipeline):
+    *_, fm, _ = pipeline(u0=-0.5, ng=16)
+    m = fm.m.copy()
+    m[0, 0] += 1e-3  # keeps reflection parity, breaks G M G = -conj(M)
+    with pytest.raises(DecompositionError):
+        decompose(dataclasses.replace(fm, m=m))
+
+
 def test_petermann_of_normal_spectrum_is_unity(pipeline):
     *_, dec = pipeline(u0=0.0, ng=16)
     raw = petermann_raw(dec)
