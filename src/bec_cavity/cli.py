@@ -7,9 +7,10 @@ spectrum, depletion and verify all run each point through
 output rows, so no matrix ever crosses the process boundary.
 Sweeps fan out over a process pool capped by the BEC_CAVITY_THREADS
 environment variable (default 1); results are merged in sweep order, so
-the output bytes do not depend on the pool size.  Exit codes: 0 on
-success, 1 on runtime failure (non-convergence, failed verification),
-2 on configuration errors.
+the output bytes do not depend on the pool size.  The output is opened
+before any point runs.  Exit codes: 0 on success, 1 on runtime failure
+(non-convergence, failed verification), 2 on configuration errors and
+on an output path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import replace as dc_replace
+from typing import TextIO
 
 import numpy as np
 
@@ -91,7 +93,7 @@ def _detunings(cfg: RunConfig) -> list[float]:
     return [cfg.params.delta_c]
 
 
-def cmd_groundstate(cfg: RunConfig, out: str | None) -> int:
+def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
     grid = make_grid(cfg.params.grid_points)
     try:
         state = solve_ground_state(cfg.params, grid, **cfg.solver_options())
@@ -121,13 +123,8 @@ def cmd_groundstate(cfg: RunConfig, out: str | None) -> int:
             "grid_points": cfg.params.grid_points,
         },
     }
-    stream, close = _open_out(out or cfg.out)
-    try:
-        json.dump(payload, stream, indent=1)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    json.dump(payload, stream, indent=1)
+    stream.write("\n")
     return 0
 
 
@@ -157,7 +154,7 @@ def _spectrum_rows(u0: float, params: SystemParams, grid, options: dict, nonneg_
     ]
 
 
-def cmd_spectrum(cfg: RunConfig, out: str | None, nonneg_re_only: bool | None = None) -> int:
+def cmd_spectrum(cfg: RunConfig, stream: TextIO, nonneg_re_only: bool | None = None) -> int:
     if nonneg_re_only is None:
         nonneg_re_only = cfg.nonneg_re_only
     worker = functools.partial(
@@ -173,13 +170,7 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, nonneg_re_only: bool | None = 
     ]
     points = _pool_map(worker, [float(u) for u in _u0_values(cfg)])
     rows = [row for point_rows in points for row in point_rows]
-    table = ResultTable(columns=columns, rows=rows, meta=_meta(cfg))
-    stream, close = _open_out(out or cfg.out)
-    try:
-        table.write_csv(stream)
-    finally:
-        if close:
-            stream.close()
+    ResultTable(columns=columns, rows=rows, meta=_meta(cfg)).write_csv(stream)
     return 0
 
 
@@ -190,7 +181,7 @@ def _depletion_worker(args, params: SystemParams, grid, options: dict):
 
 def cmd_depletion(
     cfg: RunConfig,
-    out: str | None,
+    stream: TextIO,
     times: list[float] | None = None,
     oracle: bool | None = None,
 ) -> int:
@@ -228,13 +219,7 @@ def cmd_depletion(
             if oracle:
                 row.append(r.oracle)
             rows.append(tuple(row))
-    table = ResultTable(columns=columns, rows=rows, meta=_meta(cfg))
-    stream, close = _open_out(out or cfg.out)
-    try:
-        table.write_csv(stream)
-    finally:
-        if close:
-            stream.close()
+    ResultTable(columns=columns, rows=rows, meta=_meta(cfg)).write_csv(stream)
     return 0
 
 
@@ -261,9 +246,8 @@ def _oracle_equivalence(cfg: RunConfig, grid, point) -> tuple[bool, str]:
     return rel <= 1e-6 and rel_t <= 1e-4, f"steady rel={rel:.2e}, t=1 rel={rel_t:.2e}"
 
 
-def cmd_verify(cfg: RunConfig, out: str | None = None) -> int:
+def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
     """Run the invariant suite on a reduced grid, one PASS/FAIL per line."""
-    stream, close = _open_out(out)
     checks: list[tuple[str, bool, str]] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
@@ -317,13 +301,9 @@ def cmd_verify(cfg: RunConfig, out: str | None = None) -> int:
         record("pipeline", False, str(point.error))
 
     failed = [c for c in checks if not c[1]]
-    try:
-        for name, passed, detail in checks:
-            stream.write(f"{'PASS' if passed else 'FAIL'} {name}: {detail}\n")
-        stream.write(f"{len(checks) - len(failed)}/{len(checks)} invariants passed\n")
-    finally:
-        if close:
-            stream.close()
+    for name, passed, detail in checks:
+        stream.write(f"{'PASS' if passed else 'FAIL'} {name}: {detail}\n")
+    stream.write(f"{len(checks) - len(failed)}/{len(checks)} invariants passed\n")
     return 1 if failed else 0
 
 
@@ -370,28 +350,41 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    times = None
+    if args.command == "depletion" and args.times is not None:
+        try:
+            times = [float(t) for t in args.times.split(",") if t.strip()]
+        except ValueError:
+            print(f"bad --times value: {args.times!r}", file=sys.stderr)
+            return 2
+        if not all(0.0 <= t < math.inf for t in times):
+            print("--times must be finite and nonnegative", file=sys.stderr)
+            return 2
+
+    # opened before any point runs, so a bad path throws away no work;
+    # verify writes only to --out or stdout
+    path = args.out if args.command == "verify" else args.out or cfg.out
+    try:
+        stream, close = _open_out(path)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     # every command reports its own runtime failures: groundstate catches the
     # mean field's ConvergenceError, the others record each point's error
-    if args.command == "groundstate":
-        return cmd_groundstate(cfg, args.out)
-    if args.command == "spectrum":
-        flag = True if args.nonneg_re_only else None
-        return cmd_spectrum(cfg, args.out, nonneg_re_only=flag)
-    if args.command == "depletion":
-        times = None
-        if args.times is not None:
-            try:
-                times = [float(t) for t in args.times.split(",") if t.strip()]
-            except ValueError:
-                print(f"bad --times value: {args.times!r}", file=sys.stderr)
-                return 2
-            if not all(0.0 <= t < math.inf for t in times):
-                print("--times must be finite and nonnegative", file=sys.stderr)
-                return 2
-        oracle = True if args.oracle else None
-        return cmd_depletion(cfg, args.out, times=times, oracle=oracle)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.out)
+    try:
+        if args.command == "groundstate":
+            return cmd_groundstate(cfg, stream)
+        if args.command == "spectrum":
+            flag = True if args.nonneg_re_only else None
+            return cmd_spectrum(cfg, stream, nonneg_re_only=flag)
+        if args.command == "depletion":
+            oracle = True if args.oracle else None
+            return cmd_depletion(cfg, stream, times=times, oracle=oracle)
+        if args.command == "verify":
+            return cmd_verify(cfg, stream)
+    finally:
+        if close:
+            stream.close()
     raise AssertionError(f"unhandled command {args.command}")
 
 

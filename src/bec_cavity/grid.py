@@ -51,16 +51,23 @@ def mirror_points(n: int):
     return j, (-j) % n
 
 
+def multiplier_matrix(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    """Dense point-basis matrix of the Fourier multiplier diag(symbol(q)).
+
+    Built by conjugating the diagonal in the plane-wave basis with the
+    DFT; the symbol must be even in q, so the matrix is real.
+    """
+    mat = np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(grid.n), axis=0), axis=0)
+    return mat.real
+
+
 def kinetic_matrix(grid: Grid) -> np.ndarray:
     """Dense matrix of -d^2/dx^2 in the point basis.
 
-    Built by conjugating diag(q^2) in the plane-wave basis with the DFT,
-    then symmetrized, so its eigenvalues are the exact free-particle
-    energies 4 n^2 up to roundoff.
+    The multiplier q^2, symmetrized, so its eigenvalues are the exact
+    free-particle energies 4 n^2 up to roundoff.
     """
-    q2 = grid.wavenumbers**2
-    mat = np.fft.ifft(q2[:, None] * np.fft.fft(np.eye(grid.n), axis=0), axis=0)
-    mat = mat.real
+    mat = multiplier_matrix(grid, grid.wavenumbers**2)
     return 0.5 * (mat + mat.T)
 
 

@@ -9,9 +9,14 @@ with <U> = integral of U |phi|^2.  The stationary cavity amplitude for a
 given <U> is the closed form ``steady_alpha``.  The condensate ground
 state is found by imaginary-time propagation with second-order operator
 splitting, with the cavity amplitude updated under-relaxed after every
-step.  The splitting leaves an O(dt^2) bias in phi, so a polish then
-solves the fixed point to near machine precision: the ground state is
-reflection even, and <U> is a scalar, so a secant method on
+step.  The uniform start and every split step are even under the
+reflection x -> pi - x, so the propagation runs on the n/2 + 1 values
+phi[j], j = 0 .. n/2: the kinetic step is one product with the
+propagator exp(-dt K) folded over the mirror pairs (j, n - j), and phi
+is unfolded to the full grid once, when the loop ends.  The splitting
+leaves an O(dt^2) bias in phi, so a polish then solves the fixed point
+to near machine precision: the ground state is reflection even, and <U>
+is a scalar, so a secant method on
 F(u) = <U>(ground state of K + |alpha(u)|^2 U) - u needs one ``eigh``
 of the (n/2 + 1)-dimensional even block of H0 per step.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, kinetic_matrix, mirror_points, potential_profile
+from .grid import Grid, kinetic_matrix, mirror_points, multiplier_matrix, potential_profile
 from .params import SystemParams
 
 
@@ -79,6 +84,25 @@ def _kinetic_energy(phi_hat: np.ndarray, q2: np.ndarray, dx: float, n: int) -> f
     return float((q2 * np.abs(phi_hat) ** 2).sum() * dx / n)
 
 
+def _fold(mat: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
+    """Action of a reflection-symmetric grid operator on even grid functions.
+
+    An even function is fixed by its values at j = 0 .. n/2, since
+    phi[n - j] = phi[j]; column c of the fold gathers columns j_c and
+    n - j_c of mat, once on the fixed points j = 0, n/2.
+    """
+    folded = mat[np.ix_(j, j)]
+    folded[:, 1:-1] += mat[np.ix_(j, mj[1:-1])]
+    return folded
+
+
+def _unfold(values: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
+    """The even grid function with values[c] at j_c and at n - j_c."""
+    full = np.empty(2 * j.size - 2)
+    full[j] = full[mj] = values
+    return full
+
+
 def solve_ground_state(
     params: SystemParams,
     grid: Grid,
@@ -98,6 +122,12 @@ def solve_ground_state(
     imaginary-time propagation of phi with under-relaxed updates of
     alpha, and stops when the sup-norm change of phi per step falls
     below tol_phi*itp_dt and the change of alpha below tol_alpha.
+    Every split step is reflection symmetric, so phi stays even and the
+    steps run on its values at j = 0 .. n/2: the kinetic step is one
+    product with the folded propagator exp(-itp_dt K), and the norm and
+    <U> take the quadrature weight dx on the fixed points j = 0, n/2 and
+    2 dx on the mirror pairs.  phi is unfolded to the full grid once,
+    at the end.
 
     frozen_alpha pins the cavity amplitude (an externally imposed
     lattice); refine=False skips the final eigenpair polish.
@@ -108,10 +138,14 @@ def solve_ground_state(
     dx = grid.dx
     u_pot = potential_profile(grid, params.u0)
     q2 = grid.wavenumbers**2
-    kin_phase = np.exp(-itp_dt * q2)
+    j, mj = mirror_points(n)
+    weight = np.where(j == mj, dx, 2.0 * dx)  # quadrature weight of each even value
+    u_even = 0.5 * (u_pot[j] + u_pot[mj])
+    u_weight = weight * u_even
+    propagator = _fold(multiplier_matrix(grid, np.exp(-itp_dt * q2)), j, mj)
 
-    phi = np.full(n, 1.0 / np.sqrt(np.pi))
-    u_avg = float((u_pot * phi**2).sum() * dx)
+    phi = np.full(j.size, 1.0 / np.sqrt(np.pi))
+    u_avg = float(u_weight @ phi**2)
     alpha = frozen_alpha if frozen_alpha is not None else steady_alpha(params, u_avg)
 
     history: dict | None = None
@@ -123,27 +157,25 @@ def solve_ground_state(
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
-        v = np.abs(alpha) ** 2 * u_pot
-        half = np.exp(-0.5 * itp_dt * v)
-        phi_new = half * phi
-        phi_hat = np.fft.fft(phi_new)
-        phi_new = np.fft.ifft(kin_phase * phi_hat).real
+        half = np.exp((-0.5 * itp_dt * abs(alpha) ** 2) * u_even)
+        phi_new = propagator @ (half * phi)
         phi_new *= half
-        phi_new /= np.sqrt((phi_new**2).sum() * dx)
+        phi_new /= np.sqrt(weight @ phi_new**2)
 
-        u_new = float((u_pot * phi_new**2).sum() * dx)
+        u_new = float(u_weight @ phi_new**2)
         if frozen_alpha is not None:
             alpha_new = alpha
         else:
             alpha_new = (1.0 - mixing) * alpha + mixing * steady_alpha(params, u_new)
 
-        d_phi = float(np.abs(phi_new - phi).max())
+        d_phi = float(abs(phi_new - phi).max())
         d_alpha = abs(alpha_new - alpha)
         phi, alpha, u_avg = phi_new, alpha_new, u_new
 
         if history is not None:
-            e_kin = _kinetic_energy(np.fft.fft(phi), q2, dx, n)
-            e_pot = float((np.abs(alpha) ** 2 * u_pot * phi**2).sum() * dx)
+            full = _unfold(phi, j, mj)
+            e_kin = _kinetic_energy(np.fft.fft(full), q2, dx, n)
+            e_pot = float((np.abs(alpha) ** 2 * u_pot * full**2).sum() * dx)
             history["energy"].append(e_kin + e_pot)
             history["alpha"].append(alpha)
             history["u_avg"].append(u_avg)
@@ -162,7 +194,9 @@ def solve_ground_state(
 
     kin = kinetic_matrix(grid)
     if refine:
-        phi, alpha, u_avg = _refine_fixed_point(params, grid, kin, u_pot, u_avg, frozen_alpha)
+        vec, alpha, u_avg = _refine_fixed_point(params, kin, j, mj, u_even, u_avg, frozen_alpha)
+        phi = vec / np.sqrt(weight)
+    phi = _unfold(phi, j, mj)
 
     # gauge: real phi, nonnegative at the potential minimum
     if phi[int(np.argmin(u_pot))] < 0:
@@ -192,24 +226,24 @@ def solve_ground_state(
     )
 
 
-def _refine_fixed_point(params, grid, kin, u_pot, u_avg, frozen_alpha):
+def _refine_fixed_point(params, kin, j, mj, u_even, u_avg, frozen_alpha):
     """Polish the fixed point to the discrete ground state of H0.
 
     The split-step fixed point carries an O(dt^2) bias relative to the
     discrete ground state.  That state is reflection even, so it is the
     lowest eigenvector of the (n/2 + 1)-dimensional even block of
-    H0 = K + |alpha|^2 U.  With alpha = steady_alpha(u) the fixed point is
-    the root of F(u) = <U> - u; a secant method started at the
-    imaginary-time <U> finds it with one ``eigh`` per step, and stops when
-    |F| stops falling.  A frozen alpha takes the one ``eigh``.
+    H0 = K + |alpha|^2 U, taken over the loop's mirror pairs (j, mj).
+    With alpha = steady_alpha(u) the fixed point is the root of
+    F(u) = <U> - u; a secant method started at the imaginary-time <U>
+    finds it with one ``eigh`` per step, and stops when |F| stops
+    falling.  A frozen alpha takes the one ``eigh``.  Returns the unit
+    eigenvector, sqrt(quadrature weight) phi[j], with its alpha and <U>.
     """
-    j, mj = mirror_points(grid.n)
     # orthonormal even embedding: column c is s_c (e_j + e_(n-j)), with
     # s = 1/2 on the fixed points j = n - j and 1/sqrt 2 elsewhere
     s = np.where(j == mj, 0.5, np.sqrt(0.5))
     cols = s * (kin[:, j] + kin[:, mj])
     kin_even = s[:, None] * (cols[j] + cols[mj])
-    u_even = 0.5 * (u_pot[j] + u_pot[mj])
 
     def alpha_at(u):
         return steady_alpha(params, u) if frozen_alpha is None else frozen_alpha
@@ -235,7 +269,5 @@ def _refine_fixed_point(params, grid, kin, u_pot, u_avg, frozen_alpha):
                 break
             u_prev, f_prev, u = u, f, u - f * (u - u_prev) / (f - f_prev)
         vec = best_vec
-    phi = np.empty(grid.n)
-    phi[j] = phi[mj] = np.where(j == mj, 1.0, np.sqrt(0.5)) * vec / np.sqrt(grid.dx)
-    u_avg = float((u_pot * phi**2).sum() * grid.dx)
-    return phi, alpha_at(u_avg), u_avg
+    u_avg = float(u_even @ vec**2)
+    return vec, alpha_at(u_avg), u_avg

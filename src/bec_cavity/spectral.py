@@ -203,9 +203,19 @@ def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
     r1 /= np.linalg.norm(r1)
     if np.abs(m @ r1).max() > 1e-7 * scale:
         return None
-    r2 = np.linalg.lstsq(m, r1, rcond=None)[0]
-    if np.linalg.norm(m @ r2 - r1) < 1e-7:
-        r2 = r2 - (r1.conj() @ r2) * r1  # still a chain vector: M r1 = 0
+    # y = (0, 0, phi, phi) is a left null vector (y^T M = 0 as H0 phi = mu phi),
+    # so [[M, y], [r1^H, 0]] is nonsingular exactly when r1 heads a Jordan
+    # chain, and its solution is the chain vector orthogonal to r1
+    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
+    bordered[:dim, :dim] = m
+    y = np.concatenate([phi, phi])
+    bordered[2:dim, dim] = y / np.linalg.norm(y)
+    bordered[dim, :dim] = r1.conj()
+    try:
+        r2 = np.linalg.solve(bordered, np.append(r1, 0.0))[:dim]
+    except np.linalg.LinAlgError:  # a singular border: no chain
+        r2 = None
+    if r2 is not None and np.linalg.norm(m @ r2 - r1) < 1e-7:
         return ("chain", r1, r2)
     ra = np.zeros(dim, dtype=complex)
     ra[2 : 2 + n] = phi

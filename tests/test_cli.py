@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bec_cavity.cli
 import bec_cavity.depletion
 from bec_cavity.cli import main
 from bec_cavity.config import (
@@ -163,6 +164,32 @@ def test_groundstate_reference_point_converges(tmp_path):
 def test_groundstate_nonconvergence_exit_code(tmp_path):
     cfg = write_config(tmp_path, max_iters=2)
     assert main(["groundstate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+
+
+@pytest.mark.parametrize("command", ["groundstate", "spectrum", "depletion"])
+def test_unwritable_output_fails_before_any_point_runs(tmp_path, capsys, monkeypatch, command):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (bec_cavity.cli, "solve_ground_state"),
+        (bec_cavity.cli, "analyze_point"),
+        (bec_cavity.depletion, "analyze_point"),
+    ]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "missing" / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:")
+    assert "Traceback" not in err
+    assert calls == []
 
 
 def test_malformed_json_exit_code_2(tmp_path, capsys):

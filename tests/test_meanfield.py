@@ -146,3 +146,70 @@ def test_nonconvergence_raises_with_residuals():
     with pytest.raises(ConvergenceError) as err:
         solve_ground_state(p, g, max_iters=3)
     assert err.value.residual_phi > 0.0
+
+
+def _full_grid_itp(p, g, *, itp_dt=1e-3, tol_phi=1e-9, tol_alpha=1e-10, mixing=0.3,
+                   max_iters=1_000_000, frozen_alpha=None):
+    """Reference: the imaginary-time loop on all n grid points, with an
+    fft/ifft pair for the kinetic step.  Returns (iterations, phi, alpha,
+    u_avg, energies) or raises ConvergenceError."""
+    n, dx = g.n, g.dx
+    u_pot = potential_profile(g, p.u0)
+    q2 = g.wavenumbers**2
+    kin_phase = np.exp(-itp_dt * q2)
+    phi = np.full(n, 1.0 / np.sqrt(np.pi))
+    u_avg = float((u_pot * phi**2).sum() * dx)
+    alpha = frozen_alpha if frozen_alpha is not None else steady_alpha(p, u_avg)
+    energies = []
+    for iterations in range(1, max_iters + 1):
+        half = np.exp(-0.5 * itp_dt * np.abs(alpha) ** 2 * u_pot)
+        phi_new = np.fft.ifft(kin_phase * np.fft.fft(half * phi)).real
+        phi_new *= half
+        phi_new /= np.sqrt((phi_new**2).sum() * dx)
+        u_new = float((u_pot * phi_new**2).sum() * dx)
+        if frozen_alpha is not None:
+            alpha_new = alpha
+        else:
+            alpha_new = (1.0 - mixing) * alpha + mixing * steady_alpha(p, u_new)
+        d_phi = float(np.abs(phi_new - phi).max())
+        d_alpha = abs(alpha_new - alpha)
+        phi, alpha, u_avg = phi_new, alpha_new, u_new
+        e_kin = float((q2 * np.abs(np.fft.fft(phi)) ** 2).sum() * dx / n)
+        energies.append(e_kin + float((np.abs(alpha) ** 2 * u_pot * phi**2).sum() * dx))
+        if d_phi < tol_phi * itp_dt and d_alpha < tol_alpha:
+            return iterations, phi, alpha, u_avg, np.array(energies)
+    raise ConvergenceError("reference did not converge", d_phi, float(d_alpha))
+
+
+# the step count is a threshold crossing, so equal counts hold to roundoff
+# only: at delta_c = -10000, u0 = -0.12 the reference itself takes 4340,
+# 4339 and 4340 steps at n = 16, 64 and 200
+@pytest.mark.parametrize(
+    "n, delta_c, u0, frozen_alpha",
+    [(n, dc, u0, None) for n in (16, 64, 200) for dc in (-100.0, -1000.0, -10000.0)
+     for u0 in (-0.05, -1.03)]
+    + [(64, -1000.0, -5.0, 1.0)],
+)
+def test_even_half_grid_loop_matches_the_full_grid_loop(n, delta_c, u0, frozen_alpha):
+    p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n)
+    g = make_grid(n)
+    iterations, phi, alpha, u_avg, energies = _full_grid_itp(p, g, frozen_alpha=frozen_alpha)
+    st = solve_ground_state(p, g, frozen_alpha=frozen_alpha, refine=False, record_history=True)
+    assert st.iterations == iterations
+    assert abs(st.u_avg - u_avg) <= 1e-13
+    assert abs(st.alpha - alpha) <= 1e-12 * abs(alpha)
+    assert np.abs(st.phi.real - phi).max() <= 1e-12
+    # relative: near resonance |alpha|^2 U makes the energy O(100)
+    assert np.abs(np.array(st.history["energy"]) - energies).max() <= 1e-12 * np.abs(energies).max()
+
+
+@pytest.mark.parametrize("n", [16, 64, 200])
+def test_even_half_grid_loop_fails_with_the_full_grid_residuals(n):
+    p = params(grid_points=n)
+    g = make_grid(n)
+    with pytest.raises(ConvergenceError) as ref:
+        _full_grid_itp(p, g, max_iters=2)
+    with pytest.raises(ConvergenceError) as err:
+        solve_ground_state(p, g, max_iters=2)
+    assert abs(err.value.residual_phi - ref.value.residual_phi) <= 1e-12
+    assert abs(err.value.residual_alpha - ref.value.residual_alpha) <= 1e-12

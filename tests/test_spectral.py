@@ -16,6 +16,8 @@ from bec_cavity import (
     reconstruction_defect,
 )
 from bec_cavity.depletion import error_status
+from bec_cavity.grid import mirror_points
+from bec_cavity.spectral import _canonical_goldstone, _sector_pairs
 from conftest import run_pipeline
 
 
@@ -75,6 +77,26 @@ def test_goldstone_cluster_detected(pipeline):
         for k in dec.goldstone
     )
     assert left_photon <= 1e-8
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
+@pytest.mark.parametrize("delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05)])
+def test_goldstone_chain_vector_matches_a_least_squares_solve(ng, delta_c, u0):
+    *_, fm, _ = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
+    p, q, s, *_ = _sector_pairs(ng)
+    cols = s * (fm.m[:, p] + fm.m[:, q])
+    m_even = s[:, None] * (cols[p] + cols[q])
+    j, mj = mirror_points(ng)
+    phi_even = s[2 : 3 + ng // 2] * (fm.phi[j] + fm.phi[mj])
+    kind, r1, r2 = _canonical_goldstone(m_even, phi_even, ng // 2 + 1)
+    assert kind == "chain"
+    # reference: the minimum-norm solution of M r = r1, made orthogonal to r1
+    ref = np.linalg.lstsq(m_even, r1, rcond=None)[0]
+    ref -= (r1.conj() @ ref) * r1
+    assert np.linalg.norm(r2 - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert abs(r1.conj() @ r2) <= 1e-9 * np.linalg.norm(r2)
+    residual = np.linalg.norm(m_even @ r2 - r1)
+    assert residual <= 2.0 * np.linalg.norm(m_even @ ref - r1)
 
 
 def test_odd_modes_are_noiseless_and_normal(pipeline):
