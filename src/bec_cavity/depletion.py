@@ -248,11 +248,9 @@ def steady_state_depletion(
         (int(k), int(l), "zero-denominator, negligible noise") for k, l in zip(ks, ls)
     )
     keep &= ~small
-    excluded = tuple(
-        int(k)
-        for k in range(dec.omegas.size)
-        if k not in dec.goldstone and small[k, dec.pairing[k]]
-    )
+    own_pair = small[np.arange(dec.omegas.size), dec.pairing]
+    own_pair[list(dec.goldstone)] = False
+    excluded = tuple(int(k) for k in np.flatnonzero(own_pair))
 
     modes, weight, zsum = _pair_data(dec)
     keep = keep[np.ix_(modes, modes)]
@@ -272,6 +270,11 @@ def steady_state_depletion(
 
     flat = np.abs(contrib).ravel()
     nonzero = np.flatnonzero(flat)
+    if nonzero.size > TOP_PAIRS:
+        # every term at or above the TOP_PAIRS-th largest magnitude, ties
+        # at the cut included, still in (k, l) order
+        cut = np.partition(flat[nonzero], nonzero.size - TOP_PAIRS)[nonzero.size - TOP_PAIRS]
+        nonzero = nonzero[flat[nonzero] >= cut]
     # largest first; equal terms, as mirror pairs give, in (k, l) order
     order = nonzero[np.argsort(-flat[nonzero], kind="stable")[:TOP_PAIRS]]
     top = [
@@ -293,8 +296,7 @@ def relaxation_time(dec: ModeDecomposition, *, tol_noise: float = 1e-10) -> floa
 
     Infinity when no damped noise-coupled mode exists (decoupled cavity).
     """
-    dim = dec.omegas.size
-    idx = np.array([k for k in range(dim) if k not in dec.goldstone], dtype=int)
+    idx = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
     coupled = idx[np.abs(dec.left[idx, 0] * dec.left[idx, 1]) > tol_noise]
     if coupled.size == 0:
         return math.inf

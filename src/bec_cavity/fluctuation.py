@@ -14,11 +14,12 @@ is built in the bare frame).
 
 The permutation G exchanging da <-> da^dag and dPsi <-> dPsi^dag gives
 the exact symmetry G M G = -conj(M), which pairs the eigenvalues as
-(w, -conj(w)).  Equivalently -i M is real in the quadratures
-x = (f + c) / sqrt 2, p = -i (f - c) / sqrt 2 of each (field, conjugate)
-pair f, c; ``spectral.decompose`` solves it in that form.  The lattice
-cos^2 x is even under x -> pi - x, so M also commutes with that
-reflection and splits into an even and an odd sector.
+(w, -conj(w)).  The lattice cos^2 x is even under x -> pi - x, so M also
+commutes with that reflection and splits into an even and an odd sector.
+Its matter blocks are H0 - mu and -(H0 - mu) with no anomalous blocks,
+and its photon rows and columns carry one coupling profile, so the even
+sector is an arrowhead that ``spectral.decompose`` solves from a scalar
+secular equation.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ accurate for smooth periodic integrands.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,19 @@ def kinetic_matrix(grid: Grid) -> np.ndarray:
     """Dense matrix of -d^2/dx^2 in the point basis.
 
     The multiplier q^2, symmetrized, so its eigenvalues are the exact
-    free-particle energies 4 n^2 up to roundoff.
+    free-particle energies 4 n^2 up to roundoff.  It depends on the grid
+    size alone, so it is built once per size and shared read-only.
     """
+    return _kinetic_matrix(grid.n)
+
+
+@functools.lru_cache(maxsize=4)
+def _kinetic_matrix(n_points: int) -> np.ndarray:
+    grid = make_grid(n_points)
     mat = multiplier_matrix(grid, grid.wavenumbers**2)
-    return 0.5 * (mat + mat.T)
+    mat = 0.5 * (mat + mat.T)
+    mat.setflags(write=False)
+    return mat
 
 
 def integrate(grid: Grid, values: np.ndarray) -> complex:

@@ -23,11 +23,19 @@ of the (n/2 + 1)-dimensional even block of H0 per step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, kinetic_matrix, mirror_points, multiplier_matrix, potential_profile
+from .grid import (
+    Grid,
+    kinetic_matrix,
+    make_grid,
+    mirror_points,
+    multiplier_matrix,
+    potential_profile,
+)
 from .params import SystemParams
 
 
@@ -96,6 +104,20 @@ def _fold(mat: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
     return folded
 
 
+@functools.lru_cache(maxsize=4)
+def _folded_propagator(n_points: int, itp_dt: float) -> np.ndarray:
+    """The kinetic step exp(-itp_dt K) folded onto the even values, read-only.
+
+    It depends on the grid size and the step alone, so it is built once
+    per (n, itp_dt) and shared.
+    """
+    grid = make_grid(n_points)
+    j, mj = mirror_points(n_points)
+    step = _fold(multiplier_matrix(grid, np.exp(-itp_dt * grid.wavenumbers**2)), j, mj)
+    step.setflags(write=False)
+    return step
+
+
 def _unfold(values: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
     """The even grid function with values[c] at j_c and at n - j_c."""
     full = np.empty(2 * j.size - 2)
@@ -142,7 +164,7 @@ def solve_ground_state(
     weight = np.where(j == mj, dx, 2.0 * dx)  # quadrature weight of each even value
     u_even = 0.5 * (u_pot[j] + u_pot[mj])
     u_weight = weight * u_even
-    propagator = _fold(multiplier_matrix(grid, np.exp(-itp_dt * q2)), j, mj)
+    propagator = _folded_propagator(n, itp_dt)
 
     phi = np.full(j.size, 1.0 / np.sqrt(np.pi))
     u_avg = float(u_weight @ phi**2)

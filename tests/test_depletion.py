@@ -248,7 +248,7 @@ def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10, top=20):
     return value, paired.real / value, excluded, pairs
 
 
-@pytest.mark.parametrize("ng", [16, 64])
+@pytest.mark.parametrize("ng", [16, 64, 200])
 @pytest.mark.parametrize("delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05)])
 def test_steady_sum_matches_full_pair_reference(ng, delta_c, u0):
     _, grid, _, _, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
@@ -260,6 +260,28 @@ def test_steady_sum_matches_full_pair_reference(ng, delta_c, u0):
     assert [(k, l) for k, l, _ in steady.pair_contributions] == [(k, l) for k, l, _ in pairs]
     got = np.array([c for *_, c in steady.pair_contributions])
     assert np.abs(got - np.array([c for *_, c in pairs])).max() <= 1e-12 * np.abs(got).max()
+
+
+def test_top_pairs_keep_the_pair_order_through_a_tie_at_the_cut():
+    # every mode carries photon weight and the same matter profile, so a
+    # term's size is set by its damping alone: three fast modes give 9
+    # equal leading terms, and the next 2 * 3 * 15 equal terms straddle the
+    # TOP_PAIRS = 20 cut
+    dec = _toy_decomposition([-0.5j] * 3 + [-1.0j] * 15)
+    n = dec.n_grid
+    dec.left[:, :2] = 1.0
+    dec.right[2:] = 1.0 / np.sqrt(n)
+    stability = StabilityReport("stable", -0.5)
+    steady = steady_state_depletion(dec, None, stability)
+    value, dominated, excluded, pairs = _steady_reference(dec, top=21)
+    magnitudes = [abs(c) for *_, c in pairs]
+    assert magnitudes[8] > magnitudes[9] == magnitudes[19] == magnitudes[20]
+    pairs = pairs[:20]
+    assert steady.value == pytest.approx(value, rel=1e-12)
+    assert steady.dominated_fraction == pytest.approx(dominated, rel=1e-12)
+    assert steady.excluded_modes == excluded == ()
+    assert [(k, l) for k, l, _ in steady.pair_contributions] == [(k, l) for k, l, _ in pairs]
+    assert [c for *_, c in steady.pair_contributions] == [c for *_, c in pairs]
 
 
 def test_relaxation_time_infinite_without_coupling(pipeline):

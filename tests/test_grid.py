@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from bec_cavity import integrate, kinetic_matrix, make_grid, potential_profile
+from bec_cavity.grid import mirror_points, multiplier_matrix
+from bec_cavity.meanfield import _fold, _folded_propagator
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +87,21 @@ def test_potential_profile_range_and_symmetry(grid):
     # symmetric about x = pi/2 on the grid, i.e. under j -> n - j
     mirrored = u[(-np.arange(grid.n)) % grid.n]
     assert np.abs(u - mirrored).max() < 1e-14
+
+
+def test_grid_matrices_are_built_once_and_read_only():
+    grid = make_grid(64)
+    kin = kinetic_matrix(grid)
+    assert kinetic_matrix(make_grid(64)) is kin
+    fresh = multiplier_matrix(grid, grid.wavenumbers**2)
+    assert np.array_equal(kin, 0.5 * (fresh + fresh.T))
+    j, mj = mirror_points(64)
+    for dt in (1e-3, 2e-3):
+        step = _folded_propagator(64, dt)
+        assert _folded_propagator(64, dt) is step
+        expected = _fold(multiplier_matrix(grid, np.exp(-dt * grid.wavenumbers**2)), j, mj)
+        assert np.array_equal(step, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            step[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        kin[0, 0] = 1.0

@@ -14,7 +14,9 @@ from bec_cavity import (
     petermann_factor,
     petermann_raw,
     reconstruction_defect,
+    symmetry_defect,
 )
+from bec_cavity import spectral
 from bec_cavity.depletion import error_status
 from bec_cavity.grid import mirror_points
 from bec_cavity.spectral import _canonical_goldstone, _sector_pairs
@@ -223,3 +225,122 @@ def test_spectrum_sweep_records_failures(pipeline):
     assert isinstance(point.error, ConvergenceError)
     assert error_status(point.error).startswith("error: ConvergenceError:")
     assert point.state is None and point.fm is None and point.dec is None
+
+
+def _even_sector(fm):
+    p, q, s, *_ = _sector_pairs(fm.n_grid)
+    cols = s * (fm.m[:, p] + fm.m[:, q])
+    return s[:, None] * (cols[p] + cols[q])
+
+
+def _even_modes(dec):
+    """Indices of the modes whose right vectors are even under x -> pi - x."""
+    n = dec.n_grid
+    flip = (-np.arange(n)) % n
+    mirror = np.concatenate([[0, 1], 2 + flip, 2 + n + flip])
+    gap = np.abs(dec.right[mirror] - dec.right).max(axis=0)
+    return np.flatnonzero(gap <= 1e-12 * np.abs(dec.right).max(axis=0))
+
+
+def _assert_same_roots(got, reference, rtol):
+    scale = np.abs(reference).max()
+    dist = np.abs(got[:, None] - reference[None, :])
+    assert dist.min(axis=1).max() <= rtol * scale
+    assert dist.min(axis=0).max() <= rtol * scale
+    assert got.size == reference.size
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
+@pytest.mark.parametrize(
+    "delta_c, u0, subtract_mu, label",
+    [
+        (-1000.0, 0.0, True, "marginal"),  # decoupled: g = 0
+        (-1000.0, -0.5, True, "stable"),  # the plateau
+        (-1000.0, -1.2, True, "unstable"),
+        (-100.0, -0.5, True, "unstable"),  # heating: past the cavity resonance
+        (-1000.0, -0.5, False, "unstable"),  # no zero level: every pole active
+    ],
+)
+def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, subtract_mu, label):
+    params, _, state, fm, dec = run_pipeline(
+        u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c, subtract_mu=subtract_mu
+    )
+    assert classify_stability(dec).label == label
+    if delta_c == -100.0:
+        assert state.heating
+    even = _even_modes(dec)
+    assert even.size == ng + 4
+    reference = np.linalg.eigvals(_even_sector(fm))
+    if subtract_mu:
+        # the phase/number pair: exact zeros here, split by +-sqrt(eps) in eig
+        assert len(dec.goldstone) == 2 and set(dec.goldstone) <= set(even)
+        assert dec.chain == (u0 != 0.0)
+        reference = reference[np.argsort(np.abs(reference))[2:]]
+    else:
+        assert dec.goldstone == ()
+    roots = np.setdiff1d(even, dec.goldstone)
+    _assert_same_roots(dec.omegas[roots], reference, 1e-11)
+    assert np.array_equal(dec.pairing[dec.pairing], np.arange(dec.omegas.size))
+    assert dec.biorth_defect <= 1e-10
+    if u0 == 0.0:
+        # decoupled: the photon line and the free levels, each a unit vector
+        # of its own block; only the photon modes carry photon weight
+        photon = np.flatnonzero(np.abs(dec.left[:, :2]).max(axis=1) > 0)
+        assert photon.size == 2
+        assert np.array_equal(photon, np.flatnonzero(np.abs(dec.right[:2]).max(axis=0) > 0))
+        for k in photon:
+            unit = np.zeros(dec.omegas.size)
+            unit[np.argmax(np.abs(dec.right[:2, k]))] = 1.0
+            assert np.array_equal(np.abs(dec.right[:, k]), unit)
+            assert np.array_equal(np.abs(dec.left[k]), unit)
+
+
+@pytest.mark.parametrize("offset", [1e-3, 1e-4, 2e-5])
+def test_near_resonance_photon_roots_are_imaginary_and_self_paired(offset, monkeypatch):
+    # just on the stable side of criterion 6's critical point (about
+    # u0 = -1.05131 at delta_c = -1000): both photon roots sit on the
+    # imaginary axis, each its own mirror partner, so they are no (z, -conj z)
+    # pair and must both be found, in a few sweeps (they take 7 or 8)
+    *_, fm, _ = run_pipeline(u0=-1.05131 + offset, ng=200)
+    monkeypatch.setattr(spectral, "SECULAR_STEPS", 12)
+    dec = decompose(fm)
+    assert classify_stability(dec).label == "stable"
+    modes = np.setdiff1d(np.arange(dec.omegas.size), dec.goldstone)
+    photon = modes[np.argsort(-np.abs(dec.left[modes, 0] * dec.left[modes, 1]))[:2]]
+    assert np.all(dec.omegas[photon].real == 0.0)
+    assert np.array_equal(dec.pairing[photon], photon)
+    assert abs(dec.omegas[photon[0]] - dec.omegas[photon[1]]) > 0.1
+    reference = np.linalg.eigvals(_even_sector(fm))
+    for k in photon:
+        assert np.abs(reference - dec.omegas[k]).min() <= 1e-11 * np.abs(reference).max()
+    if offset == 1e-3:
+        assert np.abs(dec.omegas[photon] + 102.26j).min() < 5e-3
+
+
+def test_decompose_refuses_an_anomalous_matter_block(pipeline):
+    *_, fm, _ = pipeline(u0=-0.5, ng=16)
+    n = fm.n_grid
+    m = fm.m.copy()
+    # a pairing term dPsi <-> dPsi^dag along the condensate: reflection even,
+    # absent from the odd sector, and G M G = -conj(M) still holds, but the
+    # even matter blocks are no longer diag(h, -h)
+    pairing_term = 0.5 * np.outer(fm.phi, fm.phi)
+    m[2 : 2 + n, 2 + n :] += pairing_term
+    m[2 + n :, 2 : 2 + n] -= pairing_term
+    assert symmetry_defect(m) == 0.0
+    with pytest.raises(DecompositionError, match="bordered form"):
+        decompose(dataclasses.replace(fm, m=m))
+
+
+@pytest.mark.parametrize("ng", [16, 200])
+def test_decompose_uses_no_dense_eigensolver_or_inverse(ng, monkeypatch):
+    *_, fm, reference = run_pipeline(u0=-0.5, ng=ng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose must not call a dense eig, inverse or SVD")
+
+    for name in ("eig", "eigvals", "inv", "pinv", "svd", "cond", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    dec = decompose(fm)
+    assert np.array_equal(dec.omegas, reference.omegas)
+    assert dec.biorth_defect <= 1e-10
