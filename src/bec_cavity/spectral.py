@@ -122,7 +122,9 @@ class ModeDecomposition:
                  the coupling c is stored in chain_coupling
     eigen_residual -- max|M r - omega r| over the modes, each parity
                  sector in its orthonormal basis (the chain column
-                 against its chain relation)
+                 against its chain relation); the odd sector's is
+                 bounded by the residual of its real block plus the
+                 measured departure of M from diag(h, -h)
     biorth_defect  -- max|L R - I|, sector by sector
     """
 
@@ -623,7 +625,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     ) / scale
     if leftover > PARITY_TOL:
         raise DecompositionError(f"M breaks reflection parity ({leftover:.2e} max|M|)")
-    del m_e_cols, m_o_cols
+    del m_e_cols, m_o_cols, m_odd
 
     j, mj = mirror_points(n)
     phi_even = s_e[2 : 3 + half] * (fm.phi[j] + fm.phi[mj])
@@ -673,13 +675,12 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     # near-zero pair denominators of the depletion sums exactly imaginary
     omegas = 0.5 * (omegas - omegas[pairing].conj())
 
-    # max|M r - w r| sector by sector, each in its orthonormal basis; the
-    # blocks between the sectors are below PARITY_TOL
-    eigen_residual = even.residual
-    for cols, sign in ((slice(None, k), 1.0), (slice(k, None), -1.0)):
-        res_odd = m_odd[:, cols] @ w_odd
-        res_odd[cols] -= w_odd * (sign * energies)
-        eigen_residual = max(eigen_residual, float(np.abs(res_odd).max()))
+    # max|M r - w r| sector by sector, each in its orthonormal basis, the
+    # blocks between the sectors being below PARITY_TOL; the odd one is the
+    # residual of h_odd plus what M departs from diag(h_odd, -h_odd)
+    res_odd = float(np.abs(h_odd @ w_odd - w_odd * energies).max())
+    res_odd += leftover * scale * float(np.abs(w_odd).sum(axis=0).max())
+    eigen_residual = max(even.residual, res_odd)
     biorth_defect = max(even.biorth_defect, float(np.abs(vecs.T @ vecs - np.eye(k)).max()))
 
     return ModeDecomposition(

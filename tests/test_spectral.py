@@ -344,3 +344,22 @@ def test_decompose_uses_no_dense_eigensolver_or_inverse(ng, monkeypatch):
     dec = decompose(fm)
     assert np.array_equal(dec.omegas, reference.omegas)
     assert dec.biorth_defect <= 1e-10
+
+
+def test_secular_roots_that_do_not_converge_are_refused(monkeypatch):
+    *_, fm, _ = run_pipeline(u0=-0.5, ng=16)
+    monkeypatch.setattr(spectral, "SECULAR_STEPS", 1)
+    with pytest.raises(DecompositionError, match="unconverged"):
+        decompose(fm)
+
+
+def test_mirror_pairing_certificates():
+    roots = np.array([3.0 - 0.1j, -3.0 - 0.1j, -2.0j, 1.0 - 1.0j, -1.0 - 1.0j])
+    offsets = np.array([0.01j, -0.01j, 0.0, 0.0, 0.0])
+    assert list(spectral._mirror_pairing(roots, offsets, 10.0)) == [1, 0, 2, 4, 3]
+    with pytest.raises(DecompositionError, match="distinct"):
+        spectral._mirror_pairing(np.append(roots, roots[0]), np.append(offsets, 0.0), 10.0)
+    with pytest.raises(DecompositionError, match="pair"):
+        spectral._mirror_pairing(roots + np.array([0, 0, 0, 0, 0.5]), offsets, 10.0)
+    with pytest.raises(DecompositionError, match="trace"):
+        spectral._mirror_pairing(roots, offsets + 1e-6, 10.0)
