@@ -74,7 +74,8 @@ COND_LIMIT = 1e12
 BIORTH_LIMIT = 1e-10
 # largest mirror-pairing mismatch |w_k' + conj(w_k)|, relative to max|w|
 PAIRING_RTOL = 1e-8
-# cap on the Aberth sweeps of the secular solve, which takes 3-8
+# cap on the Aberth sweeps of the secular solve, which takes 3-8 (up to
+# about 17 without the chemical potential subtracted)
 SECULAR_STEPS = 50
 # slowest decay rate classify_stability resolves as damping
 DAMPING_FLOOR = 5e-12
