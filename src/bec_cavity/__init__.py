@@ -16,28 +16,17 @@ from .depletion import (
     solve_depletion_point,
     steady_state_depletion,
 )
-from .fluctuation import (
-    FluctuationMatrix,
-    build_matrix,
-    gamma_transform,
-    non_normality,
-    save_matrix,
-    symmetry_defect,
-)
+from .fluctuation import FluctuationMatrix, build_matrix, symmetry_defect
 from .grid import Grid, integrate, kinetic_matrix, make_grid, potential_profile
 from .meanfield import ConvergenceError, MeanFieldState, solve_ground_state, steady_alpha
 from .params import ParameterError, SystemParams, validate
 from .spectral import (
     DecompositionError,
-    DegenerateClusterError,
     ModeDecomposition,
     StabilityReport,
     classify_stability,
     decompose,
-    eigendecompose,
-    petermann_factor,
     petermann_raw,
-    reconstruction_defect,
 )
 
 __version__ = "0.1.0"
@@ -45,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DecompositionError",
-    "DegenerateClusterError",
     "DepletionResult",
     "FluctuationMatrix",
     "Grid",
@@ -63,21 +51,15 @@ __all__ = [
     "classify_stability",
     "decompose",
     "depletion_at_times",
-    "eigendecompose",
     "finite_time_kernel",
-    "gamma_transform",
     "integrate",
     "kinetic_matrix",
     "lyapunov_oracle",
     "make_grid",
     "mode_projector",
-    "non_normality",
-    "petermann_factor",
     "petermann_raw",
     "potential_profile",
-    "reconstruction_defect",
     "relaxation_time",
-    "save_matrix",
     "solve_depletion_point",
     "solve_ground_state",
     "steady_alpha",

@@ -9,8 +9,9 @@ Sweeps fan out over a process pool capped by the BEC_CAVITY_THREADS
 environment variable (default 1); results are merged in sweep order, so
 the output bytes do not depend on the pool size.  The output is opened
 before any point runs.  Exit codes: 0 on success, 1 on runtime failure
-(non-convergence, failed verification), 2 on configuration errors and
-on an output path that cannot be opened.
+(non-convergence, failed verification), 2 on configuration errors (the
+oracle above ORACLE_MAX_GRID grid points included) and on an output path
+that cannot be opened.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ResultTable, RunConfig, load_config, sweep_values
 from .depletion import (
+    ORACLE_MAX_GRID,
     analyze_point,
     depletion_at_times,
     error_status,
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dep.add_argument(
         "--oracle",
         action="store_true",
-        help="add a second-moment oracle column (small grids only)",
+        help=f"add a second-moment oracle column (at most {ORACLE_MAX_GRID} grid points)",
     )
     sub.add_parser("verify", parents=[common], help="run the invariant suite on a reduced grid")
     return parser
@@ -359,6 +361,15 @@ def main(argv=None) -> int:
             return 2
         if not all(0.0 <= t < math.inf for t in times):
             print("--times must be finite and nonnegative", file=sys.stderr)
+            return 2
+
+    if args.command == "depletion" and (args.oracle or cfg.oracle):
+        if cfg.params.grid_points > ORACLE_MAX_GRID:
+            print(
+                f"the oracle runs on at most {ORACLE_MAX_GRID} grid points, "
+                f"got grid_points = {cfg.params.grid_points}",
+                file=sys.stderr,
+            )
             return 2
 
     # opened before any point runs, so a bad path throws away no work;

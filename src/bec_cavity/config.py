@@ -2,10 +2,10 @@
 
 Configs are flat JSON: the physical parameters, optional solver knobs,
 an optional sweep block {"parameter", "from", "to", "points", "scale"},
-and output options.  Results are written as CSV with '#'-prefixed
-metadata lines (program version, canonical config echo, timestamp)
-before the header row; floats carry 17 significant digits so a written
-table reads back bit-identically.
+and output options; any other key is rejected.  Results are written as
+CSV with '#'-prefixed metadata lines (program version, canonical config
+echo, timestamp) before the header row; floats carry 17 significant
+digits so a written table reads back bit-identically.
 """
 
 from __future__ import annotations
@@ -42,6 +42,20 @@ _ANALYSIS_DEFAULTS = {
     "tol_noise": 1e-10,
     "tol_zero": 1e-6,
 }
+
+
+# every key parse_config reads besides the parameters and the knobs above
+_OPTION_KEYS = (
+    "sweep", "detunings", "eta_follows_detuning", "nonneg_re_only", "oracle",
+    "times", "out", "fault_injection",
+)
+_SWEEP_KEYS = ("parameter", "from", "to", "points", "scale")
+
+
+def _reject_unknown(block: dict, known, where: str) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +128,9 @@ def _require_flag(value: Any, name: str) -> bool:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+    _reject_unknown(
+        data, (*_PARAM_KEYS, *_SOLVER_DEFAULTS, *_ANALYSIS_DEFAULTS, *_OPTION_KEYS), "config"
+    )
     missing = [k for k in _PARAM_KEYS if k not in data]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
@@ -178,6 +195,7 @@ def parse_config(data: dict) -> RunConfig:
 def _parse_sweep(block: Any) -> SweepSpec:
     if not isinstance(block, dict):
         raise ConfigError("sweep must be an object")
+    _reject_unknown(block, _SWEEP_KEYS, "sweep")
     for key in ("parameter", "from", "to", "points"):
         if key not in block:
             raise ConfigError(f"sweep is missing '{key}'")

@@ -9,12 +9,16 @@ Two independent routes to the same number:
   with f(z, t) = (1 - exp(-i z t)) / (i z), the photon components
   l1_k = left[k, 0], l2_l = left[l, 1] of the left vectors, and the
   unconjugated overlap O_kl = dx * sum_j r4_k(x_j) r3_l(x_j); the
-  steady state drops the exponential;
+  steady state drops the exponential.  The odd modes of the reflection
+  x -> pi - x have l1 = l2 = 0 exactly, so the sum runs over the pairs
+  of photon-weighted (even) modes alone, about a quarter of the dim^2;
 
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
   dS/dt = -i M S - i S M^T + D with the single noise entry
-  D[0, 1] = 2 kappa, and dN = dx * trace of the (dPsi^dag, dPsi) block.
+  D[0, 1] = 2 kappa, and dN = dx * trace of the (dPsi^dag, dPsi) block;
+  its Kronecker form costs dim^6, so it runs on at most ORACLE_MAX_GRID
+  grid points.
 
 The condensate phase/number chain sector is excluded from the sums and
 its noise drive is projected out of the oracle: photon noise leaking
@@ -45,8 +49,8 @@ from .spectral import ModeDecomposition, StabilityReport, classify_stability, de
 # numerical resolution floor for frequency sums and for the singular values
 # of the second-moment flow; anything below it counts as exactly zero
 Z_FLOOR = 1e-11
-# largest steady-state pair contributions kept for inspection
-TOP_PAIRS = 20
+# largest grid the Kronecker (dim^2-square) second-moment oracle runs on
+ORACLE_MAX_GRID = 32
 
 
 class StabilityError(RuntimeError):
@@ -62,14 +66,12 @@ class OracleSingularError(RuntimeError):
 class DepletionResult:
     """Depletion values at the requested times.
 
-    times may contain math.inf for the steady-state entry.  skipped_pairs
-    lists (k, l, reason) tuples for excluded double-sum terms.
+    times may contain math.inf for the steady-state entry.  A value is
+    nan where the mode sum overflows: a growing mode at a long time.
     """
 
     times: list[float]
     values: list[float]
-    pair_contributions: list[tuple[int, int, complex]] | None
-    skipped_pairs: list[tuple[int, int, str]]
 
 
 @dataclass
@@ -80,7 +82,7 @@ class SteadyDepletion:
     frequency denominator below the numerical resolution floor while
     carrying non-negligible photon noise weight, the signature of the
     cavity resonance.  excluded_modes lists the modes whose own
-    symmetry pair fell under the zero-denominator skip rule; feeding
+    symmetry pair falls under the zero-denominator skip rule; feeding
     them to the Lyapunov oracle's deflation makes the two routes
     compute the same observable.
     """
@@ -88,8 +90,6 @@ class SteadyDepletion:
     value: float | None
     diverged: bool
     dominated_fraction: float | None
-    pair_contributions: list[tuple[int, int, complex]]
-    skipped_pairs: list[tuple[int, int, str]]
     excluded_modes: tuple[int, ...] = ()
 
 
@@ -111,11 +111,11 @@ def finite_time_kernel(z, t: float):
 
 
 def _pair_data(dec: ModeDecomposition):
-    """(modes, weight, zsum) on the modes that carry photon weight.
+    """(modes, photon, weight, zsum) on the modes that carry photon weight.
 
     Odd modes have l1 = l2 = 0 exactly, so only pairs of the returned
-    modes can have a nonzero weight l1_k l2_l O_kl; weight and zsum are
-    indexed by positions in ``modes``.
+    modes can have a nonzero weight l1_k l2_l O_kl; photon = l1_k l2_l,
+    weight and zsum are indexed by positions in ``modes``.
     """
     n = dec.n_grid
     l1 = dec.left[:, 0]
@@ -124,9 +124,10 @@ def _pair_data(dec: ModeDecomposition):
     r3 = dec.right[2 : 2 + n, modes]
     r4 = dec.right[2 + n :, modes]
     overlap = dec.dx * (r4.T @ r3)  # no conjugation anywhere in O_kl
-    weight = np.outer(l1[modes], l2[modes]) * overlap
+    photon = np.outer(l1[modes], l2[modes])
+    weight = photon * overlap
     zsum = dec.omegas[modes, None] + dec.omegas[None, modes]
-    return modes, weight, zsum
+    return modes, photon, weight, zsum
 
 
 def _to_real(value: complex, floor: float = 1e-10) -> float:
@@ -137,19 +138,10 @@ def _to_real(value: complex, floor: float = 1e-10) -> float:
     return float(value.real)
 
 
-def _goldstone_mask_and_log(dec: ModeDecomposition):
-    dim = dec.omegas.size
-    keep = np.ones((dim, dim), dtype=bool)
-    skipped: list[tuple[int, int, str]] = []
-    for g in dec.goldstone:
-        for other in range(dim):
-            if keep[g, other]:
-                keep[g, other] = False
-                skipped.append((g, other, "goldstone-cluster"))
-            if keep[other, g]:
-                keep[other, g] = False
-                skipped.append((other, g, "goldstone-cluster"))
-    return keep, skipped
+def _kept_pairs(modes: np.ndarray, dropped) -> np.ndarray:
+    """Pair mask on ``modes``: False on every row and column of a dropped mode."""
+    keep = ~np.isin(modes, list(dropped))
+    return keep[:, None] & keep[None, :]
 
 
 def depletion_at_times(
@@ -162,19 +154,17 @@ def depletion_at_times(
     """Finite-time depletion from the mode double sum.
 
     Well defined for any spectrum and any t >= 0; dN(0) = 0 exactly.
-    exclude_modes drops additional modes from the double sum (e.g. the
-    steady-state rule's exclusion set, for like-for-like comparison with
-    a deflated oracle run).
+    The Goldstone modes never enter the sum, and exclude_modes drops
+    more (e.g. the steady-state rule's exclusion set, for like-for-like
+    comparison with a deflated oracle run).  A growing mode makes the
+    kernel overflow at long times: such a time's value is nan.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    modes, weight, zsum = _pair_data(dec)
-    keep, skipped = _goldstone_mask_and_log(dec)
-    for k in exclude_modes:
-        keep[k, :] = False
-        keep[:, k] = False
-    weight = np.where(keep[np.ix_(modes, modes)], weight, 0.0)
+    modes, _, weight, zsum = _pair_data(dec)
+    keep = _kept_pairs(modes, dec.goldstone + tuple(exclude_modes))
+    weight = np.where(keep, weight, 0.0)
     # the kernel depends on w_k + w_l alone: one evaluation per unordered pair
     diagonal = np.diag(weight).copy()
     weight = weight + weight.T
@@ -186,11 +176,10 @@ def depletion_at_times(
         if t == 0.0:
             values.append(0.0)
             continue
-        total = 2.0 * dec.kappa * (weight * finite_time_kernel(zsum, t)).sum()
-        values.append(_to_real(total))
-    return DepletionResult(
-        times=times, values=values, pair_contributions=None, skipped_pairs=skipped
-    )
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = 2.0 * dec.kappa * (weight * finite_time_kernel(zsum, t)).sum()
+        values.append(_to_real(total) if np.isfinite(total) else math.nan)
+    return DepletionResult(times=times, values=values)
 
 
 def steady_state_depletion(
@@ -204,17 +193,19 @@ def steady_state_depletion(
 ) -> SteadyDepletion:
     """Steady-state depletion, refusing non-stable states.
 
-    Zero-denominator policy: pairs with |w_k + w_l| < tol_pair and
-    photon noise weight |l1_k l2_l| < tol_noise are dropped and logged
-    (they are exactly the numerically unresolvable, noise-free pairs).
-    A pair below the resolution floor Z_FLOOR that still carries weight
-    above tol_noise makes the sum meaningless and the result is flagged
-    diverged.  Pairs between Z_FLOOR and tol_pair with real weight are
-    kept: their denominators are accurate, since the paired eigenvalues
-    are symmetrized against the exact G M G = -conj(M) relation.  The
-    dominated_fraction is the share contributed by symmetry-paired
-    (k, pairing[k]) terms; pair_contributions holds the TOP_PAIRS
-    largest terms.
+    The sum runs over the pairs of photon-weighted modes, the Goldstone
+    modes left out.  Zero-denominator policy: pairs with
+    |w_k + w_l| < tol_pair and photon noise weight |l1_k l2_l| < tol_noise
+    are dropped (they are exactly the numerically unresolvable, noise-free
+    pairs).  A pair below the resolution floor Z_FLOOR that still carries
+    weight above tol_noise makes the sum meaningless and the result is
+    flagged diverged.  Pairs between Z_FLOOR and tol_pair with real weight
+    are kept: their denominators are accurate, since the paired
+    eigenvalues are symmetrized against the exact G M G = -conj(M)
+    relation.  excluded_modes applies the same rule to each mode's own
+    symmetry pair (k, pairing[k]), over every mode, the odd ones
+    included.  The dominated_fraction is the share contributed by the
+    symmetry-paired terms.
     """
     if heating:
         raise StabilityError(
@@ -225,39 +216,23 @@ def steady_state_depletion(
             f"steady-state depletion requires a stable spectrum, got "
             f"'{stability.label}' (max growth rate {stability.max_growth_rate:.3e})"
         )
-    keep, skipped = _goldstone_mask_and_log(dec)
-    absz = np.abs(dec.omegas[:, None] + dec.omegas[None, :])
-    noise_mag = np.abs(np.outer(dec.left[:, 0], dec.left[:, 1]))
-    blocking = (absz < Z_FLOOR) & (noise_mag >= tol_noise) & keep
-    if blocking.any():
-        ks, ls = np.nonzero(blocking)
-        skipped.extend(
-            (int(k), int(l), "zero-denominator, non-negligible noise")
-            for k, l in zip(ks, ls)
-        )
-        return SteadyDepletion(
-            value=None,
-            diverged=True,
-            dominated_fraction=None,
-            pair_contributions=[],
-            skipped_pairs=skipped,
-        )
-    small = (absz < tol_pair) & (noise_mag < tol_noise) & keep
-    ks, ls = np.nonzero(small)
-    skipped.extend(
-        (int(k), int(l), "zero-denominator, negligible noise") for k, l in zip(ks, ls)
-    )
-    keep &= ~small
-    own_pair = small[np.arange(dec.omegas.size), dec.pairing]
+    modes, photon, weight, zsum = _pair_data(dec)
+    keep = _kept_pairs(modes, dec.goldstone)
+    absz = np.abs(zsum)
+    noise = np.abs(photon)
+    if ((absz < Z_FLOOR) & (noise >= tol_noise) & keep).any():
+        return SteadyDepletion(value=None, diverged=True, dominated_fraction=None)
+    keep &= ~((absz < tol_pair) & (noise < tol_noise))
+
+    own_z = np.abs(dec.omegas + dec.omegas[dec.pairing])
+    own_noise = np.abs(dec.left[:, 0] * dec.left[dec.pairing, 1])
+    own_pair = (own_z < tol_pair) & (own_noise < tol_noise)
     own_pair[list(dec.goldstone)] = False
     excluded = tuple(int(k) for k in np.flatnonzero(own_pair))
 
-    modes, weight, zsum = _pair_data(dec)
-    keep = keep[np.ix_(modes, modes)]
     contrib = np.zeros_like(weight)
     contrib[keep] = 2.0 * dec.kappa * weight[keep] / (1j * zsum[keep])
-    total = contrib.sum()
-    value = _to_real(total)
+    value = _to_real(contrib.sum())
 
     position = np.full(dec.omegas.size, -1)
     position[modes] = np.arange(modes.size)
@@ -267,27 +242,8 @@ def steady_state_depletion(
     paired[rows, partner[rows]] = True
     paired_sum = contrib[paired & keep].sum().real
     dominated = paired_sum / value if value != 0.0 else None
-
-    flat = np.abs(contrib).ravel()
-    nonzero = np.flatnonzero(flat)
-    if nonzero.size > TOP_PAIRS:
-        # every term at or above the TOP_PAIRS-th largest magnitude, ties
-        # at the cut included, still in (k, l) order
-        cut = np.partition(flat[nonzero], nonzero.size - TOP_PAIRS)[nonzero.size - TOP_PAIRS]
-        nonzero = nonzero[flat[nonzero] >= cut]
-    # largest first; equal terms, as mirror pairs give, in (k, l) order
-    order = nonzero[np.argsort(-flat[nonzero], kind="stable")[:TOP_PAIRS]]
-    top = [
-        (int(modes[i // modes.size]), int(modes[i % modes.size]), complex(contrib.flat[i]))
-        for i in order
-    ]
     return SteadyDepletion(
-        value=value,
-        diverged=False,
-        dominated_fraction=dominated,
-        pair_contributions=top,
-        skipped_pairs=skipped,
-        excluded_modes=excluded,
+        value=value, diverged=False, dominated_fraction=dominated, excluded_modes=excluded
     )
 
 
@@ -414,8 +370,9 @@ def lyapunov_oracle(
     evaluate the same observable).  Without it the phase/number chain is
     deflated from analytic null vectors alone.
 
-    Intended for moderate grids (n <= 32); cost grows as dim^6 with the
-    matrix dimension.
+    Intended for moderate grids: cost grows as dim^6 with the matrix
+    dimension, and solve_depletion_point refuses it above
+    ORACLE_MAX_GRID grid points.
     """
     m = fm.m
     dim = m.shape[0]
@@ -427,9 +384,7 @@ def lyapunov_oracle(
 
     if steady:
         value = _steady_moment_value(m, d, n, fm.dx, proj)
-        return DepletionResult(
-            times=[math.inf], values=[value], pair_contributions=None, skipped_pairs=[]
-        )
+        return DepletionResult(times=[math.inf], values=[value])
 
     times = [float(t) for t in times or []]
     if any(t < 0 for t in times):
@@ -451,9 +406,7 @@ def lyapunov_oracle(
             # projecting the moments removes the amplified leftover exactly
             s_mat = proj @ s_mat @ proj.T
         values.append(_moment_to_depletion(s_mat, n, fm.dx))
-    return DepletionResult(
-        times=times, values=values, pair_contributions=None, skipped_pairs=[]
-    )
+    return DepletionResult(times=times, values=values)
 
 
 def _steady_moment_value(m, d, n, dx, proj=None):
@@ -515,8 +468,9 @@ class PointAnalysis:
 
     Stages fill in order; error holds the exception that stopped the
     chain, and every stage after it stays None.  One record holds M and
-    both mode bases (about 8 MB at n = 200), so sweeps reduce it to rows
-    where it is made.
+    both dense mode bases (about 8 MB at n = 200), so sweeps reduce it to
+    rows where it is made; the depletion sums read only the bases'
+    photon-weighted columns.
     """
 
     state: MeanFieldState | None = None
@@ -587,8 +541,16 @@ def solve_depletion_point(
 
     Returns one row for the steady state, or one row per requested time.
     Divergences, refusals and any exception raised on the way land in
-    the status field, never in the numeric columns.
+    the status field, never in the numeric columns: a time whose mode
+    sum overflows is "diverged", and the point's other times keep their
+    values.  Raises ValueError up front when the oracle is requested
+    above ORACLE_MAX_GRID grid points.
     """
+    if oracle and grid.n > ORACLE_MAX_GRID:
+        raise ValueError(
+            f"the second-moment oracle runs on at most {ORACLE_MAX_GRID} grid points, "
+            f"got {grid.n}"
+        )
     eta = -delta_c if eta_follows_detuning else params.eta
     point = dc_replace(params, delta_c=float(delta_c), u0=float(u0), eta=float(eta))
     chain = analyze_point(
@@ -604,11 +566,12 @@ def solve_depletion_point(
             result = depletion_at_times(dec, grid, times)
             rows = [
                 DepletionPoint(
-                    delta_c=delta_c, u0=u0, status="ok", depletion=value, stability=label, time=t
+                    delta_c=delta_c, u0=u0, status="ok" if math.isfinite(value) else "diverged",
+                    depletion=value if math.isfinite(value) else None, stability=label, time=t,
                 )
                 for t, value in zip(result.times, result.values)
             ]
-            if oracle and grid.n <= 32:
+            if oracle:
                 oracle_result = lyapunov_oracle(fm, grid, times)
                 for row, value in zip(rows, oracle_result.values):
                     row.oracle = value
@@ -632,7 +595,7 @@ def solve_depletion_point(
             stability=label,
             dominated_fraction=steady.dominated_fraction,
         )
-        if oracle and grid.n <= 32:
+        if oracle:
             try:
                 proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
                 oracle_result = lyapunov_oracle(fm, grid, steady=True, deflate=proj)

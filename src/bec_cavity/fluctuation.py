@@ -24,7 +24,6 @@ secular equation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +50,6 @@ class FluctuationMatrix:
     mu: float
     kappa: float
     subtract_mu: bool
-
-
-def gamma_transform(v: np.ndarray) -> np.ndarray:
-    """Apply the block swap (da <-> da^dag, dPsi <-> dPsi^dag) to a vector."""
-    v = np.asarray(v)
-    dim = v.shape[0]
-    if dim < 4 or dim % 2 != 0:
-        raise ValueError(f"state vector length must be even and >= 4, got {dim}")
-    n = (dim - 2) // 2
-    out = np.empty_like(v)
-    out[0], out[1] = v[1], v[0]
-    out[2 : 2 + n] = v[2 + n :]
-    out[2 + n :] = v[2 : 2 + n]
-    return out
 
 
 def build_matrix(
@@ -135,22 +120,3 @@ def symmetry_defect(m: np.ndarray) -> float:
     perm[2 + n :] = np.arange(2, 2 + n)
     g_m_g = m[np.ix_(perm, perm)]
     return float(np.abs(g_m_g + np.conj(m)).max())
-
-
-def non_normality(fm: FluctuationMatrix) -> float:
-    """Frobenius norm of the commutator [M, M^dag], zero iff M is normal."""
-    m = fm.m
-    mh = m.conj().T
-    return float(np.linalg.norm(m @ mh - mh @ m))
-
-
-def save_matrix(fm: FluctuationMatrix, path: str) -> None:
-    """Dump M as row-major re/im pairs for debugging."""
-    payload = {
-        "dim": fm.m.shape[0],
-        "n_grid": fm.n_grid,
-        "subtract_mu": fm.subtract_mu,
-        "data": [[z.real, z.imag] for z in fm.m.ravel()],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)

@@ -79,21 +79,10 @@ PAIRING_RTOL = 1e-8
 SECULAR_STEPS = 50
 # slowest decay rate classify_stability resolves as damping
 DAMPING_FLOOR = 5e-12
-# relative frequency spread of a degenerate cluster in petermann_factor
-CLUSTER_RTOL = 1e-6
 
 
 class DecompositionError(RuntimeError):
     """Eigendecomposition unusable: M off its block form, or a failed certificate."""
-
-
-class DegenerateClusterError(ValueError):
-    """Petermann factor requested for a mode inside a degenerate cluster."""
-
-    def __init__(self, message: str, cluster: tuple[int, ...], condition_number: float):
-        super().__init__(message)
-        self.cluster = cluster
-        self.condition_number = condition_number
 
 
 @dataclass
@@ -145,34 +134,6 @@ class ModeDecomposition:
     kappa: float
 
 
-def eigendecompose(m: np.ndarray):
-    """Plain biorthogonal decomposition of a dense complex matrix.
-
-    Returns (omegas, right, left, cond_r) with columns of ``right``
-    normalized and phase-fixed, rows of ``left`` from the refined
-    inverse.  Raises DecompositionError when the right basis is
-    numerically singular; the second-moment (Lyapunov) path does not
-    need the eigenbasis and is the fallback in that case.
-    """
-    omegas, right = np.linalg.eig(m)
-    order = np.lexsort((omegas.imag, omegas.real))
-    omegas = omegas[order]
-    right = right[:, order]
-    right, _ = _canonical_columns(right)
-    left, cond_r = _refined_inverse(right)
-    return omegas, right, left, cond_r
-
-
-def _canonical_columns(vecs: np.ndarray):
-    """Unit-normalize columns and rotate the largest entry real positive."""
-    norms = np.linalg.norm(vecs, axis=0)
-    vecs = vecs / norms
-    idx = np.argmax(np.abs(vecs), axis=0)
-    pivots = vecs[idx, np.arange(vecs.shape[1])]
-    phases = pivots / np.abs(pivots)
-    return vecs / phases, norms
-
-
 def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     """Column factors giving unit photon + quadrature-weighted matter norm.
 
@@ -183,21 +144,6 @@ def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     photon = np.abs(vecs[0, :]) ** 2 + np.abs(vecs[1, :]) ** 2
     atom = np.linalg.norm(vecs[2:, :], axis=0) ** 2
     return 1.0 / np.sqrt(photon + dx * atom)
-
-
-def _refined_inverse(right: np.ndarray):
-    """(left, cond_r): the inverse of a right basis that is not singular."""
-    cond_r = float(np.linalg.cond(right))
-    if not np.isfinite(cond_r) or cond_r > COND_LIMIT:
-        raise DecompositionError(
-            f"right eigenvector basis is numerically singular "
-            f"(cond = {cond_r:.3e} > {COND_LIMIT:.1e}); "
-            "use the Lyapunov second-moment oracle instead"
-        )
-    # one Newton step on the inverse knocks the biorthogonality defect
-    # down to the product-evaluation noise floor
-    left = np.linalg.inv(right)
-    return left + (np.eye(right.shape[0]) - left @ right) @ left, cond_r
 
 
 def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
@@ -702,16 +648,6 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     )
 
 
-def reconstruction_defect(dec: ModeDecomposition, m: np.ndarray) -> float:
-    """Relative norm of M - R B L, with B the (quasi-)diagonal block."""
-    block = np.diag(dec.omegas.astype(complex))
-    if dec.chain:
-        g1, g2 = dec.goldstone
-        block[g1, g2] = dec.chain_coupling
-    rebuilt = dec.right @ block @ dec.left
-    return float(np.linalg.norm(rebuilt - m) / np.linalg.norm(m))
-
-
 def classify_stability(
     dec: ModeDecomposition,
     *,
@@ -741,41 +677,9 @@ def classify_stability(
     return StabilityReport("marginal", max_growth)
 
 
-def petermann_factor(
-    dec: ModeDecomposition,
-    k: int,
-    *,
-    on_degenerate: str = "cluster_cond",
-):
-    """Excess-noise factor K_k = |l|^2 |r|^2 under (l, r) = 1.
-
-    Equals 1 exactly for normal matrices and exceeds 1 when the
-    eigenbasis is skewed.  For a mode inside a degenerate cluster the
-    per-mode factor is ill defined; depending on ``on_degenerate`` this
-    returns the condition number of the cluster's right-vector block
-    ("cluster_cond"), raises ("raise"), or computes the raw product
-    anyway ("raw").
-    """
-    omegas = dec.omegas
-    scale = float(np.abs(omegas).max())
-    cluster = np.nonzero(np.abs(omegas - omegas[k]) <= CLUSTER_RTOL * max(scale, 1.0))[0]
-    if cluster.size > 1 and on_degenerate != "raw":
-        cond = float(np.linalg.cond(dec.right[:, cluster]))
-        if on_degenerate == "raise":
-            raise DegenerateClusterError(
-                f"mode {k} sits in a degenerate cluster of size {cluster.size} "
-                f"(basis condition number {cond:.3e})",
-                cluster=tuple(int(i) for i in cluster),
-                condition_number=cond,
-            )
-        return cond
-    return float(
-        (np.linalg.norm(dec.left[k]) * np.linalg.norm(dec.right[:, k])) ** 2
-    )
-
-
 def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
-    """Raw K_k for every mode (no degeneracy handling), for sweep tables."""
+    """Excess-noise factor K_k = |l_k|^2 |r_k|^2 under l_k . r_k = 1 for every
+    mode: 1 for a normal mode, above 1 where the eigenbasis is skewed."""
     return (
         np.linalg.norm(dec.left, axis=1) * np.linalg.norm(dec.right, axis=0)
     ) ** 2

@@ -96,6 +96,8 @@ def test_config_rejects_bad_physics(tmp_path):
         {"out": None},
         {"out": 123},
         {"out": ""},
+        {"tol_nosie": 1e-14},
+        {"sweep": {"parameter": "u0", "from": -0.1, "to": -0.5, "points": 2, "scael": "log"}},
     ],
 )
 def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, override):
@@ -103,6 +105,21 @@ def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, overri
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["groundstate", "--config", path]) == 2
+
+
+def test_config_error_names_the_unknown_key(tmp_path):
+    with pytest.raises(ConfigError, match="tol_nosie"):
+        load_config(write_config(tmp_path, tol_nosie=1e-14))
+    sweep = {"parameter": "u0", "from": 0.0, "to": -1.0, "points": 2, "scael": "log"}
+    with pytest.raises(ConfigError, match="scael"):
+        load_config(write_config(tmp_path, sweep=sweep))
+
+
+def test_shipped_configs_load():
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("times", ["nan", "1,inf"])
@@ -278,6 +295,17 @@ def test_depletion_finite_times_and_oracle(tmp_path):
     oracle = [r[table.columns.index("oracle")] for r in table.rows]
     assert dep[0] == 0.0
     assert oracle[1] == pytest.approx(dep[1], rel=1e-3)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_depletion_oracle_above_its_grid_cap_exits_2_before_any_point(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(bec_cavity.cli, "solve_depletion_point", None)  # no point may run
+    cfg = write_config(tmp_path, grid_points=64, **({} if flag else {"oracle": True}))
+    out = tmp_path / "dep.csv"
+    argv = ["depletion", "--config", cfg, "--out", str(out)] + (["--oracle"] if flag else [])
+    assert main(argv) == 2
+    assert "at most 32 grid points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_depletion_failing_point_is_recorded_and_the_sweep_continues(tmp_path, monkeypatch):

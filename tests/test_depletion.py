@@ -13,12 +13,13 @@ from bec_cavity import (
     depletion_at_times,
     finite_time_kernel,
     lyapunov_oracle,
+    make_grid,
     mode_projector,
     relaxation_time,
     solve_depletion_point,
     steady_state_depletion,
 )
-from bec_cavity.depletion import _noise_matrix
+from bec_cavity.depletion import ORACLE_MAX_GRID, _noise_matrix
 from bec_cavity.fluctuation import FluctuationMatrix
 from conftest import run_pipeline
 
@@ -109,16 +110,15 @@ def test_depletion_is_real_and_nonnegative(pipeline):
     assert result.values[0] < result.values[1]
 
 
-def test_goldstone_pairs_are_logged_not_silent(pipeline):
+def test_goldstone_pairs_are_left_out_of_both_sums(pipeline):
     _, grid, state, _, dec = pipeline(u0=-0.5, ng=16)
-    stability = classify_stability(dec)
-    steady = steady_state_depletion(dec, grid, stability, heating=state.heating)
-    reasons = {r for (_, _, r) in steady.skipped_pairs}
-    assert "goldstone-cluster" in reasons
-    goldstone_rows = [
-        (k, l) for (k, l, r) in steady.skipped_pairs if r == "goldstone-cluster"
-    ]
-    assert all(k in dec.goldstone or l in dec.goldstone for k, l in goldstone_rows)
+    # the chain's left rows carry photon weight, so its pairs would count
+    assert np.abs(dec.left[list(dec.goldstone), :2]).max() > 0.0
+    times = [1.0, 100.0]
+    result = depletion_at_times(dec, grid, times)
+    assert depletion_at_times(dec, grid, times, exclude_modes=dec.goldstone).values == result.values
+    steady = steady_state_depletion(dec, grid, classify_stability(dec), heating=state.heating)
+    assert not set(dec.goldstone) & set(steady.excluded_modes)
 
 
 def test_symmetry_paired_terms_dominate(pipeline):
@@ -127,9 +127,6 @@ def test_symmetry_paired_terms_dominate(pipeline):
     steady = steady_state_depletion(dec, grid, stability, heating=state.heating)
     assert steady.dominated_fraction is not None
     assert steady.dominated_fraction > 0.5  # measured: ~1.0 on the plateau
-    assert steady.pair_contributions
-    top_k, top_l, top_val = steady.pair_contributions[0]
-    assert dec.pairing[top_k] == top_l
 
 
 def test_order_of_limits(pipeline):
@@ -204,7 +201,6 @@ def test_diverged_marker_for_resonant_pair():
     )
     assert steady.diverged
     assert steady.value is None
-    assert any("non-negligible noise" in r for (_, _, r) in steady.skipped_pairs)
 
 
 def test_small_denominator_with_negligible_noise_is_skipped():
@@ -218,10 +214,11 @@ def test_small_denominator_with_negligible_noise_is_skipped():
         dec, None, StabilityReport("stable", -1e-3), heating=False
     )
     assert not steady.diverged
-    assert any("negligible noise" in r for (_, _, r) in steady.skipped_pairs)
+    assert steady.value == 0.0
+    assert {0, 1} <= set(steady.excluded_modes)
 
 
-def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10, top=20):
+def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10):
     """The steady double sum evaluated on every one of the dim^2 pairs."""
     dim = dec.omegas.size
     n = dec.n_grid
@@ -242,46 +239,60 @@ def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10, top=20):
         contrib[k, l] = 2.0 * dec.kappa * weight[k, l] / (1j * zsum[k, l])
     value = contrib.sum().real
     paired = sum(contrib[k, dec.pairing[k]] for k in range(dim) if keep[k, dec.pairing[k]])
-    flat = np.abs(contrib).ravel()
-    order = [i for i in np.argsort(-flat, kind="stable") if flat[i] > 0.0][:top]
-    pairs = [(int(i // dim), int(i % dim), contrib.flat[i]) for i in order]
-    return value, paired.real / value, excluded, pairs
+    return value, paired.real / value, excluded
 
 
+# (-1000, -0.14) and (-100, -0.05) put even modes into the excluded set,
+# their photon weight near tol_noise
 @pytest.mark.parametrize("ng", [16, 64, 200])
-@pytest.mark.parametrize("delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05)])
+@pytest.mark.parametrize(
+    "delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05), (-1000.0, -0.14), (-100.0, -0.05)]
+)
 def test_steady_sum_matches_full_pair_reference(ng, delta_c, u0):
     _, grid, _, _, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
     steady = steady_state_depletion(dec, grid, classify_stability(dec))
-    value, dominated, excluded, pairs = _steady_reference(dec)
+    value, dominated, excluded = _steady_reference(dec)
     assert steady.value == pytest.approx(value, rel=1e-12)
     assert steady.dominated_fraction == pytest.approx(dominated, rel=1e-12)
     assert steady.excluded_modes == excluded
-    assert [(k, l) for k, l, _ in steady.pair_contributions] == [(k, l) for k, l, _ in pairs]
-    got = np.array([c for *_, c in steady.pair_contributions])
-    assert np.abs(got - np.array([c for *_, c in pairs])).max() <= 1e-12 * np.abs(got).max()
 
 
-def test_top_pairs_keep_the_pair_order_through_a_tie_at_the_cut():
-    # every mode carries photon weight and the same matter profile, so a
-    # term's size is set by its damping alone: three fast modes give 9
-    # equal leading terms, and the next 2 * 3 * 15 equal terms straddle the
-    # TOP_PAIRS = 20 cut
-    dec = _toy_decomposition([-0.5j] * 3 + [-1.0j] * 15)
+def _finite_reference(dec, times, exclude_modes=()):
+    """The finite-time double sum evaluated on every one of the dim^2 pairs."""
     n = dec.n_grid
-    dec.left[:, :2] = 1.0
-    dec.right[2:] = 1.0 / np.sqrt(n)
-    stability = StabilityReport("stable", -0.5)
-    steady = steady_state_depletion(dec, None, stability)
-    value, dominated, excluded, pairs = _steady_reference(dec, top=21)
-    magnitudes = [abs(c) for *_, c in pairs]
-    assert magnitudes[8] > magnitudes[9] == magnitudes[19] == magnitudes[20]
-    pairs = pairs[:20]
-    assert steady.value == pytest.approx(value, rel=1e-12)
-    assert steady.dominated_fraction == pytest.approx(dominated, rel=1e-12)
-    assert steady.excluded_modes == excluded == ()
-    assert [(k, l) for k, l, _ in steady.pair_contributions] == [(k, l) for k, l, _ in pairs]
-    assert [c for *_, c in steady.pair_contributions] == [c for *_, c in pairs]
+    overlap = dec.dx * (dec.right[2 + n :].T @ dec.right[2 : 2 + n])
+    weight = np.outer(dec.left[:, 0], dec.left[:, 1]) * overlap
+    dropped = list(dec.goldstone) + list(exclude_modes)
+    weight[dropped, :] = 0.0
+    weight[:, dropped] = 0.0
+    zsum = dec.omegas[:, None] + dec.omegas[None, :]
+    return [2.0 * dec.kappa * (weight * finite_time_kernel(zsum, t)).sum().real for t in times]
+
+
+@pytest.mark.parametrize("ng", [16, 200])
+@pytest.mark.parametrize("delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05), (-1000.0, -0.14)])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_finite_sum_matches_full_pair_reference(ng, delta_c, u0, exclude):
+    _, grid, _, _, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
+    excluded = steady_state_depletion(dec, grid, classify_stability(dec)).excluded_modes
+    exclude_modes = excluded if exclude else ()
+    times = [0.5, 10.0, 1e3, 1e5, 1e8]
+    result = depletion_at_times(dec, grid, times, exclude_modes=exclude_modes)
+    reference = _finite_reference(dec, times, exclude_modes)
+    for value, expected in zip(result.values, reference):
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_overflowing_times_are_nan_and_the_earlier_times_stay():
+    # a growing mode beyond the critical depth: exp(-i z t) overflows by t = 1e4
+    params, grid, _, _, dec = run_pipeline(u0=-1.2, ng=16)
+    result = depletion_at_times(dec, grid, [1.0, 100.0, 1e4])
+    assert math.isfinite(result.values[0]) and math.isfinite(result.values[1])
+    assert math.isnan(result.values[2])
+    rows = solve_depletion_point(params, grid, -1000.0, -1.2, times=[1.0, 100.0, 1e4])
+    assert [r.status for r in rows] == ["ok", "ok", "diverged"]
+    assert [r.depletion for r in rows[:2]] == result.values[:2]
+    assert rows[2].depletion is None and rows[2].stability == "unstable"
 
 
 def test_relaxation_time_infinite_without_coupling(pipeline):
@@ -349,3 +360,13 @@ def test_depletion_sweep_finite_times(pipeline):
     assert [r.time for r in rows] == [0.0, 1.0]
     assert rows[0].depletion == 0.0
     assert rows[1].depletion > 0.0
+
+
+def test_depletion_point_refuses_the_oracle_above_its_grid_cap():
+    params, *_ = run_pipeline(u0=-0.5, ng=16)
+    grid = make_grid(64)
+    assert ORACLE_MAX_GRID < 64
+    with pytest.raises(ValueError, match=str(ORACLE_MAX_GRID)):
+        solve_depletion_point(params, grid, -1000.0, -0.5, oracle=True)
+    with pytest.raises(ValueError, match=str(ORACLE_MAX_GRID)):
+        solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0], oracle=True)
