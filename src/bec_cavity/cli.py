@@ -145,8 +145,8 @@ def _spectrum_rows(u0: float, params: SystemParams, grid, options: dict, nonneg_
     if point.error is not None:
         return [(u0, -1, None, None, None, None, None, error_status(point.error))]
     dec = point.dec
-    abs_l1 = np.abs(dec.left[:, 0])
-    abs_l2 = np.abs(dec.left[:, 1])
+    abs_l1 = np.abs(dec.photon[:, 0])
+    abs_l2 = np.abs(dec.photon[:, 1])
     petermann = petermann_raw(dec)
     shown = [k for k, w in enumerate(dec.omegas) if not (nonneg_re_only and w.real < 0.0)]
     return [
@@ -284,7 +284,8 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
         if cfg.subtract_mu:
             if len(dec.goldstone) == 2:
                 photon = min(
-                    float(np.abs(dec.right[:2, k]).max()) for k in dec.goldstone
+                    float(np.abs(dec.even_right[:2, c]).max())
+                    for c in dec.even_columns(dec.goldstone)
                 )
                 freq = max(float(abs(dec.omegas[k])) for k in dec.goldstone)
                 record(

@@ -7,11 +7,14 @@ Two independent routes to the same number:
       dN(t) = 2 kappa  sum_{k,l} f(w_k + w_l, t) l1_k l2_l O_kl,
 
   with f(z, t) = (1 - exp(-i z t)) / (i z), the photon components
-  l1_k = left[k, 0], l2_l = left[l, 1] of the left vectors, and the
-  unconjugated overlap O_kl = dx * sum_j r4_k(x_j) r3_l(x_j); the
-  steady state drops the exponential.  The odd modes of the reflection
-  x -> pi - x have l1 = l2 = 0 exactly, so the sum runs over the pairs
-  of photon-weighted (even) modes alone, about a quarter of the dim^2;
+  l1_k = left[k, 0], l2_l = left[l, 1] of the left vectors (the mode
+  record's ``photon``), and the unconjugated overlap
+  O_kl = dx * sum_j r4_k(x_j) r3_l(x_j); the steady state drops the
+  exponential.  The odd modes of the reflection x -> pi - x have
+  l1 = l2 = 0 exactly, so the sum runs over the pairs of photon-weighted
+  (even) modes alone, about a quarter of the dim^2.  It reads those
+  modes in the even sector's orthonormal basis, where O_kl is the same
+  sum over the n/2 + 1 points j = 0 .. n/2;
 
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
@@ -67,7 +70,8 @@ class DepletionResult:
     """Depletion values at the requested times.
 
     times may contain math.inf for the steady-state entry.  A value is
-    nan where the mode sum overflows: a growing mode at a long time.
+    nan where the mode sum, or the oracle's propagated moments, overflow:
+    a growing mode at a long time.
     """
 
     times: list[float]
@@ -111,23 +115,25 @@ def finite_time_kernel(z, t: float):
 
 
 def _pair_data(dec: ModeDecomposition):
-    """(modes, photon, weight, zsum) on the modes that carry photon weight.
+    """(modes, weight, zsum) on the modes that carry photon weight.
 
     Odd modes have l1 = l2 = 0 exactly, so only pairs of the returned
-    modes can have a nonzero weight l1_k l2_l O_kl; photon = l1_k l2_l,
-    weight and zsum are indexed by positions in ``modes``.
+    (even) modes can have a nonzero weight l1_k l2_l O_kl; weight and zsum
+    are indexed by positions in ``modes``.  The fold onto the even sector
+    is orthonormal, so O_kl is the sum over its points j = 0 .. n/2.
     """
-    n = dec.n_grid
-    l1 = dec.left[:, 0]
-    l2 = dec.left[:, 1]
+    l1 = dec.photon[:, 0]
+    l2 = dec.photon[:, 1]
     modes = np.flatnonzero((l1 != 0) | (l2 != 0))
-    r3 = dec.right[2 : 2 + n, modes]
-    r4 = dec.right[2 + n :, modes]
-    overlap = dec.dx * (r4.T @ r3)  # no conjugation anywhere in O_kl
-    photon = np.outer(l1[modes], l2[modes])
-    weight = photon * overlap
-    zsum = dec.omegas[modes, None] + dec.omegas[None, modes]
-    return modes, photon, weight, zsum
+    cols = dec.even_columns(modes)
+    points = dec.n_grid // 2 + 1
+    r3 = dec.even_right[2 : 2 + points, cols]
+    r4 = dec.even_right[2 + points :, cols]
+    weight = dec.dx * (r4.T @ r3)  # O_kl: no conjugation anywhere
+    weight *= l1[modes, None]
+    weight *= l2[modes]
+    zsum = dec.omegas[modes, None] + dec.omegas[modes]
+    return modes, weight, zsum
 
 
 def _to_real(value: complex, floor: float = 1e-10) -> float:
@@ -162,9 +168,8 @@ def depletion_at_times(
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    modes, _, weight, zsum = _pair_data(dec)
-    keep = _kept_pairs(modes, dec.goldstone + tuple(exclude_modes))
-    weight = np.where(keep, weight, 0.0)
+    modes, weight, zsum = _pair_data(dec)
+    weight[~_kept_pairs(modes, dec.goldstone + tuple(exclude_modes))] = 0.0
     # the kernel depends on w_k + w_l alone: one evaluation per unordered pair
     diagonal = np.diag(weight).copy()
     weight = weight + weight.T
@@ -216,31 +221,36 @@ def steady_state_depletion(
             f"steady-state depletion requires a stable spectrum, got "
             f"'{stability.label}' (max growth rate {stability.max_growth_rate:.3e})"
         )
-    modes, photon, weight, zsum = _pair_data(dec)
+    modes, weight, zsum = _pair_data(dec)
+    abs_l1 = np.abs(dec.photon[:, 0])
+    abs_l2 = np.abs(dec.photon[:, 1])
     keep = _kept_pairs(modes, dec.goldstone)
     absz = np.abs(zsum)
-    noise = np.abs(photon)
-    if ((absz < Z_FLOOR) & (noise >= tol_noise) & keep).any():
+    noisy = np.outer(abs_l1[modes], abs_l2[modes]) >= tol_noise
+    if ((absz < Z_FLOOR) & noisy & keep).any():
         return SteadyDepletion(value=None, diverged=True, dominated_fraction=None)
-    keep &= ~((absz < tol_pair) & (noise < tol_noise))
+    keep &= (absz >= tol_pair) | noisy
+    del absz, noisy
 
     own_z = np.abs(dec.omegas + dec.omegas[dec.pairing])
-    own_noise = np.abs(dec.left[:, 0] * dec.left[dec.pairing, 1])
+    own_noise = abs_l1 * abs_l2[dec.pairing]
     own_pair = (own_z < tol_pair) & (own_noise < tol_noise)
     own_pair[list(dec.goldstone)] = False
     excluded = tuple(int(k) for k in np.flatnonzero(own_pair))
 
-    contrib = np.zeros_like(weight)
-    contrib[keep] = 2.0 * dec.kappa * weight[keep] / (1j * zsum[keep])
+    # each kept pair's term 2 kappa weight / (i zsum), in place of its weight
+    contrib = np.divide(weight, zsum, out=weight, where=keep)
+    contrib[~keep] = 0.0
+    contrib *= -2j * dec.kappa
     value = _to_real(contrib.sum())
 
     position = np.full(dec.omegas.size, -1)
     position[modes] = np.arange(modes.size)
     partner = position[dec.pairing[modes]]
     rows = np.flatnonzero(partner >= 0)
-    paired = np.zeros_like(keep)
-    paired[rows, partner[rows]] = True
-    paired_sum = contrib[paired & keep].sum().real
+    cols = partner[rows]
+    paired = keep[rows, cols]
+    paired_sum = contrib[rows[paired], cols[paired]].sum().real
     dominated = paired_sum / value if value != 0.0 else None
     return SteadyDepletion(
         value=value, diverged=False, dominated_fraction=dominated, excluded_modes=excluded
@@ -253,7 +263,7 @@ def relaxation_time(dec: ModeDecomposition, *, tol_noise: float = 1e-10) -> floa
     Infinity when no damped noise-coupled mode exists (decoupled cavity).
     """
     idx = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
-    coupled = idx[np.abs(dec.left[idx, 0] * dec.left[idx, 1]) > tol_noise]
+    coupled = idx[np.abs(dec.photon[idx, 0] * dec.photon[idx, 1]) > tol_noise]
     if coupled.size == 0:
         return math.inf
     max_im = float(dec.omegas[coupled].imag.max())
@@ -336,8 +346,8 @@ def mode_projector(dec: ModeDecomposition, modes) -> np.ndarray:
 
 
 def _moment_to_depletion(s_mat: np.ndarray, n: int, dx: float) -> float:
-    total = dx * np.trace(s_mat[2 + n :, 2 : 2 + n])
-    return _to_real(complex(total))
+    total = complex(dx * np.trace(s_mat[2 + n :, 2 : 2 + n]))
+    return _to_real(total) if np.isfinite(total) else math.nan
 
 
 def _gershgorin_bound(m: np.ndarray) -> float:
@@ -400,12 +410,15 @@ def lyapunov_oracle(
             continue
         n_steps = max(1, math.ceil(t / h_max))
         h = t / n_steps
-        s_mat = _rk4_fixed_steps(l_super, rhs, h, n_steps).reshape(dim, dim)
-        if proj is not None:
-            # noise deflation is exact only to the projector's own defect;
-            # projecting the moments removes the amplified leftover exactly
-            s_mat = proj @ s_mat @ proj.T
-        values.append(_moment_to_depletion(s_mat, n, fm.dx))
+        # a growing mode overflows the repeated squaring at long times; that
+        # time's value is then nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_mat = _rk4_fixed_steps(l_super, rhs, h, n_steps).reshape(dim, dim)
+            if proj is not None:
+                # noise deflation is exact only to the projector's own defect;
+                # projecting the moments removes the amplified leftover exactly
+                s_mat = proj @ s_mat @ proj.T
+            values.append(_moment_to_depletion(s_mat, n, fm.dx))
     return DepletionResult(times=times, values=values)
 
 
@@ -467,10 +480,10 @@ class PointAnalysis:
     """The layer chain at one parameter point.
 
     Stages fill in order; error holds the exception that stopped the
-    chain, and every stage after it stays None.  One record holds M and
-    both dense mode bases (about 8 MB at n = 200), so sweeps reduce it to
-    rows where it is made; the depletion sums read only the bases'
-    photon-weighted columns.
+    chain, and every stage after it stays None.  One record holds M
+    (2.6 MB at n = 200) and the modes in sector form (1.4 MB), so sweeps
+    reduce it to rows where it is made; the depletion sums read only the
+    even sector's photon-weighted columns.
     """
 
     state: MeanFieldState | None = None
@@ -543,8 +556,9 @@ def solve_depletion_point(
     Divergences, refusals and any exception raised on the way land in
     the status field, never in the numeric columns: a time whose mode
     sum overflows is "diverged", and the point's other times keep their
-    values.  Raises ValueError up front when the oracle is requested
-    above ORACLE_MAX_GRID grid points.
+    values; an oracle value that overflows is left blank.  Raises
+    ValueError up front when the oracle is requested above
+    ORACLE_MAX_GRID grid points.
     """
     if oracle and grid.n > ORACLE_MAX_GRID:
         raise ValueError(
@@ -574,7 +588,7 @@ def solve_depletion_point(
             if oracle:
                 oracle_result = lyapunov_oracle(fm, grid, times)
                 for row, value in zip(rows, oracle_result.values):
-                    row.oracle = value
+                    row.oracle = value if math.isfinite(value) else None
             return rows
 
         heating = chain.state.heating

@@ -39,10 +39,13 @@ the result (distinct roots, an exact mirror pairing, the trace identity
 sum w = tr M_even, biorthogonality, a condition bound) and raises
 DecompositionError when a certificate fails.
 
-Rows of ``left`` satisfy left @ right = I, so row k conjugated is the
-left eigenvector in the conjugate-linear scalar product convention; the
-noise weights used by the depletion sums are exactly left[k, 0] and
-left[k, 1].
+``decompose`` keeps the modes in this sector form: the even sector's
+right and left vectors in its orthonormal basis, the odd block's
+eigenvectors, and a slot map to the global (Re, Im) order.  The grid
+layout, left @ right = I with row k conjugated the left eigenvector in the
+conjugate-linear scalar product convention, is assembled only on request.
+The noise weights used by the depletion sums are exactly the photon
+entries left[k, 0] and left[k, 1], stored per mode.
 
 Phase symmetry of the condensate makes the even sector defective: with
 the chemical potential subtracted the vector (0, 0, phi, -phi) is an
@@ -93,34 +96,52 @@ class StabilityReport:
 
 @dataclass
 class ModeDecomposition:
-    """Eigenvalues with paired left/right vectors, biorthonormalized.
+    """Eigenvalues with paired left/right vectors, in sector form.
 
-    omegas    -- complex mode frequencies, sorted by (Re, Im); the
-                 Goldstone entries are exact zeros
-    right     -- columns are right vectors (unit photon plus
-                 quadrature-weighted matter norm, largest entry real
-                 positive); the Goldstone columns are the analytic basis
-    left      -- rows, with left @ right = I
-    cond_r    -- ||R||_F ||L||_F of the even right basis with unit columns,
-                 an upper bound on its 2-norm condition number:
-                 sqrt((n + 4) * sum of the even Petermann factors)
-    pairing   -- involution k -> k' with omega_k' = -conj(omega_k)
-                 exactly (Goldstone modes pair with themselves)
-    goldstone -- indices of the condensate phase/number pair
-    chain     -- True when the pair is a Jordan chain
-                 (M r2 = c r1, M r1 = 0) rather than two eigenvectors;
-                 the coupling c is stored in chain_coupling
+    Each parity sector keeps its modes in its own orthonormal basis; the
+    dense grid-layout bases ``right`` and ``left`` are assembled only on
+    request.  Global mode indices follow omegas.
+
+    omegas      -- complex mode frequencies, sorted by (Re, Im); the
+                   Goldstone entries are exact zeros
+    even_right  -- (n + 4)-square: columns are the even right vectors in
+                   the even sector basis (photon rows 0 and 1, then the
+                   points j = 0 .. n/2 of the field block and of the
+                   conjugate block), with unit photon plus
+                   quadrature-weighted matter norm and the largest entry
+                   real positive; the Goldstone columns are the analytic
+                   basis
+    even_left   -- rows, with even_left @ even_right = I
+    odd_vectors -- orthonormal eigenvectors v of the real odd block on the
+                   points j = 1 .. n/2 - 1; each gives the normal,
+                   noiseless modes (v, 0) at +e and (0, v) at -e
+    slots       -- global mode index of each sector column: the n + 4 even
+                   columns, the odd modes at +e, then those at -e
+    photon      -- (dim, 2) photon components l1 = left[k, 0] and
+                   l2 = left[k, 1] of every mode; zero on the odd modes
+    cond_r      -- ||R||_F ||L||_F of the even right basis with unit columns,
+                   an upper bound on its 2-norm condition number:
+                   sqrt((n + 4) * sum of the even Petermann factors)
+    pairing     -- involution k -> k' with omega_k' = -conj(omega_k)
+                   exactly (Goldstone modes pair with themselves)
+    goldstone   -- indices of the condensate phase/number pair
+    chain       -- True when the pair is a Jordan chain
+                   (M r2 = c r1, M r1 = 0) rather than two eigenvectors;
+                   the coupling c is stored in chain_coupling
     eigen_residual -- max|M r - omega r| over the modes, each parity
-                 sector in its orthonormal basis (the chain column
-                 against its chain relation); the odd sector's is
-                 bounded by the residual of its real block plus the
-                 measured departure of M from diag(h, -h)
+                   sector in its orthonormal basis (the chain column
+                   against its chain relation); the odd sector's is
+                   bounded by the residual of its real block plus the
+                   measured departure of M from diag(h, -h)
     biorth_defect  -- max|L R - I|, sector by sector
     """
 
     omegas: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    even_right: np.ndarray
+    even_left: np.ndarray
+    odd_vectors: np.ndarray
+    slots: np.ndarray
+    photon: np.ndarray
     cond_r: float
     pairing: np.ndarray
     pairing_error: float
@@ -132,6 +153,23 @@ class ModeDecomposition:
     n_grid: int
     dx: float
     kappa: float
+
+    @property
+    def right(self) -> np.ndarray:
+        """Right vectors as the columns of a dense dim-square array in the
+        layout of M, assembled afresh on every access."""
+        return _grid_basis(self, left=False)
+
+    @property
+    def left(self) -> np.ndarray:
+        """Left vectors as rows, left @ right = I; assembled like right."""
+        return _grid_basis(self, left=True)
+
+    def even_columns(self, modes) -> np.ndarray:
+        """Columns of even_right (rows of even_left) of the given even modes."""
+        column = np.empty_like(self.slots)  # the inverse of the slot map
+        column[self.slots] = np.arange(self.slots.size)
+        return column[np.asarray(modes, dtype=int)]
 
 
 def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
@@ -213,6 +251,26 @@ def _sector_pairs(n: int):
     q_odd = np.concatenate([2 + mj[1:-1], 2 + n + mj[1:-1]])
     s_even = np.where(p_even == q_even, 0.5, np.sqrt(0.5))
     return p_even, q_even, s_even, p_odd, q_odd
+
+
+def _fold(m: np.ndarray, rows, cols) -> np.ndarray:
+    """The block S_r^T M S_c between two parity sectors, by direct gathers.
+
+    A sector is (p, q, s, op): its column c is s_c (e_p op e_q), op being
+    np.add for the even sector and np.subtract for the odd one.  Only
+    blocks of the two sectors' sizes are ever formed.
+    """
+    p_r, q_r, s_r, op_r = rows
+    p_c, q_c, s_c, op_c = cols
+    out = m[np.ix_(p_r, p_c)]
+    op_c(out, m[np.ix_(p_r, q_c)], out=out)
+    out *= s_c
+    lower = m[np.ix_(q_r, p_c)]
+    op_c(lower, m[np.ix_(q_r, q_c)], out=lower)
+    lower *= s_c
+    op_r(out, lower, out=out)
+    out *= np.reshape(s_r, (-1, 1))
+    return out
 
 
 def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
@@ -555,16 +613,15 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     half = n // 2
     k = half - 1  # odd points per matter block; the even sector has half + 1
     p_e, q_e, s_e, p_o, q_o = _sector_pairs(n)
-    s_o = np.sqrt(0.5)
-    m_e_cols = s_e * (m[:, p_e] + m[:, q_e])  # M E
-    m_o_cols = s_o * (m[:, p_o] - m[:, q_o])  # M O
-    m_even = s_e[:, None] * (m_e_cols[p_e] + m_e_cols[q_e])
-    m_odd = s_o * (m_o_cols[p_o] - m_o_cols[q_o])
+    even_sector = (p_e, q_e, s_e, np.add)
+    odd_sector = (p_o, q_o, np.sqrt(0.5), np.subtract)
+    m_even = _fold(m, even_sector, even_sector)
+    m_odd = _fold(m, odd_sector, odd_sector)
     h_odd = 0.5 * (m_odd[:k, :k] + m_odd[:k, :k].T).real
     scale = np.abs(m).max()
     leftover = max(
-        np.abs(m_e_cols[p_o] - m_e_cols[q_o]).max() * s_o,  # O^T M E
-        np.abs(s_e[:, None] * (m_o_cols[p_e] + m_o_cols[q_e])).max(),  # E^T M O
+        np.abs(_fold(m, odd_sector, even_sector)).max(),  # O^T M E
+        np.abs(_fold(m, even_sector, odd_sector)).max(),  # E^T M O
         np.abs(m_odd[:k, :k] - h_odd).max(),
         np.abs(m_odd[k:, k:] + h_odd).max(),
         np.abs(m_odd[:k, k:]).max(),
@@ -572,44 +629,24 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     ) / scale
     if leftover > PARITY_TOL:
         raise DecompositionError(f"M breaks reflection parity ({leftover:.2e} max|M|)")
-    del m_e_cols, m_o_cols, m_odd
+    del m_odd
 
     j, mj = mirror_points(n)
     phi_even = s_e[2 : 3 + half] * (fm.phi[j] + fm.phi[mj])
     even = _even_modes(m_even, phi_even, fm.dx, scale)
     del m_even
     energies, vecs = np.linalg.eigh(h_odd)
-    f_odd = 1.0 / np.sqrt(fm.dx * (vecs**2).sum(axis=0))  # no photon rows
-    w_odd = vecs * f_odd  # the odd right vectors in the sector basis
+    w_odd = vecs * _odd_norm_factors(vecs, fm.dx)  # the odd right vectors
 
     omegas = np.concatenate([even.omegas, energies, -energies])
     order = np.lexsort((omegas.imag, omegas.real))
     omegas = omegas[order]
-    slot = np.empty(dim, dtype=int)
-    slot[order] = np.arange(dim)
-    even_slots, plus_slots, minus_slots = slot[: n + 4], slot[n + 4 : n + 4 + k], slot[n + 4 + k :]
-
-    # scatter E right_even and left_even E^T: both points of a mirror pair
-    # get s times the sector entry, a fixed point (p = q) gets it whole;
-    # (v, 0) at +e and (0, v) at -e are odd, each its own left vector
-    weight = np.where(p_e == q_e, 1.0, s_e)
-    pairs = np.flatnonzero(p_e != q_e)
-    even.right *= weight[:, None]
-    even.left *= weight
-    right_odd = s_o * w_odd
-    left_odd = (s_o * vecs / f_odd).T
-    right = np.zeros((dim, dim), dtype=complex)
-    left = np.zeros_like(right)
-    right[np.ix_(p_e, even_slots)] = even.right
-    right[np.ix_(q_e[pairs], even_slots)] = even.right[pairs]
-    left[np.ix_(even_slots, p_e)] = even.left
-    left[np.ix_(even_slots, q_e[pairs])] = even.left[:, pairs]
-    for block, slots in ((slice(None, k), plus_slots), (slice(k, None), minus_slots)):
-        right[np.ix_(p_o[block], slots)] = right_odd
-        right[np.ix_(q_o[block], slots)] = -right_odd
-        left[np.ix_(slots, p_o[block])] = left_odd
-        left[np.ix_(slots, q_o[block])] = -left_odd
+    slots = np.empty(dim, dtype=int)
+    slots[order] = np.arange(dim)
+    even_slots, plus_slots, minus_slots = _split_slots(slots, n)
     goldstone = tuple(int(even_slots[c]) for c in even.goldstone)
+    photon = np.zeros((dim, 2), dtype=complex)  # odd modes: l1 = l2 = 0 exactly
+    photon[even_slots] = even.left[:, :2]
 
     # pairs never straddle the sectors; odd pairs are +e and -e exactly
     pairing = np.empty(dim, dtype=int)
@@ -632,8 +669,11 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 
     return ModeDecomposition(
         omegas=omegas,
-        right=right,
-        left=left,
+        even_right=even.right,
+        even_left=even.left,
+        odd_vectors=vecs,
+        slots=slots,
+        photon=photon,
         cond_r=even.cond_r,
         pairing=pairing,
         pairing_error=pairing_error,
@@ -646,6 +686,51 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         dx=fm.dx,
         kappa=fm.kappa,
     )
+
+
+def _split_slots(slots: np.ndarray, n: int):
+    """Global indices of the even modes, the odd modes at +e and at -e."""
+    k = n // 2 - 1
+    return slots[: n + 4], slots[n + 4 : n + 4 + k], slots[n + 4 + k :]
+
+
+def _odd_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
+    """Column factors giving the odd modes quadrature-weighted unit norm."""
+    return 1.0 / np.sqrt(dx * (vecs**2).sum(axis=0))  # no photon rows
+
+
+def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
+    """The right vectors (columns), or the left vectors (rows), of every
+    mode in the dim-square layout of M.
+
+    Scatters E even_right and even_left E^T: both points of a mirror pair
+    get s times the sector entry, a fixed point (p = q) gets it whole.
+    The odd modes are (v, 0) at +e and (0, v) at -e, each its own left
+    vector, with entries +-v / sqrt 2 on the two points of a mirror pair.
+    left^T has the layout of right, so both take the same scatter.
+    """
+    n = dec.n_grid
+    dim = 2 * n + 2
+    k = n // 2 - 1
+    p_e, q_e, s_e, p_o, q_o = _sector_pairs(n)
+    s_o = np.sqrt(0.5)
+    vecs = dec.odd_vectors
+    factors = _odd_norm_factors(vecs, dec.dx)
+    if left:
+        even, odd = dec.even_left.T, s_o * vecs / factors
+    else:
+        even, odd = dec.even_right, s_o * (vecs * factors)
+    even = even * np.where(p_e == q_e, 1.0, s_e)[:, None]
+    pairs = np.flatnonzero(p_e != q_e)
+    slots = dec.slots
+    even_slots, plus_slots, minus_slots = _split_slots(slots, n)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[np.ix_(p_e, even_slots)] = even
+    out[np.ix_(q_e[pairs], even_slots)] = even[pairs]
+    for block, cols in ((slice(None, k), plus_slots), (slice(k, None), minus_slots)):
+        out[np.ix_(p_o[block], cols)] = odd
+        out[np.ix_(q_o[block], cols)] = -odd
+    return out.T if left else out
 
 
 def classify_stability(
@@ -670,7 +755,7 @@ def classify_stability(
     max_growth = float(growth.max())
     if max_growth > tol_zero:
         return StabilityReport("unstable", max_growth)
-    weights = np.abs(dec.left[non_g, 0] * dec.left[non_g, 1])
+    weights = np.abs(dec.photon[non_g, 0] * dec.photon[non_g, 1])
     coupled = weights > tol_noise
     if coupled.any() and (growth[coupled] < -DAMPING_FLOOR).all():
         return StabilityReport("stable", max_growth)
@@ -679,7 +764,13 @@ def classify_stability(
 
 def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     """Excess-noise factor K_k = |l_k|^2 |r_k|^2 under l_k . r_k = 1 for every
-    mode: 1 for a normal mode, above 1 where the eigenbasis is skewed."""
-    return (
-        np.linalg.norm(dec.left, axis=1) * np.linalg.norm(dec.right, axis=0)
+    mode: 1 for a normal mode, above 1 where the eigenbasis is skewed.
+
+    The even sector's basis is orthonormal, so its factors come from the
+    sector vectors; the odd modes are normal, K = 1 exactly.
+    """
+    factors = np.ones(dec.omegas.size)
+    factors[dec.slots[: dec.even_right.shape[0]]] = (
+        np.linalg.norm(dec.even_left, axis=1) * np.linalg.norm(dec.even_right, axis=0)
     ) ** 2
+    return factors

@@ -297,6 +297,23 @@ def test_depletion_finite_times_and_oracle(tmp_path):
     assert oracle[1] == pytest.approx(dep[1], rel=1e-3)
 
 
+def test_depletion_oracle_cell_is_blank_where_the_oracle_overflows(tmp_path, capsys):
+    # a growing point: by t = 1e4 both the mode sum and the oracle overflow
+    cfg = write_config(tmp_path, u0=-1.2, grid_points=8)
+    out = tmp_path / "dep.csv"
+    argv = ["depletion", "--config", cfg, "--out", str(out), "--times", "1,10000", "--oracle"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    with open(out) as fh:
+        table = ResultTable.read_csv(fh)
+    status = [r[table.columns.index("status")] for r in table.rows]
+    oracle = [r[table.columns.index("oracle")] for r in table.rows]
+    depletion = [r[table.columns.index("depletion")] for r in table.rows]
+    assert status == ["ok", "diverged"]
+    assert oracle[0] == pytest.approx(depletion[0], rel=1e-6)
+    assert oracle[1] is None
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_depletion_oracle_above_its_grid_cap_exits_2_before_any_point(tmp_path, capsys, monkeypatch, flag):
     monkeypatch.setattr(bec_cavity.cli, "solve_depletion_point", None)  # no point may run

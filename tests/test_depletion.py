@@ -19,6 +19,7 @@ from bec_cavity import (
     solve_depletion_point,
     steady_state_depletion,
 )
+from bec_cavity import cli, spectral
 from bec_cavity.depletion import ORACLE_MAX_GRID, _noise_matrix
 from bec_cavity.fluctuation import FluctuationMatrix
 from conftest import run_pipeline
@@ -165,14 +166,24 @@ def test_refusals_for_non_stable_states(pipeline):
         )
 
 
-def _toy_decomposition(omegas, kappa=100.0):
+def _toy_decomposition(omegas, right=None, left=None, kappa=100.0):
+    """A sector-form record on the n = 2 grid, where every mode is even.
+
+    Both points of that grid are fixed points of x -> pi - x, so the even
+    sector basis is the grid basis itself: right and left (identity by
+    default) read as grid columns and rows.
+    """
     dim = len(omegas)
     n = (dim - 2) // 2
-    eye = np.eye(dim, dtype=complex)
+    right = np.eye(dim, dtype=complex) if right is None else right
+    left = np.eye(dim, dtype=complex) if left is None else left
     return ModeDecomposition(
         omegas=np.array(omegas, dtype=complex),
-        right=eye.copy(),
-        left=eye.copy(),
+        even_right=right,
+        even_left=left,
+        odd_vectors=np.zeros((0, 0)),
+        slots=np.arange(dim),
+        photon=left[:, :2].copy(),
         cond_r=1.0,
         pairing=np.arange(dim),
         pairing_error=0.0,
@@ -190,11 +201,13 @@ def _toy_decomposition(omegas, kappa=100.0):
 def test_diverged_marker_for_resonant_pair():
     # identity eigenbasis: l1 weight sits on mode 0, l2 weight on mode 1;
     # their frequencies nearly cancel below the resolution floor
-    dec = _toy_decomposition([5e-12, -4.99e-12, 1.0, -1.0, 2.0, -2.0])
-    dec.pairing = np.array([1, 0, 3, 2, 5, 4])
+    right = np.eye(6, dtype=complex)
     # give the (0, 1) pair an overlap so the weight is nonzero
-    dec.right[2, 1] = 1.0  # r3 block of mode 1
-    dec.right[2 + dec.n_grid, 0] = 1.0  # r4 block of mode 0
+    right[2, 1] = 1.0  # r3 block of mode 1
+    right[4, 0] = 1.0  # r4 block of mode 0
+    dec = _toy_decomposition([5e-12, -4.99e-12, 1.0, -1.0, 2.0, -2.0], right=right)
+    assert np.array_equal(dec.right, right)  # the sector basis is the grid basis
+    dec.pairing = np.array([1, 0, 3, 2, 5, 4])
     grid = None
     steady = steady_state_depletion(
         dec, grid, StabilityReport("stable", -1e-3), heating=False
@@ -204,12 +217,13 @@ def test_diverged_marker_for_resonant_pair():
 
 
 def test_small_denominator_with_negligible_noise_is_skipped():
-    dec = _toy_decomposition([5e-12, -4.99e-12, 1.0, -1.0, 2.0, -2.0])
+    left = np.eye(6, dtype=complex)
+    left[0, 0] = 1e-13  # photon weights below the noise tolerance
+    left[1, 1] = 1e-13
+    left[0, 1] = 0.0
+    left[1, 0] = 0.0
+    dec = _toy_decomposition([5e-12, -4.99e-12, 1.0, -1.0, 2.0, -2.0], left=left)
     dec.pairing = np.array([1, 0, 3, 2, 5, 4])
-    dec.left[0, 0] = 1e-13  # photon weights below the noise tolerance
-    dec.left[1, 1] = 1e-13
-    dec.left[0, 1] = 0.0
-    dec.left[1, 0] = 0.0
     steady = steady_state_depletion(
         dec, None, StabilityReport("stable", -1e-3), heating=False
     )
@@ -293,6 +307,23 @@ def test_overflowing_times_are_nan_and_the_earlier_times_stay():
     assert [r.status for r in rows] == ["ok", "ok", "diverged"]
     assert [r.depletion for r in rows[:2]] == result.values[:2]
     assert rows[2].depletion is None and rows[2].stability == "unstable"
+
+
+def test_sweep_path_never_assembles_the_grid_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep path must read the modes in sector form")
+
+    monkeypatch.setattr(spectral, "_grid_basis", refuse)
+    params, grid, *_, dec = run_pipeline(u0=-0.5, ng=16)
+    with pytest.raises(AssertionError, match="sector form"):
+        dec.right
+    steady = solve_depletion_point(params, grid, -1000.0, -0.5)
+    assert [r.status for r in steady] == ["ok"]
+    timed = solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0, 100.0])
+    assert [r.status for r in timed] == ["ok", "ok"]
+    rows = cli._spectrum_rows(-0.5, params, grid, {}, nonneg_re_only=False)
+    assert len(rows) == dec.omegas.size
+    assert all(row[-1] == "ok" for row in rows)
 
 
 def test_relaxation_time_infinite_without_coupling(pipeline):

@@ -100,6 +100,16 @@ def test_odd_modes_are_noiseless_and_normal(pipeline):
     assert np.abs(petermann_raw(dec)[odd] - 1.0).max() <= 1e-12
 
 
+def test_mode_record_holds_no_grid_sized_basis():
+    # the sector blocks, (n + 4)^2 and (n/2 - 1)^2, against the 5.2 MB of
+    # dense 402 x 402 right and left vectors at n = 200
+    *_, dec = run_pipeline(u0=-0.5, ng=200)
+    arrays = [v for v in vars(dec).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 2e6
+    with pytest.raises(AttributeError):
+        dec.right = np.eye(dec.omegas.size)
+
+
 def test_decompose_refuses_a_parity_breaking_matrix(pipeline):
     *_, fm, _ = pipeline(u0=-0.5, ng=16)
     m = fm.m.copy()
