@@ -19,9 +19,9 @@ Two independent routes to the same number:
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
   dS/dt = -i M S - i S M^T + D with the single noise entry
-  D[0, 1] = 2 kappa, and dN = dx * trace of the (dPsi^dag, dPsi) block;
-  its Kronecker form costs dim^6, so it runs on at most ORACLE_MAX_GRID
-  grid points.
+  D[0, 1] = 2 kappa, and dN = dx * trace of the (dPsi^dag, dPsi) block.
+  Noise enters through the even photon, so the oracle solves the even
+  sector alone, in real quadratures, at O(n^3) on any grid.
 
 The condensate phase/number chain sector is excluded from the sums and
 its noise drive is projected out of the oracle: photon noise leaking
@@ -39,6 +39,7 @@ raising it, so a failed point becomes a status and never aborts a sweep.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -47,13 +48,18 @@ from .fluctuation import FluctuationMatrix, build_matrix
 from .grid import Grid
 from .meanfield import MeanFieldState, solve_ground_state
 from .params import SystemParams
-from .spectral import ModeDecomposition, StabilityReport, classify_stability, decompose
+from .spectral import (
+    PARITY_TOL,
+    ModeDecomposition,
+    StabilityReport,
+    _even_sector,
+    classify_stability,
+    decompose,
+)
 
-# numerical resolution floor for frequency sums and for the singular values
-# of the second-moment flow; anything below it counts as exactly zero
+# numerical resolution floor for the frequency sums; a pair denominator
+# below it counts as exactly zero
 Z_FLOOR = 1e-11
-# largest grid the Kronecker (dim^2-square) second-moment oracle runs on
-ORACLE_MAX_GRID = 32
 
 
 class StabilityError(RuntimeError):
@@ -209,7 +215,9 @@ def steady_state_depletion(
     eigenvalues are symmetrized against the exact G M G = -conj(M)
     relation.  excluded_modes applies the same rule to each mode's own
     symmetry pair (k, pairing[k]), over every mode, the odd ones
-    included.  The dominated_fraction is the share contributed by the
+    included, and holds both modes of a pair dropped in either order, so
+    that its mode_projector is real in the oracle's quadratures.  The
+    dominated_fraction is the share contributed by the
     symmetry-paired terms.
     """
     if heating:
@@ -235,6 +243,7 @@ def steady_state_depletion(
     own_z = np.abs(dec.omegas + dec.omegas[dec.pairing])
     own_noise = abs_l1 * abs_l2[dec.pairing]
     own_pair = (own_z < tol_pair) & (own_noise < tol_noise)
+    own_pair |= own_pair[dec.pairing]  # the rule drops a pair, so both of its modes
     own_pair[list(dec.goldstone)] = False
     excluded = tuple(int(k) for k in np.flatnonzero(own_pair))
 
@@ -276,13 +285,6 @@ def relaxation_time(dec: ModeDecomposition, *, tol_noise: float = 1e-10) -> floa
 # second-moment (Lyapunov) oracle
 
 
-def _noise_matrix(dim: int, kappa: float) -> np.ndarray:
-    # only <xi xi^dag> is nonvanishing, so only (row da, col da^dag) sources
-    d = np.zeros((dim, dim), dtype=complex)
-    d[0, 1] = 2.0 * kappa
-    return d
-
-
 def _refined_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares with one step of iterative refinement."""
     x = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -290,44 +292,36 @@ def _refined_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _chain_projector(fm: FluctuationMatrix) -> np.ndarray | None:
+def _chain_projector(a: np.ndarray, phi_even: np.ndarray) -> np.ndarray | None:
     """Oblique projector onto the complement of the phase/number chain.
 
-    Built from the analytic null vectors and least-squares solves only,
-    so the oracle stays independent of the eigendecomposition.  Returns
-    None when the chain structure is absent (e.g. decoupled cavity or
-    unshifted matter blocks).
+    Works on the even sector's quadrature generator A, where the phase
+    mode is the p quadrature along phi and its dual row the x quadrature
+    along phi.  Built from these analytic null vectors and least-squares
+    solves only, so the oracle stays independent of the
+    eigendecomposition.  Returns None when the chain structure is absent
+    (e.g. decoupled cavity or unshifted matter blocks).
     """
-    m = fm.m
-    n = fm.n_grid
-    dim = m.shape[0]
-    scale = float(np.abs(m).max())
-    phi = fm.phi
-
-    r1 = np.zeros(dim, dtype=complex)
-    r1[2 : 2 + n] = phi
-    r1[2 + n :] = -phi
-    r1 /= np.linalg.norm(r1)
-    l2 = np.zeros(dim, dtype=complex)
-    l2[2 : 2 + n] = phi
-    l2[2 + n :] = phi
-    l2 /= np.linalg.norm(l2)
-    if np.abs(m @ r1).max() > 1e-7 * scale or np.abs(l2 @ m).max() > 1e-7 * scale:
+    scale = float(np.abs(a).max())
+    unit = phi_even / np.linalg.norm(phi_even)
+    zero = np.zeros_like(unit)
+    r1 = np.r_[0.0, 0.0, zero, unit]
+    l2 = np.r_[0.0, 0.0, unit, zero]
+    if np.abs(a @ r1).max() > 1e-7 * scale or np.abs(l2 @ a).max() > 1e-7 * scale:
         return None
-    r2 = _refined_lstsq(m, r1)
-    if np.linalg.norm(m @ r2 - r1) > 1e-7:
+    r2 = _refined_lstsq(a, r1)
+    if np.linalg.norm(a @ r2 - r1) > 1e-7:
         return None
-    l1 = _refined_lstsq(m.T, l2)
-    if np.linalg.norm(l1 @ m - l2) > 1e-7:
+    l1 = _refined_lstsq(a.T, l2)
+    if np.linalg.norm(l1 @ a - l2) > 1e-7:
         return None
     c1 = l1 @ r1
     c2 = l2 @ r2
     if abs(c1) < 1e-12 or abs(c2) < 1e-12:
         return None
-    l1 = l1 - ((l1 @ r2) / c2) * l2  # gauge: l1 r2 = 0 (l2 r1 = 0 already)
-    c1 = l1 @ r1
+    l1 = l1 - ((l1 @ r2) / c2) * l2  # gauge: l1 r2 = 0 (l2 r1 = 0 exactly)
     q = np.outer(r1, l1) / c1 + np.outer(r2, l2) / c2
-    return np.eye(dim) - q
+    return np.eye(r1.size) - q
 
 
 def mode_projector(dec: ModeDecomposition, modes) -> np.ndarray:
@@ -335,23 +329,52 @@ def mode_projector(dec: ModeDecomposition, modes) -> np.ndarray:
 
     Used to hand the double sum's excluded sector to the Lyapunov
     oracle: the exclusion defines the observable, while the oracle still
-    computes its value without touching the eigenbasis.
+    computes its value without touching the eigenbasis.  The projector
+    acts on the even sector, in its orthonormal basis: odd modes never
+    receive noise, so they drop out.
     """
-    modes = sorted(set(int(k) for k in modes))
-    dim = dec.omegas.size
-    p = np.eye(dim, dtype=complex)
-    if modes:
-        p -= dec.right[:, modes] @ dec.left[modes, :]
-    return p
+    n_e = dec.even_right.shape[0]
+    cols = np.unique(dec.even_columns(list(modes)))
+    cols = cols[cols < n_e]  # the even modes' columns
+    return np.eye(n_e) - dec.even_right[:, cols] @ dec.even_left[cols]
 
 
-def _moment_to_depletion(s_mat: np.ndarray, n: int, dx: float) -> float:
-    total = complex(dx * np.trace(s_mat[2 + n :, 2 : 2 + n]))
-    return _to_real(total) if np.isfinite(total) else math.nan
+def _quadratures(mat: np.ndarray) -> np.ndarray:
+    """T mat T^H with x = (a + a^dag) / sqrt 2, p = -i (a - a^dag) / sqrt 2.
+
+    mat is in the even sector's layout: photon rows 0 and 1, then the
+    field block and the conjugate block.  x takes the slot of a (row 0
+    and the field block), p the slot of a^dag.
+    """
+    dim = mat.shape[0]
+    a_slot = np.r_[0, 2 : dim // 2 + 1]
+    b_slot = np.r_[1, dim // 2 + 1 : dim]
+    t = np.zeros((dim, dim), dtype=complex)
+    t[a_slot, a_slot] = t[a_slot, b_slot] = np.sqrt(0.5)
+    t[b_slot, a_slot] = -1j * np.sqrt(0.5)
+    t[b_slot, b_slot] = 1j * np.sqrt(0.5)
+    return t @ mat @ t.conj().T
 
 
-def _gershgorin_bound(m: np.ndarray) -> float:
-    return float(np.abs(m).sum(axis=1).max())
+def _real(mat: np.ndarray, reason: str) -> np.ndarray:
+    defect = np.abs(mat.imag).max() / np.abs(mat).max()
+    if defect > PARITY_TOL:
+        raise ValueError(f"not real in the quadratures ({defect:.2e} max): {reason}")
+    return mat.real
+
+
+def _moment_depletion(s_mat: np.ndarray, dx: float) -> float:
+    """dx sum_j <dPsi^dag_j dPsi_j> from the quadrature moments.
+
+    s_mat is S_re + S_im, the solutions for Re D_X and Im D_X, which are
+    its symmetric and antisymmetric parts; per point the value is
+    (S_re[x, x] + S_re[p, p]) / 2 - S_im[x, p].
+    """
+    half = (s_mat.shape[0] - 2) // 2
+    x, p = slice(2, 2 + half), slice(2 + half, None)
+    xp = np.trace(s_mat[x, p]) - np.trace(s_mat[p, x])
+    total = 0.5 * dx * (np.trace(s_mat[x, x]) + np.trace(s_mat[p, p]) - xp)
+    return float(total) if np.isfinite(total) else math.nan
 
 
 def lyapunov_oracle(
@@ -362,108 +385,95 @@ def lyapunov_oracle(
     steady: bool = False,
     deflate: np.ndarray | None = None,
 ) -> DepletionResult:
-    """Depletion from direct second-moment propagation.
+    """Depletion from the second moments of the even sector.
 
-    Time-dependent values integrate dS/dt = -i M S - i S M^T + D with a
-    fixed-step fourth-order Runge-Kutta rule, dt <= 0.1 / max|w|
-    (Gershgorin bound); the one-step update of this linear ODE is itself
-    a fixed affine map, so the N-step result is evaluated by repeated
-    squaring of that map, which is the same scheme reorganized to run in
-    O(log N) dense products.  The steady state solves the vectorized
-    linear system, truncating singular directions below the Z_FLOOR
-    resolution limit; directions dropped that way must carry negligible
-    noise, otherwise no steady state exists and OracleSingularError is
-    raised.
+    Noise enters only through the photon, which is even, so the moments
+    live on the even sector (n + 4 rows, folded out of M and refused when
+    M couples the parity sectors beyond PARITY_TOL).  In the quadratures
+    x = (a + a^dag) / sqrt 2, p = -i (a - a^dag) / sqrt 2 its generator
+    A = T (-i M_even) T^H is real, since G M G = -conj(M), and the noise
+    D_X = T D T^T is kappa [[1, i], [-i, 1]] on the photon quadratures.
+    The ordered moments S = <X X^T> obey dS/dt = A S + S A^T + D_X.  Re D_X
+    is symmetric and Im D_X antisymmetric, so one real equation driven by
+    their sum gives both solutions as its symmetric and antisymmetric
+    parts, and dN comes out real by construction.
 
-    ``deflate`` optionally projects the noise input (e.g. the
-    mode_projector of the double sum's excluded modes, so both routes
-    evaluate the same observable).  Without it the phase/number chain is
-    deflated from analytic null vectors alone.
+    Finite t: the Van Loan block exponential (IEEE TAC 23, 395, 1978) of
+    [[A, D], [0, -A^T]] on h = t / 2^s, s = ceil(log2(t ||A||_inf)), gives
+    S(h); s doublings S <- E S E^T + S, E <- E^2 then reach t.  A growing
+    mode overflows the doublings at long times; that time's value is nan.
 
-    Intended for moderate grids: cost grows as dim^6 with the matrix
-    dimension, and solve_depletion_point refuses it above
-    ORACLE_MAX_GRID grid points.
+    Steady state: one Bartels-Stewart solve (scipy's
+    solve_continuous_lyapunov) on A P - (I - P), which keeps A on the
+    kept modes and damps the deflated ones at unit rate.  Its own
+    residual is the verdict: above 1e-8 of the noise, noise drives an
+    undamped direction and OracleSingularError is raised.
+
+    ``deflate`` is an even-sector projector, as mode_projector returns
+    (e.g. of the double sum's excluded modes, so both routes evaluate the
+    same observable); it projects the noise and the moments.  Without it
+    the phase/number chain is deflated from analytic null vectors alone.
     """
-    m = fm.m
-    dim = m.shape[0]
-    n = fm.n_grid
-    d = _noise_matrix(dim, fm.kappa)
-    proj = deflate if deflate is not None else _chain_projector(fm)
+    from scipy.linalg import expm, solve_continuous_lyapunov
+
+    m_even, phi_even, coupling = _even_sector(fm)
+    if coupling > PARITY_TOL:
+        raise ValueError(f"M couples the parity sectors ({coupling:.2e} max|M|)")
+    a = _real(_quadratures(-1j * m_even), "M breaks G M G = -conj(M)")
+    dim = a.shape[0]
+    if deflate is None:
+        proj = _chain_projector(a, phi_even)
+    else:
+        proj = _real(_quadratures(deflate), "deflated modes without their (w, -conj w) partners")
+    noise = np.zeros_like(a)
+    noise[:2, :2] = fm.kappa * np.array([[1.0, 1.0], [-1.0, 1.0]])  # Re D_X + Im D_X
     if proj is not None:
-        d = proj @ d @ proj.T
+        noise = proj @ noise @ proj.T
+
+    def depletion(s_mat):
+        if proj is not None:
+            # noise deflation is exact only to the projector's own defect;
+            # projecting the moments removes the amplified leftover exactly
+            s_mat = proj @ s_mat @ proj.T
+        return _moment_depletion(s_mat, fm.dx)
 
     if steady:
-        value = _steady_moment_value(m, d, n, fm.dx, proj)
-        return DepletionResult(times=[math.inf], values=[value])
+        # a deflated mode moves to -1 (one recoil frequency): through the
+        # projector's rounding each kept rung w picks up an error of order
+        # |w + shift|, so the shift stays below the lowest rung (Re w near 4)
+        a_d = a if proj is None else a @ proj - (np.eye(dim) - proj)
+        with warnings.catch_warnings():
+            # an undamped pair makes trsyl perturb A; the residual below rules
+            warnings.filterwarnings("ignore", 'Input "a" has an eigenvalue pair', RuntimeWarning)
+            s_mat = solve_continuous_lyapunov(a_d, -noise)
+        residual = np.linalg.norm(a_d @ s_mat + s_mat @ a_d.T + noise)
+        if not residual <= 1e-8 * np.linalg.norm(noise):
+            raise OracleSingularError(
+                f"noise drives an undamped direction of the second-moment flow "
+                f"(Lyapunov residual {residual:.2e}); the steady state does not exist"
+            )
+        return DepletionResult(times=[math.inf], values=[depletion(s_mat)])
 
     times = [float(t) for t in times or []]
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    eye = np.eye(dim)
-    l_super = -1j * (np.kron(m, eye) + np.kron(eye, m))
-    rhs = d.ravel()
-    h_max = 0.1 / _gershgorin_bound(m)
+    norm_a = np.linalg.norm(a, np.inf)
+    van_loan = np.block([[a, noise], [np.zeros_like(a), -a.T]])
     values = []
     for t in times:
         if t == 0.0:
             values.append(0.0)
             continue
-        n_steps = max(1, math.ceil(t / h_max))
-        h = t / n_steps
-        # a growing mode overflows the repeated squaring at long times; that
-        # time's value is then nan
+        doublings = max(0, math.ceil(math.log2(t * norm_a)))
+        block = expm(van_loan * (t / 2.0**doublings))
+        step = block[:dim, :dim]
+        s_mat = block[:dim, dim:] @ step.T
         with np.errstate(over="ignore", invalid="ignore"):
-            s_mat = _rk4_fixed_steps(l_super, rhs, h, n_steps).reshape(dim, dim)
-            if proj is not None:
-                # noise deflation is exact only to the projector's own defect;
-                # projecting the moments removes the amplified leftover exactly
-                s_mat = proj @ s_mat @ proj.T
-            values.append(_moment_to_depletion(s_mat, n, fm.dx))
+            for _ in range(doublings):
+                s_mat = step @ s_mat @ step.T + s_mat
+                step = step @ step
+            values.append(depletion(s_mat))
     return DepletionResult(times=times, values=values)
-
-
-def _steady_moment_value(m, d, n, dx, proj=None):
-    dim = m.shape[0]
-    eye = np.eye(dim)
-    k_super = np.kron(m, eye) + np.kron(eye, m)  # vec(M S + S M^T), row-major
-    rhs = (-1j * d).ravel()
-    u, s, vh = np.linalg.svd(k_super)
-    coeff = u.conj().T @ rhs
-    keep = s >= Z_FLOOR
-    dropped = np.abs(coeff[~keep]) if (~keep).any() else np.zeros(1)
-    if dropped.max() > 1e-6 * max(np.abs(rhs).max(), 1e-300):
-        raise OracleSingularError(
-            "noise drives an undamped direction of the second-moment flow; "
-            "the steady state does not exist (marginal or unstable dynamics)"
-        )
-    x = vh.conj().T @ np.where(keep, coeff / np.where(keep, s, 1.0), 0.0)
-    s_mat = x.reshape(dim, dim)
-    if proj is not None:
-        s_mat = proj @ s_mat @ proj.T
-    return _moment_to_depletion(s_mat, n, dx)
-
-
-def _rk4_fixed_steps(l_super, forcing_vec, h, n_steps):
-    """N identical RK4 steps of vec' = L vec + c from vec(0) = 0."""
-    a = h * l_super
-    a2 = a @ a
-    a3 = a2 @ a
-    eye = np.eye(a.shape[0])
-    k_step = eye + a + a2 / 2.0 + a3 / 6.0 + (a3 @ a) / 24.0
-    d_step = h * ((eye + a / 2.0 + a2 / 6.0 + a3 / 24.0) @ forcing_vec)
-
-    acc = np.zeros_like(d_step)
-    base_k = k_step
-    base_d = d_step
-    steps = n_steps
-    while steps:
-        if steps & 1:
-            acc = base_k @ acc + base_d
-        steps >>= 1
-        if steps:
-            base_d = base_k @ base_d + base_d
-            base_k = base_k @ base_k
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +566,9 @@ def solve_depletion_point(
     Divergences, refusals and any exception raised on the way land in
     the status field, never in the numeric columns: a time whose mode
     sum overflows is "diverged", and the point's other times keep their
-    values; an oracle value that overflows is left blank.  Raises
-    ValueError up front when the oracle is requested above
-    ORACLE_MAX_GRID grid points.
+    values; an oracle value that overflows, or a steady oracle that
+    finds no steady state, is left blank.
     """
-    if oracle and grid.n > ORACLE_MAX_GRID:
-        raise ValueError(
-            f"the second-moment oracle runs on at most {ORACLE_MAX_GRID} grid points, "
-            f"got {grid.n}"
-        )
     eta = -delta_c if eta_follows_detuning else params.eta
     point = dc_replace(params, delta_c=float(delta_c), u0=float(u0), eta=float(eta))
     chain = analyze_point(

@@ -253,6 +253,23 @@ def _sector_pairs(n: int):
     return p_even, q_even, s_even, p_odd, q_odd
 
 
+def _even_sector(fm: FluctuationMatrix):
+    """M and phi folded onto the even sector, and the coupling between the
+    two parity sectors, max|O^T M E| and max|E^T M O| relative to max|M|."""
+    n = fm.n_grid
+    p_e, q_e, s_e, p_o, q_o = _sector_pairs(n)
+    even = (p_e, q_e, s_e, np.add)
+    odd = (p_o, q_o, np.sqrt(0.5), np.subtract)
+    m = fm.m
+    coupling = max(
+        np.abs(_fold(m, odd, even)).max(initial=0.0),
+        np.abs(_fold(m, even, odd)).max(initial=0.0),
+    ) / np.abs(m).max()
+    j, mj = mirror_points(n)
+    phi_even = s_e[2 : 3 + n // 2] * (fm.phi[j] + fm.phi[mj])
+    return _fold(m, even, even), phi_even, coupling
+
+
 def _fold(m: np.ndarray, rows, cols) -> np.ndarray:
     """The block S_r^T M S_c between two parity sectors, by direct gathers.
 
@@ -610,29 +627,20 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     m = fm.m
     n = fm.n_grid
     dim = m.shape[0]
-    half = n // 2
-    k = half - 1  # odd points per matter block; the even sector has half + 1
-    p_e, q_e, s_e, p_o, q_o = _sector_pairs(n)
-    even_sector = (p_e, q_e, s_e, np.add)
+    k = n // 2 - 1  # odd points per matter block; the even sector has n/2 + 1
+    m_even, phi_even, coupling = _even_sector(fm)
+    _, _, _, p_o, q_o = _sector_pairs(n)
     odd_sector = (p_o, q_o, np.sqrt(0.5), np.subtract)
-    m_even = _fold(m, even_sector, even_sector)
     m_odd = _fold(m, odd_sector, odd_sector)
     h_odd = 0.5 * (m_odd[:k, :k] + m_odd[:k, :k].T).real
     scale = np.abs(m).max()
-    leftover = max(
-        np.abs(_fold(m, odd_sector, even_sector)).max(),  # O^T M E
-        np.abs(_fold(m, even_sector, odd_sector)).max(),  # E^T M O
-        np.abs(m_odd[:k, :k] - h_odd).max(),
-        np.abs(m_odd[k:, k:] + h_odd).max(),
-        np.abs(m_odd[:k, k:]).max(),
-        np.abs(m_odd[k:, :k]).max(),
-    ) / scale
+    zero = np.zeros((k, k))
+    model = np.block([[h_odd, zero], [zero, -h_odd]])  # diag(H0 - mu, mu - H0)
+    leftover = max(coupling, np.abs(m_odd - model).max() / scale)
     if leftover > PARITY_TOL:
         raise DecompositionError(f"M breaks reflection parity ({leftover:.2e} max|M|)")
     del m_odd
 
-    j, mj = mirror_points(n)
-    phi_even = s_e[2 : 3 + half] * (fm.phi[j] + fm.phi[mj])
     even = _even_modes(m_even, phi_even, fm.dx, scale)
     del m_even
     energies, vecs = np.linalg.eigh(h_odd)

@@ -8,19 +8,18 @@ from bec_cavity import (
     OracleSingularError,
     StabilityError,
     StabilityReport,
+    analyze_point,
     build_matrix,
     classify_stability,
     depletion_at_times,
     finite_time_kernel,
     lyapunov_oracle,
-    make_grid,
     mode_projector,
     relaxation_time,
     solve_depletion_point,
     steady_state_depletion,
 )
 from bec_cavity import cli, spectral
-from bec_cavity.depletion import ORACLE_MAX_GRID, _noise_matrix
 from bec_cavity.fluctuation import FluctuationMatrix
 from conftest import run_pipeline
 
@@ -70,14 +69,7 @@ def test_depletion_zero_without_coupling(pipeline):
     assert max(abs(v) for v in result.values) < 1e-10
 
 
-def test_noise_matrix_has_single_entry():
-    d = _noise_matrix(10, 100.0)
-    assert d[0, 1] == 200.0
-    d[0, 1] = 0.0
-    assert np.abs(d).max() == 0.0
-
-
-@pytest.mark.parametrize("ng,u0", [(8, -0.5), (16, -0.5), (8, -0.1), (16, -0.1)])
+@pytest.mark.parametrize("ng,u0", [(8, -0.5), (16, -0.5), (8, -0.1), (16, -0.1), (16, -0.13)])
 def test_steady_state_matches_lyapunov_oracle(ng, u0):
     params, grid, state, fm, dec = run_pipeline(u0=u0, ng=ng)
     stability = classify_stability(dec)
@@ -97,6 +89,14 @@ def test_finite_time_matches_rk4_oracle():
     formula = depletion_at_times(dec, grid, times, exclude_modes=steady.excluded_modes)
     proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
     oracle = lyapunov_oracle(fm, grid, times, deflate=proj)
+    for a, b in zip(formula.values, oracle.values):
+        assert a == pytest.approx(b, rel=1e-4)
+    # a growing heating point at the production grid, nothing deflated
+    _, grid, state, fm, dec = run_pipeline(u0=-0.5, ng=200, delta_c=-100.0, eta=100.0)
+    assert state.heating and classify_stability(dec).label == "unstable"
+    times = [1.0, 10.0, 100.0]
+    formula = depletion_at_times(dec, grid, times)
+    oracle = lyapunov_oracle(fm, grid, times)
     for a, b in zip(formula.values, oracle.values):
         assert a == pytest.approx(b, rel=1e-4)
 
@@ -356,6 +356,16 @@ def test_oracle_refuses_noise_fed_undamped_direction():
         lyapunov_oracle(fm, None, steady=True)
 
 
+def test_oracle_refuses_a_generator_that_couples_the_parity_sectors():
+    params, grid, *_ = run_pipeline(u0=-0.5, ng=16)
+    point = analyze_point(params, grid, fault_injection="corrupt-matrix")
+    assert point.fm is not None and point.dec is None  # decompose refused it too
+    with pytest.raises(ValueError, match="parity sectors"):
+        lyapunov_oracle(point.fm, grid, steady=True)
+    with pytest.raises(ValueError, match="parity sectors"):
+        lyapunov_oracle(point.fm, grid, [1.0])
+
+
 def test_oracle_zero_without_coupling(pipeline):
     _, grid, _, fm, _ = pipeline(u0=0.0, ng=8)
     steady = lyapunov_oracle(fm, grid, steady=True)
@@ -392,12 +402,3 @@ def test_depletion_sweep_finite_times(pipeline):
     assert rows[0].depletion == 0.0
     assert rows[1].depletion > 0.0
 
-
-def test_depletion_point_refuses_the_oracle_above_its_grid_cap():
-    params, *_ = run_pipeline(u0=-0.5, ng=16)
-    grid = make_grid(64)
-    assert ORACLE_MAX_GRID < 64
-    with pytest.raises(ValueError, match=str(ORACLE_MAX_GRID)):
-        solve_depletion_point(params, grid, -1000.0, -0.5, oracle=True)
-    with pytest.raises(ValueError, match=str(ORACLE_MAX_GRID)):
-        solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0], oracle=True)
