@@ -356,8 +356,8 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"bad --times value: {args.times!r}", file=sys.stderr)
             return 2
-        if not all(0.0 <= t < math.inf for t in times):
-            print("--times must be finite and nonnegative", file=sys.stderr)
+        if not times or not all(0.0 <= t < math.inf for t in times):
+            print("--times must be a non-empty list of finite, nonnegative numbers", file=sys.stderr)
             return 2
 
     # opened before any point runs, so a bad path throws away no work;

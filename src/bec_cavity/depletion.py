@@ -49,10 +49,9 @@ from .grid import Grid
 from .meanfield import MeanFieldState, solve_ground_state
 from .params import SystemParams
 from .spectral import (
-    PARITY_TOL,
+    STRUCTURE_TOL,
     ModeDecomposition,
     StabilityReport,
-    _even_sector,
     classify_stability,
     decompose,
 )
@@ -358,7 +357,7 @@ def _quadratures(mat: np.ndarray) -> np.ndarray:
 
 def _real(mat: np.ndarray, reason: str) -> np.ndarray:
     defect = np.abs(mat.imag).max() / np.abs(mat).max()
-    if defect > PARITY_TOL:
+    if defect > STRUCTURE_TOL:
         raise ValueError(f"not real in the quadratures ({defect:.2e} max): {reason}")
     return mat.real
 
@@ -388,10 +387,10 @@ def lyapunov_oracle(
     """Depletion from the second moments of the even sector.
 
     Noise enters only through the photon, which is even, so the moments
-    live on the even sector (n + 4 rows, folded out of M and refused when
-    M couples the parity sectors beyond PARITY_TOL).  In the quadratures
+    live on the even sector (n + 4 rows, ``fm.even``).  In the quadratures
     x = (a + a^dag) / sqrt 2, p = -i (a - a^dag) / sqrt 2 its generator
-    A = T (-i M_even) T^H is real, since G M G = -conj(M), and the noise
+    A = T (-i M_even) T^H is real, since G M G = -conj(M) (refused
+    otherwise), and the noise
     D_X = T D T^T is kappa [[1, i], [-i, 1]] on the photon quadratures.
     The ordered moments S = <X X^T> obey dS/dt = A S + S A^T + D_X.  Re D_X
     is symmetric and Im D_X antisymmetric, so one real equation driven by
@@ -416,13 +415,10 @@ def lyapunov_oracle(
     """
     from scipy.linalg import expm, solve_continuous_lyapunov
 
-    m_even, phi_even, coupling = _even_sector(fm)
-    if coupling > PARITY_TOL:
-        raise ValueError(f"M couples the parity sectors ({coupling:.2e} max|M|)")
-    a = _real(_quadratures(-1j * m_even), "M breaks G M G = -conj(M)")
+    a = _real(_quadratures(-1j * fm.even), "M breaks G M G = -conj(M)")
     dim = a.shape[0]
     if deflate is None:
-        proj = _chain_projector(a, phi_even)
+        proj = _chain_projector(a, fm.phi_even)
     else:
         proj = _real(_quadratures(deflate), "deflated modes without their (w, -conj w) partners")
     noise = np.zeros_like(a)
@@ -490,10 +486,11 @@ class PointAnalysis:
     """The layer chain at one parameter point.
 
     Stages fill in order; error holds the exception that stopped the
-    chain, and every stage after it stays None.  One record holds M
-    (2.6 MB at n = 200) and the modes in sector form (1.4 MB), so sweeps
-    reduce it to rows where it is made; the depletion sums read only the
-    even sector's photon-weighted columns.
+    chain, and every stage after it stays None.  One record holds the
+    generator's two parity sectors (0.7 MB at n = 200) and the modes in
+    sector form (1.4 MB), so sweeps reduce it to rows where it is made;
+    the depletion sums read only the even sector's photon-weighted
+    columns.
     """
 
     state: MeanFieldState | None = None
@@ -515,15 +512,17 @@ def analyze_point(
 ) -> PointAnalysis:
     """Mean field, generator, decomposition and stability verdict.
 
-    fault_injection "corrupt-matrix" breaks the symmetry of M before it
-    is decomposed, as a negative control for the invariant checks.
+    fault_injection "corrupt-matrix" breaks G M G = -conj(M) before the
+    generator is decomposed, as a negative control for the invariant
+    checks: it shifts the even sector's photon row a at the field point
+    j = 1, entry [0, 3].
     """
     point = PointAnalysis()
     try:
         point.state = solve_ground_state(params, grid, **(solver_options or {}))
         point.fm = build_matrix(point.state, params, grid, subtract_mu=subtract_mu)
         if fault_injection == "corrupt-matrix":
-            point.fm.m[0, 3] += 1e-3 * (1.0 + 1.0j)
+            point.fm.even[0, 3] += 1e-3 * (1.0 + 1.0j)
         point.dec = decompose(point.fm)
         point.stability = classify_stability(point.dec, tol_zero=tol_zero, tol_noise=tol_noise)
     except Exception as exc:  # one failed point must never abort a sweep
@@ -565,7 +564,8 @@ def solve_depletion_point(
     Returns one row for the steady state, or one row per requested time.
     Divergences, refusals and any exception raised on the way land in
     the status field, never in the numeric columns: a time whose mode
-    sum overflows is "diverged", and the point's other times keep their
+    sum overflows is "diverged", one whose sum keeps a non-negligible
+    imaginary part is an error, and the point's other times keep their
     values; an oracle value that overflows, or a steady oracle that
     finds no steady state, is left blank.
     """
@@ -581,14 +581,21 @@ def solve_depletion_point(
         fm, dec, label = chain.fm, chain.dec, chain.stability.label
 
         if times:
-            result = depletion_at_times(dec, grid, times)
-            rows = [
-                DepletionPoint(
-                    delta_c=delta_c, u0=u0, status="ok" if math.isfinite(value) else "diverged",
-                    depletion=value if math.isfinite(value) else None, stability=label, time=t,
+            rows = []
+            for t in times:
+                row = DepletionPoint(
+                    delta_c=delta_c, u0=u0, status="ok", stability=label, time=float(t)
                 )
-                for t, value in zip(result.times, result.values)
-            ]
+                try:  # each time's own sum: one that fails its check costs no other row
+                    value = depletion_at_times(dec, grid, [t]).values[0]
+                except RuntimeError as exc:
+                    row.status = error_status(exc)
+                else:
+                    if math.isfinite(value):
+                        row.depletion = value
+                    else:
+                        row.status = "diverged"
+                rows.append(row)
             if oracle:
                 oracle_result = lyapunov_oracle(fm, grid, times)
                 for row, value in zip(rows, oracle_result.values):

@@ -4,22 +4,27 @@ Fluctuations are arranged as the vector
 
     R = [da, da^dag, dPsi(x_0..x_{n-1}), dPsi^dag(x_0..x_{n-1})]
 
-and obey i dR/dt = M R + i xi with xi = [xi, xi^dag, 0, 0].  M is dense,
+and obey i dR/dt = M R + i xi with xi = [xi, xi^dag, 0, 0].  M is
 complex and non-normal.  Discretization conventions: rows that realize
 an integral operator (the photon rows) carry the quadrature weight dx;
 rows that act pointwise (the matter rows) carry none.  With the
 condensate phase rotated away, the matter diagonal blocks are
-H0 - mu (the shift is the ``subtract_mu`` switch; without it the matrix
-is built in the bare frame).
+H0 - mu and -(H0 - mu), with no anomalous blocks (the shift is the
+``subtract_mu`` switch; without it the generator is built in the bare
+frame).
 
 The permutation G exchanging da <-> da^dag and dPsi <-> dPsi^dag gives
 the exact symmetry G M G = -conj(M), which pairs the eigenvalues as
-(w, -conj(w)).  The lattice cos^2 x is even under x -> pi - x, so M also
-commutes with that reflection and splits into an even and an odd sector.
-Its matter blocks are H0 - mu and -(H0 - mu) with no anomalous blocks,
-and its photon rows and columns carry one coupling profile, so the even
-sector is an arrowhead that ``spectral.decompose`` solves from a scalar
-secular equation.
+(w, -conj(w)).  The lattice cos^2 x and the condensate are even under
+x -> pi - x, so M commutes with that reflection and is held as its two
+sectors, folded straight from the mean-field state by the orthonormal
+embedding of ``grid.mirror_fold``.  The even sector holds the photon
+pair and the even matter modes: an arrowhead, matter blocks h and -h
+with one coupling profile in the photon rows and columns, which
+``spectral.decompose`` solves from a scalar secular equation.  The odd
+sector never touches the photon: it is diag(h_odd, -h_odd) with
+h_odd the odd fold of H0 - mu.  No coupling between the sectors can be
+represented.
 """
 
 from __future__ import annotations
@@ -28,28 +33,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, kinetic_matrix, potential_profile
+from .grid import Grid, kinetic_matrix, mirror_fold, mirror_unfold, potential_profile
 from .meanfield import MeanFieldState
 from .params import SystemParams
 
 
 @dataclass
 class FluctuationMatrix:
-    """Dense generator plus the context needed downstream.
+    """The generator as its two reflection-parity sectors.
 
-    m       -- complex matrix of dimension 2*n_grid + 2
-    a_diag  -- photon diagonal A = -delta_c + N<U> - i*kappa
-    phi     -- real condensate amplitude on the grid (gauge fixed)
+    even     -- (n + 4)-square complex block: photon rows 0 and 1, then the
+                points j = 0 .. n/2 of the field block and of the conjugate
+                block
+    h_odd    -- (n/2 - 1)-square real symmetric odd fold of H0 - mu; the
+                odd sector is diag(h_odd, -h_odd)
+    phi_even -- the real condensate amplitude folded onto the even points
+    scale    -- max|M|, the reference for every relative threshold
+    m        -- the dense (2 n + 2)-square M, assembled read-only on access
     """
 
-    m: np.ndarray
-    a_diag: complex
+    even: np.ndarray
+    h_odd: np.ndarray
+    phi_even: np.ndarray
+    scale: float
     n_grid: int
     dx: float
-    phi: np.ndarray
-    mu: float
     kappa: float
-    subtract_mu: bool
+
+    @property
+    def m(self) -> np.ndarray:
+        return _dense_generator(self)
 
 
 def build_matrix(
@@ -59,7 +72,7 @@ def build_matrix(
     *,
     subtract_mu: bool = True,
 ) -> FluctuationMatrix:
-    """Assemble M from a converged mean-field state.
+    """The parity sectors of M from a converged mean-field state.
 
     Requires state.converged and the real-nonnegative gauge for phi.
     """
@@ -68,7 +81,7 @@ def build_matrix(
     phi = np.asarray(state.phi)
     if np.abs(phi.imag).max() > 1e-10:
         raise ValueError("phi must be gauge fixed to a real wavefunction")
-    phi = phi.real.copy()
+    phi = phi.real
 
     n = grid.n
     dx = grid.dx
@@ -83,31 +96,68 @@ def build_matrix(
     if subtract_mu:
         h0 = h0 - state.mu * np.eye(n)
 
-    dim = 2 * n + 2
-    m = np.zeros((dim, dim), dtype=complex)
-    m[0, 0] = a_diag
-    m[1, 1] = -np.conj(a_diag)
-    m[0, 2 : 2 + n] = alpha * coupl
-    m[0, 2 + n :] = alpha * coupl
-    m[1, 2 : 2 + n] = -np.conj(alpha) * coupl
-    m[1, 2 + n :] = -np.conj(alpha) * coupl
-    m[2 : 2 + n, 0] = np.conj(alpha) * y
-    m[2 : 2 + n, 1] = alpha * y
-    m[2 + n :, 0] = -np.conj(alpha) * y
-    m[2 + n :, 1] = -alpha * y
-    m[2 : 2 + n, 2 : 2 + n] = h0
-    m[2 + n :, 2 + n :] = -h0
-
+    row = alpha * coupl  # photon row a on the field block
+    col = np.conj(alpha) * y  # field rows of the photon column a
+    # the entries of M are these, their conjugates and negatives, and A
+    scale = max(abs(a_diag), np.abs(row).max(), np.abs(col).max(), np.abs(h0).max())
+    h_odd = mirror_fold(h0, odd=True)
     return FluctuationMatrix(
-        m=m,
-        a_diag=a_diag,
+        even=bordered_sector(a_diag, mirror_fold(row), mirror_fold(col), mirror_fold(h0)),
+        h_odd=0.5 * (h_odd + h_odd.T),
+        phi_even=mirror_fold(phi),
+        scale=float(scale),
         n_grid=n,
         dx=dx,
-        phi=phi,
-        mu=state.mu,
         kappa=params.kappa,
-        subtract_mu=subtract_mu,
     )
+
+
+def bordered_sector(a_diag: complex, row: np.ndarray, col: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The even sector from its pieces, with G M G = -conj(M) built in.
+
+    A and -conj(A) on the photon diagonal, matter blocks h and -h, photon
+    row a equal to row on both matter blocks and photon column a equal to
+    col and -col; photon row and column a^dag are their G images.
+    """
+    n_e = h.shape[0]
+    f, c = slice(2, 2 + n_e), slice(2 + n_e, None)
+    even = np.zeros((2 + 2 * n_e, 2 + 2 * n_e), dtype=complex)
+    even[0, 0] = a_diag
+    even[1, 1] = -np.conj(a_diag)
+    even[0, f] = even[0, c] = row
+    even[1, f] = even[1, c] = -row.conj()
+    even[f, 0], even[c, 0] = col, -col
+    even[f, 1], even[c, 1] = col.conj(), -col.conj()
+    even[f, f], even[c, c] = h, -h
+    return even
+
+
+def unfold_sector(x: np.ndarray, odd: bool = False) -> np.ndarray:
+    """S x: the rows of a parity sector's layout on the rows of M's.
+
+    The even layout is the photon pair, then the points j = 0 .. n/2 of
+    the field block and of the conjugate block; the odd layout has no
+    photon rows and the points j = 1 .. n/2 - 1 of each block.
+    """
+    photon = 0 if odd else 2
+    field, conj = np.split(x[photon:], 2)
+    return np.concatenate([x[:photon], mirror_unfold(field, odd), mirror_unfold(conj, odd)])
+
+
+def _dense_generator(fm: FluctuationMatrix) -> np.ndarray:
+    """M = E even E^T + O diag(h_odd, -h_odd) O^T, read-only.
+
+    Each entry is scaled copies of one or two sector entries, the same
+    operations on both halves of every G pair, so G M G = -conj(M) holds
+    exactly when the sectors carry it.
+    """
+    m = unfold_sector(unfold_sector(fm.even).T).T
+    h = fm.h_odd
+    zero = np.zeros_like(h)
+    odd = np.block([[h, zero], [zero, -h]])
+    m[2:, 2:] += unfold_sector(unfold_sector(odd, odd=True).T, odd=True).T
+    m.setflags(write=False)
+    return m
 
 
 def symmetry_defect(m: np.ndarray) -> float:

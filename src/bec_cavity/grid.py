@@ -52,6 +52,50 @@ def mirror_points(n: int):
     return j, (-j) % n
 
 
+def _mirror_embedding(n: int, odd: bool):
+    """(j, mj, s, op) of the orthonormal reflection embedding S of the grid.
+
+    Even column c of S is s_c (e_j + e_(n-j)) for the points j = 0 .. n/2,
+    with s = 1/2 on the fixed points j = n - j (the column is e_j) and
+    1/sqrt 2 on the mirror pairs; odd column c is (e_j - e_(n-j)) / sqrt 2
+    for j = 1 .. n/2 - 1.  Together the two are an orthogonal basis.
+    """
+    j, mj = mirror_points(n)
+    if odd:
+        return j[1:-1], mj[1:-1], np.sqrt(0.5), np.subtract
+    return j, mj, np.where(j == mj, 0.5, np.sqrt(0.5)), np.add
+
+
+def mirror_fold(values: np.ndarray, odd: bool = False) -> np.ndarray:
+    """S^T v of a grid vector, or S^T A S of a grid matrix, for the even
+    (or odd) embedding S of ``_mirror_embedding``.
+
+    Index gathers only, in one fixed order (columns first; combine the
+    mirror pair, then scale), so a fold is reproducible to the last bit.
+    """
+    j, mj, s, op = _mirror_embedding(values.shape[0], odd)
+    if values.ndim == 1:
+        return op(values[j], values[mj]) * s
+    cols = op(values[:, j], values[:, mj]) * s
+    return op(cols[j], cols[mj]) * np.reshape(s, (-1, 1))
+
+
+def mirror_unfold(values: np.ndarray, odd: bool = False) -> np.ndarray:
+    """S x along the first axis: sector rows back on the grid points.
+
+    A fixed point takes its row whole; the two points of a mirror pair
+    take s times it, with the sign of the sector on n - j.  The odd
+    sector leaves the fixed points zero.
+    """
+    n = 2 * values.shape[0] + (2 if odd else -2)
+    j, mj, s, _ = _mirror_embedding(n, odd)
+    rows = values * np.reshape(np.where(j == mj, 1.0, s), (-1,) + (1,) * (values.ndim - 1))
+    out = np.zeros((n,) + values.shape[1:], values.dtype)
+    out[j] = rows
+    out[mj] = -rows if odd else rows  # a fixed point (mj = j) gets its row again
+    return out
+
+
 def multiplier_matrix(grid: Grid, symbol: np.ndarray) -> np.ndarray:
     """Dense point-basis matrix of the Fourier multiplier diag(symbol(q)).
 

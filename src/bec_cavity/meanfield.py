@@ -32,6 +32,7 @@ from .grid import (
     Grid,
     kinetic_matrix,
     make_grid,
+    mirror_fold,
     mirror_points,
     multiplier_matrix,
     potential_profile,
@@ -216,7 +217,7 @@ def solve_ground_state(
 
     kin = kinetic_matrix(grid)
     if refine:
-        vec, alpha, u_avg = _refine_fixed_point(params, kin, j, mj, u_even, u_avg, frozen_alpha)
+        vec, alpha, u_avg = _refine_fixed_point(params, kin, u_even, u_avg, frozen_alpha)
         phi = vec / np.sqrt(weight)
     phi = _unfold(phi, j, mj)
 
@@ -248,24 +249,20 @@ def solve_ground_state(
     )
 
 
-def _refine_fixed_point(params, kin, j, mj, u_even, u_avg, frozen_alpha):
+def _refine_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
     """Polish the fixed point to the discrete ground state of H0.
 
     The split-step fixed point carries an O(dt^2) bias relative to the
     discrete ground state.  That state is reflection even, so it is the
     lowest eigenvector of the (n/2 + 1)-dimensional even block of
-    H0 = K + |alpha|^2 U, taken over the loop's mirror pairs (j, mj).
+    H0 = K + |alpha|^2 U, K folded by the orthonormal even embedding.
     With alpha = steady_alpha(u) the fixed point is the root of
     F(u) = <U> - u; a secant method started at the imaginary-time <U>
     finds it with one ``eigh`` per step, and stops when |F| stops
     falling.  A frozen alpha takes the one ``eigh``.  Returns the unit
     eigenvector, sqrt(quadrature weight) phi[j], with its alpha and <U>.
     """
-    # orthonormal even embedding: column c is s_c (e_j + e_(n-j)), with
-    # s = 1/2 on the fixed points j = n - j and 1/sqrt 2 elsewhere
-    s = np.where(j == mj, 0.5, np.sqrt(0.5))
-    cols = s * (kin[:, j] + kin[:, mj])
-    kin_even = s[:, None] * (cols[j] + cols[mj])
+    kin_even = mirror_fold(kin)
 
     def alpha_at(u):
         return steady_alpha(params, u) if frozen_alpha is None else frozen_alpha

@@ -8,8 +8,8 @@ solved by one ``eigh``: normal and noiseless, with right and left
 vectors (v, 0) at +e and (0, v) at -e.  The non-normality, and with it
 the Petermann-type excess noise, lives in the even sector of dimension
 n + 4 (the photon pair plus the even combinations of each matter block).
-Both sectors are folded out of M by index gathers over the mirror pairs
-(j, n - j).
+``build_matrix`` builds both sectors straight from the mean field, so
+no coupling between them exists to check for.
 
 The even sector is an arrowhead.  In the eigenbasis of its real
 symmetric matter block h = Q diag(e) Q^T (one ``eigh``) it is the
@@ -65,8 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluctuation import FluctuationMatrix
-from .grid import mirror_points
+from .fluctuation import FluctuationMatrix, bordered_sector, unfold_sector
 
 EPS = np.finfo(float).eps
 
@@ -130,9 +129,7 @@ class ModeDecomposition:
                    the coupling c is stored in chain_coupling
     eigen_residual -- max|M r - omega r| over the modes, each parity
                    sector in its orthonormal basis (the chain column
-                   against its chain relation); the odd sector's is
-                   bounded by the residual of its real block plus the
-                   measured departure of M from diag(h, -h)
+                   against its chain relation)
     biorth_defect  -- max|L R - I|, sector by sector
     """
 
@@ -227,67 +224,10 @@ def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
     return None
 
 
-# largest coupling between the parity sectors, departure of the odd block
-# from diag(H0 - mu, mu - H0), or departure of the even sector from its
-# bordered form that decompose accepts as roundoff, relative to max|M|; the
-# assembled generator sits near 1e-15
-PARITY_TOL = 1e-12
-
-
-def _sector_pairs(n: int):
-    """Index pairs (p, q) and weights s of the reflection parity sectors.
-
-    Even column c of the embedding is s_c (e_p + e_q), odd column c is
-    (e_p - e_q) / sqrt 2, in the layout of M; q is the mirror image of p
-    under x -> pi - x (grid point j -> n - j in both matter blocks).  The
-    even sector holds the photon rows and points j = 0 .. n/2 of each
-    block, n + 4 columns with s = 1/2 on the fixed points (p = q) and
-    1/sqrt 2 on pairs; the odd sector holds j = 1 .. n/2 - 1 of each block.
-    """
-    j, mj = mirror_points(n)
-    p_even = np.concatenate([[0, 1], 2 + j, 2 + n + j])
-    q_even = np.concatenate([[0, 1], 2 + mj, 2 + n + mj])
-    p_odd = np.concatenate([2 + j[1:-1], 2 + n + j[1:-1]])
-    q_odd = np.concatenate([2 + mj[1:-1], 2 + n + mj[1:-1]])
-    s_even = np.where(p_even == q_even, 0.5, np.sqrt(0.5))
-    return p_even, q_even, s_even, p_odd, q_odd
-
-
-def _even_sector(fm: FluctuationMatrix):
-    """M and phi folded onto the even sector, and the coupling between the
-    two parity sectors, max|O^T M E| and max|E^T M O| relative to max|M|."""
-    n = fm.n_grid
-    p_e, q_e, s_e, p_o, q_o = _sector_pairs(n)
-    even = (p_e, q_e, s_e, np.add)
-    odd = (p_o, q_o, np.sqrt(0.5), np.subtract)
-    m = fm.m
-    coupling = max(
-        np.abs(_fold(m, odd, even)).max(initial=0.0),
-        np.abs(_fold(m, even, odd)).max(initial=0.0),
-    ) / np.abs(m).max()
-    j, mj = mirror_points(n)
-    phi_even = s_e[2 : 3 + n // 2] * (fm.phi[j] + fm.phi[mj])
-    return _fold(m, even, even), phi_even, coupling
-
-
-def _fold(m: np.ndarray, rows, cols) -> np.ndarray:
-    """The block S_r^T M S_c between two parity sectors, by direct gathers.
-
-    A sector is (p, q, s, op): its column c is s_c (e_p op e_q), op being
-    np.add for the even sector and np.subtract for the odd one.  Only
-    blocks of the two sectors' sizes are ever formed.
-    """
-    p_r, q_r, s_r, op_r = rows
-    p_c, q_c, s_c, op_c = cols
-    out = m[np.ix_(p_r, p_c)]
-    op_c(out, m[np.ix_(p_r, q_c)], out=out)
-    out *= s_c
-    lower = m[np.ix_(q_r, p_c)]
-    op_c(lower, m[np.ix_(q_r, q_c)], out=lower)
-    lower *= s_c
-    op_r(out, lower, out=out)
-    out *= np.reshape(s_r, (-1, 1))
-    return out
+# largest departure of the even sector from its bordered form with
+# G M G = -conj(M), or miss of the trace identity, that decompose accepts as
+# roundoff, relative to max|M|; the built generator sits near 1e-15
+STRUCTURE_TOL = 1e-12
 
 
 def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
@@ -470,7 +410,7 @@ def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> np.nd
     if not np.array_equal(pairing[pairing], np.arange(roots.size)) or mismatch > PAIRING_RTOL * w_scale:
         raise DecompositionError(f"secular roots do not pair as w, -conj(w) ({mismatch:.2e})")
     trace = abs(delta.sum())
-    if not trace <= PARITY_TOL * scale:
+    if not trace <= STRUCTURE_TOL * scale:
         raise DecompositionError(f"secular roots miss the trace of M ({trace:.2e})")
     return pairing
 
@@ -500,7 +440,6 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
     """Modes of the even sector from its secular equation (module docstring)."""
     n_e = phi_even.size
     f = slice(2, 2 + n_e)
-    c = slice(2 + n_e, 2 + 2 * n_e)
     a_diag = complex(m_even[0, 0])
     col = m_even[f, 0]  # matter rows of the photon column, conj(alpha) y
     row = m_even[0, f]  # photon row on the matter columns, alpha y dx
@@ -508,16 +447,9 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
     beta = np.conj(pivot) / pivot if pivot != 0 else 1.0  # alpha / conj(alpha)
     h = m_even[f, f].real
     h = 0.5 * (h + h.T)
-    # the form build_matrix gives, with G M G = -conj(M) built in: matter
-    # blocks h and -h, no anomalous blocks, and a rank-one photon border
-    model = np.zeros_like(m_even)
-    model[0, 0] = a_diag
-    model[1, 1] = -a_diag.conjugate()
-    model[f, 0], model[c, 0] = col, -col
-    model[f, 1], model[c, 1] = col.conj(), -col.conj()
-    model[0, f] = model[0, c] = row
-    model[1, f] = model[1, c] = -row.conj()
-    model[f, f], model[c, c] = h, -h
+    # the form build_matrix gives: matter blocks h and -h, no anomalous
+    # blocks, and a rank-one photon border
+    model = bordered_sector(a_diag, row, col, h)
     model -= m_even
     breach = max(
         np.abs(model).max(),
@@ -525,7 +457,7 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
         np.abs(row.conj() - row / beta).max(),
     ) / scale
     del model
-    if breach > PARITY_TOL:
+    if breach > STRUCTURE_TOL:
         raise DecompositionError(
             f"M breaks G M G = -conj(M) or the bordered form of the even sector "
             f"({breach:.2e} max|M|)"
@@ -616,34 +548,18 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     """Full decomposition of a fluctuation matrix, one parity sector at a time.
 
     The even sector is solved from its secular equation (see the module
-    docstring), the odd block by one ``eigh``.  Raises DecompositionError
-    when M couples the sectors beyond PARITY_TOL, when its even sector
-    departs from the bordered form with G M G = -conj(M) beyond
-    PARITY_TOL, or when the even modes fail a certificate: n + 2 distinct
-    non-Goldstone roots (n + 4 without the phase mode), an exact mirror
-    pairing, the trace identity, biorthogonality to BIORTH_LIMIT, and a
-    condition bound within COND_LIMIT.  There is no fallback solve.
+    docstring), the real odd block by one ``eigh``.  Raises
+    DecompositionError when the even sector departs from the bordered
+    form with G M G = -conj(M) beyond STRUCTURE_TOL, or when the even
+    modes fail a certificate: n + 2 distinct non-Goldstone roots (n + 4
+    without the phase mode), an exact mirror pairing, the trace identity,
+    biorthogonality to BIORTH_LIMIT, and a condition bound within
+    COND_LIMIT.  There is no fallback solve.
     """
-    m = fm.m
     n = fm.n_grid
-    dim = m.shape[0]
-    k = n // 2 - 1  # odd points per matter block; the even sector has n/2 + 1
-    m_even, phi_even, coupling = _even_sector(fm)
-    _, _, _, p_o, q_o = _sector_pairs(n)
-    odd_sector = (p_o, q_o, np.sqrt(0.5), np.subtract)
-    m_odd = _fold(m, odd_sector, odd_sector)
-    h_odd = 0.5 * (m_odd[:k, :k] + m_odd[:k, :k].T).real
-    scale = np.abs(m).max()
-    zero = np.zeros((k, k))
-    model = np.block([[h_odd, zero], [zero, -h_odd]])  # diag(H0 - mu, mu - H0)
-    leftover = max(coupling, np.abs(m_odd - model).max() / scale)
-    if leftover > PARITY_TOL:
-        raise DecompositionError(f"M breaks reflection parity ({leftover:.2e} max|M|)")
-    del m_odd
-
-    even = _even_modes(m_even, phi_even, fm.dx, scale)
-    del m_even
-    energies, vecs = np.linalg.eigh(h_odd)
+    dim = 2 * n + 2
+    even = _even_modes(fm.even, fm.phi_even, fm.dx, fm.scale)
+    energies, vecs = np.linalg.eigh(fm.h_odd)
     w_odd = vecs * _odd_norm_factors(vecs, fm.dx)  # the odd right vectors
 
     omegas = np.concatenate([even.omegas, energies, -energies])
@@ -651,7 +567,8 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     omegas = omegas[order]
     slots = np.empty(dim, dtype=int)
     slots[order] = np.arange(dim)
-    even_slots, plus_slots, minus_slots = _split_slots(slots, n)
+    # global indices of the even modes, the odd modes at +e and at -e
+    even_slots, plus_slots, minus_slots = np.split(slots, [n + 4, n + 4 + energies.size])
     goldstone = tuple(int(even_slots[c]) for c in even.goldstone)
     photon = np.zeros((dim, 2), dtype=complex)  # odd modes: l1 = l2 = 0 exactly
     photon[even_slots] = even.left[:, :2]
@@ -662,18 +579,15 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     pairing[plus_slots] = minus_slots
     pairing[minus_slots] = plus_slots
     pairing_error = float(np.abs(omegas[pairing] + omegas.conj()).max())
-    # G M G = -conj(M) holds exactly for the assembled matrix, so the true
+    # G M G = -conj(M) holds exactly for the built sectors, so the true
     # spectrum is exactly (-conj)-symmetric; averaging each pair makes the
     # near-zero pair denominators of the depletion sums exactly imaginary
     omegas = 0.5 * (omegas - omegas[pairing].conj())
 
-    # max|M r - w r| sector by sector, each in its orthonormal basis, the
-    # blocks between the sectors being below PARITY_TOL; the odd one is the
-    # residual of h_odd plus what M departs from diag(h_odd, -h_odd)
-    res_odd = float(np.abs(h_odd @ w_odd - w_odd * energies).max())
-    res_odd += leftover * scale * float(np.abs(w_odd).sum(axis=0).max())
+    # max|M r - w r| sector by sector, each in its orthonormal basis
+    res_odd = float(np.abs(fm.h_odd @ w_odd - w_odd * energies).max())
     eigen_residual = max(even.residual, res_odd)
-    biorth_defect = max(even.biorth_defect, float(np.abs(vecs.T @ vecs - np.eye(k)).max()))
+    biorth_defect = max(even.biorth_defect, float(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max()))
 
     return ModeDecomposition(
         omegas=omegas,
@@ -696,12 +610,6 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     )
 
 
-def _split_slots(slots: np.ndarray, n: int):
-    """Global indices of the even modes, the odd modes at +e and at -e."""
-    k = n // 2 - 1
-    return slots[: n + 4], slots[n + 4 : n + 4 + k], slots[n + 4 + k :]
-
-
 def _odd_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     """Column factors giving the odd modes quadrature-weighted unit norm."""
     return 1.0 / np.sqrt(dx * (vecs**2).sum(axis=0))  # no photon rows
@@ -711,33 +619,22 @@ def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
     """The right vectors (columns), or the left vectors (rows), of every
     mode in the dim-square layout of M.
 
-    Scatters E even_right and even_left E^T: both points of a mirror pair
-    get s times the sector entry, a fixed point (p = q) gets it whole.
-    The odd modes are (v, 0) at +e and (0, v) at -e, each its own left
-    vector, with entries +-v / sqrt 2 on the two points of a mirror pair.
-    left^T has the layout of right, so both take the same scatter.
+    Unfolds E even_right and even_left E^T.  The odd modes are (v, 0) at
+    +e and (0, v) at -e, each its own left vector.  left^T has the layout
+    of right, so both take the same unfold.
     """
-    n = dec.n_grid
-    dim = 2 * n + 2
-    k = n // 2 - 1
-    p_e, q_e, s_e, p_o, q_o = _sector_pairs(n)
-    s_o = np.sqrt(0.5)
+    n_e = dec.even_right.shape[0]
     vecs = dec.odd_vectors
     factors = _odd_norm_factors(vecs, dec.dx)
     if left:
-        even, odd = dec.even_left.T, s_o * vecs / factors
+        even, odd = dec.even_left.T, vecs / factors
     else:
-        even, odd = dec.even_right, s_o * (vecs * factors)
-    even = even * np.where(p_e == q_e, 1.0, s_e)[:, None]
-    pairs = np.flatnonzero(p_e != q_e)
-    slots = dec.slots
-    even_slots, plus_slots, minus_slots = _split_slots(slots, n)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[np.ix_(p_e, even_slots)] = even
-    out[np.ix_(q_e[pairs], even_slots)] = even[pairs]
-    for block, cols in ((slice(None, k), plus_slots), (slice(k, None), minus_slots)):
-        out[np.ix_(p_o[block], cols)] = odd
-        out[np.ix_(q_o[block], cols)] = -odd
+        even, odd = dec.even_right, vecs * factors
+    zero = np.zeros_like(odd)
+    out = np.zeros((dec.slots.size, dec.slots.size), dtype=complex)
+    out[:, dec.slots[:n_e]] = unfold_sector(even)
+    # the odd slots hold the modes at +e, then those at -e
+    out[2:, dec.slots[n_e:]] = unfold_sector(np.block([[odd, zero], [zero, odd]]), odd=True)
     return out.T if left else out
 
 

@@ -122,7 +122,7 @@ def test_shipped_configs_load():
         load_config(str(path))
 
 
-@pytest.mark.parametrize("times", ["nan", "1,inf"])
+@pytest.mark.parametrize("times", ["nan", "1,inf", ",", ""])
 def test_depletion_rejects_non_finite_times_flag(tmp_path, times):
     cfg = write_config(tmp_path)
     assert main(["depletion", "--config", cfg, "--times", times]) == 2
@@ -316,6 +316,28 @@ def test_depletion_oracle_cell_is_blank_where_the_oracle_overflows(tmp_path, cap
     assert oracle[2] is None
 
 
+def test_depletion_time_whose_sum_fails_costs_only_its_own_row(tmp_path):
+    # by t = 1e25 the roundoff-level damping of some rungs leaves the sum a
+    # non-negligible imaginary part; the point's other times keep their rows
+    cfg = write_config(tmp_path, delta_c=-100.0, eta=100.0, u0=-0.05)
+    tables = []
+    for times in ("1,100", "1,100,1e25"):
+        out = tmp_path / f"dep-{len(times)}.csv"
+        assert main(["depletion", "--config", cfg, "--out", str(out), "--times", times]) == 0
+        with open(out) as fh:
+            tables.append(ResultTable.read_csv(fh))
+    short, long = tables
+    status = short.columns.index("status")
+    assert [r[status] for r in short.rows] == ["ok", "ok"]
+    assert long.rows[:2] == short.rows
+    row = dict(zip(long.columns, long.rows[2]))
+    assert row["time"] == 1e25 and row["depletion"] is None
+    assert row["stability"] == short.rows[0][short.columns.index("stability")]
+    assert row["status"].startswith(
+        "error: RuntimeError: depletion acquired a non-negligible imaginary part"
+    )
+
+
 def test_depletion_failing_point_is_recorded_and_the_sweep_continues(tmp_path, monkeypatch):
     real_to_real = bec_cavity.depletion._to_real
     calls = []
@@ -399,6 +421,7 @@ def test_verify_fault_injection_negative_control(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 1
     report = capsys.readouterr().out
     assert "FAIL symmetry" in report
+    assert "FAIL pipeline: M breaks G M G = -conj(M)" in report
 
 
 def test_verify_reports_a_chain_failure_instead_of_crashing(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from bec_cavity import (
     solve_depletion_point,
     steady_state_depletion,
 )
-from bec_cavity import cli, spectral
+from bec_cavity import cli, fluctuation, spectral
 from bec_cavity.fluctuation import FluctuationMatrix
 from conftest import run_pipeline
 
@@ -314,9 +314,12 @@ def test_sweep_path_never_assembles_the_grid_basis(monkeypatch):
         raise AssertionError("the sweep path must read the modes in sector form")
 
     monkeypatch.setattr(spectral, "_grid_basis", refuse)
-    params, grid, *_, dec = run_pipeline(u0=-0.5, ng=16)
+    monkeypatch.setattr(fluctuation, "_dense_generator", refuse)
+    params, grid, _, fm, dec = run_pipeline(u0=-0.5, ng=16)
     with pytest.raises(AssertionError, match="sector form"):
         dec.right
+    with pytest.raises(AssertionError, match="sector form"):
+        fm.m
     steady = solve_depletion_point(params, grid, -1000.0, -0.5)
     assert [r.status for r in steady] == ["ok"]
     timed = solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0, 100.0])
@@ -339,7 +342,9 @@ def test_relaxation_time_slower_than_cavity(pipeline):
 
 
 def test_oracle_refuses_noise_fed_undamped_direction():
-    # marginal toy: photon mode with zero linewidth receives all the noise
+    # marginal toy: photon mode with zero linewidth receives all the noise;
+    # at n = 2 both points are mirror fixed points, so the even sector is
+    # all of M and the odd sector is empty
     n = 2
     dim = 2 * n + 2
     m = np.zeros((dim, dim), dtype=complex)
@@ -349,20 +354,21 @@ def test_oracle_refuses_noise_fed_undamped_direction():
     m[4:, 4:] = -np.diag([1.0, 2.0])
     phi = np.full(n, 1.0 / np.sqrt(np.pi))
     fm = FluctuationMatrix(
-        m=m, a_diag=5.0 + 0j, n_grid=n, dx=np.pi / n, phi=phi,
-        mu=0.0, kappa=100.0, subtract_mu=True,
+        even=m, h_odd=np.zeros((0, 0)), phi_even=phi, scale=5.0,
+        n_grid=n, dx=np.pi / n, kappa=100.0,
     )
     with pytest.raises(OracleSingularError):
         lyapunov_oracle(fm, None, steady=True)
 
 
-def test_oracle_refuses_a_generator_that_couples_the_parity_sectors():
+def test_oracle_refuses_the_corrupt_matrix_fault():
     params, grid, *_ = run_pipeline(u0=-0.5, ng=16)
     point = analyze_point(params, grid, fault_injection="corrupt-matrix")
     assert point.fm is not None and point.dec is None  # decompose refused it too
-    with pytest.raises(ValueError, match="parity sectors"):
+    assert isinstance(point.error, spectral.DecompositionError)
+    with pytest.raises(ValueError, match="G M G"):
         lyapunov_oracle(point.fm, grid, steady=True)
-    with pytest.raises(ValueError, match="parity sectors"):
+    with pytest.raises(ValueError, match="G M G"):
         lyapunov_oracle(point.fm, grid, [1.0])
 
 

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bec_cavity import build_matrix, symmetry_defect
+from bec_cavity import build_matrix, kinetic_matrix, potential_profile, symmetry_defect
+from bec_cavity.grid import mirror_points
+from conftest import run_pipeline
 
 
 def test_symmetry_holds_exactly(pipeline):
@@ -28,8 +30,8 @@ def test_block_diagonal_without_coupling(pipeline):
     m = fm.m
     assert np.abs(m[:2, 2:]).max() == 0.0
     assert np.abs(m[2:, :2]).max() == 0.0
-    assert fm.a_diag == pytest.approx(1000.0 - 100.0j)
-    assert m[0, 0] == fm.a_diag and m[1, 1] == -np.conj(fm.a_diag)
+    assert fm.even[0, 0] == pytest.approx(1000.0 - 100.0j)
+    assert m[0, 0] == fm.even[0, 0] and m[1, 1] == -np.conj(fm.even[0, 0])
     assert np.abs(m[2 : 2 + n, 2 + n :]).max() == 0.0
 
 
@@ -90,3 +92,62 @@ def test_mu_subtraction_shifts_matter_blocks(pipeline):
     assert np.abs(diff[2 : 2 + n, 2 : 2 + n] - expect).max() < 1e-12
     assert np.abs(diff[2 + n :, 2 + n :] + expect).max() < 1e-12
     assert np.abs(diff[:2, :]).max() == 0.0
+
+
+def _dense_generator(state, params, grid, subtract_mu):
+    """M entry by entry in the layout of R, independent of the sector build."""
+    n, dx = grid.n, grid.dx
+    phi = state.phi.real
+    alpha = complex(state.alpha)
+    u_pot = potential_profile(grid, params.u0)
+    sqrt_n = np.sqrt(params.n_atoms)
+    y = sqrt_n * phi * u_pot
+    coupl = phi * u_pot * dx * sqrt_n
+    a_diag = -params.delta_c + params.n_atoms * state.u_avg - 1j * params.kappa
+    h0 = kinetic_matrix(grid) + np.diag(np.abs(alpha) ** 2 * u_pot)
+    if subtract_mu:
+        h0 = h0 - state.mu * np.eye(n)
+    m = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
+    m[0, 0] = a_diag
+    m[1, 1] = -np.conj(a_diag)
+    m[0, 2 : 2 + n] = alpha * coupl
+    m[0, 2 + n :] = alpha * coupl
+    m[1, 2 : 2 + n] = -np.conj(alpha) * coupl
+    m[1, 2 + n :] = -np.conj(alpha) * coupl
+    m[2 : 2 + n, 0] = np.conj(alpha) * y
+    m[2 : 2 + n, 1] = alpha * y
+    m[2 + n :, 0] = -np.conj(alpha) * y
+    m[2 + n :, 1] = -alpha * y
+    m[2 : 2 + n, 2 : 2 + n] = h0
+    m[2 + n :, 2 + n :] = -h0
+    return m
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
+@pytest.mark.parametrize("u0, subtract_mu", [(-0.5, True), (-0.5, False), (0.0, True)])
+def test_sectors_are_the_folds_of_the_dense_generator(ng, u0, subtract_mu):
+    params, grid, state, fm, _ = run_pipeline(u0=u0, ng=ng, subtract_mu=subtract_mu)
+    ref = _dense_generator(state, params, grid, subtract_mu)
+    n, k = ng, ng // 2 - 1
+    j, mj = mirror_points(n)
+    # even column c of the embedding is s_c (e_p + e_q), odd column (e_p - e_q) / sqrt 2
+    p = np.concatenate([[0, 1], 2 + j, 2 + n + j])
+    q = np.concatenate([[0, 1], 2 + mj, 2 + n + mj])
+    s = np.where(p == q, 0.5, np.sqrt(0.5))
+    p_odd = np.concatenate([2 + j[1:-1], 2 + n + j[1:-1]])
+    q_odd = np.concatenate([2 + mj[1:-1], 2 + n + mj[1:-1]])
+    even_cols = s * (ref[:, p] + ref[:, q])
+    odd_cols = np.sqrt(0.5) * (ref[:, p_odd] - ref[:, q_odd])
+    odd = np.sqrt(0.5) * (odd_cols[p_odd] - odd_cols[q_odd])
+
+    assert np.array_equal(fm.even, s[:, None] * (even_cols[p] + even_cols[q]))
+    assert np.array_equal(fm.h_odd, 0.5 * (odd[:k, :k] + odd[:k, :k].T).real)
+    assert np.array_equal(fm.phi_even, s[2 : 3 + n // 2] * (state.phi.real[j] + state.phi.real[mj]))
+    assert fm.scale == np.abs(ref).max()
+    # what the sector form leaves out of the dense M is roundoff
+    cross = np.sqrt(0.5) * (even_cols[p_odd] - even_cols[q_odd])
+    assert np.abs(cross).max() <= 1e-14 * fm.scale
+    assert np.abs(odd[k:, k:] + odd[:k, :k]).max() <= 1e-14 * fm.scale
+    assert np.abs(fm.m - ref).max() <= 1e-14 * fm.scale
+    with pytest.raises(ValueError, match="read-only"):
+        fm.m[0, 3] += 1.0

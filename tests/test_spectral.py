@@ -14,8 +14,7 @@ from bec_cavity import (
 )
 from bec_cavity import spectral
 from bec_cavity.depletion import error_status
-from bec_cavity.grid import mirror_points
-from bec_cavity.spectral import _canonical_goldstone, _sector_pairs
+from bec_cavity.spectral import _canonical_goldstone
 from conftest import run_pipeline
 
 
@@ -70,12 +69,8 @@ def test_goldstone_cluster_detected(pipeline):
 @pytest.mark.parametrize("delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05)])
 def test_goldstone_chain_vector_matches_a_least_squares_solve(ng, delta_c, u0):
     *_, fm, _ = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
-    p, q, s, *_ = _sector_pairs(ng)
-    cols = s * (fm.m[:, p] + fm.m[:, q])
-    m_even = s[:, None] * (cols[p] + cols[q])
-    j, mj = mirror_points(ng)
-    phi_even = s[2 : 3 + ng // 2] * (fm.phi[j] + fm.phi[mj])
-    kind, r1, r2 = _canonical_goldstone(m_even, phi_even, ng // 2 + 1)
+    m_even = fm.even
+    kind, r1, r2 = _canonical_goldstone(m_even, fm.phi_even, ng // 2 + 1)
     assert kind == "chain"
     # reference: the minimum-norm solution of M r = r1, made orthogonal to r1
     ref = np.linalg.lstsq(m_even, r1, rcond=None)[0]
@@ -110,14 +105,6 @@ def test_mode_record_holds_no_grid_sized_basis():
         dec.right = np.eye(dec.omegas.size)
 
 
-def test_decompose_refuses_a_parity_breaking_matrix(pipeline):
-    *_, fm, _ = pipeline(u0=-0.5, ng=16)
-    m = fm.m.copy()
-    m[0, 3] += 1e-3 * (1.0 + 1.0j)  # the corrupt-matrix fault of `verify`
-    with pytest.raises(DecompositionError, match="parity"):
-        decompose(dataclasses.replace(fm, m=m))
-
-
 @pytest.mark.parametrize("ng", [16, 64])
 @pytest.mark.parametrize("subtract_mu", [True, False])
 def test_decompose_spectrum_matches_plain_eigvals(ng, subtract_mu):
@@ -136,10 +123,10 @@ def test_pairs_are_exact_mirror_frequencies(u0, ng):
 
 def test_decompose_refuses_a_matrix_without_the_g_symmetry(pipeline):
     *_, fm, _ = pipeline(u0=-0.5, ng=16)
-    m = fm.m.copy()
-    m[0, 0] += 1e-3  # keeps reflection parity, breaks G M G = -conj(M)
-    with pytest.raises(DecompositionError):
-        decompose(dataclasses.replace(fm, m=m))
+    even = fm.even.copy()
+    even[0, 0] += 1e-3  # breaks G M G = -conj(M): A no longer meets -conj(A)
+    with pytest.raises(DecompositionError, match="G M G"):
+        decompose(dataclasses.replace(fm, even=even))
 
 
 def test_petermann_of_normal_spectrum_is_unity(pipeline):
@@ -213,12 +200,6 @@ def test_spectrum_sweep_records_failures(pipeline):
     assert point.state is None and point.fm is None and point.dec is None
 
 
-def _even_sector(fm):
-    p, q, s, *_ = _sector_pairs(fm.n_grid)
-    cols = s * (fm.m[:, p] + fm.m[:, q])
-    return s[:, None] * (cols[p] + cols[q])
-
-
 def _even_modes(dec):
     """Indices of the modes whose right vectors are even under x -> pi - x."""
     n = dec.n_grid
@@ -256,7 +237,7 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, subtract_mu, label):
         assert state.heating
     even = _even_modes(dec)
     assert even.size == ng + 4
-    reference = np.linalg.eigvals(_even_sector(fm))
+    reference = np.linalg.eigvals(fm.even)
     if subtract_mu:
         # the phase/number pair: exact zeros here, split by +-sqrt(eps) in eig
         assert len(dec.goldstone) == 2 and set(dec.goldstone) <= set(even)
@@ -296,7 +277,7 @@ def test_near_resonance_photon_roots_are_imaginary_and_self_paired(offset, monke
     assert np.all(dec.omegas[photon].real == 0.0)
     assert np.array_equal(dec.pairing[photon], photon)
     assert abs(dec.omegas[photon[0]] - dec.omegas[photon[1]]) > 0.1
-    reference = np.linalg.eigvals(_even_sector(fm))
+    reference = np.linalg.eigvals(fm.even)
     for k in photon:
         assert np.abs(reference - dec.omegas[k]).min() <= 1e-11 * np.abs(reference).max()
     if offset == 1e-3:
@@ -305,17 +286,18 @@ def test_near_resonance_photon_roots_are_imaginary_and_self_paired(offset, monke
 
 def test_decompose_refuses_an_anomalous_matter_block(pipeline):
     *_, fm, _ = pipeline(u0=-0.5, ng=16)
-    n = fm.n_grid
-    m = fm.m.copy()
+    n_e = fm.phi_even.size
+    even = fm.even.copy()
     # a pairing term dPsi <-> dPsi^dag along the condensate: reflection even,
-    # absent from the odd sector, and G M G = -conj(M) still holds, but the
-    # even matter blocks are no longer diag(h, -h)
-    pairing_term = 0.5 * np.outer(fm.phi, fm.phi)
-    m[2 : 2 + n, 2 + n :] += pairing_term
-    m[2 + n :, 2 : 2 + n] -= pairing_term
-    assert symmetry_defect(m) == 0.0
+    # and G M G = -conj(M) still holds, but the even matter blocks are no
+    # longer diag(h, -h)
+    pairing_term = 0.5 * np.outer(fm.phi_even, fm.phi_even)
+    even[2 : 2 + n_e, 2 + n_e :] += pairing_term
+    even[2 + n_e :, 2 : 2 + n_e] -= pairing_term
+    corrupt = dataclasses.replace(fm, even=even)
+    assert symmetry_defect(corrupt.m) == 0.0
     with pytest.raises(DecompositionError, match="bordered form"):
-        decompose(dataclasses.replace(fm, m=m))
+        decompose(corrupt)
 
 
 @pytest.mark.parametrize("ng", [16, 200])
