@@ -9,8 +9,9 @@ Sweeps fan out over a process pool capped by the BEC_CAVITY_THREADS
 environment variable (default 1); results are merged in sweep order, so
 the output bytes do not depend on the pool size.  The output is opened
 before any point runs.  Exit codes: 0 on success, 1 on runtime failure
-(non-convergence, failed verification), 2 on configuration errors and on
-an output path that cannot be opened.
+(non-convergence, failed verification), 2 on configuration errors (a
+sweep axis the command does not write among them) and on an output path
+that cannot be opened.
 """
 
 from __future__ import annotations
@@ -93,10 +94,27 @@ def _detunings(cfg: RunConfig) -> list[float]:
     return [cfg.params.delta_c]
 
 
+def _refuse_unwritten_axes(command: str, cfg: RunConfig) -> None:
+    """ConfigError naming a sweep axis the command would otherwise drop.
+
+    groundstate and verify solve one point; spectrum writes a u0 sweep at
+    one detuning; depletion writes both axes.
+    """
+    if command in ("groundstate", "verify"):
+        for key in ("sweep", "detunings"):
+            if getattr(cfg, key) is not None:
+                raise ConfigError(f"{command} runs one point and cannot use '{key}'")
+    elif command == "spectrum":
+        if cfg.detunings is not None:
+            raise ConfigError("spectrum runs one detuning and cannot use 'detunings'")
+        if cfg.sweep is not None and cfg.sweep.parameter == "delta_c":
+            raise ConfigError("spectrum sweeps u0 only and cannot use a delta_c 'sweep'")
+
+
 def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
     grid = make_grid(cfg.params.grid_points)
     try:
-        state = solve_ground_state(cfg.params, grid, **cfg.solver_options())
+        state = solve_ground_state(cfg.params, grid)
     except ConvergenceError as exc:
         print(
             f"groundstate failed: {exc} "
@@ -128,18 +146,9 @@ def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
     return 0
 
 
-def _chain_options(cfg: RunConfig) -> dict:
-    return dict(
-        solver_options=cfg.solver_options(),
-        subtract_mu=cfg.subtract_mu,
-        tol_zero=cfg.tol_zero,
-        tol_noise=cfg.tol_noise,
-    )
-
-
-def _spectrum_rows(u0: float, params: SystemParams, grid, options: dict, nonneg_re_only: bool):
+def _spectrum_rows(u0: float, params: SystemParams, grid, nonneg_re_only: bool):
     """CSV rows of one light shift, built where the point record is made."""
-    point = analyze_point(dc_replace(params, u0=u0), grid, **options)
+    point = analyze_point(dc_replace(params, u0=u0), grid)
     if point.error is not None:
         return [(u0, -1, None, None, None, None, None, error_status(point.error))]
     dec = point.dec
@@ -161,7 +170,6 @@ def cmd_spectrum(cfg: RunConfig, stream: TextIO, nonneg_re_only: bool | None = N
         _spectrum_rows,
         params=cfg.params,
         grid=make_grid(cfg.params.grid_points),
-        options=_chain_options(cfg),
         nonneg_re_only=nonneg_re_only,
     )
     columns = [
@@ -193,13 +201,7 @@ def cmd_depletion(
     u0s = [float(u) for u in _u0_values(cfg)]
     detunings = _detunings(cfg)
     items = [(dc, u0) for dc in detunings for u0 in u0s]
-    options = dict(
-        _chain_options(cfg),
-        eta_follows_detuning=cfg.eta_follows_detuning,
-        times=times,
-        oracle=oracle,
-        tol_pair=cfg.tol_pair,
-    )
+    options = dict(eta_follows_detuning=cfg.eta_follows_detuning, times=times, oracle=oracle)
     worker = functools.partial(_depletion_worker, params=cfg.params, grid=grid, options=options)
     results = _pool_map(worker, items)
 
@@ -223,7 +225,7 @@ def cmd_depletion(
     return 0
 
 
-def _oracle_equivalence(cfg: RunConfig, grid, point) -> tuple[bool, str]:
+def _oracle_equivalence(grid, point) -> tuple[bool, str]:
     """Mode sums against the second-moment oracle on the same observable."""
     fm, dec, stability = point.fm, point.dec, point.stability
     if stability.label != "stable" or point.state.heating:
@@ -232,9 +234,7 @@ def _oracle_equivalence(cfg: RunConfig, grid, point) -> tuple[bool, str]:
         diff = abs(finite.values[0] - oracle_t.values[0])
         denom = max(abs(oracle_t.values[0]), 1e-8)
         return diff / denom <= 1e-4 or diff <= 1e-10, f"non-stable point, t=1 |diff|={diff:.2e}"
-    steady = steady_state_depletion(
-        dec, grid, stability, tol_pair=cfg.tol_pair, tol_noise=cfg.tol_noise
-    )
+    steady = steady_state_depletion(dec, grid, stability)
     if steady.diverged:
         return False, "steady sum diverged"
     proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
@@ -254,7 +254,7 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
         checks.append((name, passed, detail))
 
     grid = make_grid(cfg.params.grid_points)
-    point = analyze_point(cfg.params, grid, fault_injection=cfg.fault_injection, **_chain_options(cfg))
+    point = analyze_point(cfg.params, grid, fault_injection=cfg.fault_injection)
     state, fm, dec, stability = point.state, point.fm, point.dec, point.stability
     if state is not None:
         record(
@@ -277,23 +277,20 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
             dec.pairing_error <= 1e-8 * scale,
             f"pairing error={dec.pairing_error:.2e} (bound {1e-8 * scale:.2e})",
         )
-        if cfg.subtract_mu:
-            if len(dec.goldstone) == 2:
-                photon = min(
-                    float(np.abs(dec.even_right[:2, c]).max())
-                    for c in dec.even_columns(dec.goldstone)
-                )
-                freq = max(float(abs(dec.omegas[k])) for k in dec.goldstone)
-                record(
-                    "goldstone",
-                    photon <= 1e-8 and freq <= 1e-6,
-                    f"zero-mode photon weight={photon:.2e} |omega|={freq:.2e}",
-                )
-            else:
-                record("goldstone", False, f"cluster size {len(dec.goldstone)} != 2")
+        # decompose refuses a generator without the phase/number pair, so
+        # every decomposition carries exactly two Goldstone modes
+        photon = min(
+            float(np.abs(dec.even_right[:2, c]).max()) for c in dec.even_columns(dec.goldstone)
+        )
+        freq = max(float(abs(dec.omegas[k])) for k in dec.goldstone)
+        record(
+            "goldstone",
+            photon <= 1e-8 and freq <= 1e-6,
+            f"zero-mode photon weight={photon:.2e} |omega|={freq:.2e}",
+        )
     if stability is not None:
         try:
-            record("oracle-equivalence", *_oracle_equivalence(cfg, grid, point))
+            record("oracle-equivalence", *_oracle_equivalence(grid, point))
         except Exception as exc:  # a failing oracle is a failed check, not a crash
             record("oracle-equivalence", False, str(exc))
     if point.error is not None:
@@ -345,6 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        _refuse_unwritten_axes(args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Run configuration and bit-stable tabular output.
 
-Configs are flat JSON: the physical parameters, optional solver knobs,
-an optional sweep block {"parameter", "from", "to", "points", "scale"},
-and output options; any other key is rejected.  Results are written as
+Configs are flat JSON: the physical parameters, an optional sweep block
+{"parameter", "from", "to", "points", "scale"}, and run and output
+options; any other key is rejected.  The chain's numerical tolerances
+and its fluctuation frame (the one that rotates with the chemical
+potential) are fixed in code, not settable here.  Results are written as
 CSV with '#'-prefixed metadata lines (program version, canonical config
 echo, timestamp) before the header row; floats carry 17 significant
 digits so a written table reads back bit-identically.
@@ -27,24 +29,7 @@ class ConfigError(ValueError):
 
 _PARAM_KEYS = ("delta_c", "kappa", "eta", "u0", "n_atoms", "grid_points")
 
-_SOLVER_DEFAULTS = {
-    "itp_dt": 1e-3,
-    "tol_phi": 1e-9,
-    "tol_alpha": 1e-10,
-    "mixing": 0.3,
-    "max_iters": 1_000_000,
-    "refine": True,
-}
-
-_ANALYSIS_DEFAULTS = {
-    "subtract_mu": True,
-    "tol_pair": 1e-8,
-    "tol_noise": 1e-10,
-    "tol_zero": 1e-6,
-}
-
-
-# every key parse_config reads besides the parameters and the knobs above
+# every key parse_config reads besides the parameters
 _OPTION_KEYS = (
     "sweep", "detunings", "eta_follows_detuning", "nonneg_re_only", "oracle",
     "times", "out", "fault_injection",
@@ -70,16 +55,6 @@ class SweepSpec:
 @dataclass
 class RunConfig:
     params: SystemParams
-    itp_dt: float = _SOLVER_DEFAULTS["itp_dt"]
-    tol_phi: float = _SOLVER_DEFAULTS["tol_phi"]
-    tol_alpha: float = _SOLVER_DEFAULTS["tol_alpha"]
-    mixing: float = _SOLVER_DEFAULTS["mixing"]
-    max_iters: int = _SOLVER_DEFAULTS["max_iters"]
-    refine: bool = True
-    subtract_mu: bool = True
-    tol_pair: float = _ANALYSIS_DEFAULTS["tol_pair"]
-    tol_noise: float = _ANALYSIS_DEFAULTS["tol_noise"]
-    tol_zero: float = _ANALYSIS_DEFAULTS["tol_zero"]
     sweep: SweepSpec | None = None
     detunings: list[float] | None = None
     eta_follows_detuning: bool = True
@@ -89,16 +64,6 @@ class RunConfig:
     oracle: bool = False
     fault_injection: str | None = None
     raw: dict = field(default_factory=dict, repr=False)
-
-    def solver_options(self) -> dict:
-        return {
-            "itp_dt": self.itp_dt,
-            "tol_phi": self.tol_phi,
-            "tol_alpha": self.tol_alpha,
-            "mixing": self.mixing,
-            "max_iters": self.max_iters,
-            "refine": self.refine,
-        }
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -128,9 +93,7 @@ def _require_flag(value: Any, name: str) -> bool:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    _reject_unknown(
-        data, (*_PARAM_KEYS, *_SOLVER_DEFAULTS, *_ANALYSIS_DEFAULTS, *_OPTION_KEYS), "config"
-    )
+    _reject_unknown(data, (*_PARAM_KEYS, *_OPTION_KEYS), "config")
     missing = [k for k in _PARAM_KEYS if k not in data]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
@@ -149,25 +112,6 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     cfg = RunConfig(params=params, raw=dict(data))
-    for key, default in {**_SOLVER_DEFAULTS, **_ANALYSIS_DEFAULTS}.items():
-        if key in data:
-            value = data[key]
-            if isinstance(default, bool):
-                value = _require_flag(value, key)
-            elif isinstance(default, int):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{key} must be an integer, got {value!r}")
-            else:
-                value = _require_number(value, key)
-            setattr(cfg, key, value)
-    for knob in ("itp_dt", "tol_phi", "tol_alpha", "tol_pair", "tol_noise", "tol_zero"):
-        if getattr(cfg, knob) <= 0:
-            raise ConfigError(f"{knob} must be positive")
-    if not 0.0 < cfg.mixing <= 1.0:
-        raise ConfigError(f"mixing must be in (0, 1], got {cfg.mixing}")
-    if cfg.max_iters < 1:
-        raise ConfigError("max_iters must be at least 1")
-
     if "sweep" in data:
         cfg.sweep = _parse_sweep(data["sweep"])
     if "detunings" in data:

@@ -49,6 +49,7 @@ from .grid import Grid
 from .meanfield import MeanFieldState, solve_ground_state
 from .params import SystemParams
 from .spectral import (
+    NOISE_FLOOR,
     STRUCTURE_TOL,
     ModeDecomposition,
     StabilityReport,
@@ -59,6 +60,9 @@ from .spectral import (
 # numerical resolution floor for the frequency sums; a pair denominator
 # below it counts as exactly zero
 Z_FLOOR = 1e-11
+# a pair denominator below it is skipped when the pair carries no photon
+# noise weight (below NOISE_FLOOR): numerically unresolvable and noise-free
+PAIR_TOL = 1e-8
 
 
 class StabilityError(RuntimeError):
@@ -198,18 +202,16 @@ def steady_state_depletion(
     stability: StabilityReport,
     *,
     heating: bool = False,
-    tol_pair: float = 1e-8,
-    tol_noise: float = 1e-10,
 ) -> SteadyDepletion:
     """Steady-state depletion, refusing non-stable states.
 
     The sum runs over the pairs of photon-weighted modes, the Goldstone
     modes left out.  Zero-denominator policy: pairs with
-    |w_k + w_l| < tol_pair and photon noise weight |l1_k l2_l| < tol_noise
+    |w_k + w_l| < PAIR_TOL and photon noise weight |l1_k l2_l| < NOISE_FLOOR
     are dropped (they are exactly the numerically unresolvable, noise-free
     pairs).  A pair below the resolution floor Z_FLOOR that still carries
-    weight above tol_noise makes the sum meaningless and the result is
-    flagged diverged.  Pairs between Z_FLOOR and tol_pair with real weight
+    weight above NOISE_FLOOR makes the sum meaningless and the result is
+    flagged diverged.  Pairs between Z_FLOOR and PAIR_TOL with real weight
     are kept: their denominators are accurate, since the paired
     eigenvalues are symmetrized against the exact G M G = -conj(M)
     relation.  excluded_modes applies the same rule to each mode's own
@@ -233,15 +235,15 @@ def steady_state_depletion(
     abs_l2 = np.abs(dec.photon[:, 1])
     keep = _kept_pairs(modes, dec.goldstone)
     absz = np.abs(zsum)
-    noisy = np.outer(abs_l1[modes], abs_l2[modes]) >= tol_noise
+    noisy = np.outer(abs_l1[modes], abs_l2[modes]) >= NOISE_FLOOR
     if ((absz < Z_FLOOR) & noisy & keep).any():
         return SteadyDepletion(value=None, diverged=True, dominated_fraction=None)
-    keep &= (absz >= tol_pair) | noisy
+    keep &= (absz >= PAIR_TOL) | noisy
     del absz, noisy
 
     own_z = np.abs(dec.omegas + dec.omegas[dec.pairing])
     own_noise = abs_l1 * abs_l2[dec.pairing]
-    own_pair = (own_z < tol_pair) & (own_noise < tol_noise)
+    own_pair = (own_z < PAIR_TOL) & (own_noise < NOISE_FLOOR)
     own_pair |= own_pair[dec.pairing]  # the rule drops a pair, so both of its modes
     own_pair[list(dec.goldstone)] = False
     excluded = tuple(int(k) for k in np.flatnonzero(own_pair))
@@ -265,13 +267,13 @@ def steady_state_depletion(
     )
 
 
-def relaxation_time(dec: ModeDecomposition, *, tol_noise: float = 1e-10) -> float:
+def relaxation_time(dec: ModeDecomposition) -> float:
     """1 / |slowest decay| over the noise-coupled, non-Goldstone modes.
 
     Infinity when no damped noise-coupled mode exists (decoupled cavity).
     """
     idx = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
-    coupled = idx[np.abs(dec.photon[idx, 0] * dec.photon[idx, 1]) > tol_noise]
+    coupled = idx[np.abs(dec.photon[idx, 0] * dec.photon[idx, 1]) > NOISE_FLOOR]
     if coupled.size == 0:
         return math.inf
     max_im = float(dec.omegas[coupled].imag.max())
@@ -299,7 +301,8 @@ def _chain_projector(a: np.ndarray, phi_even: np.ndarray) -> np.ndarray | None:
     along phi.  Built from these analytic null vectors and least-squares
     solves only, so the oracle stays independent of the
     eigendecomposition.  Returns None when the chain structure is absent
-    (e.g. decoupled cavity or unshifted matter blocks).
+    (the decoupled cavity, where the phase and number modes are two
+    eigenvectors).
     """
     scale = float(np.abs(a).max())
     unit = phi_even / np.linalg.norm(phi_even)
@@ -504,10 +507,6 @@ def analyze_point(
     params: SystemParams,
     grid: Grid,
     *,
-    solver_options: dict | None = None,
-    subtract_mu: bool = True,
-    tol_zero: float = 1e-6,
-    tol_noise: float = 1e-10,
     fault_injection: str | None = None,
 ) -> PointAnalysis:
     """Mean field, generator, decomposition and stability verdict.
@@ -519,12 +518,12 @@ def analyze_point(
     """
     point = PointAnalysis()
     try:
-        point.state = solve_ground_state(params, grid, **(solver_options or {}))
-        point.fm = build_matrix(point.state, params, grid, subtract_mu=subtract_mu)
+        point.state = solve_ground_state(params, grid)
+        point.fm = build_matrix(point.state, params, grid)
         if fault_injection == "corrupt-matrix":
             point.fm.even[0, 3] += 1e-3 * (1.0 + 1.0j)
         point.dec = decompose(point.fm)
-        point.stability = classify_stability(point.dec, tol_zero=tol_zero, tol_noise=tol_noise)
+        point.stability = classify_stability(point.dec)
     except Exception as exc:  # one failed point must never abort a sweep
         point.error = exc
     return point
@@ -553,11 +552,6 @@ def solve_depletion_point(
     eta_follows_detuning: bool = True,
     times=None,
     oracle: bool = False,
-    solver_options: dict | None = None,
-    subtract_mu: bool = True,
-    tol_pair: float = 1e-8,
-    tol_noise: float = 1e-10,
-    tol_zero: float = 1e-6,
 ) -> list[DepletionPoint]:
     """Depletion rows at one (detuning, light shift) point.
 
@@ -571,10 +565,7 @@ def solve_depletion_point(
     """
     eta = -delta_c if eta_follows_detuning else params.eta
     point = dc_replace(params, delta_c=float(delta_c), u0=float(u0), eta=float(eta))
-    chain = analyze_point(
-        point, grid, solver_options=solver_options, subtract_mu=subtract_mu,
-        tol_zero=tol_zero, tol_noise=tol_noise,
-    )
+    chain = analyze_point(point, grid)
     try:
         if chain.error is not None:
             raise chain.error
@@ -606,10 +597,7 @@ def solve_depletion_point(
         if heating or label != "stable":
             status = "heating" if heating else label
             return [DepletionPoint(delta_c=delta_c, u0=u0, status=status, stability=label)]
-        steady = steady_state_depletion(
-            dec, grid, chain.stability, heating=heating,
-            tol_pair=tol_pair, tol_noise=tol_noise,
-        )
+        steady = steady_state_depletion(dec, grid, chain.stability, heating=heating)
         if steady.diverged:
             return [DepletionPoint(delta_c=delta_c, u0=u0, status="diverged", stability=label)]
         row = DepletionPoint(

@@ -7,11 +7,11 @@ Fluctuations are arranged as the vector
 and obey i dR/dt = M R + i xi with xi = [xi, xi^dag, 0, 0].  M is
 complex and non-normal.  Discretization conventions: rows that realize
 an integral operator (the photon rows) carry the quadrature weight dx;
-rows that act pointwise (the matter rows) carry none.  With the
-condensate phase rotated away, the matter diagonal blocks are
-H0 - mu and -(H0 - mu), with no anomalous blocks (the shift is the
-``subtract_mu`` switch; without it the generator is built in the bare
-frame).
+rows that act pointwise (the matter rows) carry none.  M is taken in
+the frame that rotates with the chemical potential, with the condensate
+phase rotated away: the matter diagonal blocks are H0 - mu and
+-(H0 - mu), with no anomalous blocks, and the condensate phase
+fluctuation (0, 0, phi, -phi) is a zero mode.
 
 The permutation G exchanging da <-> da^dag and dPsi <-> dPsi^dag gives
 the exact symmetry G M G = -conj(M), which pairs the eigenvalues as
@@ -69,8 +69,6 @@ def build_matrix(
     state: MeanFieldState,
     params: SystemParams,
     grid: Grid,
-    *,
-    subtract_mu: bool = True,
 ) -> FluctuationMatrix:
     """The parity sectors of M from a converged mean-field state.
 
@@ -92,9 +90,7 @@ def build_matrix(
     coupl = phi * u_pot * dx * sqrt_n  # integral-operator row, weight included
 
     a_diag = -params.delta_c + params.n_atoms * state.u_avg - 1j * params.kappa
-    h0 = kinetic_matrix(grid) + np.diag(np.abs(alpha) ** 2 * u_pot)
-    if subtract_mu:
-        h0 = h0 - state.mu * np.eye(n)
+    h0 = kinetic_matrix(grid) + np.diag(np.abs(alpha) ** 2 * u_pot) - state.mu * np.eye(n)
 
     row = alpha * coupl  # photon row a on the field block
     col = np.conj(alpha) * y  # field rows of the photon column a

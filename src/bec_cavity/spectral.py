@@ -47,13 +47,14 @@ conjugate-linear scalar product convention, is assembled only on request.
 The noise weights used by the depletion sums are exactly the photon
 entries left[k, 0] and left[k, 1], stored per mode.
 
-Phase symmetry of the condensate makes the even sector defective: with
-the chemical potential subtracted the vector (0, 0, phi, -phi) is an
+Phase symmetry of the condensate makes the even sector defective: in the
+frame of the chemical potential the vector (0, 0, phi, -phi) is an
 exact null vector whose dual partner (the number fluctuation) forms a
-2 x 2 Jordan chain with it.  ``decompose`` takes that pair from the
-analytic chain basis (exact zeros, well conditioned) and its left rows
-from the other modes' spectral projector; the pair's indices are exposed
-so downstream sums can treat them separately.
+2 x 2 Jordan chain with it (two eigenvectors when the cavity decouples).
+``decompose`` takes that pair from the analytic chain basis (exact
+zeros, well conditioned) and its left rows from the other modes'
+spectral projector, and refuses a generator without it; the pair's
+indices are exposed so downstream sums can treat them separately.
 
 The module sees only the generator: the mean field and the per-point
 chain that feeds M in here are ``depletion.analyze_point``'s business.
@@ -76,11 +77,15 @@ COND_LIMIT = 1e12
 BIORTH_LIMIT = 1e-10
 # largest mirror-pairing mismatch |w_k' + conj(w_k)|, relative to max|w|
 PAIRING_RTOL = 1e-8
-# cap on the Aberth sweeps of the secular solve, which takes 3-8 (up to
-# about 17 without the chemical potential subtracted)
+# cap on the Aberth sweeps of the secular solve, which takes 3-8
 SECULAR_STEPS = 50
 # slowest decay rate classify_stability resolves as damping
 DAMPING_FLOOR = 5e-12
+# smallest photon noise weight |l1 l2| through which a mode counts as
+# coupled to the cavity noise, in classify_stability and the depletion sums
+NOISE_FLOOR = 1e-10
+# largest growth rate Im w that classify_stability does not call unstable
+GROWTH_TOL = 1e-6
 
 
 class DecompositionError(RuntimeError):
@@ -186,8 +191,10 @@ def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
 
     Returns (kind, v1, v2) with kind "pair" when both are eigenvectors
     (decoupled cavity) or "chain" when M v2 = v1, M v1 = 0 (the generic
-    defective case), or None when neither structure is present to solver
-    accuracy.  The chain residual is bounded relative to |v2|, the scale
+    defective case).  Raises DecompositionError when neither structure is
+    present to solver accuracy: without the phase null vector the sector
+    is not the generator of fluctuations in the chemical potential's
+    frame.  The chain residual is bounded relative to |v2|, the scale
     of the solve's backward error: the weaker the coupling, the longer the
     chain vector (|v2| about 2.5e4 at delta_c = -10000, u0 = -0.02).
     """
@@ -198,7 +205,7 @@ def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
     r1[2 + n :] = -phi
     r1 /= np.linalg.norm(r1)
     if np.abs(m @ r1).max() > 1e-7 * scale:
-        return None
+        raise DecompositionError("even sector has no phase null vector (0, 0, phi, -phi)")
     ra = np.zeros(dim, dtype=complex)
     ra[2 : 2 + n] = phi
     ra /= np.linalg.norm(ra)
@@ -218,10 +225,10 @@ def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
     try:
         r2 = np.linalg.solve(bordered, np.append(r1, 0.0))[:dim]
     except np.linalg.LinAlgError:  # a singular border: no chain
-        return None
-    if np.linalg.norm(m @ r2 - r1) <= 1e-7 * max(1.0, float(np.linalg.norm(r2))):
-        return ("chain", r1, r2)
-    return None
+        r2 = None
+    if r2 is None or np.linalg.norm(m @ r2 - r1) > 1e-7 * max(1.0, float(np.linalg.norm(r2))):
+        raise DecompositionError("even sector's phase null vector heads no phase/number chain")
+    return ("chain", r1, r2)
 
 
 # largest departure of the even sector from its bordered form with
@@ -463,17 +470,16 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
             f"({breach:.2e} max|M|)"
         )
 
+    kind, v1, v2 = _canonical_goldstone(m_even, phi_even, n_e)
     energies, basis = np.linalg.eigh(h)
     col_q = basis.T @ col
     row_q = basis.T @ row
+    # the condensate's own level is the exact zero of H0 - mu; its pole
+    # pair cancels from the secular sum (its term carries 2 e_j)
+    zero = int(np.argmax(np.abs(basis.T @ phi_even)))
+    energies[zero] = 0.0
     coupled = np.ones(n_e, dtype=bool)
-    canonical = _canonical_goldstone(m_even, phi_even, n_e)
-    if canonical is not None:
-        # the condensate's own level is the exact zero of H0 - mu; its pole
-        # pair cancels from the secular sum (its term carries 2 e_j)
-        zero = int(np.argmax(np.abs(basis.T @ phi_even)))
-        energies[zero] = 0.0
-        coupled[zero] = False
+    coupled[zero] = False
     # the matter levels +e_j (field block) and -e_j (conjugate block)
     levels = np.concatenate([energies, -energies])
     weight_r = np.concatenate([col_q, -col_q])  # right vectors: +-y_c / (w -+ e)
@@ -499,26 +505,22 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
     right[:, :n_roots] *= scales
     left[:n_roots] /= (dots * scales)[:, None]
 
-    omegas = np.concatenate([omegas, np.zeros(dim - n_roots)])
-    pairing = np.concatenate([pairing, np.arange(n_roots, dim)])  # Goldstone: itself
-    goldstone = tuple(range(n_roots, dim))
-    chain = False
-    chain_coupling = 0.0 + 0.0j
-    if canonical is not None:
-        kind, v1, v2 = canonical
-        right[:, n_roots] = v1
-        right[:, n_roots + 1] = v2
-        factors = _physical_norm_factors(right[:, n_roots:], dx)
-        right[:, n_roots:] *= factors
-        chain = kind == "chain"
-        if chain:
-            chain_coupling = complex(factors[1] / factors[0])
-        # the dual rows: R_G^H projected off the other modes' spectral projector
-        r_g = right[:, n_roots:]
-        r_gh = r_g.conj().T
-        left[n_roots:] = np.linalg.solve(
-            r_gh @ r_g, r_gh - (r_gh @ right[:, :n_roots]) @ left[:n_roots]
-        )
+    # the phase/number pair fills the last two columns
+    omegas = np.concatenate([omegas, np.zeros(2)])
+    pairing = np.concatenate([pairing, [n_roots, n_roots + 1]])  # Goldstone: itself
+    goldstone = (n_roots, n_roots + 1)
+    right[:, n_roots] = v1
+    right[:, n_roots + 1] = v2
+    factors = _physical_norm_factors(right[:, n_roots:], dx)
+    right[:, n_roots:] *= factors
+    chain = kind == "chain"
+    chain_coupling = complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j
+    # the dual rows: R_G^H projected off the other modes' spectral projector
+    r_g = right[:, n_roots:]
+    r_gh = r_g.conj().T
+    left[n_roots:] = np.linalg.solve(
+        r_gh @ r_g, r_gh - (r_gh @ right[:, :n_roots]) @ left[:n_roots]
+    )
 
     biorth_defect = float(np.abs(left @ right - np.eye(dim)).max())
     if not biorth_defect <= BIORTH_LIMIT:
@@ -550,11 +552,12 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     The even sector is solved from its secular equation (see the module
     docstring), the real odd block by one ``eigh``.  Raises
     DecompositionError when the even sector departs from the bordered
-    form with G M G = -conj(M) beyond STRUCTURE_TOL, or when the even
-    modes fail a certificate: n + 2 distinct non-Goldstone roots (n + 4
-    without the phase mode), an exact mirror pairing, the trace identity,
-    biorthogonality to BIORTH_LIMIT, and a condition bound within
-    COND_LIMIT.  There is no fallback solve.
+    form with G M G = -conj(M) beyond STRUCTURE_TOL, when it has no
+    phase/number pair (see ``_canonical_goldstone``), or when the even
+    modes fail a certificate: n + 2 distinct roots beside that pair, an
+    exact mirror pairing, the trace identity, biorthogonality to
+    BIORTH_LIMIT, and a condition bound within COND_LIMIT.  There is no
+    fallback solve.
     """
     n = fm.n_grid
     dim = 2 * n + 2
@@ -638,17 +641,12 @@ def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
     return out.T if left else out
 
 
-def classify_stability(
-    dec: ModeDecomposition,
-    *,
-    tol_zero: float = 1e-6,
-    tol_noise: float = 1e-10,
-) -> StabilityReport:
+def classify_stability(dec: ModeDecomposition) -> StabilityReport:
     """Stability of the steady state from the mode spectrum.
 
-    Unstable when any non-Goldstone mode grows faster than tol_zero.
+    Unstable when any non-Goldstone mode grows faster than GROWTH_TOL.
     Otherwise the verdict rests on the noise-coupled modes only (photon
-    weight |l1 l2| above tol_noise): a steady state exists when every
+    weight |l1 l2| above NOISE_FLOOR): a steady state exists when every
     such mode decays at a numerically resolvable rate (at least
     DAMPING_FLOOR).  No coupled mode at all (decoupled cavity), or a
     coupled one whose decay is unresolvable, means marginal.  Modes with
@@ -658,10 +656,10 @@ def classify_stability(
     non_g = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
     growth = dec.omegas[non_g].imag
     max_growth = float(growth.max())
-    if max_growth > tol_zero:
+    if max_growth > GROWTH_TOL:
         return StabilityReport("unstable", max_growth)
     weights = np.abs(dec.photon[non_g, 0] * dec.photon[non_g, 1])
-    coupled = weights > tol_noise
+    coupled = weights > NOISE_FLOOR
     if coupled.any() and (growth[coupled] < -DAMPING_FLOOR).all():
         return StabilityReport("stable", max_growth)
     return StabilityReport("marginal", max_growth)

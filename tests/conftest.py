@@ -19,14 +19,9 @@ def run_pipeline(
     kappa=100.0,
     eta=1000.0,
     n_atoms=1000,
-    subtract_mu=True,
-    **solver_options,
 ):
     """Solve + build + decompose, cached across the whole test session."""
-    key = (
-        u0, ng, delta_c, kappa, eta, n_atoms, subtract_mu,
-        tuple(sorted(solver_options.items())),
-    )
+    key = (u0, ng, delta_c, kappa, eta, n_atoms)
     if key not in _CACHE:
         params = validate(
             SystemParams(
@@ -35,8 +30,8 @@ def run_pipeline(
             )
         )
         grid = make_grid(ng)
-        state = solve_ground_state(params, grid, **solver_options)
-        fm = build_matrix(state, params, grid, subtract_mu=subtract_mu)
+        state = solve_ground_state(params, grid)
+        fm = build_matrix(state, params, grid)
         dec = decompose(fm)
         _CACHE[key] = (params, grid, state, fm, dec)
     return _CACHE[key]

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -43,17 +44,29 @@ def strip_timestamp(text: str) -> list[str]:
 # config parsing
 
 
+# the chain's numerical tolerances and frame, fixed in code; each with the
+# value it has there
+FIXED_POLICY = {
+    "itp_dt": 1e-3,
+    "tol_phi": 1e-9,
+    "tol_alpha": 1e-10,
+    "mixing": 0.3,
+    "max_iters": 1_000_000,
+    "refine": True,
+    "subtract_mu": True,
+    "tol_pair": 1e-8,
+    "tol_noise": 1e-10,
+    "tol_zero": 1e-6,
+}
+
+
 def test_config_defaults_applied(tmp_path):
     cfg = load_config(write_config(tmp_path))
-    assert cfg.itp_dt == 1e-3
-    assert cfg.tol_phi == 1e-9
-    assert cfg.tol_alpha == 1e-10
-    assert cfg.mixing == 0.3
-    assert cfg.max_iters == 1_000_000
-    assert cfg.subtract_mu is True
-    assert cfg.tol_pair == 1e-8
-    assert cfg.tol_noise == 1e-10
-    assert cfg.tol_zero == 1e-6
+    assert cfg.sweep is None and cfg.detunings is None and cfg.times is None
+    assert cfg.eta_follows_detuning is True
+    assert cfg.nonneg_re_only is False and cfg.oracle is False
+    assert cfg.out is None and cfg.fault_injection is None
+    assert not any(hasattr(cfg, key) for key in FIXED_POLICY)
 
 
 def test_config_rejects_bad_sweep_parameter(tmp_path):
@@ -65,8 +78,9 @@ def test_config_rejects_bad_sweep_parameter(tmp_path):
 
 
 def test_config_rejects_nonpositive_knob(tmp_path):
-    with pytest.raises(ConfigError, match="itp_dt"):
-        load_config(write_config(tmp_path, itp_dt=0.0))
+    sweep = {"parameter": "u0", "from": 0.0, "to": -1.0, "points": 0}
+    with pytest.raises(ConfigError, match="sweep points must be a positive integer"):
+        load_config(write_config(tmp_path, sweep=sweep))
 
 
 def test_config_rejects_bad_physics(tmp_path):
@@ -87,9 +101,9 @@ def test_config_rejects_bad_physics(tmp_path):
         {"times": ["x"]},
         {"sweep": {"parameter": "u0", "from": "abc", "to": -0.5, "points": 2}},
         {"detunings": [True]},
-        {"itp_dt": float("nan")},
-        {"tol_noise": float("nan")},
-        {"tol_pair": float("inf")},
+        {"u0": float("nan")},
+        {"eta": float("inf")},
+        {"sweep": {"parameter": "u0", "from": -0.1, "to": float("-inf"), "points": 2}},
         {"times": [float("nan")]},
         {"fault_injection": "corrupt_matrix"},
         {"delta_c": 10**400},
@@ -107,12 +121,25 @@ def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, overri
     assert main(["groundstate", "--config", path]) == 2
 
 
-def test_config_error_names_the_unknown_key(tmp_path):
-    with pytest.raises(ConfigError, match="tol_nosie"):
-        load_config(write_config(tmp_path, tol_nosie=1e-14))
-    sweep = {"parameter": "u0", "from": 0.0, "to": -1.0, "points": 2, "scael": "log"}
-    with pytest.raises(ConfigError, match="scael"):
-        load_config(write_config(tmp_path, sweep=sweep))
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        pytest.param({"tol_nosie": 1e-14}, "tol_nosie", id="tol_nosie"),
+        pytest.param(
+            {"sweep": {"parameter": "u0", "from": 0.0, "to": -1.0, "points": 2, "scael": "log"}},
+            "scael",
+            id="scael",
+        ),
+        *(pytest.param({key: value}, key, id=key) for key, value in FIXED_POLICY.items()),
+    ],
+)
+def test_config_error_names_the_unknown_key(tmp_path, capsys, override, key):
+    path = write_config(tmp_path, **override)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["groundstate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown") and key in err
 
 
 def test_shipped_configs_load():
@@ -120,6 +147,28 @@ def test_shipped_configs_load():
     assert configs
     for path in configs:
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "command, key, override",
+    [
+        ("spectrum", "sweep", {"sweep": {"parameter": "delta_c", "from": -100, "to": -10000, "points": 3}}),
+        ("spectrum", "detunings", {"detunings": [-100.0, -1000.0]}),
+        ("groundstate", "sweep", {"sweep": {"parameter": "u0", "from": 0.0, "to": -0.5, "points": 2}}),
+        ("groundstate", "detunings", {"detunings": [-1000.0]}),
+        ("verify", "sweep", {"sweep": {"parameter": "delta_c", "from": -100, "to": -1000, "points": 2}}),
+        ("verify", "detunings", {"detunings": [-100.0, -1000.0]}),
+    ],
+)
+def test_a_sweep_axis_the_command_cannot_write_is_a_config_error(
+    tmp_path, capsys, command, key, override
+):
+    cfg = write_config(tmp_path, **override)
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command}") and f"'{key}'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("times", ["nan", "1,inf", ",", ""])
@@ -178,8 +227,10 @@ def test_groundstate_reference_point_converges(tmp_path):
     assert data["residual_phi"] < 1e-8
 
 
-def test_groundstate_nonconvergence_exit_code(tmp_path):
-    cfg = write_config(tmp_path, max_iters=2)
+def test_groundstate_nonconvergence_exit_code(tmp_path, monkeypatch):
+    solve = functools.partial(bec_cavity.cli.solve_ground_state, max_iters=2)
+    monkeypatch.setattr(bec_cavity.cli, "solve_ground_state", solve)
+    cfg = write_config(tmp_path)
     assert main(["groundstate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
 
 
@@ -403,17 +454,13 @@ def test_outputs_are_deterministic(tmp_path, monkeypatch):
     assert a == strip_timestamp(out3.read_text())
 
 
-def test_verify_default_passes(tmp_path, capsys):
-    cfg = write_config(tmp_path)
+@pytest.mark.parametrize("u0", [-0.5, 0.0])  # a phase/number chain; a decoupled pair
+def test_verify_default_passes(tmp_path, capsys, u0):
+    cfg = write_config(tmp_path, u0=u0)
     assert main(["verify", "--config", cfg]) == 0
     report = capsys.readouterr().out
     assert "FAIL" not in report
     assert report.count("PASS") >= 6
-
-
-def test_verify_without_mu_subtraction_at_zero_coupling(tmp_path):
-    cfg = write_config(tmp_path, u0=0.0, subtract_mu=False)
-    assert main(["verify", "--config", cfg]) == 0
 
 
 def test_verify_fault_injection_negative_control(tmp_path, capsys):

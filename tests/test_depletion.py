@@ -257,7 +257,7 @@ def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10):
 
 
 # (-1000, -0.14) and (-100, -0.05) put even modes into the excluded set,
-# their photon weight near tol_noise
+# their photon weight near NOISE_FLOOR
 @pytest.mark.parametrize("ng", [16, 64, 200])
 @pytest.mark.parametrize(
     "delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05), (-1000.0, -0.14), (-100.0, -0.05)]
@@ -324,7 +324,7 @@ def test_sweep_path_never_assembles_the_grid_basis(monkeypatch):
     assert [r.status for r in steady] == ["ok"]
     timed = solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0, 100.0])
     assert [r.status for r in timed] == ["ok", "ok"]
-    rows = cli._spectrum_rows(-0.5, params, grid, {}, nonneg_re_only=False)
+    rows = cli._spectrum_rows(-0.5, params, grid, nonneg_re_only=False)
     assert len(rows) == dec.omegas.size
     assert all(row[-1] == "ok" for row in rows)
 

@@ -85,16 +85,18 @@ def test_rejects_unconverged_state(pipeline):
 
 def test_mu_subtraction_shifts_matter_blocks(pipeline):
     params, grid, state, fm, _ = pipeline(u0=-0.5, ng=16)
-    bare = build_matrix(state, params, grid, subtract_mu=False)
     n = grid.n
-    diff = bare.m - fm.m
-    expect = state.mu * np.eye(n)
-    assert np.abs(diff[2 : 2 + n, 2 : 2 + n] - expect).max() < 1e-12
-    assert np.abs(diff[2 + n :, 2 + n :] + expect).max() < 1e-12
-    assert np.abs(diff[:2, :]).max() == 0.0
+    h0 = kinetic_matrix(grid) + np.diag(abs(state.alpha) ** 2 * potential_profile(grid, params.u0))
+    expect = h0 - state.mu * np.eye(n)
+    assert np.abs(fm.m[2 : 2 + n, 2 : 2 + n] - expect).max() < 1e-12
+    assert np.abs(fm.m[2 + n :, 2 + n :] + expect).max() < 1e-12
+    # in the frame of mu the condensate phase (0, 0, phi, -phi) is a zero mode
+    phi = state.phi.real
+    phase = np.concatenate([[0.0, 0.0], phi, -phi])
+    assert np.abs(fm.m @ phase).max() <= 1e-10 * fm.scale
 
 
-def _dense_generator(state, params, grid, subtract_mu):
+def _dense_generator(state, params, grid):
     """M entry by entry in the layout of R, independent of the sector build."""
     n, dx = grid.n, grid.dx
     phi = state.phi.real
@@ -104,9 +106,7 @@ def _dense_generator(state, params, grid, subtract_mu):
     y = sqrt_n * phi * u_pot
     coupl = phi * u_pot * dx * sqrt_n
     a_diag = -params.delta_c + params.n_atoms * state.u_avg - 1j * params.kappa
-    h0 = kinetic_matrix(grid) + np.diag(np.abs(alpha) ** 2 * u_pot)
-    if subtract_mu:
-        h0 = h0 - state.mu * np.eye(n)
+    h0 = kinetic_matrix(grid) + np.diag(np.abs(alpha) ** 2 * u_pot) - state.mu * np.eye(n)
     m = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
     m[0, 0] = a_diag
     m[1, 1] = -np.conj(a_diag)
@@ -124,10 +124,10 @@ def _dense_generator(state, params, grid, subtract_mu):
 
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
-@pytest.mark.parametrize("u0, subtract_mu", [(-0.5, True), (-0.5, False), (0.0, True)])
-def test_sectors_are_the_folds_of_the_dense_generator(ng, u0, subtract_mu):
-    params, grid, state, fm, _ = run_pipeline(u0=u0, ng=ng, subtract_mu=subtract_mu)
-    ref = _dense_generator(state, params, grid, subtract_mu)
+@pytest.mark.parametrize("u0", [-0.5, 0.0], ids=["-0.5-True", "0.0-True"])
+def test_sectors_are_the_folds_of_the_dense_generator(ng, u0):
+    params, grid, state, fm, _ = run_pipeline(u0=u0, ng=ng)
+    ref = _dense_generator(state, params, grid)
     n, k = ng, ng // 2 - 1
     j, mj = mirror_points(n)
     # even column c of the embedding is s_c (e_p + e_q), odd column (e_p - e_q) / sqrt 2

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from bec_cavity import (
     petermann_raw,
     symmetry_defect,
 )
-from bec_cavity import spectral
+from bec_cavity import depletion, spectral
 from bec_cavity.depletion import error_status
 from bec_cavity.spectral import _canonical_goldstone
 from conftest import run_pipeline
@@ -105,10 +106,9 @@ def test_mode_record_holds_no_grid_sized_basis():
         dec.right = np.eye(dec.omegas.size)
 
 
-@pytest.mark.parametrize("ng", [16, 64])
-@pytest.mark.parametrize("subtract_mu", [True, False])
-def test_decompose_spectrum_matches_plain_eigvals(ng, subtract_mu):
-    *_, fm, dec = run_pipeline(u0=-0.5, ng=ng, subtract_mu=subtract_mu)
+@pytest.mark.parametrize("ng", [16, 64], ids=["True-16", "True-64"])
+def test_decompose_spectrum_matches_plain_eigvals(ng):
+    *_, fm, dec = run_pipeline(u0=-0.5, ng=ng)
     reference = np.sort(np.linalg.eigvals(fm.m))
     scale = np.abs(dec.omegas).max()
     assert np.abs(np.sort(dec.omegas) - reference).max() <= 1e-9 * scale
@@ -190,11 +190,11 @@ def test_spectrum_sweep_rows(pipeline):
         assert lowest == pytest.approx(4.0, rel=0.05)
 
 
-def test_spectrum_sweep_records_failures(pipeline):
+def test_spectrum_sweep_records_failures(pipeline, monkeypatch):
     params, grid, *_ = pipeline(u0=0.0, ng=16)
-    point = analyze_point(
-        dataclasses.replace(params, u0=-0.5), grid, solver_options={"max_iters": 2}
-    )
+    solve = functools.partial(depletion.solve_ground_state, max_iters=2)
+    monkeypatch.setattr(depletion, "solve_ground_state", solve)
+    point = analyze_point(dataclasses.replace(params, u0=-0.5), grid)
     assert isinstance(point.error, ConvergenceError)
     assert error_status(point.error).startswith("error: ConvergenceError:")
     assert point.state is None and point.fm is None and point.dec is None
@@ -219,32 +219,27 @@ def _assert_same_roots(got, reference, rtol):
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
 @pytest.mark.parametrize(
-    "delta_c, u0, subtract_mu, label",
+    "delta_c, u0, label",
     [
-        (-1000.0, 0.0, True, "marginal"),  # decoupled: g = 0
-        (-1000.0, -0.5, True, "stable"),  # the plateau
-        (-1000.0, -1.2, True, "unstable"),
-        (-100.0, -0.5, True, "unstable"),  # heating: past the cavity resonance
-        (-1000.0, -0.5, False, "unstable"),  # no zero level: every pole active
+        pytest.param(-1000.0, 0.0, "marginal", id="-1000.0-0.0-True-marginal"),  # decoupled: g = 0
+        pytest.param(-1000.0, -0.5, "stable", id="-1000.0--0.5-True-stable"),  # the plateau
+        pytest.param(-1000.0, -1.2, "unstable", id="-1000.0--1.2-True-unstable"),
+        # heating: past the cavity resonance
+        pytest.param(-100.0, -0.5, "unstable", id="-100.0--0.5-True-unstable"),
     ],
 )
-def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, subtract_mu, label):
-    params, _, state, fm, dec = run_pipeline(
-        u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c, subtract_mu=subtract_mu
-    )
+def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
+    params, _, state, fm, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
     assert classify_stability(dec).label == label
     if delta_c == -100.0:
         assert state.heating
     even = _even_modes(dec)
     assert even.size == ng + 4
     reference = np.linalg.eigvals(fm.even)
-    if subtract_mu:
-        # the phase/number pair: exact zeros here, split by +-sqrt(eps) in eig
-        assert len(dec.goldstone) == 2 and set(dec.goldstone) <= set(even)
-        assert dec.chain == (u0 != 0.0)
-        reference = reference[np.argsort(np.abs(reference))[2:]]
-    else:
-        assert dec.goldstone == ()
+    # the phase/number pair: exact zeros here, split by +-sqrt(eps) in eig
+    assert len(dec.goldstone) == 2 and set(dec.goldstone) <= set(even)
+    assert dec.chain == (u0 != 0.0)
+    reference = reference[np.argsort(np.abs(reference))[2:]]
     roots = np.setdiff1d(even, dec.goldstone)
     _assert_same_roots(dec.omegas[roots], reference, 1e-11)
     assert np.array_equal(dec.pairing[dec.pairing], np.arange(dec.omegas.size))
@@ -297,6 +292,21 @@ def test_decompose_refuses_an_anomalous_matter_block(pipeline):
     corrupt = dataclasses.replace(fm, even=even)
     assert symmetry_defect(corrupt.m) == 0.0
     with pytest.raises(DecompositionError, match="bordered form"):
+        decompose(corrupt)
+
+
+@pytest.mark.parametrize("shift", [1.0, -1.0])
+def test_decompose_refuses_a_sector_without_the_phase_null_vector(pipeline, shift):
+    *_, fm, _ = pipeline(u0=-0.5, ng=16)
+    n_e = fm.phi_even.size
+    even = fm.even.copy()
+    # matter blocks h + c and -(h + c): G M G = -conj(M) and the bordered form
+    # hold, but (0, 0, phi, -phi) is no longer a null vector
+    even[2 : 2 + n_e, 2 : 2 + n_e] += shift * np.eye(n_e)
+    even[2 + n_e :, 2 + n_e :] -= shift * np.eye(n_e)
+    corrupt = dataclasses.replace(fm, even=even)
+    assert symmetry_defect(corrupt.m) == 0.0
+    with pytest.raises(DecompositionError, match="phase null vector"):
         decompose(corrupt)
 
 
