@@ -1,7 +1,8 @@
 """Command-line interface: groundstate, spectrum, depletion, verify.
 
 Every command takes --config pointing at a JSON file (see config.py)
-and writes its result to --out, the config's "out" entry, or stdout.
+and writes its result to --out, the config's "out" entry (which verify
+does not read), or stdout.
 spectrum, depletion and verify all run each point through
 ``depletion.analyze_point``; a sweep worker reduces that record to its
 output rows, so no matrix ever crosses the process boundary.
@@ -9,8 +10,8 @@ Sweeps fan out over a process pool capped by the BEC_CAVITY_THREADS
 environment variable (default 1); results are merged in sweep order, so
 the output bytes do not depend on the pool size.  The output is opened
 before any point runs.  Exit codes: 0 on success, 1 on runtime failure
-(non-convergence, failed verification), 2 on configuration errors (a
-sweep axis the command does not write among them) and on an output path
+(non-convergence, failed verification), 2 on configuration errors (an
+option key the command does not read among them) and on an output path
 that cannot be opened.
 """
 
@@ -92,23 +93,6 @@ def _detunings(cfg: RunConfig) -> list[float]:
     if cfg.sweep is not None and cfg.sweep.parameter == "delta_c":
         return [float(x) for x in sweep_values(cfg.sweep)]
     return [cfg.params.delta_c]
-
-
-def _refuse_unwritten_axes(command: str, cfg: RunConfig) -> None:
-    """ConfigError naming a sweep axis the command would otherwise drop.
-
-    groundstate and verify solve one point; spectrum writes a u0 sweep at
-    one detuning; depletion writes both axes.
-    """
-    if command in ("groundstate", "verify"):
-        for key in ("sweep", "detunings"):
-            if getattr(cfg, key) is not None:
-                raise ConfigError(f"{command} runs one point and cannot use '{key}'")
-    elif command == "spectrum":
-        if cfg.detunings is not None:
-            raise ConfigError("spectrum runs one detuning and cannot use 'detunings'")
-        if cfg.sweep is not None and cfg.sweep.parameter == "delta_c":
-            raise ConfigError("spectrum sweeps u0 only and cannot use a delta_c 'sweep'")
 
 
 def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
@@ -342,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        _refuse_unwritten_axes(args.command, cfg)
+        cfg.refuse_unread_keys(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -358,11 +342,9 @@ def main(argv=None) -> int:
             print("--times must be a non-empty list of finite, nonnegative numbers", file=sys.stderr)
             return 2
 
-    # opened before any point runs, so a bad path throws away no work;
-    # verify writes only to --out or stdout
-    path = args.out if args.command == "verify" else args.out or cfg.out
+    # opened before any point runs, so a bad path throws away no work
     try:
-        stream, close = _open_out(path)
+        stream, close = _open_out(args.out or cfg.out)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -2,12 +2,13 @@
 
 Configs are flat JSON: the physical parameters, an optional sweep block
 {"parameter", "from", "to", "points", "scale"}, and run and output
-options; any other key is rejected.  The chain's numerical tolerances
-and its fluctuation frame (the one that rotates with the chemical
-potential) are fixed in code, not settable here.  Results are written as
-CSV with '#'-prefixed metadata lines (program version, canonical config
-echo, timestamp) before the header row; floats carry 17 significant
-digits so a written table reads back bit-identically.
+options; any other key is rejected, and so is an option the command does
+not read.  The chain's numerical tolerances and its fluctuation frame
+(the one that rotates with the chemical potential) are fixed in code,
+not settable here.  Results are written as CSV with '#'-prefixed
+metadata lines (program version, canonical config echo, timestamp)
+before the header row; floats carry 17 significant digits so a written
+table reads back bit-identically.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ class ConfigError(ValueError):
 
 _PARAM_KEYS = ("delta_c", "kappa", "eta", "u0", "n_atoms", "grid_points")
 
+# the option keys each command reads besides the parameters
+_COMMAND_KEYS = {
+    "groundstate": ("out",),
+    "spectrum": ("sweep", "nonneg_re_only", "out"),
+    "depletion": ("sweep", "detunings", "times", "oracle", "eta_follows_detuning", "out"),
+    "verify": ("fault_injection",),
+}
 # every key parse_config reads besides the parameters
-_OPTION_KEYS = (
-    "sweep", "detunings", "eta_follows_detuning", "nonneg_re_only", "oracle",
-    "times", "out", "fault_injection",
-)
+_OPTION_KEYS = tuple(sorted({key for keys in _COMMAND_KEYS.values() for key in keys}))
 _SWEEP_KEYS = ("parameter", "from", "to", "points", "scale")
 
 
@@ -57,7 +62,7 @@ class RunConfig:
     params: SystemParams
     sweep: SweepSpec | None = None
     detunings: list[float] | None = None
-    eta_follows_detuning: bool = True
+    eta_follows_detuning: bool = False
     times: list[float] | None = None
     out: str | None = None
     nonneg_re_only: bool = False
@@ -67,6 +72,19 @@ class RunConfig:
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+
+    def refuse_unread_keys(self, command: str) -> None:
+        """ConfigError naming the option keys set here that the command does
+        not read, and would otherwise drop.
+
+        groundstate and verify solve one point; spectrum writes a u0 sweep at
+        one detuning; depletion writes both axes.
+        """
+        unread = sorted(set(self.raw) & set(_OPTION_KEYS) - set(_COMMAND_KEYS[command]))
+        if unread:
+            raise ConfigError(f"{command} does not read {', '.join(map(repr, unread))}")
+        if command == "spectrum" and self.sweep is not None and self.sweep.parameter == "delta_c":
+            raise ConfigError("spectrum sweeps u0 only and cannot use a delta_c 'sweep'")
 
 
 def _require_number(value: Any, name: str) -> float:
@@ -242,11 +260,6 @@ class ResultTable:
             if len(row) != len(self.columns):
                 raise ValueError("row length does not match column count")
             stream.write(",".join(format_cell(v) for v in row) + "\n")
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
     @classmethod
     def read_csv(cls, stream: io.TextIOBase) -> "ResultTable":

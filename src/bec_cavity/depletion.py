@@ -63,6 +63,9 @@ Z_FLOOR = 1e-11
 # a pair denominator below it is skipped when the pair carries no photon
 # noise weight (below NOISE_FLOOR): numerically unresolvable and noise-free
 PAIR_TOL = 1e-8
+# bound on t ||A||_inf eps, the generator's rounding accumulated over t;
+# past it a finite-time oracle value is nan
+RESOLUTION_HORIZON = 1e-3
 
 
 class StabilityError(RuntimeError):
@@ -79,8 +82,8 @@ class DepletionResult:
     """Depletion values at the requested times.
 
     times may contain math.inf for the steady-state entry.  A value is
-    nan where the mode sum, or the oracle's propagated moments, overflow:
-    a growing mode at a long time.
+    nan where the mode sum, or the oracle's propagated moments, overflow
+    (a growing mode at a long time), or past the oracle's horizon.
     """
 
     times: list[float]
@@ -400,16 +403,20 @@ def lyapunov_oracle(
     their sum gives both solutions as its symmetric and antisymmetric
     parts, and dN comes out real by construction.
 
+    Both paths run on A P - (I - P), which keeps A on the kept modes and
+    damps the deflated ones (projector P) at unit rate; undeflated, the
+    phase/number block, split by rounding, would grow under the doublings.
+
     Finite t: the Van Loan block exponential (IEEE TAC 23, 395, 1978) of
     [[A, D], [0, -A^T]] on h = t / 2^s, s = ceil(log2(t ||A||_inf)), gives
     S(h); s doublings S <- E S E^T + S, E <- E^2 then reach t.  A growing
-    mode overflows the doublings at long times; that time's value is nan.
+    mode overflows the doublings at long times; that time's value is nan,
+    as is one past the horizon t ||A||_inf eps > RESOLUTION_HORIZON.
 
     Steady state: one Bartels-Stewart solve (scipy's
-    solve_continuous_lyapunov) on A P - (I - P), which keeps A on the
-    kept modes and damps the deflated ones at unit rate.  Its own
-    residual is the verdict: above 1e-8 of the noise, noise drives an
-    undamped direction and OracleSingularError is raised.
+    solve_continuous_lyapunov).  Its own residual is the verdict: above
+    1e-8 of the noise, noise drives an undamped direction and
+    OracleSingularError is raised.
 
     ``deflate`` is an even-sector projector, as mode_projector returns
     (e.g. of the double sum's excluded modes, so both routes evaluate the
@@ -428,6 +435,10 @@ def lyapunov_oracle(
     noise[:2, :2] = fm.kappa * np.array([[1.0, 1.0], [-1.0, 1.0]])  # Re D_X + Im D_X
     if proj is not None:
         noise = proj @ noise @ proj.T
+    # a deflated mode moves to -1 (one recoil frequency): through the
+    # projector's rounding each kept rung w picks up an error of order
+    # |w + shift|, so the shift stays below the lowest rung (Re w near 4)
+    a_d = a if proj is None else a @ proj - (np.eye(dim) - proj)
 
     def depletion(s_mat):
         if proj is not None:
@@ -437,10 +448,6 @@ def lyapunov_oracle(
         return _moment_depletion(s_mat, fm.dx)
 
     if steady:
-        # a deflated mode moves to -1 (one recoil frequency): through the
-        # projector's rounding each kept rung w picks up an error of order
-        # |w + shift|, so the shift stays below the lowest rung (Re w near 4)
-        a_d = a if proj is None else a @ proj - (np.eye(dim) - proj)
         with warnings.catch_warnings():
             # an undamped pair makes trsyl perturb A; the residual below rules
             warnings.filterwarnings("ignore", 'Input "a" has an eigenvalue pair', RuntimeWarning)
@@ -456,12 +463,15 @@ def lyapunov_oracle(
     times = [float(t) for t in times or []]
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    norm_a = np.linalg.norm(a, np.inf)
-    van_loan = np.block([[a, noise], [np.zeros_like(a), -a.T]])
+    norm_a = np.linalg.norm(a_d, np.inf)
+    van_loan = np.block([[a_d, noise], [np.zeros_like(a_d), -a_d.T]])
     values = []
     for t in times:
         if t == 0.0:
             values.append(0.0)
+            continue
+        if t * norm_a * np.finfo(float).eps > RESOLUTION_HORIZON:
+            values.append(math.nan)
             continue
         doublings = max(0, math.ceil(math.log2(t * norm_a)))
         block = expm(van_loan * (t / 2.0**doublings))
@@ -549,7 +559,7 @@ def solve_depletion_point(
     delta_c: float,
     u0: float,
     *,
-    eta_follows_detuning: bool = True,
+    eta_follows_detuning: bool = False,
     times=None,
     oracle: bool = False,
 ) -> list[DepletionPoint]:
@@ -560,8 +570,10 @@ def solve_depletion_point(
     the status field, never in the numeric columns: a time whose mode
     sum overflows is "diverged", one whose sum keeps a non-negligible
     imaginary part is an error, and the point's other times keep their
-    values; an oracle value that overflows, or a steady oracle that
-    finds no steady state, is left blank.
+    values; an oracle value that overflows or lies past the oracle's
+    resolution horizon, or a steady oracle that finds no steady state,
+    is left blank.  eta_follows_detuning sets eta = -delta_c at each
+    point; otherwise the point keeps params.eta.
     """
     eta = -delta_c if eta_follows_detuning else params.eta
     point = dc_replace(params, delta_c=float(delta_c), u0=float(u0), eta=float(eta))

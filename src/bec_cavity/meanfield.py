@@ -12,19 +12,19 @@ splitting, with the cavity amplitude updated under-relaxed after every
 step.  The uniform start and every split step are even under the
 reflection x -> pi - x, so the propagation runs on the n/2 + 1 values
 phi[j], j = 0 .. n/2: the kinetic step is one product with the
-propagator exp(-dt K) folded over the mirror pairs (j, n - j), and phi
-is unfolded to the full grid once, when the loop ends.  The splitting
-leaves an O(dt^2) bias in phi, so a polish then solves the fixed point
-to near machine precision: the ground state is reflection even, and <U>
-is a scalar, so a secant method on
-F(u) = <U>(ground state of K + |alpha(u)|^2 U) - u needs one ``eigh``
-of the (n/2 + 1)-dimensional even block of H0 per step.
+propagator exp(-dt K) folded over the mirror pairs (j, n - j).  That
+loop is only the start: the splitting leaves an O(dt^2) bias in phi, so
+a polish then solves the fixed point to near machine precision from the
+loop's <U>.  The ground state is reflection even, and <U> is a scalar,
+so a secant method on F(u) = <U>(ground state of K + |alpha(u)|^2 U) - u
+needs one ``eigh`` of the (n/2 + 1)-dimensional even block of H0 per
+step; its eigenvector is unfolded to the full grid once, at the end.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +40,20 @@ from .grid import (
 from .params import SystemParams
 
 
+# the imaginary-time start: its step, its stop on the sup-norm change of phi
+# per step (TOL_PHI * ITP_DT) and of alpha (TOL_ALPHA), the under-relaxation
+# of alpha, and the cap on its steps
+ITP_DT = 1e-3
+TOL_PHI = 1e-9
+TOL_ALPHA = 1e-10
+MIXING = 0.3
+MAX_ITERS = 1_000_000
 # cap on the secant steps of the fixed-point polish, which takes 2-7
 SECANT_STEPS = 50
 
 
 class ConvergenceError(RuntimeError):
-    """Imaginary-time iteration exhausted max_iters.
+    """Imaginary-time iteration exhausted MAX_ITERS steps.
 
     Carries the final residuals in ``residual_phi`` and ``residual_alpha``.
     """
@@ -63,8 +71,9 @@ class MeanFieldState:
     phi is gauge fixed: real, nonnegative at the potential minimum, and
     normalized so that integrate(|phi|^2) = 1.  mu is the chemical
     potential <phi|H0|phi> of the final single-particle Hamiltonian
-    H0 = kinetic + |alpha|^2 U(x).  heating flags delta_c - N<U> > 0,
-    the regime where cavity back-action amplifies atomic motion.
+    H0 = kinetic + |alpha|^2 U(x).  iterations counts the imaginary-time
+    steps of the start.  heating flags delta_c - N<U> > 0, the regime
+    where cavity back-action amplifies atomic motion.
     """
 
     phi: np.ndarray
@@ -76,7 +85,6 @@ class MeanFieldState:
     residual_alpha: float
     iterations: int
     heating: bool
-    history: dict | None = field(default=None, repr=False)
 
 
 def steady_alpha(params: SystemParams, u_avg: float) -> complex:
@@ -86,11 +94,6 @@ def steady_alpha(params: SystemParams, u_avg: float) -> complex:
     and finite; |alpha|^2 = eta^2 / ((delta_c - N*u_avg)^2 + kappa^2).
     """
     return 1j * params.eta / (params.delta_c - params.n_atoms * u_avg + 1j * params.kappa)
-
-
-def _kinetic_energy(phi_hat: np.ndarray, q2: np.ndarray, dx: float, n: int) -> float:
-    # Parseval: dx * sum_j phi (K phi) = (dx/n) * sum_q q^2 |phi_hat|^2
-    return float((q2 * np.abs(phi_hat) ** 2).sum() * dx / n)
 
 
 def _fold(mat: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
@@ -106,15 +109,12 @@ def _fold(mat: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _folded_propagator(n_points: int, itp_dt: float) -> np.ndarray:
-    """The kinetic step exp(-itp_dt K) folded onto the even values, read-only.
-
-    It depends on the grid size and the step alone, so it is built once
-    per (n, itp_dt) and shared.
-    """
+def _folded_propagator(n_points: int) -> np.ndarray:
+    """The kinetic step exp(-ITP_DT K) folded onto the even values, built
+    once per grid size and shared read-only."""
     grid = make_grid(n_points)
     j, mj = mirror_points(n_points)
-    step = _fold(multiplier_matrix(grid, np.exp(-itp_dt * grid.wavenumbers**2)), j, mj)
+    step = _fold(multiplier_matrix(grid, np.exp(-ITP_DT * grid.wavenumbers**2)), j, mj)
     step.setflags(write=False)
     return step
 
@@ -126,61 +126,38 @@ def _unfold(values: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
     return full
 
 
-def solve_ground_state(
-    params: SystemParams,
-    grid: Grid,
-    *,
-    itp_dt: float = 1e-3,
-    tol_phi: float = 1e-9,
-    tol_alpha: float = 1e-10,
-    mixing: float = 0.3,
-    max_iters: int = 1_000_000,
-    frozen_alpha: complex | None = None,
-    refine: bool = True,
-    record_history: bool = False,
-) -> MeanFieldState:
-    """Solve the coupled mean-field equations for the steady state.
+def _even_lattice(grid: Grid, u0: float):
+    """(j, mj, weight, u_even) of the even values j = 0 .. n/2.
 
-    Starts from the uniform condensate, alternates split-step
-    imaginary-time propagation of phi with under-relaxed updates of
-    alpha, and stops when the sup-norm change of phi per step falls
-    below tol_phi*itp_dt and the change of alpha below tol_alpha.
-    Every split step is reflection symmetric, so phi stays even and the
-    steps run on its values at j = 0 .. n/2: the kinetic step is one
-    product with the folded propagator exp(-itp_dt K), and the norm and
-    <U> take the quadrature weight dx on the fixed points j = 0, n/2 and
-    2 dx on the mirror pairs.  phi is unfolded to the full grid once,
-    at the end.
-
-    frozen_alpha pins the cavity amplitude (an externally imposed
-    lattice); refine=False skips the final eigenpair polish.
-
-    Raises ConvergenceError when max_iters is exhausted.
+    weight is each value's quadrature weight: dx on the fixed points
+    j = 0, n/2 and 2 dx on the mirror pairs; u_even is the lattice there.
     """
-    n = grid.n
-    dx = grid.dx
-    u_pot = potential_profile(grid, params.u0)
-    q2 = grid.wavenumbers**2
-    j, mj = mirror_points(n)
-    weight = np.where(j == mj, dx, 2.0 * dx)  # quadrature weight of each even value
-    u_even = 0.5 * (u_pot[j] + u_pot[mj])
+    j, mj = mirror_points(grid.n)
+    weight = np.where(j == mj, grid.dx, 2.0 * grid.dx)
+    u_pot = potential_profile(grid, u0)
+    return j, mj, weight, 0.5 * (u_pot[j] + u_pot[mj])
+
+
+def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
+    """Split-step imaginary-time propagation from the uniform condensate
+    on the even values, alpha under-relaxed after every step.
+
+    Stops when the sup-norm change of phi per step falls below
+    TOL_PHI * ITP_DT and the change of alpha below TOL_ALPHA, and returns
+    (phi at j = 0 .. n/2, alpha, <U>, steps).  Raises ConvergenceError
+    when MAX_ITERS steps are exhausted.
+    """
+    j, _, weight, u_even = _even_lattice(grid, params.u0)
     u_weight = weight * u_even
-    propagator = _folded_propagator(n, itp_dt)
+    propagator = _folded_propagator(grid.n)
 
     phi = np.full(j.size, 1.0 / np.sqrt(np.pi))
     u_avg = float(u_weight @ phi**2)
     alpha = frozen_alpha if frozen_alpha is not None else steady_alpha(params, u_avg)
 
-    history: dict | None = None
-    if record_history:
-        history = {"energy": [], "alpha": [], "u_avg": []}
-
-    d_phi = np.inf
-    d_alpha = np.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iters + 1):
-        half = np.exp((-0.5 * itp_dt * abs(alpha) ** 2) * u_even)
+    d_phi = d_alpha = np.inf
+    for iterations in range(1, MAX_ITERS + 1):
+        half = np.exp((-0.5 * ITP_DT * abs(alpha) ** 2) * u_even)
         phi_new = propagator @ (half * phi)
         phi_new *= half
         phi_new /= np.sqrt(weight @ phi_new**2)
@@ -189,37 +166,45 @@ def solve_ground_state(
         if frozen_alpha is not None:
             alpha_new = alpha
         else:
-            alpha_new = (1.0 - mixing) * alpha + mixing * steady_alpha(params, u_new)
+            alpha_new = (1.0 - MIXING) * alpha + MIXING * steady_alpha(params, u_new)
 
         d_phi = float(abs(phi_new - phi).max())
         d_alpha = abs(alpha_new - alpha)
         phi, alpha, u_avg = phi_new, alpha_new, u_new
 
-        if history is not None:
-            full = _unfold(phi, j, mj)
-            e_kin = _kinetic_energy(np.fft.fft(full), q2, dx, n)
-            e_pot = float((np.abs(alpha) ** 2 * u_pot * full**2).sum() * dx)
-            history["energy"].append(e_kin + e_pot)
-            history["alpha"].append(alpha)
-            history["u_avg"].append(u_avg)
+        if d_phi < TOL_PHI * ITP_DT and d_alpha < TOL_ALPHA:
+            return phi, alpha, u_avg, iterations
 
-        if d_phi < tol_phi * itp_dt and d_alpha < tol_alpha:
-            converged = True
-            break
+    raise ConvergenceError(
+        f"no convergence after {MAX_ITERS} imaginary-time steps "
+        f"(|d phi| = {d_phi:.3e}, |d alpha| = {d_alpha:.3e})",
+        residual_phi=d_phi,
+        residual_alpha=float(d_alpha),
+    )
 
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {max_iters} imaginary-time steps "
-            f"(|d phi| = {d_phi:.3e}, |d alpha| = {d_alpha:.3e})",
-            residual_phi=d_phi,
-            residual_alpha=float(d_alpha),
-        )
+
+def solve_ground_state(
+    params: SystemParams, grid: Grid, *, frozen_alpha: complex | None = None
+) -> MeanFieldState:
+    """Solve the coupled mean-field equations for the steady state.
+
+    The imaginary-time start gives <U> near the fixed point; the polish
+    then solves the fixed point to the discrete ground state of H0 on
+    the even values, and phi is unfolded to the full grid once.
+
+    frozen_alpha pins the cavity amplitude (an externally imposed
+    lattice).
+
+    Raises ConvergenceError when the start exhausts MAX_ITERS steps.
+    """
+    dx = grid.dx
+    u_pot = potential_profile(grid, params.u0)
+    j, mj, weight, u_even = _even_lattice(grid, params.u0)
+    _, _, u_start, iterations = _imaginary_time_start(params, grid, frozen_alpha)
 
     kin = kinetic_matrix(grid)
-    if refine:
-        vec, alpha, u_avg = _refine_fixed_point(params, kin, u_even, u_avg, frozen_alpha)
-        phi = vec / np.sqrt(weight)
-    phi = _unfold(phi, j, mj)
+    vec, alpha, u_avg = _polish_fixed_point(params, kin, u_even, u_start, frozen_alpha)
+    phi = _unfold(vec / np.sqrt(weight), j, mj)
 
     # gauge: real phi, nonnegative at the potential minimum
     if phi[int(np.argmin(u_pot))] < 0:
@@ -245,11 +230,10 @@ def solve_ground_state(
         residual_alpha=float(residual_alpha),
         iterations=iterations,
         heating=heating,
-        history=history,
     )
 
 
-def _refine_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
+def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
     """Polish the fixed point to the discrete ground state of H0.
 
     The split-step fixed point carries an O(dt^2) bias relative to the

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -10,6 +9,7 @@ import pytest
 
 import bec_cavity.cli
 import bec_cavity.depletion
+import bec_cavity.meanfield
 from bec_cavity.cli import main
 from bec_cavity.config import (
     ConfigError,
@@ -63,7 +63,7 @@ FIXED_POLICY = {
 def test_config_defaults_applied(tmp_path):
     cfg = load_config(write_config(tmp_path))
     assert cfg.sweep is None and cfg.detunings is None and cfg.times is None
-    assert cfg.eta_follows_detuning is True
+    assert cfg.eta_follows_detuning is False
     assert cfg.nonneg_re_only is False and cfg.oracle is False
     assert cfg.out is None and cfg.fault_injection is None
     assert not any(hasattr(cfg, key) for key in FIXED_POLICY)
@@ -146,7 +146,8 @@ def test_shipped_configs_load():
     configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
     assert configs
     for path in configs:
-        load_config(str(path))
+        # configs/<command>[_<name>].json sets only keys its command reads
+        load_config(str(path)).refuse_unread_keys(path.stem.split("_")[0])
 
 
 @pytest.mark.parametrize(
@@ -158,6 +159,20 @@ def test_shipped_configs_load():
         ("groundstate", "detunings", {"detunings": [-1000.0]}),
         ("verify", "sweep", {"sweep": {"parameter": "delta_c", "from": -100, "to": -1000, "points": 2}}),
         ("verify", "detunings", {"detunings": [-100.0, -1000.0]}),
+        # option keys the command does not read
+        ("spectrum", "times", {"times": [1, 10]}),
+        ("spectrum", "oracle", {"oracle": True}),
+        ("spectrum", "eta_follows_detuning", {"eta_follows_detuning": True}),
+        ("spectrum", "fault_injection", {"fault_injection": "corrupt-matrix"}),
+        ("verify", "times", {"times": [1, 10]}),
+        ("verify", "oracle", {"oracle": True}),
+        ("verify", "nonneg_re_only", {"nonneg_re_only": True}),
+        ("verify", "out", {"out": "verify.txt"}),
+        ("groundstate", "times", {"times": [1, 10]}),
+        ("groundstate", "eta_follows_detuning", {"eta_follows_detuning": False}),
+        ("groundstate", "fault_injection", {"fault_injection": "corrupt-matrix"}),
+        ("depletion", "nonneg_re_only", {"nonneg_re_only": False}),
+        ("depletion", "fault_injection", {"fault_injection": "corrupt-matrix"}),
     ],
 )
 def test_a_sweep_axis_the_command_cannot_write_is_a_config_error(
@@ -228,8 +243,7 @@ def test_groundstate_reference_point_converges(tmp_path):
 
 
 def test_groundstate_nonconvergence_exit_code(tmp_path, monkeypatch):
-    solve = functools.partial(bec_cavity.cli.solve_ground_state, max_iters=2)
-    monkeypatch.setattr(bec_cavity.cli, "solve_ground_state", solve)
+    monkeypatch.setattr(bec_cavity.meanfield, "MAX_ITERS", 2)
     cfg = write_config(tmp_path)
     assert main(["groundstate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
 
@@ -431,12 +445,28 @@ def test_cli_import_loads_neither_process_pool_nor_scipy():
 
 
 def test_depletion_eta_follows_detunings(tmp_path):
-    cfg = write_config(tmp_path, u0=-0.3, detunings=[-1000.0, -2000.0])
+    cfg = write_config(
+        tmp_path, u0=-0.3, detunings=[-1000.0, -2000.0], eta_follows_detuning=True
+    )
     out = tmp_path / "dep.csv"
     assert main(["depletion", "--config", cfg, "--out", str(out)]) == 0
     with open(out) as fh:
         table = ResultTable.read_csv(fh)
     assert [r[0] for r in table.rows] == [-1000, -2000]
+
+
+def test_depletion_reads_the_config_eta(tmp_path):
+    values = []
+    for eta in (500.0, 1000.0):
+        cfg = write_config(tmp_path, f"eta{eta:g}.json", eta=eta)
+        out = tmp_path / f"eta{eta:g}.csv"
+        assert main(["depletion", "--config", cfg, "--out", str(out)]) == 0
+        with open(out) as fh:
+            table = ResultTable.read_csv(fh)
+        (row,) = table.rows
+        assert row[table.columns.index("status")] == "ok"
+        values.append(row[table.columns.index("depletion")])
+    assert values[0] != values[1]
 
 
 def test_outputs_are_deterministic(tmp_path, monkeypatch):

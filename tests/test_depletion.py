@@ -101,6 +101,26 @@ def test_finite_time_matches_rk4_oracle():
         assert a == pytest.approx(b, rel=1e-4)
 
 
+def test_finite_time_oracle_deflates_the_chain_at_long_times():
+    # a stable point at the production grid: undeflated, the rounding-split
+    # Goldstone block made the doublings miss the sum by a factor 1e39
+    _, grid, state, fm, dec = run_pipeline(u0=-0.5, ng=200)
+    assert not state.heating and classify_stability(dec).label == "stable"
+    formula = depletion_at_times(dec, grid, [1e8])
+    oracle = lyapunov_oracle(fm, grid, [1e8])
+    assert oracle.values[0] == pytest.approx(formula.values[0], rel=1e-4)
+
+
+def test_finite_time_oracle_is_nan_past_its_resolution_horizon():
+    # t ||A|| eps is about 600 at t = 1e16; without the horizon the deflated
+    # doublings return 6e131 there, against a mode sum of 16.19
+    _, grid, state, fm, dec = run_pipeline(u0=-0.05, ng=16, delta_c=-100.0, eta=100.0)
+    assert not state.heating and classify_stability(dec).label == "stable"
+    inside, beyond = lyapunov_oracle(fm, grid, [1e4, 1e16]).values
+    assert inside == pytest.approx(depletion_at_times(dec, grid, [1e4]).values[0], rel=1e-4)
+    assert math.isnan(beyond)
+
+
 def test_depletion_is_real_and_nonnegative(pipeline):
     _, grid, state, _, dec = pipeline(u0=-0.5, ng=16)
     stability = classify_stability(dec)
@@ -396,7 +416,7 @@ def test_depletion_sweep_statuses(pipeline):
 def test_depletion_sweep_eta_follows_detuning(pipeline):
     params, grid, *_ = pipeline(u0=-0.5, ng=16)
     rows = solve_depletion_point(params, grid, -1000.0, -0.5)
-    explicit = solve_depletion_point(params, grid, -1000.0, -0.5, eta_follows_detuning=False)
+    explicit = solve_depletion_point(params, grid, -1000.0, -0.5, eta_follows_detuning=True)
     # here eta = 1000 = -delta_c already, so both conventions agree
     assert rows[0].depletion == pytest.approx(explicit[0].depletion, rel=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 
 from bec_cavity import integrate, kinetic_matrix, make_grid, potential_profile
 from bec_cavity.grid import mirror_points, multiplier_matrix
-from bec_cavity.meanfield import _fold, _folded_propagator
+from bec_cavity.meanfield import ITP_DT, _fold, _folded_propagator
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +95,13 @@ def test_grid_matrices_are_built_once_and_read_only():
     assert kinetic_matrix(make_grid(64)) is kin
     fresh = multiplier_matrix(grid, grid.wavenumbers**2)
     assert np.array_equal(kin, 0.5 * (fresh + fresh.T))
-    j, mj = mirror_points(64)
-    for dt in (1e-3, 2e-3):
-        step = _folded_propagator(64, dt)
-        assert _folded_propagator(64, dt) is step
-        expected = _fold(multiplier_matrix(grid, np.exp(-dt * grid.wavenumbers**2)), j, mj)
+    for n in (16, 64):
+        grid_n = make_grid(n)
+        j, mj = mirror_points(n)
+        step = _folded_propagator(n)
+        assert _folded_propagator(n) is step
+        symbol = np.exp(-ITP_DT * grid_n.wavenumbers**2)
+        expected = _fold(multiplier_matrix(grid_n, symbol), j, mj)
         assert np.array_equal(step, expected)
         with pytest.raises(ValueError, match="read-only"):
             step[0, 0] = 1.0

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from bec_cavity import (
     petermann_raw,
     symmetry_defect,
 )
-from bec_cavity import depletion, spectral
+from bec_cavity import meanfield, spectral
 from bec_cavity.depletion import error_status
 from bec_cavity.spectral import _canonical_goldstone
 from conftest import run_pipeline
@@ -192,8 +191,7 @@ def test_spectrum_sweep_rows(pipeline):
 
 def test_spectrum_sweep_records_failures(pipeline, monkeypatch):
     params, grid, *_ = pipeline(u0=0.0, ng=16)
-    solve = functools.partial(depletion.solve_ground_state, max_iters=2)
-    monkeypatch.setattr(depletion, "solve_ground_state", solve)
+    monkeypatch.setattr(meanfield, "MAX_ITERS", 2)
     point = analyze_point(dataclasses.replace(params, u0=-0.5), grid)
     assert isinstance(point.error, ConvergenceError)
     assert error_status(point.error).startswith("error: ConvergenceError:")
