@@ -131,7 +131,13 @@ def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
 
 
 def _spectrum_rows(u0: float, params: SystemParams, grid, nonneg_re_only: bool):
-    """CSV rows of one light shift, built where the point record is made."""
+    """CSV rows of one light shift, built where the point record is made.
+
+    The even modes come first, then the odd ones, each sector in
+    decompose's (Re, Im) order: an even and an odd mode of nearly equal
+    frequency (the free levels 4 k^2 at a weak lattice) then keep their
+    rows whatever the rounding.
+    """
     point = analyze_point(dc_replace(params, u0=u0), grid)
     if point.error is not None:
         return [(u0, -1, None, None, None, None, None, error_status(point.error))]
@@ -139,7 +145,9 @@ def _spectrum_rows(u0: float, params: SystemParams, grid, nonneg_re_only: bool):
     abs_l1 = np.abs(dec.photon[:, 0])
     abs_l2 = np.abs(dec.photon[:, 1])
     petermann = petermann_raw(dec)
-    shown = [k for k, w in enumerate(dec.omegas) if not (nonneg_re_only and w.real < 0.0)]
+    even, odd = np.split(dec.slots, [dec.even_right.shape[0]])
+    modes = np.concatenate([np.sort(even), np.sort(odd)])
+    shown = [k for k in modes if not (nonneg_re_only and dec.omegas[k].real < 0.0)]
     return [
         (u0, index, dec.omegas[k].real, dec.omegas[k].imag,
          float(abs_l1[k]), float(abs_l2[k]), float(petermann[k]), "ok")

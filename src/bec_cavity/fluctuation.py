@@ -90,7 +90,10 @@ def build_matrix(
     coupl = phi * u_pot * dx * sqrt_n  # integral-operator row, weight included
 
     a_diag = -params.delta_c + params.n_atoms * state.u_avg - 1j * params.kappa
-    h0 = kinetic_matrix(grid) + np.diag(np.abs(alpha) ** 2 * u_pot) - state.mu * np.eye(n)
+    # H0 - mu: one copy of the cached kinetic matrix, its diagonal
+    # (K_jj + |alpha|^2 u_j) - mu
+    h0 = kinetic_matrix(grid).copy()
+    np.fill_diagonal(h0, (np.diagonal(h0) + np.abs(alpha) ** 2 * u_pot) - state.mu)
 
     row = alpha * coupl  # photon row a on the field block
     col = np.conj(alpha) * y  # field rows of the photon column a
@@ -108,23 +111,31 @@ def build_matrix(
     )
 
 
-def bordered_sector(a_diag: complex, row: np.ndarray, col: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The even sector from its pieces, with G M G = -conj(M) built in.
+def sector_blocks(a_diag: complex, row: np.ndarray, col: np.ndarray, h: np.ndarray):
+    """The even sector's bordered form, block by block: (index, entries)
+    pairs that cover the sector, with G M G = -conj(M) built in.
 
     A and -conj(A) on the photon diagonal, matter blocks h and -h, photon
     row a equal to row on both matter blocks and photon column a equal to
-    col and -col; photon row and column a^dag are their G images.
+    col and -col; photon row and column a^dag are their G images.  Every
+    other block is zero.
     """
     n_e = h.shape[0]
     f, c = slice(2, 2 + n_e), slice(2 + n_e, None)
-    even = np.zeros((2 + 2 * n_e, 2 + 2 * n_e), dtype=complex)
-    even[0, 0] = a_diag
-    even[1, 1] = -np.conj(a_diag)
-    even[0, f] = even[0, c] = row
-    even[1, f] = even[1, c] = -row.conj()
-    even[f, 0], even[c, 0] = col, -col
-    even[f, 1], even[c, 1] = col.conj(), -col.conj()
-    even[f, f], even[c, c] = h, -h
+    return [
+        ((0, 0), a_diag), ((1, 1), -np.conj(a_diag)), ((0, 1), 0.0), ((1, 0), 0.0),
+        ((0, f), row), ((0, c), row), ((1, f), -row.conj()), ((1, c), -row.conj()),
+        ((f, 0), col), ((c, 0), -col), ((f, 1), col.conj()), ((c, 1), -col.conj()),
+        ((f, f), h), ((c, c), -h), ((f, c), 0.0), ((c, f), 0.0),
+    ]
+
+
+def bordered_sector(a_diag: complex, row: np.ndarray, col: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The even sector assembled from its blocks (``sector_blocks``)."""
+    dim = 2 + 2 * h.shape[0]
+    even = np.empty((dim, dim), dtype=complex)
+    for index, entries in sector_blocks(a_diag, row, col, h):
+        even[index] = entries
     return even
 
 

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluctuation import FluctuationMatrix, bordered_sector, unfold_sector
+from .fluctuation import FluctuationMatrix, sector_blocks, unfold_sector
 
 EPS = np.finfo(float).eps
 
@@ -182,8 +182,37 @@ def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     depletion sums mean the same thing at every grid size.
     """
     photon = np.abs(vecs[0, :]) ** 2 + np.abs(vecs[1, :]) ** 2
-    atom = np.linalg.norm(vecs[2:, :], axis=0) ** 2
+    atom = _column_norms(vecs[2:, :]) ** 2
     return 1.0 / np.sqrt(photon + dx * atom)
+
+
+# rows (or columns) per block wherever a temporary the size of the even
+# sector is cut into blocks
+BLOCK = 32
+
+
+def row_blocks(size: int, step: int = BLOCK) -> list[slice]:
+    """Slices of at most step indices that cover range(size), in order."""
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=0) of a complex x, bit for bit, through
+    temporaries of BLOCK rows: that norm adds the squares row by row, so
+    each block continues the running sums in the same order."""
+    sums = np.zeros((BLOCK + 1, x.shape[1]))
+    for rows in row_blocks(x.shape[0]):
+        block = x[rows]
+        sums[1 : block.shape[0] + 1] = (block.conj() * block).real
+        sums[0] = np.add.reduce(sums[: block.shape[0] + 1], axis=0)
+    return np.sqrt(sums[0])
+
+
+def _petermann_factors(right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """(|l_k| |r_k|)^2 of each column of right and row of left, the norms
+    taken BLOCK rows at a time (each row of left is its own sum)."""
+    norm_l = [np.linalg.norm(left[rows], axis=1) for rows in row_blocks(left.shape[0])]
+    return (np.concatenate(norm_l) * _column_norms(right)) ** 2
 
 
 def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
@@ -325,10 +354,15 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
     )
 
 
-def _rotate(basis: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """basis @ z for real basis and complex z, as one real product."""
-    z = np.ascontiguousarray(z)
-    return (basis @ z.view(float).reshape(z.shape[0], -1)).view(complex)
+def _transpose_in_place(a: np.ndarray) -> None:
+    """a <- a.T for a square a, one pair of BLOCK-square blocks at a time."""
+    slices = row_blocks(a.shape[0])
+    for i, rows in enumerate(slices):
+        a[rows, rows] = a[rows, rows].T.copy()
+        for cols in slices[i + 1 :]:
+            upper = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = upper.T
 
 
 def _resolvent_vectors(basis, levels, weight_r, weight_l, poles, anchors, delta, a_diag, beta):
@@ -343,6 +377,11 @@ def _resolvent_vectors(basis, levels, weight_r, weight_l, poles, anchors, delta,
     0/0 when a mode decouples and its offset vanishes.  Returns the
     (n + 4)-square right and left arrays with the roots in the first
     columns (rows), and the products l . r of each pair.
+
+    Each vector is built in its own column of the returned arrays (the
+    left ones transposed to rows at the end), and Q is applied in place
+    through one buffer of half that size: no other (n + 4)-square array
+    is made.
     """
     n_e = basis.shape[0]
     n_roots = anchors.size
@@ -358,14 +397,17 @@ def _resolvent_vectors(basis, levels, weight_r, weight_l, poles, anchors, delta,
     t_r[-1] = -beta * two_re / wa[-1]  # the root at -conj(A)
     t_l[-1] = two_re / (beta * wa[-1])
     own = (poles, np.arange(n_poles))
+    dim = 2 + 2 * n_e
+    right = np.empty((dim, dim), dtype=complex)
+    left = np.empty((dim, dim), dtype=complex)  # the left vectors as columns until the end
+    right_q, left_q = right[2:, :n_roots], left[2:, :n_roots]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gaps = anchors - levels[:, None]
+        gaps = np.subtract(anchors, levels[:, None], out=left_q)
         gaps += delta
         np.reciprocal(gaps, out=gaps)  # 1 / (w_i - level_k); inf at delta = 0
-    right_q = weight_r[:, None] * gaps
+    np.multiply(weight_r[:, None], gaps, out=right_q)
     right_q *= t_r
     right_q[own] = 1.0
-    left_q = gaps
     left_q *= weight_l[:, None]
     left_q *= t_l
     left_q[own] = 1.0
@@ -380,16 +422,15 @@ def _resolvent_vectors(basis, levels, weight_r, weight_l, poles, anchors, delta,
     l0[-1], l1[-1] = delta[-1] / (beta * wa[-1]), 1.0
     dots = r0 * l0 + r1 * l1 + np.einsum("ki,ki->i", right_q, left_q)
 
-    dim = 2 + 2 * n_e
-    f, c = slice(2, 2 + n_e), slice(2 + n_e, dim)
-    right = np.empty((dim, dim), dtype=complex)
-    left = np.empty((dim, dim), dtype=complex)
     right[0, :n_roots], right[1, :n_roots] = r0, r1
-    right[f, :n_roots] = _rotate(basis, right_q[:n_e])
-    right[c, :n_roots] = _rotate(basis, right_q[n_e:])
-    left[:n_roots, 0], left[:n_roots, 1] = l0, l1
-    left[:n_roots, f] = _rotate(basis, left_q[:n_e]).T
-    left[:n_roots, c] = _rotate(basis, left_q[n_e:]).T
+    left[0, :n_roots], left[1, :n_roots] = l0, l1
+    f, c = slice(2, 2 + n_e), slice(2 + n_e, dim)
+    product = np.empty((n_e, n_roots), dtype=complex)
+    for z in (right[f, :n_roots], right[c, :n_roots], left[f, :n_roots], left[c, :n_roots]):
+        # Q z for real Q and complex z as one real product, through one buffer
+        np.matmul(basis, z.view(float), out=product.view(float))
+        z[...] = product
+    _transpose_in_place(left)
     return right, left, dots
 
 
@@ -455,15 +496,13 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
     h = m_even[f, f].real
     h = 0.5 * (h + h.T)
     # the form build_matrix gives: matter blocks h and -h, no anomalous
-    # blocks, and a rank-one photon border
-    model = bordered_sector(a_diag, row, col, h)
-    model -= m_even
+    # blocks, and a rank-one photon border; compared block by block
+    model = sector_blocks(a_diag, row, col, h)
     breach = max(
-        np.abs(model).max(),
+        np.max([np.abs(entries - m_even[index]).max() for index, entries in model]),
         np.abs(col.conj() - beta * col).max(),
         np.abs(row.conj() - row / beta).max(),
     ) / scale
-    del model
     if breach > STRUCTURE_TOL:
         raise DecompositionError(
             f"M breaks G M G = -conj(M) or the bordered form of the even sector "
@@ -472,6 +511,7 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
 
     kind, v1, v2 = _canonical_goldstone(m_even, phi_even, n_e)
     energies, basis = np.linalg.eigh(h)
+    del h, model  # freed before the vectors are built, where a point's memory peaks
     col_q = basis.T @ col
     row_q = basis.T @ row
     # the condensate's own level is the exact zero of H0 - mu; its pole
@@ -500,7 +540,8 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
     dim = right.shape[0]
     # unit photon plus quadrature-weighted matter norm, largest entry real
     # positive; each left row rescaled to l . r = 1
-    pivots = right[np.argmax(np.abs(right[:, :n_roots]), axis=0), np.arange(n_roots)]
+    largest = [np.argmax(np.abs(right[:, cols]), axis=0) for cols in row_blocks(n_roots)]
+    pivots = right[np.concatenate(largest), np.arange(n_roots)]
     scales = np.abs(pivots) / pivots * _physical_norm_factors(right[:, :n_roots], dx)
     right[:, :n_roots] *= scales
     left[:n_roots] /= (dots * scales)[:, None]
@@ -522,24 +563,32 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
         r_gh @ r_g, r_gh - (r_gh @ right[:, :n_roots]) @ left[:n_roots]
     )
 
-    biorth_defect = float(np.abs(left @ right - np.eye(dim)).max())
+    # L R - I and M R - R W, BLOCK rows at a time through one scratch block
+    work = np.empty((BLOCK, dim), dtype=complex)
+    defects, misses = [], []
+    for rows in row_blocks(dim):
+        block = work[: rows.stop - rows.start]
+        np.matmul(left[rows], right, out=block)
+        block[np.arange(len(block)), np.arange(rows.start, rows.stop)] -= 1.0
+        defects.append(np.abs(block).max())
+        np.matmul(m_even[rows], right, out=block)
+        block -= right[rows] * omegas
+        if chain:
+            # the chain column satisfies M r2 = c r1 instead of an eigen relation
+            block[:, -1] -= chain_coupling * right[rows, -2]
+        misses.append(np.abs(block).max())
+    biorth_defect = float(np.max(defects))
     if not biorth_defect <= BIORTH_LIMIT:
         raise DecompositionError(f"even modes not biorthogonal (max|LR - I| = {biorth_defect:.2e})")
     # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number
-    petermann = (np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=0)) ** 2
-    cond_r = float(np.sqrt(dim * petermann.sum()))
+    cond_r = float(np.sqrt(dim * _petermann_factors(right, left).sum()))
     if not cond_r <= COND_LIMIT:
         raise DecompositionError(
             f"right eigenvector basis is numerically singular "
             f"(cond <= {cond_r:.3e} > {COND_LIMIT:.1e}); "
             "use the Lyapunov second-moment oracle instead"
         )
-    residual = m_even @ right
-    residual -= right * omegas
-    if chain:
-        # the chain column satisfies M r2 = c r1 instead of an eigen relation
-        residual[:, -1] -= chain_coupling * right[:, -2]
-    residual = float(np.abs(residual).max())
+    residual = float(np.max(misses))
     return _EvenModes(
         omegas, right, left, pairing, goldstone, chain, chain_coupling, cond_r,
         biorth_defect, residual,
@@ -673,7 +722,5 @@ def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     sector vectors; the odd modes are normal, K = 1 exactly.
     """
     factors = np.ones(dec.omegas.size)
-    factors[dec.slots[: dec.even_right.shape[0]]] = (
-        np.linalg.norm(dec.even_left, axis=1) * np.linalg.norm(dec.even_right, axis=0)
-    ) ** 2
+    factors[dec.slots[: dec.even_right.shape[0]]] = _petermann_factors(dec.even_right, dec.even_left)
     return factors

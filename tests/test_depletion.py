@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +9,20 @@ from bec_cavity import (
     OracleSingularError,
     StabilityError,
     StabilityReport,
+    SystemParams,
     analyze_point,
     build_matrix,
     classify_stability,
     depletion_at_times,
     finite_time_kernel,
     lyapunov_oracle,
+    make_grid,
     mode_projector,
     relaxation_time,
     solve_depletion_point,
     steady_state_depletion,
 )
-from bec_cavity import cli, fluctuation, spectral
+from bec_cavity import cli, depletion, fluctuation, spectral
 from bec_cavity.fluctuation import FluctuationMatrix
 from conftest import run_pipeline
 
@@ -327,6 +330,43 @@ def test_overflowing_times_are_nan_and_the_earlier_times_stay():
     assert [r.status for r in rows] == ["ok", "ok", "diverged"]
     assert [r.depletion for r in rows[:2]] == result.values[:2]
     assert rows[2].depletion is None and rows[2].stability == "unstable"
+
+
+def test_times_gather_the_pair_data_once_per_point(monkeypatch):
+    calls = []
+    pair_data = depletion._pair_data
+
+    def counted(dec):
+        calls.append(dec)
+        return pair_data(dec)
+
+    monkeypatch.setattr(depletion, "_pair_data", counted)
+    params, grid, *_ = run_pipeline(u0=-0.5, ng=16)
+    rows = solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0, 100.0, 1e4])
+    assert [r.status for r in rows] == ["ok", "ok", "ok"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "times, bound_mb",
+    [(None, 3.2), ([1.0, 100.0, 1e4], 3.5)],
+    ids=["steady", "times"],
+)
+def test_depletion_point_scratch_memory_is_bounded(times, bound_mb):
+    # a warm n = 200 point keeps its mode record (1.44 MB) and, while it
+    # decomposes, the generator (0.74 MB); every other array is scratch of
+    # at most a few blocks of rows
+    params = SystemParams(delta_c=-1000.0, kappa=100.0, eta=1000.0, u0=-0.3, n_atoms=1000, grid_points=200)
+    grid = make_grid(200)
+    solve_depletion_point(params, grid, -1000.0, -0.3, times=times)
+    tracemalloc.start()
+    try:
+        rows = solve_depletion_point(params, grid, -1000.0, -0.3, times=times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.status == "ok" for r in rows)
+    assert peak / 1e6 <= bound_mb
 
 
 def test_sweep_path_never_assembles_the_grid_basis(monkeypatch):

@@ -12,7 +12,7 @@ from bec_cavity import (
     petermann_raw,
     symmetry_defect,
 )
-from bec_cavity import meanfield, spectral
+from bec_cavity import cli, meanfield, spectral
 from bec_cavity.depletion import error_status
 from bec_cavity.spectral import _canonical_goldstone
 from conftest import run_pipeline
@@ -187,6 +187,28 @@ def test_spectrum_sweep_rows(pipeline):
         omegas = point.dec.omegas
         lowest = np.sort(omegas.real[omegas.real > 2.0])[0]
         assert lowest == pytest.approx(4.0, rel=0.05)
+
+
+def test_spectrum_rows_list_the_even_sector_first(pipeline):
+    # at a weak lattice each free level 4 k^2 splits into an even and an
+    # odd mode only about 1e-12 apart, which a (Re, Im) sort over both
+    # sectors orders by rounding; listed sector by sector they keep rows
+    params, grid, *_, dec = pipeline(u0=-0.02, ng=64)
+    n_even = dec.even_right.shape[0]
+    even, odd = np.sort(dec.slots[:n_even]), np.sort(dec.slots[n_even:])
+    w = dec.omegas
+    gap = np.abs(w[even][:, None].real - w[odd].real) / np.abs(w[odd].real)
+    assert gap.min() <= 1e-10
+    rows = cli._spectrum_rows(-0.02, params, grid, nonneg_re_only=False)
+    order = np.concatenate([even, odd])
+    assert [row[1] for row in rows] == list(range(w.size))
+    assert [(row[2], row[3]) for row in rows] == [(w[k].real, w[k].imag) for k in order]
+    # the odd rows are the noiseless ones, l1 = l2 = 0 exactly
+    assert all(row[4] == row[5] == 0.0 for row in rows[n_even:])
+    shown = cli._spectrum_rows(-0.02, params, grid, nonneg_re_only=True)
+    assert [(row[2], row[3]) for row in shown] == [
+        (w[k].real, w[k].imag) for k in order if w[k].real >= 0.0
+    ]
 
 
 def test_spectrum_sweep_records_failures(pipeline, monkeypatch):
