@@ -155,14 +155,12 @@ def _spectrum_rows(u0: float, params: SystemParams, grid, nonneg_re_only: bool):
     ]
 
 
-def cmd_spectrum(cfg: RunConfig, stream: TextIO, nonneg_re_only: bool | None = None) -> int:
-    if nonneg_re_only is None:
-        nonneg_re_only = cfg.nonneg_re_only
+def cmd_spectrum(cfg: RunConfig, stream: TextIO) -> int:
     worker = functools.partial(
         _spectrum_rows,
         params=cfg.params,
         grid=make_grid(cfg.params.grid_points),
-        nonneg_re_only=nonneg_re_only,
+        nonneg_re_only=cfg.nonneg_re_only,
     )
     columns = [
         "u0", "mode_index", "re_omega", "im_omega",
@@ -179,17 +177,9 @@ def _depletion_worker(args, params: SystemParams, grid, options: dict):
     return solve_depletion_point(params, grid, delta_c, u0, **options)
 
 
-def cmd_depletion(
-    cfg: RunConfig,
-    stream: TextIO,
-    times: list[float] | None = None,
-    oracle: bool | None = None,
-) -> int:
+def cmd_depletion(cfg: RunConfig, stream: TextIO) -> int:
     grid = make_grid(cfg.params.grid_points)
-    if times is None:
-        times = cfg.times
-    if oracle is None:
-        oracle = cfg.oracle
+    times, oracle = cfg.times, cfg.oracle
     u0s = [float(u) for u in _u0_values(cfg)]
     detunings = _detunings(cfg)
     items = [(dc, u0) for dc in detunings for u0 in u0s]
@@ -326,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="add a second-moment oracle column",
     )
     sub.add_parser("verify", parents=[common], help="run the invariant suite")
+    # a command without one of these flags reads it as unset
+    parser.set_defaults(times=None, oracle=False, nonneg_re_only=False)
     return parser
 
 
@@ -339,8 +331,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    times = None
-    if args.command == "depletion" and args.times is not None:
+    times = cfg.times
+    if args.times is not None:
         try:
             times = [float(t) for t in args.times.split(",") if t.strip()]
         except ValueError:
@@ -349,6 +341,13 @@ def main(argv=None) -> int:
         if not times or not all(0.0 <= t < math.inf for t in times):
             print("--times must be a non-empty list of finite, nonnegative numbers", file=sys.stderr)
             return 2
+    # the flags only switch options on; the "# config:" echo stays cfg.raw
+    cfg = dc_replace(
+        cfg,
+        times=times,
+        oracle=cfg.oracle or args.oracle,
+        nonneg_re_only=cfg.nonneg_re_only or args.nonneg_re_only,
+    )
 
     # opened before any point runs, so a bad path throws away no work
     try:
@@ -362,11 +361,9 @@ def main(argv=None) -> int:
         if args.command == "groundstate":
             return cmd_groundstate(cfg, stream)
         if args.command == "spectrum":
-            flag = True if args.nonneg_re_only else None
-            return cmd_spectrum(cfg, stream, nonneg_re_only=flag)
+            return cmd_spectrum(cfg, stream)
         if args.command == "depletion":
-            oracle = True if args.oracle else None
-            return cmd_depletion(cfg, stream, times=times, oracle=oracle)
+            return cmd_depletion(cfg, stream)
         if args.command == "verify":
             return cmd_verify(cfg, stream)
     finally:

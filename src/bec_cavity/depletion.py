@@ -27,8 +27,9 @@ The condensate phase/number chain sector is excluded from the sums and
 its noise drive is projected out of the oracle: photon noise leaking
 through the number mode makes the condensate phase diffuse, which shows
 up in the unprojected <dPsi^dag dPsi> as secular growth that is
-condensate bookkeeping, not occupation of other modes.  Both routes
-apply the same exclusion, so they remain directly comparable.
+condensate bookkeeping, not occupation of other modes.  Both routes take
+the pair from the same closed form, ``spectral.phase_chain``, so they
+remain directly comparable; the oracle still never reads the other modes.
 
 Every command reaches these sums through ``analyze_point``, the one
 chain mean field -> generator M -> biorthogonal modes -> stability
@@ -55,6 +56,8 @@ from .spectral import (
     StabilityReport,
     classify_stability,
     decompose,
+    noise_coupled,
+    phase_chain,
     row_blocks,
 )
 
@@ -132,7 +135,7 @@ def finite_time_kernel(z, t: float):
 
 
 def _pair_data(dec: ModeDecomposition):
-    """(modes, weight) on the modes that carry photon weight.
+    """(modes, weight) on the even modes, in ascending global index.
 
     Odd modes have l1 = l2 = 0 exactly, so only pairs of the returned
     (even) modes can have a nonzero weight l1_k l2_l O_kl; weight is
@@ -144,7 +147,7 @@ def _pair_data(dec: ModeDecomposition):
     """
     l1 = dec.photon[:, 0]
     l2 = dec.photon[:, 1]
-    modes = np.flatnonzero((l1 != 0) | (l2 != 0))
+    modes = np.sort(dec.slots[: dec.even_right.shape[0]])
     cols = dec.even_columns(modes)
     points = dec.n_grid // 2 + 1
     r3 = dec.even_right[2 : 2 + points, cols]
@@ -315,8 +318,7 @@ def relaxation_time(dec: ModeDecomposition) -> float:
 
     Infinity when no damped noise-coupled mode exists (decoupled cavity).
     """
-    idx = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
-    coupled = idx[np.abs(dec.photon[idx, 0] * dec.photon[idx, 1]) > NOISE_FLOOR]
+    coupled = noise_coupled(dec)
     if coupled.size == 0:
         return math.inf
     max_im = float(dec.omegas[coupled].imag.max())
@@ -327,46 +329,6 @@ def relaxation_time(dec: ModeDecomposition) -> float:
 
 # ---------------------------------------------------------------------------
 # second-moment (Lyapunov) oracle
-
-
-def _refined_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares with one step of iterative refinement."""
-    x = np.linalg.lstsq(a, b, rcond=None)[0]
-    x = x + np.linalg.lstsq(a, b - a @ x, rcond=None)[0]
-    return x
-
-
-def _chain_projector(a: np.ndarray, phi_even: np.ndarray) -> np.ndarray | None:
-    """Oblique projector onto the complement of the phase/number chain.
-
-    Works on the even sector's quadrature generator A, where the phase
-    mode is the p quadrature along phi and its dual row the x quadrature
-    along phi.  Built from these analytic null vectors and least-squares
-    solves only, so the oracle stays independent of the
-    eigendecomposition.  Returns None when the chain structure is absent
-    (the decoupled cavity, where the phase and number modes are two
-    eigenvectors).
-    """
-    scale = float(np.abs(a).max())
-    unit = phi_even / np.linalg.norm(phi_even)
-    zero = np.zeros_like(unit)
-    r1 = np.r_[0.0, 0.0, zero, unit]
-    l2 = np.r_[0.0, 0.0, unit, zero]
-    if np.abs(a @ r1).max() > 1e-7 * scale or np.abs(l2 @ a).max() > 1e-7 * scale:
-        return None
-    r2 = _refined_lstsq(a, r1)
-    if np.linalg.norm(a @ r2 - r1) > 1e-7:
-        return None
-    l1 = _refined_lstsq(a.T, l2)
-    if np.linalg.norm(l1 @ a - l2) > 1e-7:
-        return None
-    c1 = l1 @ r1
-    c2 = l2 @ r2
-    if abs(c1) < 1e-12 or abs(c2) < 1e-12:
-        return None
-    l1 = l1 - ((l1 @ r2) / c2) * l2  # gauge: l1 r2 = 0 (l2 r1 = 0 exactly)
-    q = np.outer(r1, l1) / c1 + np.outer(r2, l2) / c2
-    return np.eye(r1.size) - q
 
 
 def mode_projector(dec: ModeDecomposition, modes) -> np.ndarray:
@@ -460,32 +422,31 @@ def lyapunov_oracle(
 
     ``deflate`` is an even-sector projector, as mode_projector returns
     (e.g. of the double sum's excluded modes, so both routes evaluate the
-    same observable); it projects the noise and the moments.  Without it
-    the phase/number chain is deflated from analytic null vectors alone.
+    same observable); it projects the noise and the moments.  It defaults
+    to I - R_G L_G of the phase/number pair from ``spectral.phase_chain``,
+    the pair the mode sums leave out, so a generator without that pair
+    raises its DecompositionError.
     """
     from scipy.linalg import expm, solve_continuous_lyapunov
 
     a = _real(_quadratures(-1j * fm.even), "M breaks G M G = -conj(M)")
     dim = a.shape[0]
     if deflate is None:
-        proj = _chain_projector(a, fm.phi_even)
-    else:
-        proj = _real(_quadratures(deflate), "deflated modes without their (w, -conj w) partners")
+        _, r_g, y_g = phase_chain(fm.even, fm.phi_even)
+        deflate = np.eye(dim) - r_g @ np.linalg.solve(y_g @ r_g, y_g)
+    proj = _real(_quadratures(deflate), "deflated modes without their (w, -conj w) partners")
     noise = np.zeros_like(a)
     noise[:2, :2] = fm.kappa * np.array([[1.0, 1.0], [-1.0, 1.0]])  # Re D_X + Im D_X
-    if proj is not None:
-        noise = proj @ noise @ proj.T
+    noise = proj @ noise @ proj.T
     # a deflated mode moves to -1 (one recoil frequency): through the
     # projector's rounding each kept rung w picks up an error of order
     # |w + shift|, so the shift stays below the lowest rung (Re w near 4)
-    a_d = a if proj is None else a @ proj - (np.eye(dim) - proj)
+    a_d = a @ proj - (np.eye(dim) - proj)
 
     def depletion(s_mat):
-        if proj is not None:
-            # noise deflation is exact only to the projector's own defect;
-            # projecting the moments removes the amplified leftover exactly
-            s_mat = proj @ s_mat @ proj.T
-        return _moment_depletion(s_mat, fm.dx)
+        # noise deflation is exact only to the projector's own defect;
+        # projecting the moments removes the amplified leftover exactly
+        return _moment_depletion(proj @ s_mat @ proj.T, fm.dx)
 
     if steady:
         with warnings.catch_warnings():

@@ -50,11 +50,13 @@ entries left[k, 0] and left[k, 1], stored per mode.
 Phase symmetry of the condensate makes the even sector defective: in the
 frame of the chemical potential the vector (0, 0, phi, -phi) is an
 exact null vector whose dual partner (the number fluctuation) forms a
-2 x 2 Jordan chain with it (two eigenvectors when the cavity decouples).
-``decompose`` takes that pair from the analytic chain basis (exact
-zeros, well conditioned) and its left rows from the other modes'
-spectral projector, and refuses a generator without it; the pair's
-indices are exposed so downstream sums can treat them separately.
+2 x 2 Jordan chain with it (two eigenvectors when the cavity decouples;
+Castin and Dum, PRA 57, 3008, 1998).  ``phase_chain`` gives that pair's
+right columns and left rows in closed form, from one real solve with the
+matter block; ``decompose`` takes the pair from it as exact zeros and
+refuses a generator without it, and the Lyapunov oracle deflates the
+same pair.  The pair's indices are exposed so downstream sums can treat
+them separately.
 
 The module sees only the generator: the mean field and the per-point
 chain that feeds M in here are ``depletion.analyze_point``'s business.
@@ -215,49 +217,65 @@ def _petermann_factors(right: np.ndarray, left: np.ndarray) -> np.ndarray:
     return (np.concatenate(norm_l) * _column_norms(right)) ** 2
 
 
-def _canonical_goldstone(m: np.ndarray, phi: np.ndarray, n: int):
-    """Analytic basis for the phase/number sector.
+def phase_chain(even: np.ndarray, phi_even: np.ndarray):
+    """The condensate's phase/number pair of the even sector, in closed form.
 
-    Returns (kind, v1, v2) with kind "pair" when both are eigenvectors
-    (decoupled cavity) or "chain" when M v2 = v1, M v1 = 0 (the generic
-    defective case).  Raises DecompositionError when neither structure is
-    present to solver accuracy: without the phase null vector the sector
-    is not the generator of fluctuations in the chemical potential's
-    frame.  The chain residual is bounded relative to |v2|, the scale
-    of the solve's backward error: the weaker the coupling, the longer the
-    chain vector (|v2| about 2.5e4 at delta_c = -10000, u0 = -0.02).
+    Returns (chain, right, rows): right holds the columns R_G = [r1, r2],
+    rows the left rows Y = [y; z] of the same pair, which meet every other
+    mode's right vector at zero, so that the dual rows are
+    L_G = solve(Y R_G, Y).  With A = even[0, 0], row = even[0, f],
+    col = even[f, 0], h = even[f, f] on the field points f, and phi
+    scaled so that |r1| = 1, the chain (chain True) is
+
+        K = h - 4 Re(outer(col, row) / A),   K s = 2 phi,
+        r1 = (0, 0, phi, -phi),   r2 = (-row.s / A, -conj(row).s / conj(A), s/2, s/2),
+        y = (0, 0, phi, phi),     z = (-col.s / A, conj(col).s / conj(A), s/2, -s/2),
+
+    with M r1 = 0, M r2 = r1, r1^H r2 = 0, y M = 0 and z M = y.  K is the
+    real symmetric matter block plus the cavity's static response, so the
+    chain costs one (n/2 + 1)-square real solve.  When the cavity
+    decouples (row and col vanish) the pair is two eigenvectors,
+    (0, 0, phi, 0) and (0, 0, 0, phi), each its own left row (chain False).
+
+    Raises DecompositionError when neither structure is present to 1e-7:
+    without the phase null vector the sector is not the generator of
+    fluctuations in the chemical potential's frame.  The chain residual is
+    bounded relative to |r2|: the weaker the coupling, the longer the
+    chain vector (|r2| about 2.5e4 at delta_c = -10000, u0 = -0.02).
     """
-    dim = m.shape[0]
-    scale = float(np.abs(m).max())
-    r1 = np.zeros(dim, dtype=complex)
-    r1[2 : 2 + n] = phi
-    r1[2 + n :] = -phi
-    r1 /= np.linalg.norm(r1)
-    if np.abs(m @ r1).max() > 1e-7 * scale:
+    n_e = phi_even.size
+    f, c = slice(2, 2 + n_e), slice(2 + n_e, None)
+    scale = float(np.abs(even).max())
+    phi = phi_even / np.linalg.norm(phi_even)
+    pair = np.zeros((even.shape[0], 2), dtype=complex)
+    pair[f, 0] = pair[c, 1] = phi
+    phi = phi / np.sqrt(2.0)  # |r1| = 1
+    right = np.zeros_like(pair)
+    right[f, 0], right[c, 0] = phi, -phi
+    if np.abs(even @ right[:, 0]).max() > 1e-7 * scale:
         raise DecompositionError("even sector has no phase null vector (0, 0, phi, -phi)")
-    ra = np.zeros(dim, dtype=complex)
-    ra[2 : 2 + n] = phi
-    ra /= np.linalg.norm(ra)
-    rb = np.zeros(dim, dtype=complex)
-    rb[2 + n :] = phi
-    rb /= np.linalg.norm(rb)
-    if np.abs(m @ ra).max() < 1e-7 * scale and np.abs(m @ rb).max() < 1e-7 * scale:
-        return ("pair", ra, rb)
-    # y = (0, 0, phi, phi) is a left null vector (y^T M = 0 as H0 phi = mu phi),
-    # so [[M, y], [r1^H, 0]] is nonsingular exactly when r1 heads a Jordan
-    # chain, and its solution is the chain vector orthogonal to r1
-    bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
-    bordered[:dim, :dim] = m
-    y = np.concatenate([phi, phi])
-    bordered[2:dim, dim] = y / np.linalg.norm(y)
-    bordered[dim, :dim] = r1.conj()
+    if np.abs(even @ pair).max() < 1e-7 * scale:
+        return False, pair, pair.T.copy()
+
+    a_diag = even[0, 0]
+    row, col = even[0, f], even[f, 0]
+    k = even[f, f].real - 4.0 * (np.outer(col, row) / a_diag).real
     try:
-        r2 = np.linalg.solve(bordered, np.append(r1, 0.0))[:dim]
-    except np.linalg.LinAlgError:  # a singular border: no chain
-        r2 = None
-    if r2 is None or np.linalg.norm(m @ r2 - r1) > 1e-7 * max(1.0, float(np.linalg.norm(r2))):
+        s = np.linalg.solve(k, 2.0 * phi)
+    except np.linalg.LinAlgError:  # a singular K: no chain, refused below
+        s = np.full(n_e, np.nan)
+    right[0, 1] = -(row @ s) / a_diag
+    right[1, 1] = right[0, 1].conjugate()
+    right[f, 1] = right[c, 1] = 0.5 * s
+    length = float(np.linalg.norm(right[:, 1]))
+    if not np.linalg.norm(even @ right[:, 1] - right[:, 0]) <= 1e-7 * max(1.0, length):
         raise DecompositionError("even sector's phase null vector heads no phase/number chain")
-    return ("chain", r1, r2)
+    rows = np.zeros((2, even.shape[0]), dtype=complex)
+    rows[0, f] = rows[0, c] = phi
+    rows[1, 0] = -(col @ s) / a_diag
+    rows[1, 1] = -rows[1, 0].conjugate()
+    rows[1, f], rows[1, c] = 0.5 * s, -0.5 * s
+    return True, right, rows
 
 
 # largest departure of the even sector from its bordered form with
@@ -509,7 +527,7 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
             f"({breach:.2e} max|M|)"
         )
 
-    kind, v1, v2 = _canonical_goldstone(m_even, phi_even, n_e)
+    chain, r_g, y_g = phase_chain(m_even, phi_even)
     energies, basis = np.linalg.eigh(h)
     del h, model  # freed before the vectors are built, where a point's memory peaks
     col_q = basis.T @ col
@@ -550,18 +568,10 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
     omegas = np.concatenate([omegas, np.zeros(2)])
     pairing = np.concatenate([pairing, [n_roots, n_roots + 1]])  # Goldstone: itself
     goldstone = (n_roots, n_roots + 1)
-    right[:, n_roots] = v1
-    right[:, n_roots + 1] = v2
-    factors = _physical_norm_factors(right[:, n_roots:], dx)
-    right[:, n_roots:] *= factors
-    chain = kind == "chain"
+    factors = _physical_norm_factors(r_g, dx)
+    right[:, n_roots:] = r_g * factors
     chain_coupling = complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j
-    # the dual rows: R_G^H projected off the other modes' spectral projector
-    r_g = right[:, n_roots:]
-    r_gh = r_g.conj().T
-    left[n_roots:] = np.linalg.solve(
-        r_gh @ r_g, r_gh - (r_gh @ right[:, :n_roots]) @ left[:n_roots]
-    )
+    left[n_roots:] = np.linalg.solve(y_g @ right[:, n_roots:], y_g)
 
     # L R - I and M R - R W, BLOCK rows at a time through one scratch block
     work = np.empty((BLOCK, dim), dtype=complex)
@@ -602,7 +612,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     docstring), the real odd block by one ``eigh``.  Raises
     DecompositionError when the even sector departs from the bordered
     form with G M G = -conj(M) beyond STRUCTURE_TOL, when it has no
-    phase/number pair (see ``_canonical_goldstone``), or when the even
+    phase/number pair (see ``phase_chain``), or when the even
     modes fail a certificate: n + 2 distinct roots beside that pair, an
     exact mirror pairing, the trace identity, biorthogonality to
     BIORTH_LIMIT, and a condition bound within COND_LIMIT.  There is no
@@ -702,16 +712,20 @@ def classify_stability(dec: ModeDecomposition) -> StabilityReport:
     negligible photon weight never receive noise, so their numerically
     zero damping is harmless for the existence of the steady state.
     """
-    non_g = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
-    growth = dec.omegas[non_g].imag
-    max_growth = float(growth.max())
+    max_growth = float(np.delete(dec.omegas.imag, list(dec.goldstone)).max())
     if max_growth > GROWTH_TOL:
         return StabilityReport("unstable", max_growth)
-    weights = np.abs(dec.photon[non_g, 0] * dec.photon[non_g, 1])
-    coupled = weights > NOISE_FLOOR
-    if coupled.any() and (growth[coupled] < -DAMPING_FLOOR).all():
+    coupled = noise_coupled(dec)
+    if coupled.size and (dec.omegas[coupled].imag < -DAMPING_FLOOR).all():
         return StabilityReport("stable", max_growth)
     return StabilityReport("marginal", max_growth)
+
+
+def noise_coupled(dec: ModeDecomposition) -> np.ndarray:
+    """Indices of the noise-coupled modes: the non-Goldstone modes whose
+    photon noise weight |l1 l2| exceeds NOISE_FLOOR."""
+    modes = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
+    return modes[np.abs(dec.photon[modes, 0] * dec.photon[modes, 1]) > NOISE_FLOOR]
 
 
 def petermann_raw(dec: ModeDecomposition) -> np.ndarray:

@@ -114,6 +114,20 @@ def test_finite_time_oracle_deflates_the_chain_at_long_times():
     assert oracle.values[0] == pytest.approx(formula.values[0], rel=1e-4)
 
 
+@pytest.mark.parametrize("ng", [16, 200])
+@pytest.mark.parametrize("u0", [-0.5, 0.0])
+def test_finite_time_oracle_deflates_the_decompositions_own_chain(ng, u0):
+    # undeflated calls take the phase/number pair from spectral.phase_chain,
+    # as decompose does; at u0 = 0 the decoupled pair is deflated too
+    _, grid, _, fm, dec = run_pipeline(u0=u0, ng=ng)
+    times = [1.0, 100.0, 1e4]
+    plain = lyapunov_oracle(fm, grid, times).values
+    deflated = lyapunov_oracle(fm, grid, times, deflate=mode_projector(dec, dec.goldstone)).values
+    assert plain == pytest.approx(deflated, rel=1e-9)
+    if u0 == 0.0:
+        assert plain == [0.0, 0.0, 0.0]
+
+
 def test_finite_time_oracle_is_nan_past_its_resolution_horizon():
     # t ||A|| eps is about 600 at t = 1e16; without the horizon the deflated
     # doublings return 6e131 there, against a mode sum of 16.19
@@ -404,20 +418,25 @@ def test_relaxation_time_slower_than_cavity(pipeline):
 def test_oracle_refuses_noise_fed_undamped_direction():
     # marginal toy: photon mode with zero linewidth receives all the noise;
     # at n = 2 both points are mirror fixed points, so the even sector is
-    # all of M and the odd sector is empty
+    # all of M and the odd sector is empty.  The condensate sits on the
+    # matter level 0, the phase null vector every built generator has; a
+    # generator without one has no phase/number pair to deflate.
     n = 2
     dim = 2 * n + 2
     m = np.zeros((dim, dim), dtype=complex)
     m[0, 0] = 5.0
     m[1, 1] = -5.0
-    m[2:4, 2:4] = np.diag([1.0, 2.0])
-    m[4:, 4:] = -np.diag([1.0, 2.0])
-    phi = np.full(n, 1.0 / np.sqrt(np.pi))
+    m[2:4, 2:4] = np.diag([0.0, 2.0])
+    m[4:, 4:] = -np.diag([0.0, 2.0])
+    phi = np.array([np.sqrt(2.0 / np.pi), 0.0])
     fm = FluctuationMatrix(
         even=m, h_odd=np.zeros((0, 0)), phi_even=phi, scale=5.0,
         n_grid=n, dx=np.pi / n, kappa=100.0,
     )
     with pytest.raises(OracleSingularError):
+        lyapunov_oracle(fm, None, steady=True)
+    m[2, 2], m[4, 4] = 1.0, -1.0
+    with pytest.raises(spectral.DecompositionError, match="phase null vector"):
         lyapunov_oracle(fm, None, steady=True)
 
 

@@ -14,7 +14,8 @@ from bec_cavity import (
 )
 from bec_cavity import cli, meanfield, spectral
 from bec_cavity.depletion import error_status
-from bec_cavity.spectral import _canonical_goldstone
+from bec_cavity.fluctuation import bordered_sector
+from bec_cavity.spectral import phase_chain
 from conftest import run_pipeline
 
 
@@ -66,12 +67,16 @@ def test_goldstone_cluster_detected(pipeline):
 
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
-@pytest.mark.parametrize("delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05)])
+@pytest.mark.parametrize(
+    "delta_c, u0", [(-1000.0, -0.5), (-10000.0, -0.05), (-10000.0, -0.02)]
+)
 def test_goldstone_chain_vector_matches_a_least_squares_solve(ng, delta_c, u0):
+    # (-10000, -0.02) is the weakest coupling served: |r2| is about 2.5e4
     *_, fm, _ = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
     m_even = fm.even
-    kind, r1, r2 = _canonical_goldstone(m_even, fm.phi_even, ng // 2 + 1)
-    assert kind == "chain"
+    chain, right, rows = phase_chain(m_even, fm.phi_even)
+    assert chain
+    r1, r2 = right.T
     # reference: the minimum-norm solution of M r = r1, made orthogonal to r1
     ref = np.linalg.lstsq(m_even, r1, rcond=None)[0]
     ref -= (r1.conj() @ ref) * r1
@@ -79,6 +84,14 @@ def test_goldstone_chain_vector_matches_a_least_squares_solve(ng, delta_c, u0):
     assert abs(r1.conj() @ r2) <= 1e-9 * np.linalg.norm(r2)
     residual = np.linalg.norm(m_even @ r2 - r1)
     assert residual <= 2.0 * np.linalg.norm(m_even @ ref - r1)
+    # the left chain, y M = 0 and z M = y, to rounding of max|M| |row|
+    y, z = rows
+    assert np.abs(y @ m_even).max() <= 1e-12 * fm.scale * np.abs(y).max()
+    assert np.abs(z @ m_even - y).max() <= 1e-12 * fm.scale * np.abs(z).max()
+    # and the dual rows of the unit columns, L_G R_G = I
+    unit = right / np.linalg.norm(right, axis=0)
+    dual = np.linalg.solve(rows @ unit, rows)
+    assert np.abs(dual @ unit - np.eye(2)).max() <= 1e-12
 
 
 def test_odd_modes_are_noiseless_and_normal(pipeline):
@@ -328,6 +341,16 @@ def test_decompose_refuses_a_sector_without_the_phase_null_vector(pipeline, shif
     assert symmetry_defect(corrupt.m) == 0.0
     with pytest.raises(DecompositionError, match="phase null vector"):
         decompose(corrupt)
+
+
+def test_phase_chain_refuses_a_null_vector_that_heads_no_chain():
+    # the photon on resonance, A = -i kappa: the cavity's static response
+    # vanishes, so K = h keeps the condensate's null vector and M r = r1
+    # has no solution
+    profile = np.array([1.0, 1.0])
+    even = bordered_sector(-100.0j, profile, profile, np.diag([0.0, 2.0]))
+    with pytest.raises(DecompositionError, match="heads no phase/number chain"):
+        phase_chain(even, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("ng", [16, 200])
