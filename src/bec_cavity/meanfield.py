@@ -6,19 +6,27 @@ The coupled equations are
     i d(phi)/dt   = [-d^2/dx^2 + |alpha|^2 U(x)] phi
 
 with <U> = integral of U |phi|^2.  The stationary cavity amplitude for a
-given <U> is the closed form ``steady_alpha``.  The condensate ground
-state is found by imaginary-time propagation with second-order operator
-splitting, with the cavity amplitude updated under-relaxed after every
-step.  The uniform start and every split step are even under the
-reflection x -> pi - x, so the propagation runs on the n/2 + 1 values
-phi[j], j = 0 .. n/2: the kinetic step is one product with the
-propagator exp(-dt K) folded over the mirror pairs (j, n - j).  That
-loop is only the start: the splitting leaves an O(dt^2) bias in phi, so
-a polish then solves the fixed point to near machine precision from the
-loop's <U>.  The ground state is reflection even, and <U> is a scalar,
-so a secant method on F(u) = <U>(ground state of K + |alpha(u)|^2 U) - u
-needs one ``eigh`` of the (n/2 + 1)-dimensional even block of H0 per
-step; its eigenvector is unfolded to the full grid once, at the end.
+given <U> is the closed form ``steady_alpha``.
+
+The steady state is the fixed point u = <U>(ground state of
+K + |alpha(u)|^2 U).  The ground state is reflection even and <U> is a
+scalar, so a secant polish on F(u) = <U>(u) - u solves it to near machine
+precision with one ``eigh`` of the (n/2 + 1)-dimensional even block of
+H0 per step; its eigenvector is unfolded to the full grid once, at the
+end.  The polish needs a starting <U> near the root, which an
+imaginary-time start gives: split-step propagation of the uniform
+condensate (a normalized gradient flow, Bao & Du, SIAM J. Sci. Comput.
+25, 1674, 2004), the cavity amplitude updated under-relaxed after every
+step.  The start and every split step are even under the reflection
+x -> pi - x, so it runs on the n/2 + 1 values phi[j], j = 0 .. n/2: the
+kinetic step is one product with the propagator exp(-dt K) folded over
+the mirror pairs (j, n - j).
+
+The step dt sets only the start's cost.  Its stop rule bounds the change
+of phi per unit of imaginary time, so the start ends about as close to
+the flow's fixed point whatever dt is; the splitting's O(dt^2) bias
+moves only the polish's starting <U>, and the polish solves the same
+discrete fixed point from there.
 """
 
 from __future__ import annotations
@@ -41,14 +49,19 @@ from .params import SystemParams
 
 
 # the imaginary-time start: its step, its stop on the sup-norm change of phi
-# per step (TOL_PHI * ITP_DT) and of alpha (TOL_ALPHA), the under-relaxation
-# of alpha, and the cap on its steps
-ITP_DT = 1e-3
+# per unit of imaginary time (TOL_PHI, so TOL_PHI * ITP_DT per step) and of
+# alpha per step (TOL_ALPHA), the under-relaxation of alpha, and the cap on
+# its steps.  The step sets only the start's cost (a median 1,102 steps over
+# the shipped detunings and light shifts, 4,408 at 1e-3); the polish after
+# it takes about as many eigh calls (a mean 4.9 at n = 16, 4.7 at 1e-3)
+ITP_DT = 4e-3
 TOL_PHI = 1e-9
 TOL_ALPHA = 1e-10
 MIXING = 0.3
 MAX_ITERS = 1_000_000
-# cap on the secant steps of the fixed-point polish, which takes 2-7
+# cap on the secant steps of the fixed-point polish, which takes 2-8 from
+# the start (3-9 eigh calls, a median of 5) at n = 16 and 200 over the
+# shipped detunings and light shifts -0.01 .. -1.2
 SECANT_STEPS = 50
 
 
@@ -71,7 +84,10 @@ class MeanFieldState:
     phi is gauge fixed: real, nonnegative at the potential minimum, and
     normalized so that integrate(|phi|^2) = 1.  mu is the chemical
     potential <phi|H0|phi> of the final single-particle Hamiltonian
-    H0 = kinetic + |alpha|^2 U(x).  iterations counts the imaginary-time
+    H0 = kinetic + |alpha|^2 U(x).  residual_phi is max|H0 phi - mu phi|;
+    residual_alpha is |alpha - alpha'|, where alpha = steady_alpha(u_avg)
+    and alpha' is the amplitude whose lattice depth phi is the ground state
+    of (0 for a frozen alpha).  iterations counts the imaginary-time
     steps of the start.  heating flags delta_c - N<U> > 0, the regime
     where cavity back-action amplifies atomic motion.
     """
@@ -109,12 +125,12 @@ def _fold(mat: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _folded_propagator(n_points: int) -> np.ndarray:
-    """The kinetic step exp(-ITP_DT K) folded onto the even values, built
-    once per grid size and shared read-only."""
+def _folded_propagator(n_points: int, dt: float) -> np.ndarray:
+    """The kinetic step exp(-dt K) folded onto the even values, built once
+    per grid size and step and shared read-only."""
     grid = make_grid(n_points)
     j, mj = mirror_points(n_points)
-    step = _fold(multiplier_matrix(grid, np.exp(-ITP_DT * grid.wavenumbers**2)), j, mj)
+    step = _fold(multiplier_matrix(grid, np.exp(-dt * grid.wavenumbers**2)), j, mj)
     step.setflags(write=False)
     return step
 
@@ -149,7 +165,7 @@ def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
     """
     j, _, weight, u_even = _even_lattice(grid, params.u0)
     u_weight = weight * u_even
-    propagator = _folded_propagator(grid.n)
+    propagator = _folded_propagator(grid.n, ITP_DT)
 
     phi = np.full(j.size, 1.0 / np.sqrt(np.pi))
     u_avg = float(u_weight @ phi**2)
@@ -188,9 +204,10 @@ def solve_ground_state(
 ) -> MeanFieldState:
     """Solve the coupled mean-field equations for the steady state.
 
-    The imaginary-time start gives <U> near the fixed point; the polish
-    then solves the fixed point to the discrete ground state of H0 on
-    the even values, and phi is unfolded to the full grid once.
+    The imaginary-time start gives <U> near the fixed point, at a cost
+    set by ITP_DT; the polish then solves the fixed point to the discrete
+    ground state of H0 on the even values, so the result does not depend
+    on the step, and phi is unfolded to the full grid once.
 
     frozen_alpha pins the cavity amplitude (an externally imposed
     lattice).
@@ -203,7 +220,9 @@ def solve_ground_state(
     _, _, u_start, iterations = _imaginary_time_start(params, grid, frozen_alpha)
 
     kin = kinetic_matrix(grid)
-    vec, alpha, u_avg = _polish_fixed_point(params, kin, u_even, u_start, frozen_alpha)
+    vec, alpha, u_avg, alpha_built = _polish_fixed_point(
+        params, kin, u_even, u_start, frozen_alpha
+    )
     phi = _unfold(vec / np.sqrt(weight), j, mj)
 
     # gauge: real phi, nonnegative at the potential minimum
@@ -214,10 +233,8 @@ def solve_ground_state(
     h_phi = h0 @ phi
     mu = float((phi * h_phi).sum() * dx)
     residual_phi = float(np.abs(h_phi - mu * phi).max())
-    if frozen_alpha is None:
-        residual_alpha = abs(alpha - steady_alpha(params, u_avg))
-    else:
-        residual_alpha = 0.0
+    # alpha_built set the lattice depth of phi; alpha is steady_alpha of phi's <U>
+    residual_alpha = abs(alpha - alpha_built)
     heating = (params.delta_c - params.n_atoms * u_avg) > 0
 
     return MeanFieldState(
@@ -244,7 +261,8 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
     F(u) = <U> - u; a secant method started at the imaginary-time <U>
     finds it with one ``eigh`` per step, and stops when |F| stops
     falling.  A frozen alpha takes the one ``eigh``.  Returns the unit
-    eigenvector, sqrt(quadrature weight) phi[j], with its alpha and <U>.
+    eigenvector, sqrt(quadrature weight) phi[j], with its alpha and <U>,
+    and the alpha whose lattice depth built it.
     """
     kin_even = mirror_fold(kin)
 
@@ -257,7 +275,8 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
         vec = np.linalg.eigh(kin_even + np.diag(depth * u_even))[1][:, 0]
         return float(u_even @ vec**2) - u, vec
 
-    f, vec = residual(u_avg)
+    u_built = u_avg
+    f, vec = residual(u_built)
     if frozen_alpha is None and f != 0.0:
         best_abs, best_vec = abs(f), vec
         # a fixed-point step gives the second secant point
@@ -265,7 +284,7 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
         for step in range(SECANT_STEPS):
             f, vec = residual(u)
             if abs(f) < best_abs:
-                best_abs, best_vec = abs(f), vec
+                best_abs, best_vec, u_built = abs(f), vec, u
             elif step:
                 break  # |F| stopped falling
             if f == 0.0 or f == f_prev:
@@ -273,4 +292,4 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
             u_prev, f_prev, u = u, f, u - f * (u - u_prev) / (f - f_prev)
         vec = best_vec
     u_avg = float(u_even @ vec**2)
-    return vec, alpha_at(u_avg), u_avg
+    return vec, alpha_at(u_avg), u_avg, alpha_at(u_built)

@@ -98,12 +98,14 @@ def test_grid_matrices_are_built_once_and_read_only():
     for n in (16, 64):
         grid_n = make_grid(n)
         j, mj = mirror_points(n)
-        step = _folded_propagator(n)
-        assert _folded_propagator(n) is step
+        step = _folded_propagator(n, ITP_DT)
+        assert _folded_propagator(n, ITP_DT) is step
         symbol = np.exp(-ITP_DT * grid_n.wavenumbers**2)
         expected = _fold(multiplier_matrix(grid_n, symbol), j, mj)
         assert np.array_equal(step, expected)
         with pytest.raises(ValueError, match="read-only"):
             step[0, 0] = 1.0
+        # keyed on the step too: a patched ITP_DT never reads a stale propagator
+        assert not np.array_equal(_folded_propagator(n, 2.0 * ITP_DT), step)
     with pytest.raises(ValueError, match="read-only"):
         kin[0, 0] = 1.0

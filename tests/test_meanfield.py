@@ -150,7 +150,7 @@ def test_nonconvergence_raises_with_residuals(monkeypatch):
     assert err.value.residual_phi > 0.0
 
 
-def _full_grid_itp(p, g, *, itp_dt=1e-3, tol_phi=1e-9, tol_alpha=1e-10, mixing=0.3,
+def _full_grid_itp(p, g, *, itp_dt=meanfield.ITP_DT, tol_phi=1e-9, tol_alpha=1e-10, mixing=0.3,
                    max_iters=1_000_000, frozen_alpha=None):
     """Reference: the imaginary-time loop on all n grid points, with an
     fft/ifft pair for the kinetic step.  Returns (iterations, phi, alpha,
@@ -184,8 +184,9 @@ def _full_grid_itp(p, g, *, itp_dt=1e-3, tol_phi=1e-9, tol_alpha=1e-10, mixing=0
 
 
 # the step count is a threshold crossing, so equal counts hold to roundoff
-# only: at delta_c = -10000, u0 = -0.12 the reference itself takes 4340,
-# 4339 and 4340 steps at n = 16, 64 and 200
+# only: at delta_c = -10000, u0 = -0.12 the reference took 4340, 4339 and
+# 4340 steps at n = 16, 64 and 200 with a step of 1e-3; at ITP_DT = 4e-3 it
+# takes 1086 at all three
 @pytest.mark.parametrize(
     "n, delta_c, u0, frozen_alpha",
     [(n, dc, u0, None) for n in (16, 64, 200) for dc in (-100.0, -1000.0, -10000.0)
@@ -220,13 +221,48 @@ def test_even_half_grid_loop_fails_with_the_full_grid_residuals(n, monkeypatch):
     assert abs(err.value.residual_alpha - ref.value.residual_alpha) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "n, delta_c, u0",
+    [(n, dc, u0) for n in (16, 64, 200) for dc in (-100.0, -1000.0, -10000.0)
+     for u0 in (-0.05, -1.03)],
+)
+def test_solution_does_not_depend_on_the_start_step(n, delta_c, u0, monkeypatch):
+    # the step moves only the polish's starting <U>; the polish solves the
+    # same discrete fixed point, so the step's O(dt^2) bias must not show
+    p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n)
+    g = make_grid(n)
+    dt, st = meanfield.ITP_DT, solve_ground_state(p, g)
+    monkeypatch.setattr(meanfield, "ITP_DT", 1e-3)
+    fine = solve_ground_state(p, g)
+    assert abs(st.u_avg - fine.u_avg) <= 1e-11 * abs(fine.u_avg)
+    assert abs(st.mu - fine.mu) <= 1e-10 * abs(fine.mu)
+    # the start's cost scales as 1 / dt
+    assert st.iterations == pytest.approx(fine.iterations * 1e-3 / dt, rel=0.1)
+
+
+def test_residual_alpha_is_the_polish_mismatch(monkeypatch):
+    # phi is the ground state at the depth of the polish's best point, and
+    # alpha is steady_alpha of phi's own <U>: they differ by that point's
+    # |F|, which without a secant step is the start's O(dt^2) bias
+    p = params(u0=-0.5, grid_points=64)
+    g = make_grid(p.grid_points)
+    polished = solve_ground_state(p, g)
+    assert polished.residual_alpha <= 1e-12 * abs(polished.alpha)
+    assert solve_ground_state(p, g, frozen_alpha=1.0).residual_alpha == 0.0
+    monkeypatch.setattr(meanfield, "SECANT_STEPS", 0)
+    start = solve_ground_state(p, g)
+    assert start.residual_alpha > 1e3 * polished.residual_alpha
+    assert start.residual_alpha > 1e-10 * abs(start.alpha)
+    assert start.alpha == steady_alpha(p, start.u_avg)
+
+
 # delta_c and u0 over every perfbench workload and every shipped config
 @pytest.mark.parametrize("delta_c", [-100.0, -1000.0, -10000.0])
 def test_one_fixed_point_on_the_served_range(delta_c):
     # F(u) = <U>(ground state of K + |alpha(u)|^2 U) - u runs from F(u0) >= 0
     # to F(0) <= 0, since <U> lies in [u0, 0]; a 401-point scan of [u0, 0]
     # finds exactly one sign change, and the solve lands inside it (checked
-    # at every sixth u0: the imaginary-time start costs about 70 ms a point)
+    # at every other u0: the imaginary-time start costs about 20 ms a point)
     g = make_grid(16)
     kin_even = mirror_fold(kinetic_matrix(g))
     for i, u0 in enumerate(np.linspace(-1.2, -0.01, 120)):
@@ -237,6 +273,6 @@ def test_one_fixed_point_on_the_served_range(delta_c):
         vec = np.linalg.eigh(kin_even + depth[:, None, None] * np.diag(u_even))[1][:, :, 0]
         f = vec**2 @ u_even - u
         (k,) = np.flatnonzero(np.diff(f > 0))
-        if i % 6 == 0:
+        if i % 2 == 0:
             st = solve_ground_state(p, g)
             assert u[k] - 1e-12 <= st.u_avg <= u[k + 1] + 1e-12
