@@ -98,7 +98,8 @@ def build_matrix(
     row = alpha * coupl  # photon row a on the field block
     col = np.conj(alpha) * y  # field rows of the photon column a
     # the entries of M are these, their conjugates and negatives, and A
-    scale = max(abs(a_diag), np.abs(row).max(), np.abs(col).max(), np.abs(h0).max())
+    # (|A| by numpy's abs too, which may differ from hypot in the last bit)
+    scale = max(np.abs(a_diag), np.abs(row).max(), np.abs(col).max(), np.abs(h0).max())
     h_odd = mirror_fold(h0, odd=True)
     return FluctuationMatrix(
         even=bordered_sector(a_diag, mirror_fold(row), mirror_fold(col), mirror_fold(h0)),

@@ -11,16 +11,22 @@ given <U> is the closed form ``steady_alpha``.
 The steady state is the fixed point u = <U>(ground state of
 K + |alpha(u)|^2 U).  The ground state is reflection even and <U> is a
 scalar, so a secant polish on F(u) = <U>(u) - u solves it to near machine
-precision with one ``eigh`` of the (n/2 + 1)-dimensional even block of
-H0 per step; its eigenvector is unfolded to the full grid once, at the
-end.  The polish needs a starting <U> near the root, which an
-imaginary-time start gives: split-step propagation of the uniform
-condensate (a normalized gradient flow, Bao & Du, SIAM J. Sci. Comput.
-25, 1674, 2004), the cavity amplitude updated under-relaxed after every
-step.  The start and every split step are even under the reflection
-x -> pi - x, so it runs on the n/2 + 1 values phi[j], j = 0 .. n/2: the
-kinetic step is one product with the propagator exp(-dt K) folded over
-the mirror pairs (j, n - j).
+precision on the (n/2 + 1)-dimensional even block H(u) of H0; its
+eigenvector is unfolded to the full grid once, at the end.  The polish
+takes one ``eigh`` of H, the anchor.  Each later step finds the ground
+state by shifted inverse iteration from the previous vector, an LU solve
+or two, and certifies it by Weyl's bound against the anchor's ground
+level and gap; a step the bound does not certify takes a fresh anchor,
+so the certificate costs time, never a point.
+
+The polish needs a starting <U> near the root, which an imaginary-time
+start gives: split-step propagation of the uniform condensate (a
+normalized gradient flow, Bao & Du, SIAM J. Sci. Comput. 25, 1674, 2004),
+the cavity amplitude updated under-relaxed after every step.  The start
+and every split step are even under the reflection x -> pi - x, so it
+runs on the n/2 + 1 values phi[j], j = 0 .. n/2: the kinetic step is one
+product with the propagator exp(-dt K) folded over the mirror pairs
+(j, n - j).
 
 The step dt sets only the start's cost.  Its stop rule bounds the change
 of phi per unit of imaginary time, so the start ends about as close to
@@ -51,18 +57,26 @@ from .params import SystemParams
 # the imaginary-time start: its step, its stop on the sup-norm change of phi
 # per unit of imaginary time (TOL_PHI, so TOL_PHI * ITP_DT per step) and of
 # alpha per step (TOL_ALPHA), the under-relaxation of alpha, and the cap on
-# its steps.  The step sets only the start's cost (a median 1,102 steps over
-# the shipped detunings and light shifts, 4,408 at 1e-3); the polish after
-# it takes about as many eigh calls (a mean 4.9 at n = 16, 4.7 at 1e-3)
-ITP_DT = 4e-3
+# its steps.  The step sets only the start's cost (a median 446 steps over
+# the shipped detunings and light shifts, 1,102 at 4e-3); a larger step
+# leaves the polish more secant steps, each an LU solve or two
+ITP_DT = 1e-2
 TOL_PHI = 1e-9
 TOL_ALPHA = 1e-10
 MIXING = 0.3
 MAX_ITERS = 1_000_000
-# cap on the secant steps of the fixed-point polish, which takes 2-8 from
-# the start (3-9 eigh calls, a median of 5) at n = 16 and 200 over the
-# shipped detunings and light shifts -0.01 .. -1.2
+# cap on the secant steps of the fixed-point polish, which takes 1-6 from
+# the start (a median of 3 at n = 16, 4 at n = 64 and 200; one eigh and a
+# mean of 2.3-2.5 LU solves per solve) over the shipped detunings and
+# light shifts -0.01 .. -1.2
 SECANT_STEPS = 50
+# the polish's inverse iteration: its shift below the Rayleigh quotient and
+# its stop on the eigen-residual, both relative to ||H||, and its cap on LU
+# solves per step (it takes at most 2).  A stop at 1e-14 ||H|| would leave
+# <U> about 5e-11 off at n = 200
+RQI_SHIFT = 1e-10
+RQI_TOL = 4.0 * np.finfo(float).eps
+RQI_SOLVES = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -207,7 +221,8 @@ def solve_ground_state(
     The imaginary-time start gives <U> near the fixed point, at a cost
     set by ITP_DT; the polish then solves the fixed point to the discrete
     ground state of H0 on the even values, so the result does not depend
-    on the step, and phi is unfolded to the full grid once.
+    on the step, and phi is unfolded to the full grid once.  The polish
+    takes one anchor ``eigh`` and certified inverse-iteration steps.
 
     frozen_alpha pins the cavity amplitude (an externally imposed
     lattice).
@@ -255,34 +270,67 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
 
     The split-step fixed point carries an O(dt^2) bias relative to the
     discrete ground state.  That state is reflection even, so it is the
-    lowest eigenvector of the (n/2 + 1)-dimensional even block of
-    H0 = K + |alpha|^2 U, K folded by the orthonormal even embedding.
-    With alpha = steady_alpha(u) the fixed point is the root of
-    F(u) = <U> - u; a secant method started at the imaginary-time <U>
-    finds it with one ``eigh`` per step, and stops when |F| stops
-    falling.  A frozen alpha takes the one ``eigh``.  Returns the unit
-    eigenvector, sqrt(quadrature weight) phi[j], with its alpha and <U>,
-    and the alpha whose lattice depth built it.
+    lowest eigenvector of the (n/2 + 1)-dimensional even block
+    H(u) = K + d(u) diag(u_even), d(u) = |alpha(u)|^2, K folded by the
+    orthonormal even embedding.  With alpha = steady_alpha(u) the fixed
+    point is the root of F(u) = <U> - u; a secant method started at the
+    imaginary-time <U> finds it, and stops when |F| stops falling.  A
+    frozen alpha takes the anchor alone.
+
+    The first F(u) is an anchor: one ``eigh``, which keeps the ground
+    state, its level lambda0 and the gap g to the next level.  Every later
+    F(u) takes the ground state of H(u) by shifted inverse iteration from
+    the previous vector (``_inverse_iteration``), and certifies it by
+    Weyl's bound: H(u) - H(anchor) = (d(u) - d_anchor) diag(u_even), so
+    with delta = |d(u) - d_anchor| max|u_even| + ||H v - lambda v||, the
+    vector is the ground state when |lambda - lambda0| <= delta and
+    2 delta < g (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
+    A step the bound does not certify takes a fresh anchor at its u.
+
+    Returns the unit eigenvector, sqrt(quadrature weight) phi[j], with its
+    alpha and <U>, and the alpha whose lattice depth built it.
     """
     kin_even = mirror_fold(kin)
+    u_scale = float(np.abs(u_even).max())
+    anchor = {}
 
     def alpha_at(u):
         return steady_alpha(params, u) if frozen_alpha is None else frozen_alpha
 
-    def residual(u):
-        """(F(u), the even ground state it comes from)."""
+    def ground_state(u, vec):
         depth = np.abs(alpha_at(u)) ** 2
-        vec = np.linalg.eigh(kin_even + np.diag(depth * u_even))[1][:, 0]
+        ham = kin_even + np.diag(depth * u_even)
+        if anchor:
+            shift = abs(depth - anchor["depth"]) * u_scale
+            # ||H(u)||_2 by Weyl's bound from the anchor's extreme levels
+            found = _inverse_iteration(ham, vec, anchor["norm"] + shift)
+            if found is not None:
+                vec, level, resid = found
+                delta = shift + resid
+                if abs(level - anchor["level"]) <= delta and 2.0 * delta < anchor["gap"]:
+                    return vec
+        levels, vecs = np.linalg.eigh(ham)
+        anchor.update(
+            depth=depth,
+            level=levels[0],
+            gap=levels[1] - levels[0],
+            norm=max(abs(levels[0]), abs(levels[-1])),
+        )
+        return vecs[:, 0]
+
+    def residual(u, vec):
+        """(F(u), the even ground state it comes from)."""
+        vec = ground_state(u, vec)
         return float(u_even @ vec**2) - u, vec
 
     u_built = u_avg
-    f, vec = residual(u_built)
+    f, vec = residual(u_built, None)
     if frozen_alpha is None and f != 0.0:
         best_abs, best_vec = abs(f), vec
         # a fixed-point step gives the second secant point
         u_prev, f_prev, u = u_avg, f, u_avg + f
         for step in range(SECANT_STEPS):
-            f, vec = residual(u)
+            f, vec = residual(u, vec)
             if abs(f) < best_abs:
                 best_abs, best_vec, u_built = abs(f), vec, u
             elif step:
@@ -293,3 +341,25 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
         vec = best_vec
     u_avg = float(u_even @ vec**2)
     return vec, alpha_at(u_avg), u_avg, alpha_at(u_built)
+
+
+def _inverse_iteration(ham, vec, norm):
+    """Rayleigh-quotient iteration on a real symmetric ham from the unit vec.
+
+    Each solve is shifted to just below the Rayleigh quotient lambda, by
+    RQI_SHIFT ||ham||, so the LU is never exactly singular; it stops when
+    ||ham v - lambda v|| <= RQI_TOL ||ham||.  Returns (v, lambda,
+    ||ham v - lambda v||), which the caller certifies, or None when
+    RQI_SOLVES solves do not get there.
+    """
+    eye = np.eye(vec.size)
+    for solve in range(RQI_SOLVES + 1):
+        h_vec = ham @ vec
+        level = float(vec @ h_vec)
+        resid = float(np.linalg.norm(h_vec - level * vec))
+        if resid <= RQI_TOL * norm:
+            return vec, level, resid
+        if solve < RQI_SOLVES:
+            vec = np.linalg.solve(ham - (level - RQI_SHIFT * norm) * eye, vec)
+            vec /= np.linalg.norm(vec)
+    return None

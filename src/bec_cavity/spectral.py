@@ -326,36 +326,41 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
     last = np.full(anchors.size, np.inf)  # each root's previous step size
     for _ in range(SECULAR_STEPS):
         d = delta[active]
-        rows = np.arange(active.size)
         matter = active < n_poles
-        own = (rows[matter], active[matter])
-        inv = anchors[active, None] - poles
-        inv += d[:, None]
-        inv[own] = 1.0
-        np.reciprocal(inv, out=inv)
-        inv[own] = 0.0  # sums over the other poles
-        rest = inv @ weights
-        slope = np.square(inv) @ weights
+        rest, slope, push = (np.empty(active.size, dtype=complex) for _ in range(3))
+        # the sums BLOCK active roots at a time, so a sweep's scratch is a
+        # few BLOCK-row arrays instead of (n + 2)-square ones
+        for rows in row_blocks(active.size):
+            roots, d_rows = active[rows], d[rows]
+            mine = np.arange(roots.size)
+            own = (mine[roots < n_poles], roots[roots < n_poles])
+            inv = anchors[roots, None] - poles
+            inv += d_rows[:, None]
+            inv[own] = 1.0
+            np.reciprocal(inv, out=inv)
+            inv[own] = 0.0  # sums over the other poles
+            rest[rows] = inv @ weights
+            slope[rows] = np.square(inv) @ weights
+            # Aberth term: the other roots' sum of 1/(z - z_k), less the
+            # 1/(z - p_k) of each matter root's pole already in h'/h, is
+            # -push; per matter root the difference is
+            # -delta_k / ((z - p_k)(z - z_k)), free of cancellation
+            repel = anchors[roots, None] - anchors
+            repel += d_rows[:, None]
+            repel -= delta
+            repel[mine, roots] = 1.0
+            np.reciprocal(repel, out=repel)
+            repel[mine, roots] = 0.0
+            push[rows] = repel[:, n_poles:].sum(axis=1)
+            repel = repel[:, :n_poles]
+            repel *= inv
+            push[rows] += repel @ delta[:n_poles]
         wa = to_a[active] + d
         wb = to_b[active] + d
         f = wa * wb - two_re * rest
         fp = wa + wb + two_re * slope
         h = np.where(matter, d * f - two_re * own_weight[active], f)
         hp = np.where(matter, f + d * fp, fp)
-        # Aberth term: the other roots' sum of 1/(z - z_k), less the
-        # 1/(z - p_k) of each matter root's pole already in h'/h, is -push;
-        # per matter root the difference is -delta_k / ((z - p_k)(z - z_k)),
-        # free of cancellation
-        repel = anchors[active, None] - anchors
-        repel += d[:, None]
-        repel -= delta
-        repel[rows, active] = 1.0
-        np.reciprocal(repel, out=repel)
-        repel[rows, active] = 0.0
-        push = repel[:, n_poles:].sum(axis=1)
-        repel = repel[:, :n_poles]
-        repel *= inv
-        push += repel @ delta[:n_poles]
         step = h / (hp - h * push)  # Newton-Aberth: 1 / (h'/h - push)
         delta[active] = d - step
         # converged to the last bits, or stalled at the rounding floor of f

@@ -185,8 +185,8 @@ def _full_grid_itp(p, g, *, itp_dt=meanfield.ITP_DT, tol_phi=1e-9, tol_alpha=1e-
 
 # the step count is a threshold crossing, so equal counts hold to roundoff
 # only: at delta_c = -10000, u0 = -0.12 the reference took 4340, 4339 and
-# 4340 steps at n = 16, 64 and 200 with a step of 1e-3; at ITP_DT = 4e-3 it
-# takes 1086 at all three
+# 4340 steps at n = 16, 64 and 200 with a step of 1e-3; at 4e-3 it took 1086
+# and at ITP_DT = 1e-2 it takes 435 at all three
 @pytest.mark.parametrize(
     "n, delta_c, u0, frozen_alpha",
     [(n, dc, u0, None) for n in (16, 64, 200) for dc in (-100.0, -1000.0, -10000.0)
@@ -232,12 +232,114 @@ def test_solution_does_not_depend_on_the_start_step(n, delta_c, u0, monkeypatch)
     p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n)
     g = make_grid(n)
     dt, st = meanfield.ITP_DT, solve_ground_state(p, g)
+    with monkeypatch.context() as patch:
+        patch.setattr(meanfield, "TOL_PHI", np.inf)
+        alpha_steps = meanfield._imaginary_time_start(p, g, None)[3]
     monkeypatch.setattr(meanfield, "ITP_DT", 1e-3)
     fine = solve_ground_state(p, g)
     assert abs(st.u_avg - fine.u_avg) <= 1e-11 * abs(fine.u_avg)
     assert abs(st.mu - fine.mu) <= 1e-10 * abs(fine.mu)
-    # the start's cost scales as 1 / dt
-    assert st.iterations == pytest.approx(fine.iterations * 1e-3 / dt, rel=0.1)
+    # the start ends at the later of its two stops.  phi's bounds the change
+    # per unit of imaginary time, so its cost scales as 1 / dt; alpha's
+    # bounds the change per step (TOL_ALPHA), which is stricter per unit of
+    # time at a larger step.  At delta_c = -1000, u0 = -1.03, where the
+    # start is fastest, alpha's ends it at 140 steps on all three grids,
+    # against a 1 / dt prediction of 101 (1012 steps at 1e-3)
+    assert st.iterations == pytest.approx(
+        max(fine.iterations * 1e-3 / dt, alpha_steps), rel=0.1
+    )
+
+
+def _eigh_polish(p, g, u_avg):
+    """Reference: the polish's secant on F(u) = <U>(u) - u with one
+    ``eigh`` of the even block per step, started from u_avg.  Returns
+    (<U>, the number of eigh calls)."""
+    kin_even = mirror_fold(kinetic_matrix(g))
+    *_, u_even = meanfield._even_lattice(g, p.u0)
+    calls = 0
+
+    def residual(u):
+        nonlocal calls
+        calls += 1
+        depth = np.abs(steady_alpha(p, u)) ** 2
+        vec = np.linalg.eigh(kin_even + np.diag(depth * u_even))[1][:, 0]
+        return float(u_even @ vec**2) - u, vec
+
+    f, vec = residual(u_avg)
+    if f != 0.0:
+        best_abs, best_vec = abs(f), vec
+        u_prev, f_prev, u = u_avg, f, u_avg + f
+        for step in range(meanfield.SECANT_STEPS):
+            f, vec = residual(u)
+            if abs(f) < best_abs:
+                best_abs, best_vec = abs(f), vec
+            elif step:
+                break
+            if f == 0.0 or f == f_prev:
+                break
+            u_prev, f_prev, u = u, f, u - f * (u - u_prev) / (f - f_prev)
+        vec = best_vec
+    return float(u_even @ vec**2), calls
+
+
+def _polish(p, g, u_start):
+    """<U> from the package's polish, started from u_start."""
+    *_, u_even = meanfield._even_lattice(g, p.u0)
+    return meanfield._polish_fixed_point(p, kinetic_matrix(g), u_even, u_start, None)[2]
+
+
+@pytest.mark.parametrize(
+    "n, delta_c, u0",
+    [(n, dc, u0) for n in (16, 64, 200) for dc in (-100.0, -1000.0, -10000.0)
+     for u0 in (-0.05, -0.5, -1.03, -1.2)],
+)
+def test_certified_polish_matches_an_eigh_polish(n, delta_c, u0):
+    # a certified step finds the same ground state as an eigh, to the
+    # eigen-residual RQI_TOL ||H|| over the gap; <U> agrees to rounding
+    p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n)
+    g = make_grid(n)
+    u_start = meanfield._imaginary_time_start(p, g, None)[2]
+    ref, _ = _eigh_polish(p, g, u_start)
+    assert abs(_polish(p, g, u_start) - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("delta_c", [-100.0, -1000.0, -10000.0])
+def test_polish_takes_one_eigh_per_solve(delta_c, monkeypatch):
+    # the anchor is the only eigh: every later step is certified by Weyl's
+    # bound over the served light shifts
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(1) or eigh(h))
+    g = make_grid(16)
+    for u0 in np.linspace(-1.2, -0.01, 60):
+        calls.clear()
+        solve_ground_state(params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=16), g)
+        assert len(calls) == 1, f"u0 = {u0}: {len(calls)} eigh calls"
+
+
+@pytest.mark.parametrize("n", [16, 200])
+def test_an_uncertified_step_reanchors(n, monkeypatch):
+    # an anchor with no gap certifies no step, so every step takes a fresh
+    # anchor: one eigh per evaluation of F, as the reference does, at the
+    # same u, so <U> is the reference's
+    p = params(delta_c=-1000.0, eta=1000.0, u0=-0.5, grid_points=n)
+    g = make_grid(n)
+    u_start = meanfield._imaginary_time_start(p, g, None)[2]
+    ref, evaluations = _eigh_polish(p, g, u_start)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def gapless(h):
+        calls.append(1)
+        levels, vecs = eigh(h)
+        levels[1] = levels[0]
+        return levels, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", gapless)
+    u_avg = _polish(p, g, u_start)
+    assert evaluations > 2
+    assert len(calls) == evaluations
+    assert abs(u_avg - ref) <= 1e-11 * abs(ref)
 
 
 def test_residual_alpha_is_the_polish_mismatch(monkeypatch):
@@ -261,11 +363,11 @@ def test_residual_alpha_is_the_polish_mismatch(monkeypatch):
 def test_one_fixed_point_on_the_served_range(delta_c):
     # F(u) = <U>(ground state of K + |alpha(u)|^2 U) - u runs from F(u0) >= 0
     # to F(0) <= 0, since <U> lies in [u0, 0]; a 401-point scan of [u0, 0]
-    # finds exactly one sign change, and the solve lands inside it (checked
-    # at every other u0: the imaginary-time start costs about 20 ms a point)
+    # finds exactly one sign change, and the solve lands inside it at every
+    # u0 (the mean field costs about 7 ms a point at n = 16)
     g = make_grid(16)
     kin_even = mirror_fold(kinetic_matrix(g))
-    for i, u0 in enumerate(np.linspace(-1.2, -0.01, 120)):
+    for u0 in np.linspace(-1.2, -0.01, 120):
         p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=16)
         *_, u_even = meanfield._even_lattice(g, u0)
         u = np.linspace(u0, 0.0, 401)
@@ -273,6 +375,5 @@ def test_one_fixed_point_on_the_served_range(delta_c):
         vec = np.linalg.eigh(kin_even + depth[:, None, None] * np.diag(u_even))[1][:, :, 0]
         f = vec**2 @ u_even - u
         (k,) = np.flatnonzero(np.diff(f > 0))
-        if i % 2 == 0:
-            st = solve_ground_state(p, g)
-            assert u[k] - 1e-12 <= st.u_avg <= u[k + 1] + 1e-12
+        st = solve_ground_state(p, g)
+        assert u[k] - 1e-12 <= st.u_avg <= u[k + 1] + 1e-12

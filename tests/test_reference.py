@@ -1,15 +1,16 @@
-"""The chain's numbers at n = 16, pinned against a committed table.
+"""The chain's numbers at n = 16 and 64, pinned against committed tables.
 
 The acceptance criteria check physics bounds, not values, so a refactor
 that moves a number would pass them.  This test compares the chain's
-outputs with ``data/chain_n16.json`` over the three shipped detunings
+outputs with ``data/chain_n<n>.json`` over the three shipped detunings
 (eta = -delta_c, as in configs/depletion_vs_u0.json) and nine light
-shifts on the shipped sweep.  A change that moves a value by design
-regenerates the table with
+shifts on the shipped sweep, at each grid size of GRIDS.  A change that
+moves a value by design regenerates the tables with
 
-    PYTHONPATH=src python tests/test_reference.py
+    PYTHONPATH=src python tests/test_reference.py [n ...]
 
-and says in CHANGES.md which columns moved, with old and new values.
+(every grid of GRIDS when no n is given) and says in CHANGES.md which
+columns moved, with old and new values.
 """
 
 import json
@@ -30,8 +31,7 @@ from bec_cavity import (
 )
 from bec_cavity.depletion import _quadratures
 
-TABLE = Path(__file__).parent / "data" / "chain_n16.json"
-GRID_POINTS = 16
+GRIDS = (16, 64)
 DETUNINGS = (-100.0, -1000.0, -10000.0)
 # every sixth point of the shipped sweep, -0.02 .. -1.04 in steps of 0.02
 LIGHT_SHIFTS = tuple(round(-0.02 - 0.12 * i, 2) for i in range(9))
@@ -63,10 +63,14 @@ def _finite(values):
     return [float(v) if math.isfinite(v) else None for v in values]
 
 
+def _table_path(grid_points):
+    return Path(__file__).parent / "data" / f"chain_n{grid_points}.json"
+
+
 def _analyze(delta_c, u0, grid):
     params = SystemParams(
         delta_c=delta_c, kappa=100.0, eta=-delta_c, u0=u0, n_atoms=1000,
-        grid_points=GRID_POINTS,
+        grid_points=grid.n,
     )
     chain = analyze_point(params, grid)
     if chain.error is not None:
@@ -74,12 +78,12 @@ def _analyze(delta_c, u0, grid):
     return chain
 
 
-def chain_point(delta_c, u0):
+def chain_point(grid_points, delta_c, u0):
     """The chain's cells at one point, as stored in the table: the heating
     flag and stability label, <U>, alpha, mu, steady dN (None unless the point is stable and not
     heating), dN and the oracle at TIMES (None where not finite), and
     ||A||_inf of the oracle's quadrature generator."""
-    grid = make_grid(GRID_POINTS)
+    grid = make_grid(grid_points)
     chain = _analyze(delta_c, u0, grid)
     state, dec, stability = chain.state, chain.dec, chain.stability
     steady = None
@@ -102,16 +106,16 @@ def chain_point(delta_c, u0):
     }
 
 
-def even_frequencies(delta_c, u0):
+def even_frequencies(grid_points, delta_c, u0):
     """The even sector's n + 4 frequencies, in the decomposition's
     (Re, Im) order, as [re, im] pairs."""
-    dec = _analyze(delta_c, u0, make_grid(GRID_POINTS)).dec
+    dec = _analyze(delta_c, u0, make_grid(grid_points)).dec
     omegas = dec.omegas[np.sort(dec.slots[: dec.even_right.shape[0]])]
     return [[float(w.real), float(w.imag)] for w in omegas]
 
 
-def _table():
-    return json.loads(TABLE.read_text())
+def _table(grid_points):
+    return json.loads(_table_path(grid_points).read_text())
 
 
 def _close(value, ref, rtol, cell):
@@ -126,16 +130,20 @@ def _close(value, ref, rtol, cell):
 
 
 def test_table_covers_every_point():
-    keys = [(row["delta_c"], row["u0"]) for row in _table()["points"]]
-    assert keys == [(dc, u0) for dc in DETUNINGS for u0 in LIGHT_SHIFTS]
-    assert _table()["times"] == list(TIMES)
+    for grid_points in GRIDS:
+        table = _table(grid_points)
+        keys = [(row["delta_c"], row["u0"]) for row in table["points"]]
+        assert keys == [(dc, u0) for dc in DETUNINGS for u0 in LIGHT_SHIFTS]
+        assert table["grid_points"] == grid_points
+        assert table["times"] == list(TIMES)
 
 
 @pytest.mark.parametrize("delta_c", DETUNINGS)
 def test_chain_matches_the_table(delta_c):
-    for ref in (row for row in _table()["points"] if row["delta_c"] == delta_c):
-        got = chain_point(delta_c, ref["u0"])
-        where = f"delta_c = {delta_c}, u0 = {ref['u0']}"
+    rows = [(n, row) for n in GRIDS for row in _table(n)["points"] if row["delta_c"] == delta_c]
+    for grid_points, ref in rows:
+        got = chain_point(grid_points, delta_c, ref["u0"])
+        where = f"n = {grid_points}, delta_c = {delta_c}, u0 = {ref['u0']}"
         assert (got["heating"], got["stability"]) == (ref["heating"], ref["stability"]), where
         for name in ("u_avg", "mu"):
             _close(got[name], ref[name], MEAN_FIELD_RTOL, f"{where}: {name}")
@@ -153,23 +161,26 @@ def test_chain_matches_the_table(delta_c):
 
 
 def test_even_frequencies_match_the_table():
-    ref = _table()["even_frequencies"]
-    got = even_frequencies(*SPECTRUM_POINT)
-    assert len(got) == len(ref) == GRID_POINTS + 4
-    scale = max(abs(complex(*w)) for w in ref)
-    for k, (w, w_ref) in enumerate(zip(got, ref)):
-        gap = abs(complex(*w) - complex(*w_ref))
-        assert gap <= OMEGA_RTOL * scale, f"omega_{k}: {w} against {w_ref}"
+    for grid_points in GRIDS:
+        ref = _table(grid_points)["even_frequencies"]
+        got = even_frequencies(grid_points, *SPECTRUM_POINT)
+        assert len(got) == len(ref) == grid_points + 4
+        scale = max(abs(complex(*w)) for w in ref)
+        for k, (w, w_ref) in enumerate(zip(got, ref)):
+            gap = abs(complex(*w) - complex(*w_ref))
+            assert gap <= OMEGA_RTOL * scale, f"n = {grid_points}, omega_{k}: {w} against {w_ref}"
 
 
 if __name__ == "__main__":
-    table = {
-        "grid_points": GRID_POINTS,
-        "times": list(TIMES),
-        "spectrum_point": list(SPECTRUM_POINT),
-        "points": [chain_point(dc, u0) for dc in DETUNINGS for u0 in LIGHT_SHIFTS],
-        "even_frequencies": even_frequencies(*SPECTRUM_POINT),
-    }
-    TABLE.parent.mkdir(exist_ok=True)
-    TABLE.write_text(json.dumps(table, indent=1) + "\n")
-    print(f"wrote {TABLE}", file=sys.stderr)
+    for grid_points in [int(arg) for arg in sys.argv[1:]] or GRIDS:
+        table = {
+            "grid_points": grid_points,
+            "times": list(TIMES),
+            "spectrum_point": list(SPECTRUM_POINT),
+            "points": [chain_point(grid_points, dc, u0) for dc in DETUNINGS for u0 in LIGHT_SHIFTS],
+            "even_frequencies": even_frequencies(grid_points, *SPECTRUM_POINT),
+        }
+        path = _table_path(grid_points)
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(table, indent=1) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
