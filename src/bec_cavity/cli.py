@@ -133,24 +133,28 @@ def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
 def _spectrum_rows(u0: float, params: SystemParams, grid, nonneg_re_only: bool):
     """CSV rows of one light shift, built where the point record is made.
 
-    The even modes come first, then the odd ones, each sector in
-    decompose's (Re, Im) order: an even and an odd mode of nearly equal
-    frequency (the free levels 4 k^2 at a weak lattice) then keep their
-    rows whatever the rounding.
+    The even modes come first, then the odd ones, each sector in a
+    stable (Re, Im) sort of its own rows: an even and an odd mode of
+    nearly equal frequency (the free levels 4 k^2 at a weak lattice) then
+    keep their rows whatever the rounding, and the two exact-zero
+    Goldstone modes keep their order.
     """
     point = analyze_point(dc_replace(params, u0=u0), grid)
     if point.error is not None:
         return [(u0, -1, None, None, None, None, None, error_status(point.error))]
-    dec = point.dec
-    abs_l1 = np.abs(dec.photon[:, 0])
-    abs_l2 = np.abs(dec.photon[:, 1])
+    dec, w = point.dec, point.dec.omegas
+    n_e = dec.even_right.shape[0]
+    photon = np.zeros((w.size, 2))  # |l1|, |l2|: exactly 0 on the odd modes
+    photon[:n_e] = np.abs(dec.even_left[:, :2])
     petermann = petermann_raw(dec)
-    even, odd = np.split(dec.slots, [dec.even_right.shape[0]])
-    modes = np.concatenate([np.sort(even), np.sort(odd)])
-    shown = [k for k in modes if not (nonneg_re_only and dec.omegas[k].real < 0.0)]
+    modes = np.concatenate([
+        sector.start + np.lexsort((w[sector].imag, w[sector].real))
+        for sector in (slice(0, n_e), slice(n_e, w.size))
+    ])
+    shown = [k for k in modes if not (nonneg_re_only and w[k].real < 0.0)]
     return [
-        (u0, index, dec.omegas[k].real, dec.omegas[k].imag,
-         float(abs_l1[k]), float(abs_l2[k]), float(petermann[k]), "ok")
+        (u0, index, w[k].real, w[k].imag,
+         float(photon[k, 0]), float(photon[k, 1]), float(petermann[k]), "ok")
         for index, k in enumerate(shown)
     ]
 
@@ -261,9 +265,7 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
         )
         # decompose refuses a generator without the phase/number pair, so
         # every decomposition carries exactly two Goldstone modes
-        photon = min(
-            float(np.abs(dec.even_right[:2, c]).max()) for c in dec.even_columns(dec.goldstone)
-        )
+        photon = min(float(np.abs(dec.even_right[:2, k]).max()) for k in dec.goldstone)
         freq = max(float(abs(dec.omegas[k])) for k in dec.goldstone)
         record(
             "goldstone",

@@ -7,14 +7,14 @@ Two independent routes to the same number:
       dN(t) = 2 kappa  sum_{k,l} f(w_k + w_l, t) l1_k l2_l O_kl,
 
   with f(z, t) = (1 - exp(-i z t)) / (i z), the photon components
-  l1_k = left[k, 0], l2_l = left[l, 1] of the left vectors (the mode
-  record's ``photon``), and the unconjugated overlap
-  O_kl = dx * sum_j r4_k(x_j) r3_l(x_j); the steady state drops the
-  exponential.  The odd modes of the reflection x -> pi - x have
-  l1 = l2 = 0 exactly, so the sum runs over the pairs of photon-weighted
-  (even) modes alone, about a quarter of the dim^2.  It reads those
-  modes in the even sector's orthonormal basis, where O_kl is the same
-  sum over the n/2 + 1 points j = 0 .. n/2;
+  l1_k = left[k, 0], l2_l = left[l, 1] of the left vectors, and the
+  unconjugated overlap O_kl = dx * sum_j r4_k(x_j) r3_l(x_j); the steady
+  state drops the exponential.  The odd modes of the reflection
+  x -> pi - x have l1 = l2 = 0 exactly, so the sum runs over the pairs
+  of photon-weighted (even) modes alone, about a quarter of the dim^2.
+  It reads those modes as the columns k < n + 4 of the even sector's
+  orthonormal basis (the record's ``even_right`` and ``even_left``),
+  where O_kl is the same sum over the n/2 + 1 points j = 0 .. n/2;
 
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
@@ -105,7 +105,7 @@ class SteadyDepletion:
     value is None exactly when diverged is True: some pair has a
     frequency denominator below the numerical resolution floor while
     carrying non-negligible photon noise weight, the signature of the
-    cavity resonance.  excluded_modes lists the modes whose own
+    cavity resonance.  excluded_modes lists the even modes whose own
     symmetry pair falls under the zero-denominator skip rule; feeding
     them to the Lyapunov oracle's deflation makes the two routes
     compute the same observable.
@@ -134,31 +134,27 @@ def finite_time_kernel(z, t: float):
     return np.where(small, series, direct)
 
 
-def _pair_data(dec: ModeDecomposition):
-    """(modes, weight) on the even modes, in ascending global index.
+def _pair_data(dec: ModeDecomposition) -> np.ndarray:
+    """weight l1_k l2_l O_kl of every pair of even modes k, l < n + 4.
 
-    Odd modes have l1 = l2 = 0 exactly, so only pairs of the returned
-    (even) modes can have a nonzero weight l1_k l2_l O_kl; weight is
-    indexed by positions in ``modes``, and its pair's frequency sum is
-    omegas[modes[k]] + omegas[modes[l]].  The fold onto the even sector
-    is orthonormal, so O_kl is the sum over its points j = 0 .. n/2.
-    The rows are formed a block at a time, so only the columns of one
-    block of modes k are gathered besides the field rows of all.
+    Odd modes have l1 = l2 = 0 exactly, so only these pairs can have a
+    nonzero weight; its pair's frequency sum is omegas[k] + omegas[l].
+    The fold onto the even sector is orthonormal, so O_kl is the sum over
+    its points j = 0 .. n/2.  The rows are formed a block at a time from
+    views of even_right.
     """
-    l1 = dec.photon[:, 0]
-    l2 = dec.photon[:, 1]
-    modes = np.sort(dec.slots[: dec.even_right.shape[0]])
-    cols = dec.even_columns(modes)
+    l1 = dec.even_left[:, 0]
+    l2 = dec.even_left[:, 1]
     points = dec.n_grid // 2 + 1
-    r3 = dec.even_right[2 : 2 + points, cols]
-    weight = np.empty((modes.size, modes.size), dtype=complex)
-    for rows in row_blocks(modes.size):  # a block of rows k at a time
-        r4 = dec.even_right[2 + points :, cols[rows]]
+    r3 = dec.even_right[2 : 2 + points]
+    weight = np.empty((l1.size, l1.size), dtype=complex)
+    for rows in row_blocks(l1.size):  # a block of rows k at a time
+        r4 = dec.even_right[2 + points :, rows]
         block = np.matmul(r4.T, r3, out=weight[rows])  # O_kl: no conjugation anywhere
         block *= dec.dx
-        block *= l1[modes[rows], None]
-        block *= l2[modes]
-    return modes, weight
+        block *= l1[rows, None]
+        block *= l2
+    return weight
 
 
 def _to_real(value: complex, floor: float = 1e-10) -> float:
@@ -169,9 +165,10 @@ def _to_real(value: complex, floor: float = 1e-10) -> float:
     return float(value.real)
 
 
-def _kept_pairs(modes: np.ndarray, dropped) -> np.ndarray:
-    """Pair mask on ``modes``: False on every row and column of a dropped mode."""
-    keep = ~np.isin(modes, list(dropped))
+def _kept_pairs(size: int, dropped) -> np.ndarray:
+    """Pair mask on the first size modes: False on every row and column of
+    a dropped mode."""
+    keep = ~np.isin(np.arange(size), list(dropped))
     return keep[:, None] & keep[None, :]
 
 
@@ -182,15 +179,16 @@ def _carried_pairs(dec: ModeDecomposition, dropped):
     term, weight_kl + weight_lk, taken row by row over the upper triangle;
     pairs of a dropped mode and pairs of zero weight carry nothing.
     """
-    modes, weight = _pair_data(dec)
-    weight[~_kept_pairs(modes, dropped)] = 0.0
+    weight = _pair_data(dec)
+    size = weight.shape[0]
+    weight[~_kept_pairs(size, dropped)] = 0.0
     # weight_kl += weight_lk above the diagonal, in place: each row block
     # reads only entries below it, which it leaves alone
-    for rows in row_blocks(modes.size):
+    for rows in row_blocks(size):
         weight[rows] += np.triu(weight[:, rows].T, k=rows.start + 1)
-    carried = (weight != 0) & ~np.tri(modes.size, k=-1, dtype=bool)
+    carried = (weight != 0) & ~np.tri(size, k=-1, dtype=bool)
     weight = weight[carried]
-    omegas = dec.omegas[modes]
+    omegas = dec.omegas[:size]
     return weight, (omegas[:, None] + omegas)[carried]
 
 
@@ -256,10 +254,11 @@ def steady_state_depletion(
     flagged diverged.  Pairs between Z_FLOOR and PAIR_TOL with real weight
     are kept: their denominators are accurate, since the paired
     eigenvalues are symmetrized against the exact G M G = -conj(M)
-    relation.  excluded_modes applies the same rule to each mode's own
-    symmetry pair (k, pairing[k]), over every mode, the odd ones
-    included, and holds both modes of a pair dropped in either order, so
-    that its mode_projector is real in the oracle's quadratures.  The
+    relation.  excluded_modes applies the same rule to each even mode's
+    own symmetry pair (k, pairing[k]), and holds both modes of a pair
+    dropped in either order, so that its mode_projector is real in the
+    oracle's quadratures; the odd modes carry no noise and never enter
+    the sum.  The
     dominated_fraction is the share contributed by the
     symmetry-paired terms.  The pair denominators and masks are formed a
     block of rows at a time, each pair's term written over its weight.
@@ -273,25 +272,27 @@ def steady_state_depletion(
             f"steady-state depletion requires a stable spectrum, got "
             f"'{stability.label}' (max growth rate {stability.max_growth_rate:.3e})"
         )
-    modes, weight = _pair_data(dec)
-    abs_l1 = np.abs(dec.photon[:, 0])
-    abs_l2 = np.abs(dec.photon[:, 1])
-    omegas = dec.omegas[modes]
-    keep = _kept_pairs(modes, dec.goldstone)
-    for rows in row_blocks(modes.size):
+    weight = _pair_data(dec)
+    size = weight.shape[0]
+    abs_l1 = np.abs(dec.even_left[:, 0])
+    abs_l2 = np.abs(dec.even_left[:, 1])
+    omegas = dec.omegas[:size]
+    keep = _kept_pairs(size, dec.goldstone)
+    for rows in row_blocks(size):
         zsum = omegas[rows, None] + omegas
         absz = np.abs(zsum)
-        noisy = np.outer(abs_l1[modes[rows]], abs_l2[modes]) >= NOISE_FLOOR
+        noisy = np.outer(abs_l1[rows], abs_l2) >= NOISE_FLOOR
         if ((absz < Z_FLOOR) & noisy & keep[rows]).any():
             return SteadyDepletion(value=None, diverged=True, dominated_fraction=None)
         keep[rows] &= (absz >= PAIR_TOL) | noisy
         # each kept pair's term 2 kappa weight / (i zsum), in place of its weight
         np.divide(weight[rows], zsum, out=weight[rows], where=keep[rows])
 
-    own_z = np.abs(dec.omegas + dec.omegas[dec.pairing])
-    own_noise = abs_l1 * abs_l2[dec.pairing]
+    pairing = dec.pairing[:size]  # even pairs stay in the even columns
+    own_z = np.abs(omegas + omegas[pairing])
+    own_noise = abs_l1 * abs_l2[pairing]
     own_pair = (own_z < PAIR_TOL) & (own_noise < NOISE_FLOOR)
-    own_pair |= own_pair[dec.pairing]  # the rule drops a pair, so both of its modes
+    own_pair |= own_pair[pairing]  # the rule drops a pair, so both of its modes
     own_pair[list(dec.goldstone)] = False
     excluded = tuple(int(k) for k in np.flatnonzero(own_pair))
 
@@ -300,13 +301,8 @@ def steady_state_depletion(
     contrib *= -2j * dec.kappa
     value = _to_real(contrib.sum())
 
-    position = np.full(dec.omegas.size, -1)
-    position[modes] = np.arange(modes.size)
-    partner = position[dec.pairing[modes]]
-    rows = np.flatnonzero(partner >= 0)
-    cols = partner[rows]
-    paired = keep[rows, cols]
-    paired_sum = contrib[rows[paired], cols[paired]].sum().real
+    rows = np.flatnonzero(keep[np.arange(size), pairing])
+    paired_sum = contrib[rows, pairing[rows]].sum().real
     dominated = paired_sum / value if value != 0.0 else None
     return SteadyDepletion(
         value=value, diverged=False, dominated_fraction=dominated, excluded_modes=excluded
@@ -341,7 +337,7 @@ def mode_projector(dec: ModeDecomposition, modes) -> np.ndarray:
     receive noise, so they drop out.
     """
     n_e = dec.even_right.shape[0]
-    cols = np.unique(dec.even_columns(list(modes)))
+    cols = np.unique(np.asarray(list(modes), dtype=int))
     cols = cols[cols < n_e]  # the even modes' columns
     return np.eye(n_e) - dec.even_right[:, cols] @ dec.even_left[cols]
 

@@ -40,12 +40,14 @@ sum w = tr M_even, biorthogonality, a condition bound) and raises
 DecompositionError when a certificate fails.
 
 ``decompose`` keeps the modes in this sector form: the even sector's
-right and left vectors in its orthonormal basis, the odd block's
-eigenvectors, and a slot map to the global (Re, Im) order.  The grid
+right and left vectors in its orthonormal basis and the odd block's
+eigenvectors.  A mode's index is its column in its sector: the n + 4 even
+columns come first, then the odd modes at +e and those at -e.  The grid
 layout, left @ right = I with row k conjugated the left eigenvector in the
 conjugate-linear scalar product convention, is assembled only on request.
 The noise weights used by the depletion sums are exactly the photon
-entries left[k, 0] and left[k, 1], stored per mode.
+entries left[k, 0] and left[k, 1], the first two columns of the even
+sector's left rows; they vanish on the odd modes.
 
 Phase symmetry of the condensate makes the even sector defective: in the
 frame of the chemical potential the vector (0, 0, phi, -phi) is an
@@ -106,10 +108,12 @@ class ModeDecomposition:
 
     Each parity sector keeps its modes in its own orthonormal basis; the
     dense grid-layout bases ``right`` and ``left`` are assembled only on
-    request.  Global mode indices follow omegas.
+    request.  A mode's index is its sector column: k < n + 4 indexes
+    even_right and even_left directly, and the odd modes follow.
 
-    omegas      -- complex mode frequencies, sorted by (Re, Im); the
-                   Goldstone entries are exact zeros
+    omegas      -- complex mode frequencies: the n + 4 even columns (the
+                   n + 2 secular roots, then the phase/number pair as
+                   exact zeros), the odd modes at +e, then those at -e
     even_right  -- (n + 4)-square: columns are the even right vectors in
                    the even sector basis (photon rows 0 and 1, then the
                    points j = 0 .. n/2 of the field block and of the
@@ -121,16 +125,12 @@ class ModeDecomposition:
     odd_vectors -- orthonormal eigenvectors v of the real odd block on the
                    points j = 1 .. n/2 - 1; each gives the normal,
                    noiseless modes (v, 0) at +e and (0, v) at -e
-    slots       -- global mode index of each sector column: the n + 4 even
-                   columns, the odd modes at +e, then those at -e
-    photon      -- (dim, 2) photon components l1 = left[k, 0] and
-                   l2 = left[k, 1] of every mode; zero on the odd modes
     cond_r      -- ||R||_F ||L||_F of the even right basis with unit columns,
                    an upper bound on its 2-norm condition number:
                    sqrt((n + 4) * sum of the even Petermann factors)
     pairing     -- involution k -> k' with omega_k' = -conj(omega_k)
                    exactly (Goldstone modes pair with themselves)
-    goldstone   -- indices of the condensate phase/number pair
+    goldstone   -- indices of the condensate phase/number pair, (n + 2, n + 3)
     chain       -- True when the pair is a Jordan chain
                    (M r2 = c r1, M r1 = 0) rather than two eigenvectors;
                    the coupling c is stored in chain_coupling
@@ -144,8 +144,6 @@ class ModeDecomposition:
     even_right: np.ndarray
     even_left: np.ndarray
     odd_vectors: np.ndarray
-    slots: np.ndarray
-    photon: np.ndarray
     cond_r: float
     pairing: np.ndarray
     pairing_error: float
@@ -168,12 +166,6 @@ class ModeDecomposition:
     def left(self) -> np.ndarray:
         """Left vectors as rows, left @ right = I; assembled like right."""
         return _grid_basis(self, left=True)
-
-    def even_columns(self, modes) -> np.ndarray:
-        """Columns of even_right (rows of even_left) of the given even modes."""
-        column = np.empty_like(self.slots)  # the inverse of the slot map
-        column[self.slots] = np.arange(self.slots.size)
-        return column[np.asarray(modes, dtype=int)]
 
 
 def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
@@ -234,14 +226,17 @@ def phase_chain(even: np.ndarray, phi_even: np.ndarray):
     with M r1 = 0, M r2 = r1, r1^H r2 = 0, y M = 0 and z M = y.  K is the
     real symmetric matter block plus the cavity's static response, so the
     chain costs one (n/2 + 1)-square real solve.  When the cavity
-    decouples (row and col vanish) the pair is two eigenvectors,
-    (0, 0, phi, 0) and (0, 0, 0, phi), each its own left row (chain False).
+    decouples, row and col exactly zero (u0 = 0 or eta = 0), the pair is
+    two eigenvectors, (0, 0, phi, 0) and (0, 0, 0, phi), each its own left
+    row (chain False).  The branch follows that structure, not a
+    tolerance: a coupling however weak gives a chain (Castin and Dum).
 
-    Raises DecompositionError when neither structure is present to 1e-7:
-    without the phase null vector the sector is not the generator of
-    fluctuations in the chemical potential's frame.  The chain residual is
-    bounded relative to |r2|: the weaker the coupling, the longer the
-    chain vector (|r2| about 2.5e4 at delta_c = -10000, u0 = -0.02).
+    Raises DecompositionError when the phase null vector, or a coupled
+    sector's chain relation, misses by more than 1e-7: without them the
+    sector is not the generator of fluctuations in the chemical
+    potential's frame.  The chain residual is bounded relative to |r2|:
+    the weaker the coupling, the longer the chain vector (|r2| about 2.5e4
+    at delta_c = -10000, u0 = -0.02).
     """
     n_e = phi_even.size
     f, c = slice(2, 2 + n_e), slice(2 + n_e, None)
@@ -254,7 +249,7 @@ def phase_chain(even: np.ndarray, phi_even: np.ndarray):
     right[f, 0], right[c, 0] = phi, -phi
     if np.abs(even @ right[:, 0]).max() > 1e-7 * scale:
         raise DecompositionError("even sector has no phase null vector (0, 0, phi, -phi)")
-    if np.abs(even @ pair).max() < 1e-7 * scale:
+    if not (even[0, f].any() or even[f, 0].any()):
         return False, pair, pair.T.copy()
 
     a_diag = even[0, 0]
@@ -623,28 +618,15 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     BIORTH_LIMIT, and a condition bound within COND_LIMIT.  There is no
     fallback solve.
     """
-    n = fm.n_grid
-    dim = 2 * n + 2
     even = _even_modes(fm.even, fm.phi_even, fm.dx, fm.scale)
     energies, vecs = np.linalg.eigh(fm.h_odd)
     w_odd = vecs * _odd_norm_factors(vecs, fm.dx)  # the odd right vectors
 
+    # the even columns, then the odd modes at +e and at -e
     omegas = np.concatenate([even.omegas, energies, -energies])
-    order = np.lexsort((omegas.imag, omegas.real))
-    omegas = omegas[order]
-    slots = np.empty(dim, dtype=int)
-    slots[order] = np.arange(dim)
-    # global indices of the even modes, the odd modes at +e and at -e
-    even_slots, plus_slots, minus_slots = np.split(slots, [n + 4, n + 4 + energies.size])
-    goldstone = tuple(int(even_slots[c]) for c in even.goldstone)
-    photon = np.zeros((dim, 2), dtype=complex)  # odd modes: l1 = l2 = 0 exactly
-    photon[even_slots] = even.left[:, :2]
-
     # pairs never straddle the sectors; odd pairs are +e and -e exactly
-    pairing = np.empty(dim, dtype=int)
-    pairing[even_slots] = even_slots[even.pairing]
-    pairing[plus_slots] = minus_slots
-    pairing[minus_slots] = plus_slots
+    n_e, odd = even.omegas.size, np.arange(energies.size)
+    pairing = np.concatenate([even.pairing, n_e + energies.size + odd, n_e + odd])
     pairing_error = float(np.abs(omegas[pairing] + omegas.conj()).max())
     # G M G = -conj(M) holds exactly for the built sectors, so the true
     # spectrum is exactly (-conj)-symmetric; averaging each pair makes the
@@ -661,17 +643,15 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         even_right=even.right,
         even_left=even.left,
         odd_vectors=vecs,
-        slots=slots,
-        photon=photon,
         cond_r=even.cond_r,
         pairing=pairing,
         pairing_error=pairing_error,
-        goldstone=goldstone,
+        goldstone=even.goldstone,
         chain=even.chain,
         chain_coupling=even.chain_coupling,
         eigen_residual=eigen_residual,
         biorth_defect=biorth_defect,
-        n_grid=n,
+        n_grid=fm.n_grid,
         dx=fm.dx,
         kappa=fm.kappa,
     )
@@ -698,10 +678,10 @@ def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
     else:
         even, odd = dec.even_right, vecs * factors
     zero = np.zeros_like(odd)
-    out = np.zeros((dec.slots.size, dec.slots.size), dtype=complex)
-    out[:, dec.slots[:n_e]] = unfold_sector(even)
-    # the odd slots hold the modes at +e, then those at -e
-    out[2:, dec.slots[n_e:]] = unfold_sector(np.block([[odd, zero], [zero, odd]]), odd=True)
+    out = np.zeros((dec.omegas.size, dec.omegas.size), dtype=complex)
+    out[:, :n_e] = unfold_sector(even)
+    # the odd columns hold the modes at +e, then those at -e
+    out[2:, n_e:] = unfold_sector(np.block([[odd, zero], [zero, odd]]), odd=True)
     return out.T if left else out
 
 
@@ -729,8 +709,9 @@ def classify_stability(dec: ModeDecomposition) -> StabilityReport:
 def noise_coupled(dec: ModeDecomposition) -> np.ndarray:
     """Indices of the noise-coupled modes: the non-Goldstone modes whose
     photon noise weight |l1 l2| exceeds NOISE_FLOOR."""
-    modes = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
-    return modes[np.abs(dec.photon[modes, 0] * dec.photon[modes, 1]) > NOISE_FLOOR]
+    photon = dec.even_left[:, :2]  # the odd modes carry none
+    modes = np.delete(np.arange(photon.shape[0]), list(dec.goldstone))
+    return modes[np.abs(photon[modes, 0] * photon[modes, 1]) > NOISE_FLOOR]
 
 
 def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
@@ -741,5 +722,5 @@ def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     sector vectors; the odd modes are normal, K = 1 exactly.
     """
     factors = np.ones(dec.omegas.size)
-    factors[dec.slots[: dec.even_right.shape[0]]] = _petermann_factors(dec.even_right, dec.even_left)
+    factors[: dec.even_right.shape[0]] = _petermann_factors(dec.even_right, dec.even_left)
     return factors

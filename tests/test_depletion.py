@@ -138,6 +138,32 @@ def test_finite_time_oracle_is_nan_past_its_resolution_horizon():
     assert math.isnan(beyond)
 
 
+@pytest.mark.parametrize("ng", [16, 64, 200])
+@pytest.mark.parametrize("delta_c", [-100.0, -1000.0, -10000.0])
+@pytest.mark.parametrize("u0", [-1e-7, -1e-5, -4.26648e-4])
+def test_weak_coupling_keeps_the_phase_number_chain(ng, delta_c, u0):
+    # a coupling however weak makes the phase/number pair a Jordan chain;
+    # taken for two eigenvectors, max|LR - I| reaches 3e-5 on the Goldstone
+    # rows and decompose refuses 20 of these 27 points
+    params = SystemParams(
+        delta_c=delta_c, kappa=100.0, eta=-delta_c, u0=u0, n_atoms=1000, grid_points=ng
+    )
+    grid = make_grid(ng)
+    point = analyze_point(params, grid)
+    assert point.error is None
+    dec = point.dec
+    assert dec.chain and dec.biorth_defect <= 1e-10
+    times = [1.0, 100.0, 1e4]
+    sums = depletion_at_times(dec, grid, times).values
+    for value, oracle in zip(sums, lyapunov_oracle(point.fm, grid, times).values):
+        assert abs(value - oracle) <= 1e-4 * abs(oracle)
+    if point.stability.label == "stable" and not point.state.heating:
+        steady = steady_state_depletion(dec, grid, point.stability)
+        proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
+        oracle = lyapunov_oracle(point.fm, grid, steady=True, deflate=proj).values[0]
+        assert abs(steady.value - oracle) <= 1e-6 * abs(oracle)
+
+
 def test_depletion_is_real_and_nonnegative(pipeline):
     _, grid, state, _, dec = pipeline(u0=-0.5, ng=16)
     stability = classify_stability(dec)
@@ -219,8 +245,6 @@ def _toy_decomposition(omegas, right=None, left=None, kappa=100.0):
         even_right=right,
         even_left=left,
         odd_vectors=np.zeros((0, 0)),
-        slots=np.arange(dim),
-        photon=left[:, :2].copy(),
         cond_r=1.0,
         pairing=np.arange(dim),
         pairing_error=0.0,
@@ -282,8 +306,9 @@ def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10):
     keep[:, list(dec.goldstone)] = False
     small = (np.abs(zsum) < tol_pair) & (np.abs(np.outer(l1, l2)) < tol_noise) & keep
     keep &= ~small
+    # the rule runs over the even columns k < n + 4; the odd modes carry no noise
     excluded = tuple(
-        k for k in range(dim) if k not in dec.goldstone and small[k, dec.pairing[k]]
+        k for k in range(n + 4) if k not in dec.goldstone and small[k, dec.pairing[k]]
     )
     contrib = np.zeros((dim, dim), dtype=complex)
     for k, l in zip(*np.nonzero(keep)):

@@ -208,8 +208,9 @@ def test_spectrum_rows_list_the_even_sector_first(pipeline):
     # sectors orders by rounding; listed sector by sector they keep rows
     params, grid, *_, dec = pipeline(u0=-0.02, ng=64)
     n_even = dec.even_right.shape[0]
-    even, odd = np.sort(dec.slots[:n_even]), np.sort(dec.slots[n_even:])
     w = dec.omegas
+    even = np.lexsort((w[:n_even].imag, w[:n_even].real))
+    odd = n_even + np.lexsort((w[n_even:].imag, w[n_even:].real))
     gap = np.abs(w[even][:, None].real - w[odd].real) / np.abs(w[odd].real)
     assert gap.min() <= 1e-10
     rows = cli._spectrum_rows(-0.02, params, grid, nonneg_re_only=False)
@@ -267,10 +268,11 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
     if delta_c == -100.0:
         assert state.heating
     even = _even_modes(dec)
-    assert even.size == ng + 4
+    # a mode's index is its sector column: the even ones come first
+    assert np.array_equal(even, np.arange(ng + 4))
     reference = np.linalg.eigvals(fm.even)
     # the phase/number pair: exact zeros here, split by +-sqrt(eps) in eig
-    assert len(dec.goldstone) == 2 and set(dec.goldstone) <= set(even)
+    assert dec.goldstone == (ng + 2, ng + 3)
     assert dec.chain == (u0 != 0.0)
     reference = reference[np.argsort(np.abs(reference))[2:]]
     roots = np.setdiff1d(even, dec.goldstone)
