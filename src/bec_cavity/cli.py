@@ -44,7 +44,7 @@ from .fluctuation import symmetry_defect
 from .grid import make_grid
 from .meanfield import ConvergenceError, solve_ground_state
 from .params import SystemParams
-from .spectral import petermann_raw
+from .spectral import odd_frequencies, petermann_raw
 
 
 def _worker_count(n_items: int) -> int:
@@ -133,20 +133,23 @@ def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
 def _spectrum_rows(u0: float, params: SystemParams, grid, nonneg_re_only: bool):
     """CSV rows of one light shift, built where the point record is made.
 
-    The even modes come first, then the odd ones, each sector in a
-    stable (Re, Im) sort of its own rows: an even and an odd mode of
-    nearly equal frequency (the free levels 4 k^2 at a weak lattice) then
-    keep their rows whatever the rounding, and the two exact-zero
-    Goldstone modes keep their order.
+    The even modes of ``decompose`` come first, then the odd ones from
+    ``odd_frequencies``, which are normal and noiseless: |l1| = |l2| = 0
+    and a Petermann factor of 1.  Each sector is in a stable (Re, Im) sort
+    of its own rows: an even and an odd mode of nearly equal frequency (the
+    free levels 4 k^2 at a weak lattice) then keep their rows whatever the
+    rounding, and the two exact-zero Goldstone modes keep their order.
     """
     point = analyze_point(dc_replace(params, u0=u0), grid)
     if point.error is not None:
         return [(u0, -1, None, None, None, None, None, error_status(point.error))]
-    dec, w = point.dec, point.dec.omegas
-    n_e = dec.even_right.shape[0]
-    photon = np.zeros((w.size, 2))  # |l1|, |l2|: exactly 0 on the odd modes
+    dec = point.dec
+    w = np.concatenate([dec.omegas, odd_frequencies(point.fm)])
+    n_e = dec.omegas.size
+    photon = np.zeros((w.size, 2))  # |l1|, |l2|
     photon[:n_e] = np.abs(dec.even_left[:, :2])
-    petermann = petermann_raw(dec)
+    petermann = np.ones(w.size)
+    petermann[:n_e] = petermann_raw(dec)
     modes = np.concatenate([
         sector.start + np.lexsort((w[sector].imag, w[sector].real))
         for sector in (slice(0, n_e), slice(n_e, w.size))

@@ -10,11 +10,12 @@ Two independent routes to the same number:
   l1_k = left[k, 0], l2_l = left[l, 1] of the left vectors, and the
   unconjugated overlap O_kl = dx * sum_j r4_k(x_j) r3_l(x_j); the steady
   state drops the exponential.  The odd modes of the reflection
-  x -> pi - x have l1 = l2 = 0 exactly, so the sum runs over the pairs
-  of photon-weighted (even) modes alone, about a quarter of the dim^2.
-  It reads those modes as the columns k < n + 4 of the even sector's
-  orthonormal basis (the record's ``even_right`` and ``even_left``),
-  where O_kl is the same sum over the n/2 + 1 points j = 0 .. n/2;
+  x -> pi - x have l1 = l2 = 0 exactly and are not in the mode record,
+  so the sum runs over the pairs of the n + 4 even modes alone, about a
+  quarter of the dim^2.  It reads them as the columns of the even
+  sector's orthonormal basis (the record's ``even_right`` and
+  ``even_left``), where O_kl is the same sum over the n/2 + 1 points
+  j = 0 .. n/2;
 
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
@@ -135,13 +136,12 @@ def finite_time_kernel(z, t: float):
 
 
 def _pair_data(dec: ModeDecomposition) -> np.ndarray:
-    """weight l1_k l2_l O_kl of every pair of even modes k, l < n + 4.
+    """weight l1_k l2_l O_kl of every pair of modes k, l of the record.
 
-    Odd modes have l1 = l2 = 0 exactly, so only these pairs can have a
-    nonzero weight; its pair's frequency sum is omegas[k] + omegas[l].
-    The fold onto the even sector is orthonormal, so O_kl is the sum over
-    its points j = 0 .. n/2.  The rows are formed a block at a time from
-    views of even_right.
+    The pair's frequency sum is omegas[k] + omegas[l].  The fold onto
+    the even sector is orthonormal, so O_kl is the sum over its points
+    j = 0 .. n/2.  The rows are formed a block at a time from views of
+    even_right.
     """
     l1 = dec.even_left[:, 0]
     l2 = dec.even_left[:, 1]
@@ -187,9 +187,7 @@ def _carried_pairs(dec: ModeDecomposition, dropped):
     for rows in row_blocks(size):
         weight[rows] += np.triu(weight[:, rows].T, k=rows.start + 1)
     carried = (weight != 0) & ~np.tri(size, k=-1, dtype=bool)
-    weight = weight[carried]
-    omegas = dec.omegas[:size]
-    return weight, (omegas[:, None] + omegas)[carried]
+    return weight[carried], (dec.omegas[:, None] + dec.omegas)[carried]
 
 
 def _finite_sum(kappa: float, weight: np.ndarray, zsum: np.ndarray, t: float) -> float:
@@ -257,11 +255,10 @@ def steady_state_depletion(
     relation.  excluded_modes applies the same rule to each even mode's
     own symmetry pair (k, pairing[k]), and holds both modes of a pair
     dropped in either order, so that its mode_projector is real in the
-    oracle's quadratures; the odd modes carry no noise and never enter
-    the sum.  The
-    dominated_fraction is the share contributed by the
-    symmetry-paired terms.  The pair denominators and masks are formed a
-    block of rows at a time, each pair's term written over its weight.
+    oracle's quadratures.  The dominated_fraction is the share
+    contributed by the symmetry-paired terms.  The pair denominators and
+    masks are formed a block of rows at a time, each pair's term written
+    over its weight.
     """
     if heating:
         raise StabilityError(
@@ -276,7 +273,7 @@ def steady_state_depletion(
     size = weight.shape[0]
     abs_l1 = np.abs(dec.even_left[:, 0])
     abs_l2 = np.abs(dec.even_left[:, 1])
-    omegas = dec.omegas[:size]
+    omegas, pairing = dec.omegas, dec.pairing
     keep = _kept_pairs(size, dec.goldstone)
     for rows in row_blocks(size):
         zsum = omegas[rows, None] + omegas
@@ -288,7 +285,6 @@ def steady_state_depletion(
         # each kept pair's term 2 kappa weight / (i zsum), in place of its weight
         np.divide(weight[rows], zsum, out=weight[rows], where=keep[rows])
 
-    pairing = dec.pairing[:size]  # even pairs stay in the even columns
     own_z = np.abs(omegas + omegas[pairing])
     own_noise = abs_l1 * abs_l2[pairing]
     own_pair = (own_z < PAIR_TOL) & (own_noise < NOISE_FLOOR)
@@ -333,13 +329,11 @@ def mode_projector(dec: ModeDecomposition, modes) -> np.ndarray:
     Used to hand the double sum's excluded sector to the Lyapunov
     oracle: the exclusion defines the observable, while the oracle still
     computes its value without touching the eigenbasis.  The projector
-    acts on the even sector, in its orthonormal basis: odd modes never
-    receive noise, so they drop out.
+    acts on the even sector, in its orthonormal basis, the only one that
+    receives noise.
     """
-    n_e = dec.even_right.shape[0]
     cols = np.unique(np.asarray(list(modes), dtype=int))
-    cols = cols[cols < n_e]  # the even modes' columns
-    return np.eye(n_e) - dec.even_right[:, cols] @ dec.even_left[cols]
+    return np.eye(dec.omegas.size) - dec.even_right[:, cols] @ dec.even_left[cols]
 
 
 def _quadratures(mat: np.ndarray) -> np.ndarray:
@@ -497,10 +491,9 @@ class PointAnalysis:
 
     Stages fill in order; error holds the exception that stopped the
     chain, and every stage after it stays None.  One record holds the
-    generator's two parity sectors (0.74 MB at n = 200) and the modes in
-    sector form (1.44 MB), so sweeps reduce it to rows where it is made;
-    the depletion sums read only the even sector's photon-weighted
-    columns.  Each stage adds at most one (n + 4)-square scratch array
+    generator's two parity sectors (0.74 MB at n = 200) and the even
+    sector's modes (1.34 MB), so sweeps reduce it to rows where it is
+    made.  Each stage adds at most one (n + 4)-square scratch array
     (0.67 MB) and block-sized temporaries to what it reads: a warm
     n = 200 depletion point peaks at about 2.8 MB of numpy memory.
     """

@@ -3,11 +3,13 @@
 The lattice potential cos^2 x and the condensate are even under the
 reflection x -> pi - x, so M splits into two exact sectors.  Only even
 matter modes couple to the cavity.  The odd modes form the real
-symmetric block diag(H0 - mu, -(H0 - mu)) on the odd grid combinations,
-solved by one ``eigh``: normal and noiseless, with right and left
-vectors (v, 0) at +e and (0, v) at -e.  The non-normality, and with it
-the Petermann-type excess noise, lives in the even sector of dimension
-n + 4 (the photon pair plus the even combinations of each matter block).
+symmetric block diag(H0 - mu, -(H0 - mu)) on the odd grid combinations:
+normal and noiseless, with right and left vectors (v, 0) at +e and
+(0, v) at -e.  The non-normality, and with it the Petermann-type excess
+noise, lives in the even sector of dimension n + 4 (the photon pair plus
+the even combinations of each matter block), and ``decompose`` solves
+that sector alone; ``odd_frequencies`` gives the odd modes' frequencies
+to the spectrum listing, the one place that shows them.
 ``build_matrix`` builds both sectors straight from the mean field, so
 no coupling between them exists to check for.
 
@@ -39,15 +41,13 @@ the result (distinct roots, an exact mirror pairing, the trace identity
 sum w = tr M_even, biorthogonality, a condition bound) and raises
 DecompositionError when a certificate fails.
 
-``decompose`` keeps the modes in this sector form: the even sector's
-right and left vectors in its orthonormal basis and the odd block's
-eigenvectors.  A mode's index is its column in its sector: the n + 4 even
-columns come first, then the odd modes at +e and those at -e.  The grid
-layout, left @ right = I with row k conjugated the left eigenvector in the
-conjugate-linear scalar product convention, is assembled only on request.
-The noise weights used by the depletion sums are exactly the photon
-entries left[k, 0] and left[k, 1], the first two columns of the even
-sector's left rows; they vanish on the odd modes.
+``decompose`` keeps the even modes in this sector form: their right and
+left vectors in the sector's orthonormal basis, a mode's index its
+column there.  The grid layout, left @ right = I with row k conjugated
+the left eigenvector in the conjugate-linear scalar product convention,
+is assembled only on request.  The noise weights used by the depletion
+sums are exactly the photon entries left[k, 0] and left[k, 1], the first
+two columns of the sector's left rows.
 
 Phase symmetry of the condensate makes the even sector defective: in the
 frame of the chemical potential the vector (0, 0, phi, -phi) is an
@@ -104,46 +104,42 @@ class StabilityReport:
 
 @dataclass
 class ModeDecomposition:
-    """Eigenvalues with paired left/right vectors, in sector form.
+    """The even sector's eigenvalues with paired left/right vectors, in
+    sector form.
 
-    Each parity sector keeps its modes in its own orthonormal basis; the
-    dense grid-layout bases ``right`` and ``left`` are assembled only on
-    request.  A mode's index is its sector column: k < n + 4 indexes
-    even_right and even_left directly, and the odd modes follow.
+    The modes are kept in the sector's orthonormal basis; the dense
+    grid-layout bases ``right`` and ``left`` are assembled only on
+    request.  A mode's index is its column of even_right.
 
-    omegas      -- complex mode frequencies: the n + 4 even columns (the
-                   n + 2 secular roots, then the phase/number pair as
-                   exact zeros), the odd modes at +e, then those at -e
-    even_right  -- (n + 4)-square: columns are the even right vectors in
-                   the even sector basis (photon rows 0 and 1, then the
+    omegas      -- complex mode frequencies: the n + 2 secular roots, then
+                   the phase/number pair as exact zeros
+    even_right  -- (n + 4)-square: columns are the right vectors in the
+                   even sector basis (photon rows 0 and 1, then the
                    points j = 0 .. n/2 of the field block and of the
                    conjugate block), with unit photon plus
                    quadrature-weighted matter norm and the largest entry
                    real positive; the Goldstone columns are the analytic
                    basis
     even_left   -- rows, with even_left @ even_right = I
-    odd_vectors -- orthonormal eigenvectors v of the real odd block on the
-                   points j = 1 .. n/2 - 1; each gives the normal,
-                   noiseless modes (v, 0) at +e and (0, v) at -e
-    cond_r      -- ||R||_F ||L||_F of the even right basis with unit columns,
+    cond_r      -- ||R||_F ||L||_F of the right basis with unit columns,
                    an upper bound on its 2-norm condition number:
-                   sqrt((n + 4) * sum of the even Petermann factors)
+                   sqrt((n + 4) * sum of the Petermann factors)
     pairing     -- involution k -> k' with omega_k' = -conj(omega_k)
                    exactly (Goldstone modes pair with themselves)
+    pairing_error -- max|w_k' + conj(w_k)| of the secular roots as solved,
+                   before each pair is averaged to its exact mirror
     goldstone   -- indices of the condensate phase/number pair, (n + 2, n + 3)
     chain       -- True when the pair is a Jordan chain
                    (M r2 = c r1, M r1 = 0) rather than two eigenvectors;
                    the coupling c is stored in chain_coupling
-    eigen_residual -- max|M r - omega r| over the modes, each parity
-                   sector in its orthonormal basis (the chain column
-                   against its chain relation)
-    biorth_defect  -- max|L R - I|, sector by sector
+    eigen_residual -- max|M r - omega r| over the modes in the sector
+                   basis (the chain column against its chain relation)
+    biorth_defect  -- max|L R - I|
     """
 
     omegas: np.ndarray
     even_right: np.ndarray
     even_left: np.ndarray
-    odd_vectors: np.ndarray
     cond_r: float
     pairing: np.ndarray
     pairing_error: float
@@ -158,8 +154,8 @@ class ModeDecomposition:
 
     @property
     def right(self) -> np.ndarray:
-        """Right vectors as the columns of a dense dim-square array in the
-        layout of M, assembled afresh on every access."""
+        """Right vectors as the columns of a dense (2n + 2) x (n + 4) array
+        in the layout of M, assembled afresh on every access."""
         return _grid_basis(self, left=False)
 
     @property
@@ -452,10 +448,11 @@ def _resolvent_vectors(basis, levels, weight_r, weight_l, poles, anchors, delta,
     return right, left, dots
 
 
-def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> np.ndarray:
+def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """The involution k -> k' with roots[k'] = -conj(roots[k]), certified.
 
-    Raises DecompositionError unless the roots are distinct, pair under
+    Returns (pairing, mismatch), mismatch = max|w_k' + conj(w_k)|.  Raises
+    DecompositionError unless the roots are distinct, pair under
     an involution to PAIRING_RTOL, and meet the trace identity: the
     anchors sum to tr M_even exactly, so the offsets must sum to zero.
     Distances are squared moduli, |w_i - w_k|^2 and |w_i + conj(w_k)|^2.
@@ -478,32 +475,21 @@ def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> np.nd
     trace = abs(delta.sum())
     if not trace <= STRUCTURE_TOL * scale:
         raise DecompositionError(f"secular roots miss the trace of M ({trace:.2e})")
-    return pairing
+    return pairing, mismatch
 
 
-@dataclass
-class _EvenModes:
-    """The even sector's modes in its orthonormal basis; see ``decompose``.
+def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
+    """The even sector's modes from its secular equation (module docstring).
 
-    goldstone holds the sector indices of the phase/number pair, the last
-    two columns; residual is max|M_even R - R W|, the chain column taken
-    against its chain relation.
+    The odd sector is not read: its modes are normal and noiseless.
+    Raises DecompositionError when the even sector departs from the
+    bordered form with G M G = -conj(M) beyond STRUCTURE_TOL, when it has
+    no phase/number pair (see ``phase_chain``), or when the modes fail a
+    certificate: n + 2 distinct roots beside that pair, an exact mirror
+    pairing, the trace identity, biorthogonality to BIORTH_LIMIT, and a
+    condition bound within COND_LIMIT.  There is no fallback solve.
     """
-
-    omegas: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    pairing: np.ndarray
-    goldstone: tuple[int, ...]
-    chain: bool
-    chain_coupling: complex
-    cond_r: float
-    biorth_defect: float
-    residual: float
-
-
-def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: float) -> _EvenModes:
-    """Modes of the even sector from its secular equation (module docstring)."""
+    m_even, phi_even, dx, scale = fm.even, fm.phi_even, fm.dx, fm.scale
     n_e = phi_even.size
     f = slice(2, 2 + n_e)
     a_diag = complex(m_even[0, 0])
@@ -548,7 +534,7 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
     )
     n_roots = anchors.size
     omegas = anchors + delta
-    pairing = _mirror_pairing(omegas, delta, scale)
+    pairing, pairing_error = _mirror_pairing(omegas, delta, scale)
     # the exact mirror pairs: a self-paired root lands on the imaginary axis
     omegas = 0.5 * (omegas - omegas[pairing].conj())
 
@@ -598,91 +584,31 @@ def _even_modes(m_even: np.ndarray, phi_even: np.ndarray, dx: float, scale: floa
             f"(cond <= {cond_r:.3e} > {COND_LIMIT:.1e}); "
             "use the Lyapunov second-moment oracle instead"
         )
-    residual = float(np.max(misses))
-    return _EvenModes(
-        omegas, right, left, pairing, goldstone, chain, chain_coupling, cond_r,
-        biorth_defect, residual,
-    )
-
-
-def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
-    """Full decomposition of a fluctuation matrix, one parity sector at a time.
-
-    The even sector is solved from its secular equation (see the module
-    docstring), the real odd block by one ``eigh``.  Raises
-    DecompositionError when the even sector departs from the bordered
-    form with G M G = -conj(M) beyond STRUCTURE_TOL, when it has no
-    phase/number pair (see ``phase_chain``), or when the even
-    modes fail a certificate: n + 2 distinct roots beside that pair, an
-    exact mirror pairing, the trace identity, biorthogonality to
-    BIORTH_LIMIT, and a condition bound within COND_LIMIT.  There is no
-    fallback solve.
-    """
-    even = _even_modes(fm.even, fm.phi_even, fm.dx, fm.scale)
-    energies, vecs = np.linalg.eigh(fm.h_odd)
-    w_odd = vecs * _odd_norm_factors(vecs, fm.dx)  # the odd right vectors
-
-    # the even columns, then the odd modes at +e and at -e
-    omegas = np.concatenate([even.omegas, energies, -energies])
-    # pairs never straddle the sectors; odd pairs are +e and -e exactly
-    n_e, odd = even.omegas.size, np.arange(energies.size)
-    pairing = np.concatenate([even.pairing, n_e + energies.size + odd, n_e + odd])
-    pairing_error = float(np.abs(omegas[pairing] + omegas.conj()).max())
-    # G M G = -conj(M) holds exactly for the built sectors, so the true
-    # spectrum is exactly (-conj)-symmetric; averaging each pair makes the
-    # near-zero pair denominators of the depletion sums exactly imaginary
-    omegas = 0.5 * (omegas - omegas[pairing].conj())
-
-    # max|M r - w r| sector by sector, each in its orthonormal basis
-    res_odd = float(np.abs(fm.h_odd @ w_odd - w_odd * energies).max())
-    eigen_residual = max(even.residual, res_odd)
-    biorth_defect = max(even.biorth_defect, float(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max()))
-
     return ModeDecomposition(
         omegas=omegas,
-        even_right=even.right,
-        even_left=even.left,
-        odd_vectors=vecs,
-        cond_r=even.cond_r,
+        even_right=right,
+        even_left=left,
+        cond_r=cond_r,
         pairing=pairing,
         pairing_error=pairing_error,
-        goldstone=even.goldstone,
-        chain=even.chain,
-        chain_coupling=even.chain_coupling,
-        eigen_residual=eigen_residual,
+        goldstone=goldstone,
+        chain=chain,
+        chain_coupling=chain_coupling,
+        eigen_residual=float(np.max(misses)),
         biorth_defect=biorth_defect,
         n_grid=fm.n_grid,
-        dx=fm.dx,
+        dx=dx,
         kappa=fm.kappa,
     )
 
 
-def _odd_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
-    """Column factors giving the odd modes quadrature-weighted unit norm."""
-    return 1.0 / np.sqrt(dx * (vecs**2).sum(axis=0))  # no photon rows
-
-
 def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
-    """The right vectors (columns), or the left vectors (rows), of every
-    mode in the dim-square layout of M.
-
-    Unfolds E even_right and even_left E^T.  The odd modes are (v, 0) at
-    +e and (0, v) at -e, each its own left vector.  left^T has the layout
-    of right, so both take the same unfold.
-    """
-    n_e = dec.even_right.shape[0]
-    vecs = dec.odd_vectors
-    factors = _odd_norm_factors(vecs, dec.dx)
+    """The right vectors (columns), or the left vectors (rows), of the
+    modes in the layout of M: E even_right, or even_left E^T.  left^T has
+    the layout of right, so both take the same unfold."""
     if left:
-        even, odd = dec.even_left.T, vecs / factors
-    else:
-        even, odd = dec.even_right, vecs * factors
-    zero = np.zeros_like(odd)
-    out = np.zeros((dec.omegas.size, dec.omegas.size), dtype=complex)
-    out[:, :n_e] = unfold_sector(even)
-    # the odd columns hold the modes at +e, then those at -e
-    out[2:, n_e:] = unfold_sector(np.block([[odd, zero], [zero, odd]]), odd=True)
-    return out.T if left else out
+        return unfold_sector(dec.even_left.T).T
+    return unfold_sector(dec.even_right)
 
 
 def classify_stability(dec: ModeDecomposition) -> StabilityReport:
@@ -709,18 +635,24 @@ def classify_stability(dec: ModeDecomposition) -> StabilityReport:
 def noise_coupled(dec: ModeDecomposition) -> np.ndarray:
     """Indices of the noise-coupled modes: the non-Goldstone modes whose
     photon noise weight |l1 l2| exceeds NOISE_FLOOR."""
-    photon = dec.even_left[:, :2]  # the odd modes carry none
+    photon = dec.even_left[:, :2]
     modes = np.delete(np.arange(photon.shape[0]), list(dec.goldstone))
     return modes[np.abs(photon[modes, 0] * photon[modes, 1]) > NOISE_FLOOR]
 
 
 def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     """Excess-noise factor K_k = |l_k|^2 |r_k|^2 under l_k . r_k = 1 for every
-    mode: 1 for a normal mode, above 1 where the eigenbasis is skewed.
+    mode: 1 for a normal mode, above 1 where the eigenbasis is skewed.  The
+    even sector's basis is orthonormal, so the factors come from the
+    sector vectors."""
+    return _petermann_factors(dec.even_right, dec.even_left)
 
-    The even sector's basis is orthonormal, so its factors come from the
-    sector vectors; the odd modes are normal, K = 1 exactly.
-    """
-    factors = np.ones(dec.omegas.size)
-    factors[: dec.even_right.shape[0]] = _petermann_factors(dec.even_right, dec.even_left)
-    return factors
+
+def odd_frequencies(fm: FluctuationMatrix) -> np.ndarray:
+    """Frequencies of the reflection-odd modes, +e then -e, from the real
+    odd block h_odd (module docstring): normal modes with no photon weight
+    and a Petermann factor of 1, which ``decompose`` leaves out."""
+    # eigh, not eigvalsh: the two differ in the last bits, and the listed
+    # frequencies are eigh's
+    energies = np.linalg.eigh(fm.h_odd)[0]
+    return np.concatenate([energies, -energies])

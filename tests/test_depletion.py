@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from bec_cavity import (
     analyze_point,
     build_matrix,
     classify_stability,
+    decompose,
     depletion_at_times,
     finite_time_kernel,
     lyapunov_oracle,
@@ -244,7 +246,6 @@ def _toy_decomposition(omegas, right=None, left=None, kappa=100.0):
         omegas=np.array(omegas, dtype=complex),
         even_right=right,
         even_left=left,
-        odd_vectors=np.zeros((0, 0)),
         cond_r=1.0,
         pairing=np.arange(dim),
         pairing_error=0.0,
@@ -306,9 +307,8 @@ def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10):
     keep[:, list(dec.goldstone)] = False
     small = (np.abs(zsum) < tol_pair) & (np.abs(np.outer(l1, l2)) < tol_noise) & keep
     keep &= ~small
-    # the rule runs over the even columns k < n + 4; the odd modes carry no noise
     excluded = tuple(
-        k for k in range(n + 4) if k not in dec.goldstone and small[k, dec.pairing[k]]
+        k for k in range(dim) if k not in dec.goldstone and small[k, dec.pairing[k]]
     )
     contrib = np.zeros((dim, dim), dtype=complex)
     for k, l in zip(*np.nonzero(keep)):
@@ -424,8 +424,25 @@ def test_sweep_path_never_assembles_the_grid_basis(monkeypatch):
     timed = solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0, 100.0])
     assert [r.status for r in timed] == ["ok", "ok"]
     rows = cli._spectrum_rows(-0.5, params, grid, nonneg_re_only=False)
-    assert len(rows) == dec.omegas.size
+    assert len(rows) == 2 * dec.n_grid + 2  # the odd modes too
     assert all(row[-1] == "ok" for row in rows)
+
+
+def test_depletion_chain_never_reads_the_odd_sector():
+    params, grid, _, fm, dec = run_pipeline(u0=-0.5, ng=16)
+    blind = dataclasses.replace(fm, h_odd=np.full_like(fm.h_odd, np.nan))
+    seen = decompose(blind)
+    assert np.array_equal(seen.omegas, dec.omegas)
+    assert classify_stability(seen) == classify_stability(dec)
+    times = [1.0, 100.0]
+    steady = steady_state_depletion(dec, grid, classify_stability(dec))
+    assert steady_state_depletion(seen, grid, classify_stability(seen)) == steady
+    assert depletion_at_times(seen, grid, times) == depletion_at_times(dec, grid, times)
+    proj = mode_projector(seen, steady.excluded_modes + seen.goldstone)
+    for kwargs in (dict(steady=True), dict(times=times)):
+        assert lyapunov_oracle(blind, grid, deflate=proj, **kwargs) == lyapunov_oracle(
+            fm, grid, deflate=mode_projector(dec, steady.excluded_modes + dec.goldstone), **kwargs
+        )
 
 
 def test_relaxation_time_infinite_without_coupling(pipeline):

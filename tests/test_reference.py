@@ -110,7 +110,7 @@ def even_frequencies(grid_points, delta_c, u0):
     """The even sector's n + 4 frequencies, in (Re, Im) order, as
     [re, im] pairs."""
     dec = _analyze(delta_c, u0, make_grid(grid_points)).dec
-    omegas = dec.omegas[: grid_points + 4]
+    omegas = dec.omegas
     omegas = omegas[np.lexsort((omegas.imag, omegas.real))]
     return [[float(w.real), float(w.imag)] for w in omegas]
 

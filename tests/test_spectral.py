@@ -15,13 +15,13 @@ from bec_cavity import (
 from bec_cavity import cli, meanfield, spectral
 from bec_cavity.depletion import error_status
 from bec_cavity.fluctuation import bordered_sector
-from bec_cavity.spectral import phase_chain
+from bec_cavity.spectral import odd_frequencies, phase_chain
 from conftest import run_pipeline
 
 
 def test_zero_coupling_spectrum(pipeline):
-    *_, dec = pipeline(u0=0.0, ng=16)
-    omegas = dec.omegas
+    *_, fm, dec = pipeline(u0=0.0, ng=16)
+    omegas = np.concatenate([dec.omegas, odd_frequencies(fm)])
     photon = omegas[np.argmin(np.abs(omegas - (1000.0 - 100.0j)))]
     assert abs(photon - (1000.0 - 100.0j)) < 1e-8 * abs(1000.0 - 100.0j)
     for n in (1, 2, 3):
@@ -41,13 +41,13 @@ def test_pairing_is_a_covering_involution(pipeline):
 def test_biorthonormality_and_reconstruction(pipeline):
     *_, fm, dec = pipeline(u0=-0.5, ng=16)
     assert dec.biorth_defect <= 1e-10
-    # M = R B L, B diagonal but for the Goldstone chain coupling
+    # M_even = R B L, B diagonal but for the Goldstone chain coupling
     block = np.diag(dec.omegas)
     if dec.chain:
         g1, g2 = dec.goldstone
         block[g1, g2] = dec.chain_coupling
-    rebuilt = dec.right @ block @ dec.left
-    assert np.linalg.norm(rebuilt - fm.m) < 1e-8 * np.linalg.norm(fm.m)
+    rebuilt = dec.even_right @ block @ dec.even_left
+    assert np.linalg.norm(rebuilt - fm.even) < 1e-8 * np.linalg.norm(fm.even)
 
 
 def test_goldstone_cluster_detected(pipeline):
@@ -95,21 +95,26 @@ def test_goldstone_chain_vector_matches_a_least_squares_solve(ng, delta_c, u0):
 
 
 def test_odd_modes_are_noiseless_and_normal(pipeline):
-    *_, dec = pipeline(u0=-0.5, ng=16)
+    params, grid, _, fm, dec = pipeline(u0=-0.5, ng=16)
     n = dec.n_grid
-    flip = (-np.arange(n)) % n  # grid point j -> n - j under x -> pi - x
-    mirror = np.concatenate([[0, 1], 2 + flip, 2 + n + flip])
-    right = dec.right
-    odd = np.nonzero(
-        np.abs(right[mirror] + right).max(axis=0) <= 1e-12 * np.abs(right).max(axis=0)
-    )[0]
-    assert odd.size == n - 2
-    assert np.all(dec.left[odd, 0] == 0.0) and np.all(dec.left[odd, 1] == 0.0)
-    assert np.abs(petermann_raw(dec)[odd] - 1.0).max() <= 1e-12
+    m = fm.m
+    # the odd grid combinations e_j - e_(n - j), j = 1 .. n/2 - 1, of each
+    # matter block neither feed nor receive the photon
+    odd = np.zeros((2 * n + 2, n - 2))
+    for col, (block, j) in enumerate((b, j) for b in (2, 2 + n) for j in range(1, n // 2)):
+        odd[block + j, col], odd[block + n - j, col] = 1.0, -1.0
+    assert np.all(m[:2] @ odd == 0.0)
+    assert np.all(odd.T @ m[:, :2] == 0.0)
+    # the spectrum lists them as +-e of the odd block, noiseless and normal
+    energies = np.linalg.eigh(fm.h_odd)[0]
+    rows = cli._spectrum_rows(-0.5, params, grid, nonneg_re_only=False)[dec.omegas.size :]
+    listed = np.array([complex(row[2], row[3]) for row in rows])
+    assert np.array_equal(np.sort_complex(listed), np.sort_complex(np.r_[energies, -energies]))
+    assert all(row[4] == row[5] == 0.0 and row[6] == 1.0 for row in rows)
 
 
 def test_mode_record_holds_no_grid_sized_basis():
-    # the sector blocks, (n + 4)^2 and (n/2 - 1)^2, against the 5.2 MB of
+    # the even sector's (n + 4)^2 blocks, against the 5.2 MB of
     # dense 402 x 402 right and left vectors at n = 200
     *_, dec = run_pipeline(u0=-0.5, ng=200)
     arrays = [v for v in vars(dec).values() if isinstance(v, np.ndarray)]
@@ -122,8 +127,9 @@ def test_mode_record_holds_no_grid_sized_basis():
 def test_decompose_spectrum_matches_plain_eigvals(ng):
     *_, fm, dec = run_pipeline(u0=-0.5, ng=ng)
     reference = np.sort(np.linalg.eigvals(fm.m))
-    scale = np.abs(dec.omegas).max()
-    assert np.abs(np.sort(dec.omegas) - reference).max() <= 1e-9 * scale
+    omegas = np.concatenate([dec.omegas, odd_frequencies(fm)])
+    scale = np.abs(omegas).max()
+    assert np.abs(np.sort(omegas) - reference).max() <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("u0, ng", [(-0.5, 16), (-1.0, 64)])
@@ -206,9 +212,9 @@ def test_spectrum_rows_list_the_even_sector_first(pipeline):
     # at a weak lattice each free level 4 k^2 splits into an even and an
     # odd mode only about 1e-12 apart, which a (Re, Im) sort over both
     # sectors orders by rounding; listed sector by sector they keep rows
-    params, grid, *_, dec = pipeline(u0=-0.02, ng=64)
-    n_even = dec.even_right.shape[0]
-    w = dec.omegas
+    params, grid, _, fm, dec = pipeline(u0=-0.02, ng=64)
+    n_even = dec.omegas.size
+    w = np.concatenate([dec.omegas, odd_frequencies(fm)])
     even = np.lexsort((w[:n_even].imag, w[:n_even].real))
     odd = n_even + np.lexsort((w[n_even:].imag, w[n_even:].real))
     gap = np.abs(w[even][:, None].real - w[odd].real) / np.abs(w[odd].real)
@@ -286,7 +292,7 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
         assert photon.size == 2
         assert np.array_equal(photon, np.flatnonzero(np.abs(dec.right[:2]).max(axis=0) > 0))
         for k in photon:
-            unit = np.zeros(dec.omegas.size)
+            unit = np.zeros(dec.right.shape[0])
             unit[np.argmax(np.abs(dec.right[:2, k]))] = 1.0
             assert np.array_equal(np.abs(dec.right[:, k]), unit)
             assert np.array_equal(np.abs(dec.left[k]), unit)
@@ -379,10 +385,22 @@ def test_secular_roots_that_do_not_converge_are_refused(monkeypatch):
 def test_mirror_pairing_certificates():
     roots = np.array([3.0 - 0.1j, -3.0 - 0.1j, -2.0j, 1.0 - 1.0j, -1.0 - 1.0j])
     offsets = np.array([0.01j, -0.01j, 0.0, 0.0, 0.0])
-    assert list(spectral._mirror_pairing(roots, offsets, 10.0)) == [1, 0, 2, 4, 3]
+    pairing, mismatch = spectral._mirror_pairing(roots, offsets, 10.0)
+    assert list(pairing) == [1, 0, 2, 4, 3] and mismatch == 0.0
+    # the mismatch is measured, not implied by the pairing
+    _, mismatch = spectral._mirror_pairing(roots + np.array([0, 1e-9, 0, 0, 0]), offsets, 10.0)
+    assert mismatch == pytest.approx(1e-9, rel=1e-6)
     with pytest.raises(DecompositionError, match="distinct"):
         spectral._mirror_pairing(np.append(roots, roots[0]), np.append(offsets, 0.0), 10.0)
     with pytest.raises(DecompositionError, match="pair"):
         spectral._mirror_pairing(roots + np.array([0, 0, 0, 0, 0.5]), offsets, 10.0)
     with pytest.raises(DecompositionError, match="trace"):
         spectral._mirror_pairing(roots, offsets + 1e-6, 10.0)
+
+
+def test_pairing_error_is_the_measured_mismatch(pipeline):
+    # the roots as solved pair to rounding, not exactly; the recorded error
+    # is that mismatch, taken before each pair is averaged to its mirror
+    *_, dec = pipeline(u0=-0.5, ng=16)
+    scale = float(np.abs(dec.omegas).max())
+    assert 0.0 < dec.pairing_error <= spectral.PAIRING_RTOL * scale
