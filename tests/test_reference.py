@@ -1,4 +1,4 @@
-"""The chain's numbers at n = 16 and 64, pinned against committed tables.
+"""The chain's numbers at n = 16, 64 and 200, pinned against committed tables.
 
 The acceptance criteria check physics bounds, not values, so a refactor
 that moves a number would pass them.  This test compares the chain's
@@ -31,7 +31,7 @@ from bec_cavity import (
 )
 from bec_cavity.depletion import _quadratures
 
-GRIDS = (16, 64)
+GRIDS = (16, 64, 200)
 DETUNINGS = (-100.0, -1000.0, -10000.0)
 # every sixth point of the shipped sweep, -0.02 .. -1.04 in steps of 0.02
 LIGHT_SHIFTS = tuple(round(-0.02 - 0.12 * i, 2) for i in range(9))
