@@ -38,6 +38,7 @@ discrete fixed point from there.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,8 @@ RQI_SOLVES = 3
 
 
 class ConvergenceError(RuntimeError):
-    """Imaginary-time iteration exhausted MAX_ITERS steps.
+    """Imaginary-time iteration exhausted MAX_ITERS steps, or took a step
+    that is not finite.
 
     Carries the final residuals in ``residual_phi`` and ``residual_alpha``.
     """
@@ -175,7 +177,9 @@ def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
     Stops when the sup-norm change of phi per step falls below
     TOL_PHI * ITP_DT and the change of alpha below TOL_ALPHA, and returns
     (phi at j = 0 .. n/2, alpha, <U>, steps).  Raises ConvergenceError
-    when MAX_ITERS steps are exhausted.
+    at the first step that is not finite (a lattice so deep that
+    exp(-dt/2 |alpha|^2 U) overflows) and when MAX_ITERS steps are
+    exhausted.
     """
     j, _, weight, u_even = _even_lattice(grid, params.u0)
     u_weight = weight * u_even
@@ -186,24 +190,33 @@ def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
     alpha = frozen_alpha if frozen_alpha is not None else steady_alpha(params, u_avg)
 
     d_phi = d_alpha = np.inf
-    for iterations in range(1, MAX_ITERS + 1):
-        half = np.exp((-0.5 * ITP_DT * abs(alpha) ** 2) * u_even)
-        phi_new = propagator @ (half * phi)
-        phi_new *= half
-        phi_new /= np.sqrt(weight @ phi_new**2)
+    # a lattice step that overflows turns phi nan; the check below stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, MAX_ITERS + 1):
+            half = np.exp((-0.5 * ITP_DT * abs(alpha) ** 2) * u_even)
+            phi_new = propagator @ (half * phi)
+            phi_new *= half
+            phi_new /= np.sqrt(weight @ phi_new**2)
 
-        u_new = float(u_weight @ phi_new**2)
-        if frozen_alpha is not None:
-            alpha_new = alpha
-        else:
-            alpha_new = (1.0 - MIXING) * alpha + MIXING * steady_alpha(params, u_new)
+            u_new = float(u_weight @ phi_new**2)
+            if frozen_alpha is not None:
+                alpha_new = alpha
+            else:
+                alpha_new = (1.0 - MIXING) * alpha + MIXING * steady_alpha(params, u_new)
 
-        d_phi = float(abs(phi_new - phi).max())
-        d_alpha = abs(alpha_new - alpha)
-        phi, alpha, u_avg = phi_new, alpha_new, u_new
+            d_phi = float(abs(phi_new - phi).max())
+            d_alpha = abs(alpha_new - alpha)
+            if not (math.isfinite(d_phi) and math.isfinite(d_alpha)):
+                raise ConvergenceError(
+                    f"imaginary-time step {iterations} is not finite "
+                    f"(|d phi| = {d_phi:.3e}, |d alpha| = {d_alpha:.3e})",
+                    residual_phi=d_phi,
+                    residual_alpha=float(d_alpha),
+                )
+            phi, alpha, u_avg = phi_new, alpha_new, u_new
 
-        if d_phi < TOL_PHI * ITP_DT and d_alpha < TOL_ALPHA:
-            return phi, alpha, u_avg, iterations
+            if d_phi < TOL_PHI * ITP_DT and d_alpha < TOL_ALPHA:
+                return phi, alpha, u_avg, iterations
 
     raise ConvergenceError(
         f"no convergence after {MAX_ITERS} imaginary-time steps "
@@ -227,7 +240,8 @@ def solve_ground_state(
     frozen_alpha pins the cavity amplitude (an externally imposed
     lattice).
 
-    Raises ConvergenceError when the start exhausts MAX_ITERS steps.
+    Raises ConvergenceError when the start exhausts MAX_ITERS steps or
+    takes a step that is not finite.
     """
     dx = grid.dx
     u_pot = potential_profile(grid, params.u0)

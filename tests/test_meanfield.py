@@ -377,3 +377,14 @@ def test_one_fixed_point_on_the_served_range(delta_c):
         (k,) = np.flatnonzero(np.diff(f > 0))
         st = solve_ground_state(p, g)
         assert u[k] - 1e-12 <= st.u_avg <= u[k + 1] + 1e-12
+
+
+def test_a_non_finite_start_stops_at_its_first_bad_step():
+    # a lattice so deep that exp(-dt/2 |alpha|^2 U) overflows turns phi nan;
+    # the start stops at that step instead of running MAX_ITERS steps on nan
+    p = SystemParams(delta_c=0.0, kappa=1.0, eta=1e4, u0=-5.0, n_atoms=10, grid_points=8)
+    with pytest.raises(ConvergenceError, match=r"imaginary-time step \d+ is not finite") as err:
+        solve_ground_state(p, make_grid(8))
+    step = int(str(err.value).split()[2])
+    assert step < 10 < meanfield.MAX_ITERS
+    assert not np.isfinite(err.value.residual_phi)
