@@ -24,7 +24,8 @@ same profile, so the 2 x 2 secular problem of Golub (SIAM Rev. 15, 318,
 
     (w - A)(w + conj A) = 2 Re A sum_j g_j 2 e_j / (w^2 - e_j^2),
 
-with A = M[0, 0] and g_j = y_r,j y_c,j real.  The condensate's own level
+with A = M[0, 0] and g_j = y_r,j y_c,j = |alpha|^2 dx q_j^2, q = Q^T y, taken
+as |y_r,j y_c,j| so that its sign is exact.  The condensate's own level
 e = 0 drops out, its term carrying the factor 2 e_j, which leaves n + 2
 roots beside the phase/number pair.  Each root is solved in offset form
 w = anchor + delta, anchored at its own pole +-e_j or at A or -conj(A),
@@ -500,12 +501,14 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     h = m_even[f, f].real
     h = 0.5 * (h + h.T)
     # the form build_matrix gives: matter blocks h and -h, no anomalous
-    # blocks, and a rank-one photon border; compared block by block
+    # blocks, and a rank-one photon border, row = beta dx col; compared
+    # block by block
     model = sector_blocks(a_diag, row, col, h)
     breach = max(
         np.max([np.abs(entries - m_even[index]).max() for index, entries in model]),
         np.abs(col.conj() - beta * col).max(),
         np.abs(row.conj() - row / beta).max(),
+        np.abs(row - beta * dx * col).max(),
     ) / scale
     if breach > STRUCTURE_TOL:
         raise DecompositionError(
@@ -529,8 +532,12 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     weight_r = np.concatenate([col_q, -col_q])  # right vectors: +-y_c / (w -+ e)
     weight_l = np.concatenate([row_q, row_q])  # left vectors: y_r / (w -+ e)
     poles = np.concatenate([np.flatnonzero(coupled), n_e + np.flatnonzero(coupled)])
+    # the weights are col_q,k row_q,k = |alpha|^2 dx q_k^2, q = Q^T y: their
+    # sign is the block's, + on the field poles and - on the conjugate ones,
+    # exactly, where a weak rung's rounded product would take a random sign
+    coupling = np.abs(col_q * row_q)
     anchors, delta = _secular_roots(
-        levels[poles], (weight_r[poles] * weight_l[poles]).real, a_diag
+        levels[poles], np.concatenate([coupling, -coupling])[poles], a_diag
     )
     n_roots = anchors.size
     omegas = anchors + delta

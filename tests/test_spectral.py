@@ -298,6 +298,20 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
             assert np.array_equal(np.abs(dec.left[k]), unit)
 
 
+@pytest.mark.parametrize(
+    "delta_c, u0",
+    [(-100.0, -0.14), (-1000.0, -0.05), (-1000.0, -0.5), (-1000.0, -1.0), (-10000.0, -0.5)],
+)
+def test_no_mode_of_a_stable_point_grows(delta_c, u0):
+    # the secular weights carry their block's sign exactly, so a weak rung's
+    # Im omega, of order 1e-40 here, keeps the sign of its damping; from the
+    # rounded products col_q,k row_q,k 2 to 8 modes of each point grew
+    *_, dec = run_pipeline(u0=u0, ng=64, delta_c=delta_c, eta=-delta_c)
+    assert classify_stability(dec).label == "stable"
+    rates = np.delete(dec.omegas.imag, list(dec.goldstone))
+    assert rates.max() < 0.0
+
+
 @pytest.mark.parametrize("offset", [1e-3, 1e-4, 2e-5])
 def test_near_resonance_photon_roots_are_imaginary_and_self_paired(offset, monkeypatch):
     # just on the stable side of criterion 6's critical point (about
