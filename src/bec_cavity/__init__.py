@@ -17,7 +17,7 @@ from .depletion import (
     steady_state_depletion,
 )
 from .fluctuation import FluctuationMatrix, build_matrix, symmetry_defect
-from .grid import Grid, integrate, kinetic_matrix, make_grid, potential_profile
+from .grid import Grid, integrate, make_grid, potential_profile
 from .meanfield import ConvergenceError, MeanFieldState, solve_ground_state, steady_alpha
 from .params import ParameterError, SystemParams, validate
 from .spectral import (
@@ -53,7 +53,6 @@ __all__ = [
     "depletion_at_times",
     "finite_time_kernel",
     "integrate",
-    "kinetic_matrix",
     "lyapunov_oracle",
     "make_grid",
     "mode_projector",

@@ -17,14 +17,16 @@ The permutation G exchanging da <-> da^dag and dPsi <-> dPsi^dag gives
 the exact symmetry G M G = -conj(M), which pairs the eigenvalues as
 (w, -conj(w)).  The lattice cos^2 x and the condensate are even under
 x -> pi - x, so M commutes with that reflection and is held as its two
-sectors, folded straight from the mean-field state by the orthonormal
-embedding of ``grid.mirror_fold``.  The even sector holds the photon
+sectors, in the cosine and sine modes of ``grid.sector_basis``, where
+each block is a closed form: h = diag(4 m^2) + |alpha|^2 u0 T - mu, T the
+tridiagonal matrix of cos^2 x, and the coupling y = sqrt(N) u0 T v of the
+condensate's cosine coefficients v.  The even sector holds the photon
 pair and the even matter modes: an arrowhead, matter blocks h and -h
 with one coupling profile in the photon rows and columns, which
 ``spectral.decompose`` solves from a scalar secular equation.  The odd
-sector never touches the photon: it is diag(h_odd, -h_odd) with
-h_odd the odd fold of H0 - mu.  No coupling between the sectors can be
-represented.
+sector never touches the photon: it is diag(h_odd, -h_odd), h_odd the
+same form in the sine modes.  No coupling between the sectors can be
+represented.  The grid layout above is synthesized only on request.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, kinetic_matrix, mirror_fold, mirror_unfold, potential_profile
+from .grid import Grid, potential_profile, sector_basis
 from .meanfield import MeanFieldState
 from .params import SystemParams
 
@@ -43,13 +45,15 @@ class FluctuationMatrix:
     """The generator as its two reflection-parity sectors.
 
     even     -- (n + 4)-square complex block: photon rows 0 and 1, then the
-                points j = 0 .. n/2 of the field block and of the conjugate
-                block
-    h_odd    -- (n/2 - 1)-square real symmetric odd fold of H0 - mu; the
-                odd sector is diag(h_odd, -h_odd)
-    phi_even -- the real condensate amplitude folded onto the even points
-    scale    -- max|M|, the reference for every relative threshold
-    m        -- the dense (2 n + 2)-square M, assembled read-only on access
+                cosine modes m = 0 .. n/2 of the field block and of the
+                conjugate block
+    h_odd    -- (n/2 - 1)-square real symmetric H0 - mu in the sine modes
+                m = 1 .. n/2 - 1; the odd sector is diag(h_odd, -h_odd)
+    phi_even -- the cosine coefficients of the real condensate amplitude
+    scale    -- max|M| of M on the grid points, the reference for every
+                relative threshold
+    m        -- the dense (2 n + 2)-square M on the grid points, synthesized
+                read-only on access
     """
 
     even: np.ndarray
@@ -84,27 +88,29 @@ def build_matrix(
     n = grid.n
     dx = grid.dx
     alpha = complex(state.alpha)
-    u_pot = potential_profile(grid, params.u0)
+    depth = np.abs(alpha) ** 2 * params.u0
     sqrt_n = np.sqrt(params.n_atoms)
-    y = sqrt_n * phi * u_pot  # pointwise coupling profile
-    coupl = phi * u_pot * dx * sqrt_n  # integral-operator row, weight included
-
-    a_diag = -params.delta_c + params.n_atoms * state.u_avg - 1j * params.kappa
-    # H0 - mu: one copy of the cached kinetic matrix, its diagonal
-    # (K_jj + |alpha|^2 u_j) - mu
-    h0 = kinetic_matrix(grid).copy()
-    np.fill_diagonal(h0, (np.diagonal(h0) + np.abs(alpha) ** 2 * u_pot) - state.mu)
-
-    row = alpha * coupl  # photon row a on the field block
+    even, odd = sector_basis(n), sector_basis(n, odd=True)
+    phi_even = even.synthesis.T @ phi
+    y = (sqrt_n * params.u0) * (even.lattice @ phi_even)  # sqrt N U phi
+    row = (alpha * dx) * y  # photon row a on the field block, weight included
     col = np.conj(alpha) * y  # field rows of the photon column a
-    # the entries of M are these, their conjugates and negatives, and A
-    # (|A| by numpy's abs too, which may differ from hypot in the last bit)
-    scale = max(np.abs(a_diag), np.abs(row).max(), np.abs(col).max(), np.abs(h0).max())
-    h_odd = mirror_fold(h0, odd=True)
+    a_diag = -params.delta_c + params.n_atoms * state.u_avg - 1j * params.kappa
+    h = depth * even.lattice + np.diag(even.kinetic - state.mu)  # H0 - mu
+    h_odd = depth * odd.lattice + np.diag(odd.kinetic - state.mu)
+
+    # max|M| on the grid, where M holds A, the coupling rows (the photon
+    # row is dx < 1 times the column) and H0 - mu, whose kinetic part is the
+    # circulant with first column kin
+    u_pot = potential_profile(grid, params.u0)
+    kin = even.synthesis @ (even.kinetic * even.synthesis[0])
+    kin[0] = np.abs(kin[0] + np.abs(alpha) ** 2 * u_pot - state.mu).max()
+    col_max = np.abs(alpha) * sqrt_n * np.abs(phi * u_pot).max()
+    scale = max(np.abs(a_diag), col_max, np.abs(kin).max())
     return FluctuationMatrix(
-        even=bordered_sector(a_diag, mirror_fold(row), mirror_fold(col), mirror_fold(h0)),
-        h_odd=0.5 * (h_odd + h_odd.T),
-        phi_even=mirror_fold(phi),
+        even=bordered_sector(a_diag, row, col, h),
+        h_odd=h_odd,
+        phi_even=phi_even,
         scale=float(scale),
         n_grid=n,
         dx=dx,
@@ -140,30 +146,34 @@ def bordered_sector(a_diag: complex, row: np.ndarray, col: np.ndarray, h: np.nda
     return even
 
 
-def unfold_sector(x: np.ndarray, odd: bool = False) -> np.ndarray:
-    """S x: the rows of a parity sector's layout on the rows of M's.
-
-    The even layout is the photon pair, then the points j = 0 .. n/2 of
-    the field block and of the conjugate block; the odd layout has no
-    photon rows and the points j = 1 .. n/2 - 1 of each block.
-    """
-    photon = 0 if odd else 2
-    field, conj = np.split(x[photon:], 2)
-    return np.concatenate([x[:photon], mirror_unfold(field, odd), mirror_unfold(conj, odd)])
-
-
 def _dense_generator(fm: FluctuationMatrix) -> np.ndarray:
-    """M = E even E^T + O diag(h_odd, -h_odd) O^T, read-only.
+    """M = E even E^T + O diag(h_odd, -h_odd) O^T on the grid, read-only.
 
-    Each entry is scaled copies of one or two sector entries, the same
-    operations on both halves of every G pair, so G M G = -conj(M) holds
-    exactly when the sectors carry it.
+    Each block of the sector is synthesized on its own, the photon rows
+    and columns one line at a time, with real and imaginary parts by
+    separate real products: the two halves of every G pair take the same
+    operations on inputs that differ only in sign, so G M G = -conj(M)
+    holds exactly when the sectors carry it.
     """
-    m = unfold_sector(unfold_sector(fm.even).T).T
-    h = fm.h_odd
-    zero = np.zeros_like(h)
-    odd = np.block([[h, zero], [zero, -h]])
-    m[2:, 2:] += unfold_sector(unfold_sector(odd, odd=True).T, odd=True).T
+    n, n_e = fm.n_grid, fm.phi_even.size
+    cosines = sector_basis(n).synthesis
+    sines = sector_basis(n, odd=True).synthesis
+    # (sector index, grid index, synthesis) of each photon line and block
+    f, c = (slice(2, 2 + n_e), slice(2, 2 + n)), (slice(2 + n_e, None), slice(2 + n, None))
+    parts = [(0, 0, None), (1, 1, None), (*f, cosines), (*c, cosines)]
+    m = np.empty((2 * n + 2, 2 * n + 2), dtype=complex)
+    for rows, grid_rows, left in parts:
+        for cols, grid_cols, right in parts:
+            block = fm.even[rows, cols]
+            for part, out in ((block.real, m.real), (block.imag, m.imag)):
+                if left is not None:
+                    part = left @ part
+                if right is not None:
+                    part = part @ right.T
+                out[grid_rows, grid_cols] = part
+    odd = sines @ fm.h_odd @ sines.T
+    m[2 : 2 + n, 2 : 2 + n] += odd
+    m[2 + n :, 2 + n :] -= odd
     m.setflags(write=False)
     return m
 

@@ -1,11 +1,25 @@
-"""Periodic spatial grid on one half-wavelength cell.
+"""Periodic spatial grid on one half-wavelength cell, and the cosine and
+sine modes of its two reflection-parity sectors.
 
 The cell is x in [0, pi), sampled uniformly with the endpoint excluded.
-Plane waves exp(i*2n*x) are periodic on the cell, so the wavenumbers are
-the even integers and the free-particle energies are 4 n^2 in recoil
+Plane waves exp(i*2m*x) are periodic on the cell, so the wavenumbers are
+the even integers and the free-particle energies are 4 m^2 in recoil
 units.  The quadrature rule is the periodic trapezoid rule (identical to
 the midpoint rule on a uniform periodic grid), which is spectrally
 accurate for smooth periodic integrands.
+
+The lattice cos^2 x and the condensate are even under x -> pi - x.  On
+the grid points the cosines cos 2mx, m = 0 .. n/2, span the even grid
+functions and the sines sin 2mx, m = 1 .. n/2 - 1, the odd ones;
+normalized on the points, the two sets are one orthonormal basis.  In it
+-d^2/dx^2 (the multiplier q^2 of the discrete Fourier transform) is
+diag(4 m^2), and cos^2 x couples only neighbouring modes,
+cos^2 x cos 2mx = 1/2 cos 2mx + 1/4 cos 2(m - 1)x + 1/4 cos 2(m + 1)x:
+a tridiagonal matrix, with 1/(2 sqrt 2) at the cosine block's two corners
+(m = 0 <-> 1 and n/2 - 1 <-> n/2), where cos 0 and cos nx carry their
+own norm and cos (n + 2)x is cos (n - 2)x on the points.  So the matter
+blocks are closed forms, and the grid comes back only where an output is
+a grid function, through the synthesis matrix of ``sector_basis``.
 """
 
 from __future__ import annotations
@@ -18,12 +32,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid with quadrature weight and plane-wave set."""
+    """Uniform periodic grid with its quadrature weight."""
 
     n: int
     points: np.ndarray
     dx: float
-    wavenumbers: np.ndarray
 
 
 def make_grid(n_points: int) -> Grid:
@@ -31,11 +44,8 @@ def make_grid(n_points: int) -> Grid:
     if n_points < 8 or n_points % 2 != 0:
         raise ValueError(f"grid size must be even and >= 8, got {n_points}")
     points = np.arange(n_points) * (np.pi / n_points)
-    # fftfreq(n, 1/n) enumerates the integers 0..n/2-1, -n/2..-1 in FFT order
-    wavenumbers = 2.0 * np.fft.fftfreq(n_points, 1.0 / n_points)
     points.setflags(write=False)
-    wavenumbers.setflags(write=False)
-    return Grid(n=n_points, points=points, dx=np.pi / n_points, wavenumbers=wavenumbers)
+    return Grid(n=n_points, points=points, dx=np.pi / n_points)
 
 
 def potential_profile(grid: Grid, u0: float) -> np.ndarray:
@@ -52,77 +62,47 @@ def mirror_points(n: int):
     return j, (-j) % n
 
 
-def _mirror_embedding(n: int, odd: bool):
-    """(j, mj, s, op) of the orthonormal reflection embedding S of the grid.
+@dataclass(frozen=True)
+class SectorBasis:
+    """The cosine (even) or sine (odd) modes of one reflection-parity sector.
 
-    Even column c of S is s_c (e_j + e_(n-j)) for the points j = 0 .. n/2,
-    with s = 1/2 on the fixed points j = n - j (the column is e_j) and
-    1/sqrt 2 on the mirror pairs; odd column c is (e_j - e_(n-j)) / sqrt 2
-    for j = 1 .. n/2 - 1.  Together the two are an orthogonal basis.
+    kinetic   -- the free-particle energies 4 m^2: -d^2/dx^2 is diag(kinetic)
+    lattice   -- the tridiagonal matrix of cos^2 x
+    synthesis -- n x k, column m the mode on the grid points, with unit norm:
+                 synthesis @ c is the grid function of the coefficients c,
+                 and synthesis.T @ f the coefficients of an f of the sector
     """
-    j, mj = mirror_points(n)
+
+    kinetic: np.ndarray
+    lattice: np.ndarray
+    synthesis: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def sector_basis(n_points: int, odd: bool = False) -> SectorBasis:
+    """The modes cos 2mx, m = 0 .. n/2 (or sin 2mx, m = 1 .. n/2 - 1), built
+    once per grid size and parity and shared read-only."""
+    half = n_points // 2
+    m = np.arange(1, half) if odd else np.arange(half + 1)
+    # the phase 2 m x_j = pi p / n, p = 2 m j mod 2n reduced exactly in
+    # integers and folded onto [0, pi] (the sine onto [0, pi/2]), so that
+    # the points j and n - j take the same cosine and opposite sines, bit
+    # for bit, and a sine of pi is 0
+    p = (2 * np.outer(np.arange(n_points), m)) % (2 * n_points)
+    q = np.minimum(p, 2 * n_points - p)
     if odd:
-        return j[1:-1], mj[1:-1], np.sqrt(0.5), np.subtract
-    return j, mj, np.where(j == mj, 0.5, np.sqrt(0.5)), np.add
-
-
-def mirror_fold(values: np.ndarray, odd: bool = False) -> np.ndarray:
-    """S^T v of a grid vector, or S^T A S of a grid matrix, for the even
-    (or odd) embedding S of ``_mirror_embedding``.
-
-    Index gathers only, in one fixed order (columns first; combine the
-    mirror pair, then scale), so a fold is reproducible to the last bit.
-    """
-    j, mj, s, op = _mirror_embedding(values.shape[0], odd)
-    if values.ndim == 1:
-        return op(values[j], values[mj]) * s
-    cols = op(values[:, j], values[:, mj]) * s
-    return op(cols[j], cols[mj]) * np.reshape(s, (-1, 1))
-
-
-def mirror_unfold(values: np.ndarray, odd: bool = False) -> np.ndarray:
-    """S x along the first axis: sector rows back on the grid points.
-
-    A fixed point takes its row whole; the two points of a mirror pair
-    take s times it, with the sign of the sector on n - j.  The odd
-    sector leaves the fixed points zero.
-    """
-    n = 2 * values.shape[0] + (2 if odd else -2)
-    j, mj, s, _ = _mirror_embedding(n, odd)
-    rows = values * np.reshape(np.where(j == mj, 1.0, s), (-1,) + (1,) * (values.ndim - 1))
-    out = np.zeros((n,) + values.shape[1:], values.dtype)
-    out[j] = rows
-    out[mj] = -rows if odd else rows  # a fixed point (mj = j) gets its row again
-    return out
-
-
-def multiplier_matrix(grid: Grid, symbol: np.ndarray) -> np.ndarray:
-    """Dense point-basis matrix of the Fourier multiplier diag(symbol(q)).
-
-    Built by conjugating the diagonal in the plane-wave basis with the
-    DFT; the symbol must be even in q, so the matrix is real.
-    """
-    mat = np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(grid.n), axis=0), axis=0)
-    return mat.real
-
-
-def kinetic_matrix(grid: Grid) -> np.ndarray:
-    """Dense matrix of -d^2/dx^2 in the point basis.
-
-    The multiplier q^2, symmetrized, so its eigenvalues are the exact
-    free-particle energies 4 n^2 up to roundoff.  It depends on the grid
-    size alone, so it is built once per size and shared read-only.
-    """
-    return _kinetic_matrix(grid.n)
-
-
-@functools.lru_cache(maxsize=4)
-def _kinetic_matrix(n_points: int) -> np.ndarray:
-    grid = make_grid(n_points)
-    mat = multiplier_matrix(grid, grid.wavenumbers**2)
-    mat = 0.5 * (mat + mat.T)
-    mat.setflags(write=False)
-    return mat
+        sines = np.sin((np.pi / n_points) * np.minimum(q, n_points - q))
+        synthesis = np.sqrt(2.0 / n_points) * np.where(p > n_points, -sines, sines)
+    else:
+        synthesis = np.sqrt(2.0 / n_points) * np.cos((np.pi / n_points) * q)
+    lattice = 0.5 * np.eye(m.size) + 0.25 * (np.eye(m.size, k=1) + np.eye(m.size, k=-1))
+    if not odd:
+        synthesis[:, [0, -1]] *= np.sqrt(0.5)
+        lattice[[0, 1, -1, -2], [1, 0, -2, -1]] = np.sqrt(0.125)
+    basis = SectorBasis(kinetic=4.0 * m.astype(float) ** 2, lattice=lattice, synthesis=synthesis)
+    for array in (basis.kinetic, basis.lattice, basis.synthesis):
+        array.setflags(write=False)
+    return basis
 
 
 def integrate(grid: Grid, values: np.ndarray) -> complex:

@@ -11,9 +11,11 @@ given <U> is the closed form ``steady_alpha``.
 The steady state is the fixed point u = <U>(ground state of
 K + |alpha(u)|^2 U).  The ground state is reflection even and <U> is a
 scalar, so a secant polish on F(u) = <U>(u) - u solves it to near machine
-precision on the (n/2 + 1)-dimensional even block H(u) of H0; its
-eigenvector is unfolded to the full grid once, at the end.  The polish
-takes one ``eigh`` of H, the anchor.  Each later step finds the ground
+precision on the (n/2 + 1)-dimensional even block of H0: in the cosine
+modes of ``grid.sector_basis``, H(u) = diag(4 m^2) + |alpha(u)|^2 u0 T
+with T the tridiagonal matrix of cos^2 x.  Its eigenvector is synthesized
+on the grid once, at the end, with H0 phi for mu and the residual.  The
+polish takes one ``eigh`` of H, the anchor.  Each later step finds the ground
 state by shifted inverse iteration from the previous vector, an LU solve
 or two, and certifies it by Weyl's bound against the anchor's ground
 level and gap; a step the bound does not certify takes a fresh anchor,
@@ -26,7 +28,7 @@ the cavity amplitude updated under-relaxed after every step.  The start
 and every split step are even under the reflection x -> pi - x, so it
 runs on the n/2 + 1 values phi[j], j = 0 .. n/2: the kinetic step is one
 product with the propagator exp(-dt K) folded over the mirror pairs
-(j, n - j).
+(j, n - j), built from the cosine modes.
 
 The step dt sets only the start's cost.  Its stop rule bounds the change
 of phi per unit of imaginary time, so the start ends about as close to
@@ -43,15 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    kinetic_matrix,
-    make_grid,
-    mirror_fold,
-    mirror_points,
-    multiplier_matrix,
-    potential_profile,
-)
+from .grid import Grid, SectorBasis, mirror_points, potential_profile, sector_basis
 from .params import SystemParams
 
 
@@ -128,46 +122,21 @@ def steady_alpha(params: SystemParams, u_avg: float) -> complex:
     return 1j * params.eta / (params.delta_c - params.n_atoms * u_avg + 1j * params.kappa)
 
 
-def _fold(mat: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
-    """Action of a reflection-symmetric grid operator on even grid functions.
-
-    An even function is fixed by its values at j = 0 .. n/2, since
-    phi[n - j] = phi[j]; column c of the fold gathers columns j_c and
-    n - j_c of mat, once on the fixed points j = 0, n/2.
-    """
-    folded = mat[np.ix_(j, j)]
-    folded[:, 1:-1] += mat[np.ix_(j, mj[1:-1])]
-    return folded
-
-
 @functools.lru_cache(maxsize=4)
 def _folded_propagator(n_points: int, dt: float) -> np.ndarray:
-    """The kinetic step exp(-dt K) folded onto the even values, built once
-    per grid size and step and shared read-only."""
-    grid = make_grid(n_points)
+    """The kinetic step exp(-dt K) on the even values j = 0 .. n/2, built
+    once per grid size and step and shared read-only.
+
+    On an even grid function it is C diag(exp(-dt 4 m^2)) C^T with C the
+    cosine synthesis; C^T sums the points j_c and n - j_c, once on the
+    fixed points j = 0, n/2.
+    """
     j, mj = mirror_points(n_points)
-    step = _fold(multiplier_matrix(grid, np.exp(-dt * grid.wavenumbers**2)), j, mj)
+    basis = sector_basis(n_points)
+    cosines = basis.synthesis[j]
+    step = (cosines * np.exp(-dt * basis.kinetic)) @ (cosines.T * np.where(j == mj, 1.0, 2.0))
     step.setflags(write=False)
     return step
-
-
-def _unfold(values: np.ndarray, j: np.ndarray, mj: np.ndarray) -> np.ndarray:
-    """The even grid function with values[c] at j_c and at n - j_c."""
-    full = np.empty(2 * j.size - 2)
-    full[j] = full[mj] = values
-    return full
-
-
-def _even_lattice(grid: Grid, u0: float):
-    """(j, mj, weight, u_even) of the even values j = 0 .. n/2.
-
-    weight is each value's quadrature weight: dx on the fixed points
-    j = 0, n/2 and 2 dx on the mirror pairs; u_even is the lattice there.
-    """
-    j, mj = mirror_points(grid.n)
-    weight = np.where(j == mj, grid.dx, 2.0 * grid.dx)
-    u_pot = potential_profile(grid, u0)
-    return j, mj, weight, 0.5 * (u_pot[j] + u_pot[mj])
 
 
 def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
@@ -181,7 +150,12 @@ def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
     exp(-dt/2 |alpha|^2 U) overflows) and when MAX_ITERS steps are
     exhausted.
     """
-    j, _, weight, u_even = _even_lattice(grid, params.u0)
+    # each value's quadrature weight, dx on the fixed points j = 0, n/2 and
+    # 2 dx on the mirror pairs, and the lattice there
+    j, mj = mirror_points(grid.n)
+    weight = np.where(j == mj, grid.dx, 2.0 * grid.dx)
+    u_pot = potential_profile(grid, params.u0)
+    u_even = 0.5 * (u_pot[j] + u_pot[mj])
     u_weight = weight * u_even
     propagator = _folded_propagator(grid.n, ITP_DT)
 
@@ -233,8 +207,8 @@ def solve_ground_state(
 
     The imaginary-time start gives <U> near the fixed point, at a cost
     set by ITP_DT; the polish then solves the fixed point to the discrete
-    ground state of H0 on the even values, so the result does not depend
-    on the step, and phi is unfolded to the full grid once.  The polish
+    ground state of H0 in the cosine modes, so the result does not depend
+    on the step, and phi is synthesized on the grid once.  The polish
     takes one anchor ``eigh`` and certified inverse-iteration steps.
 
     frozen_alpha pins the cavity amplitude (an externally imposed
@@ -243,25 +217,19 @@ def solve_ground_state(
     Raises ConvergenceError when the start exhausts MAX_ITERS steps or
     takes a step that is not finite.
     """
-    dx = grid.dx
-    u_pot = potential_profile(grid, params.u0)
-    j, mj, weight, u_even = _even_lattice(grid, params.u0)
     _, _, u_start, iterations = _imaginary_time_start(params, grid, frozen_alpha)
+    basis = sector_basis(grid.n)
+    vec, alpha, u_avg, alpha_built = _polish_fixed_point(params, basis, u_start, frozen_alpha)
 
-    kin = kinetic_matrix(grid)
-    vec, alpha, u_avg, alpha_built = _polish_fixed_point(
-        params, kin, u_even, u_start, frozen_alpha
-    )
-    phi = _unfold(vec / np.sqrt(weight), j, mj)
-
-    # gauge: real phi, nonnegative at the potential minimum
-    if phi[int(np.argmin(u_pot))] < 0:
-        phi = -phi
-
-    h0 = kin + np.diag(np.abs(alpha) ** 2 * u_pot)
-    h_phi = h0 @ phi
-    mu = float((phi * h_phi).sum() * dx)
+    # H0 vec in the cosine modes; mu and max|H0 phi - mu phi| on the grid
+    # from one synthesis of vec and H0 vec
+    h_vec = basis.kinetic * vec + (np.abs(alpha) ** 2 * params.u0) * (basis.lattice @ vec)
+    mu = float(vec @ h_vec)
+    phi, h_phi = (basis.synthesis @ np.column_stack([vec, h_vec])).T / np.sqrt(grid.dx)
     residual_phi = float(np.abs(h_phi - mu * phi).max())
+    # gauge: real phi, nonnegative at the potential minimum
+    if phi[int(np.argmin(potential_profile(grid, params.u0)))] < 0:
+        phi = -phi
     # alpha_built set the lattice depth of phi; alpha is steady_alpha of phi's <U>
     residual_alpha = abs(alpha - alpha_built)
     heating = (params.delta_c - params.n_atoms * u_avg) > 0
@@ -279,14 +247,14 @@ def solve_ground_state(
     )
 
 
-def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
+def _polish_fixed_point(params, basis: SectorBasis, u_avg, frozen_alpha):
     """Polish the fixed point to the discrete ground state of H0.
 
     The split-step fixed point carries an O(dt^2) bias relative to the
     discrete ground state.  That state is reflection even, so it is the
     lowest eigenvector of the (n/2 + 1)-dimensional even block
-    H(u) = K + d(u) diag(u_even), d(u) = |alpha(u)|^2, K folded by the
-    orthonormal even embedding.  With alpha = steady_alpha(u) the fixed
+    H(u) = diag(4 m^2) + d(u) U, d(u) = |alpha(u)|^2 and U = u0 T the
+    lattice in the cosine modes.  With alpha = steady_alpha(u) the fixed
     point is the root of F(u) = <U> - u; a secant method started at the
     imaginary-time <U> finds it, and stops when |F| stops falling.  A
     frozen alpha takes the anchor alone.
@@ -295,17 +263,21 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
     state, its level lambda0 and the gap g to the next level.  Every later
     F(u) takes the ground state of H(u) by shifted inverse iteration from
     the previous vector (``_inverse_iteration``), and certifies it by
-    Weyl's bound: H(u) - H(anchor) = (d(u) - d_anchor) diag(u_even), so
-    with delta = |d(u) - d_anchor| max|u_even| + ||H v - lambda v||, the
-    vector is the ground state when |lambda - lambda0| <= delta and
-    2 delta < g (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
-    A step the bound does not certify takes a fresh anchor at its u.
+    Weyl's bound: H(u) - H(anchor) = (d(u) - d_anchor) U, whose 2-norm is
+    |d(u) - d_anchor| |u0| (the levels of T are the values of cos^2 x on
+    the even points, 1 at x = 0), so with
+    delta = |d(u) - d_anchor| |u0| + ||H v - lambda v||, the vector is the
+    ground state when |lambda - lambda0| <= delta and 2 delta < g
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  A step the
+    bound does not certify takes a fresh anchor at its u.
 
-    Returns the unit eigenvector, sqrt(quadrature weight) phi[j], with its
-    alpha and <U>, and the alpha whose lattice depth built it.
+    Returns the unit eigenvector, phi's cosine coefficients times
+    sqrt(dx), with its alpha and <U>, and the alpha whose lattice depth
+    built it.
     """
-    kin_even = mirror_fold(kin)
-    u_scale = float(np.abs(u_even).max())
+    kinetic = np.diag(basis.kinetic)
+    lattice = params.u0 * basis.lattice
+    u_scale = abs(params.u0)
     anchor = {}
 
     def alpha_at(u):
@@ -313,7 +285,7 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
 
     def ground_state(u, vec):
         depth = np.abs(alpha_at(u)) ** 2
-        ham = kin_even + np.diag(depth * u_even)
+        ham = kinetic + depth * lattice
         if anchor:
             shift = abs(depth - anchor["depth"]) * u_scale
             # ||H(u)||_2 by Weyl's bound from the anchor's extreme levels
@@ -335,7 +307,7 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
     def residual(u, vec):
         """(F(u), the even ground state it comes from)."""
         vec = ground_state(u, vec)
-        return float(u_even @ vec**2) - u, vec
+        return float(vec @ lattice @ vec) - u, vec
 
     u_built = u_avg
     f, vec = residual(u_built, None)
@@ -353,7 +325,7 @@ def _polish_fixed_point(params, kin, u_even, u_avg, frozen_alpha):
                 break
             u_prev, f_prev, u = u, f, u - f * (u - u_prev) / (f - f_prev)
         vec = best_vec
-    u_avg = float(u_even @ vec**2)
+    u_avg = float(vec @ lattice @ vec)
     return vec, alpha_at(u_avg), u_avg, alpha_at(u_built)
 
 

@@ -3,11 +3,11 @@
 The lattice potential cos^2 x and the condensate are even under the
 reflection x -> pi - x, so M splits into two exact sectors.  Only even
 matter modes couple to the cavity.  The odd modes form the real
-symmetric block diag(H0 - mu, -(H0 - mu)) on the odd grid combinations:
+symmetric block diag(H0 - mu, -(H0 - mu)) on the sine modes sin 2mx:
 normal and noiseless, with right and left vectors (v, 0) at +e and
 (0, v) at -e.  The non-normality, and with it the Petermann-type excess
 noise, lives in the even sector of dimension n + 4 (the photon pair plus
-the even combinations of each matter block), and ``decompose`` solves
+the cosine modes cos 2mx of each matter block), and ``decompose`` solves
 that sector alone; ``odd_frequencies`` gives the odd modes' frequencies
 to the spectrum listing, the one place that shows them.
 ``build_matrix`` builds both sectors straight from the mean field, so
@@ -36,7 +36,7 @@ SIMAX 16, 172, 1995): the right vector has matter parts
 y_c,j / (w - e_j) and -y_c,j / (w + e_j) and photon parts X / (w - A)
 and -X / (beta (w + conj A)), with X = sum_j g_j (1/(w - e_j) - 1/(w + e_j));
 the left vector is the transposed analogue with y_r, and l . r = 1 comes
-from the same products.  Q maps both back to the grid.  Nothing is
+from the same products.  Q maps both back to the cosine modes.  Nothing is
 inverted and no dense eigensolver runs; instead ``decompose`` certifies
 the result (distinct roots, an exact mirror pairing, the trace identity
 sum w = tr M_even, biorthogonality, a condition bound) and raises
@@ -71,7 +71,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluctuation import FluctuationMatrix, sector_blocks, unfold_sector
+from .fluctuation import FluctuationMatrix, sector_blocks
+from .grid import sector_basis
 
 EPS = np.finfo(float).eps
 
@@ -116,8 +117,8 @@ class ModeDecomposition:
                    the phase/number pair as exact zeros
     even_right  -- (n + 4)-square: columns are the right vectors in the
                    even sector basis (photon rows 0 and 1, then the
-                   points j = 0 .. n/2 of the field block and of the
-                   conjugate block), with unit photon plus
+                   cosine modes m = 0 .. n/2 of the field block and of
+                   the conjugate block), with unit photon plus
                    quadrature-weighted matter norm and the largest entry
                    real positive; the Goldstone columns are the analytic
                    basis
@@ -206,14 +207,14 @@ def _petermann_factors(right: np.ndarray, left: np.ndarray) -> np.ndarray:
     return (np.concatenate(norm_l) * _column_norms(right)) ** 2
 
 
-def phase_chain(even: np.ndarray, phi_even: np.ndarray):
+def phase_chain(even: np.ndarray, phi_even: np.ndarray, scale: float):
     """The condensate's phase/number pair of the even sector, in closed form.
 
     Returns (chain, right, rows): right holds the columns R_G = [r1, r2],
     rows the left rows Y = [y; z] of the same pair, which meet every other
     mode's right vector at zero, so that the dual rows are
     L_G = solve(Y R_G, Y).  With A = even[0, 0], row = even[0, f],
-    col = even[f, 0], h = even[f, f] on the field points f, and phi
+    col = even[f, 0], h = even[f, f] on the field block's modes f, and phi
     scaled so that |r1| = 1, the chain (chain True) is
 
         K = h - 4 Re(outer(col, row) / A),   K s = 2 phi,
@@ -231,13 +232,14 @@ def phase_chain(even: np.ndarray, phi_even: np.ndarray):
     Raises DecompositionError when the phase null vector, or a coupled
     sector's chain relation, misses by more than 1e-7: without them the
     sector is not the generator of fluctuations in the chemical
-    potential's frame.  The chain residual is bounded relative to |r2|:
+    potential's frame.  The null vector's residual is bounded relative to
+    scale, max|M| on the grid (``FluctuationMatrix.scale``), and the chain
+    residual relative to |r2|:
     the weaker the coupling, the longer the chain vector (|r2| about 2.5e4
     at delta_c = -10000, u0 = -0.02).
     """
     n_e = phi_even.size
     f, c = slice(2, 2 + n_e), slice(2 + n_e, None)
-    scale = float(np.abs(even).max())
     phi = phi_even / np.linalg.norm(phi_even)
     pair = np.zeros((even.shape[0], 2), dtype=complex)
     pair[f, 0] = pair[c, 1] = phi
@@ -516,7 +518,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
             f"({breach:.2e} max|M|)"
         )
 
-    chain, r_g, y_g = phase_chain(m_even, phi_even)
+    chain, r_g, y_g = phase_chain(m_even, phi_even, scale)
     energies, basis = np.linalg.eigh(h)
     del h, model  # freed before the vectors are built, where a point's memory peaks
     col_q = basis.T @ col
@@ -611,11 +613,14 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 
 def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
     """The right vectors (columns), or the left vectors (rows), of the
-    modes in the layout of M: E even_right, or even_left E^T.  left^T has
-    the layout of right, so both take the same unfold."""
-    if left:
-        return unfold_sector(dec.even_left.T).T
-    return unfold_sector(dec.even_right)
+    modes in the layout of M on the grid points: E even_right, or
+    even_left E^T.  left^T has the layout of right, so both take the same
+    synthesis: E keeps the photon rows and synthesizes each matter block."""
+    x = dec.even_left.T if left else dec.even_right
+    field, conj = np.split(x[2:], 2)
+    synthesis = sector_basis(dec.n_grid).synthesis
+    x = np.concatenate([x[:2], synthesis @ field, synthesis @ conj])
+    return x.T if left else x
 
 
 def classify_stability(dec: ModeDecomposition) -> StabilityReport:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bec_cavity import (
@@ -40,3 +41,18 @@ def run_pipeline(
 @pytest.fixture(scope="session")
 def pipeline():
     return run_pipeline
+
+
+def wavenumbers(grid):
+    """The plane waves' wavenumbers q = 2m in FFT order: fftfreq(n, 1/n)
+    enumerates the integers 0 .. n/2 - 1, -n/2 .. -1."""
+    return 2.0 * np.fft.fftfreq(grid.n, 1.0 / grid.n)
+
+
+def dense_kinetic(grid):
+    """-d^2/dx^2 on the grid points: the multiplier q^2 conjugated by the
+    DFT, symmetrized.  A dense reference that shares nothing with the
+    package's cosine and sine modes."""
+    symbol = wavenumbers(grid)[:, None] ** 2
+    mat = np.fft.ifft(symbol * np.fft.fft(np.eye(grid.n), axis=0), axis=0).real
+    return 0.5 * (mat + mat.T)

@@ -17,7 +17,6 @@ from bec_cavity import (
     classify_stability,
     decompose,
     depletion_at_times,
-    kinetic_matrix,
     lyapunov_oracle,
     make_grid,
     mode_projector,
@@ -30,7 +29,7 @@ from bec_cavity import (
 )
 from bec_cavity.cli import main
 from bec_cavity.spectral import odd_frequencies
-from conftest import run_pipeline
+from conftest import dense_kinetic, run_pipeline
 
 KAPPA = 100.0
 _SHARED: dict = {}
@@ -258,7 +257,7 @@ def test_criterion_8_mean_field_solver():
     )
     g200 = make_grid(200)
     trapped = solve_ground_state(frozen, g200, frozen_alpha=1.0)
-    h = kinetic_matrix(g200) + np.diag(potential_profile(g200, frozen.u0))
+    h = dense_kinetic(g200) + np.diag(potential_profile(g200, frozen.u0))
     evals, evecs = np.linalg.eigh(h)
     phi_ref = evecs[:, 0] / np.sqrt(g200.dx)
     if phi_ref[int(np.argmin(potential_profile(g200, frozen.u0)))] < 0:

@@ -268,7 +268,9 @@ def test_diverged_marker_for_resonant_pair():
     right[2, 1] = 1.0  # r3 block of mode 1
     right[4, 0] = 1.0  # r4 block of mode 0
     dec = _toy_decomposition([5e-12, -4.99e-12, 1.0, -1.0, 2.0, -2.0], right=right)
-    assert np.array_equal(dec.right, right)  # the sector basis is the grid basis
+    # on the grid the overlaps O_kl are the sector's: the cosine modes are orthonormal
+    grid_right = dec.right
+    assert np.allclose(grid_right[4:].T @ grid_right[2:4], right[4:].T @ right[2:4], atol=1e-15)
     dec.pairing = np.array([1, 0, 3, 2, 5, 4])
     grid = None
     steady = steady_state_depletion(

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bec_cavity import build_matrix, kinetic_matrix, potential_profile, symmetry_defect
-from bec_cavity.grid import mirror_points
-from conftest import run_pipeline
+from bec_cavity import build_matrix, potential_profile, symmetry_defect
+from bec_cavity.grid import sector_basis
+from conftest import dense_kinetic, run_pipeline
 
 
 def test_symmetry_holds_exactly(pipeline):
@@ -86,7 +86,7 @@ def test_rejects_unconverged_state(pipeline):
 def test_mu_subtraction_shifts_matter_blocks(pipeline):
     params, grid, state, fm, _ = pipeline(u0=-0.5, ng=16)
     n = grid.n
-    h0 = kinetic_matrix(grid) + np.diag(abs(state.alpha) ** 2 * potential_profile(grid, params.u0))
+    h0 = dense_kinetic(grid) + np.diag(abs(state.alpha) ** 2 * potential_profile(grid, params.u0))
     expect = h0 - state.mu * np.eye(n)
     assert np.abs(fm.m[2 : 2 + n, 2 : 2 + n] - expect).max() < 1e-12
     assert np.abs(fm.m[2 + n :, 2 + n :] + expect).max() < 1e-12
@@ -106,7 +106,7 @@ def _dense_generator(state, params, grid):
     y = sqrt_n * phi * u_pot
     coupl = phi * u_pot * dx * sqrt_n
     a_diag = -params.delta_c + params.n_atoms * state.u_avg - 1j * params.kappa
-    h0 = kinetic_matrix(grid) + np.diag(np.abs(alpha) ** 2 * u_pot) - state.mu * np.eye(n)
+    h0 = dense_kinetic(grid) + np.diag(np.abs(alpha) ** 2 * u_pot) - state.mu * np.eye(n)
     m = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
     m[0, 0] = a_diag
     m[1, 1] = -np.conj(a_diag)
@@ -126,28 +126,30 @@ def _dense_generator(state, params, grid):
 @pytest.mark.parametrize("ng", [16, 64, 200])
 @pytest.mark.parametrize("u0", [-0.5, 0.0], ids=["-0.5-True", "0.0-True"])
 def test_sectors_are_the_folds_of_the_dense_generator(ng, u0):
+    # the sectors are the dense M folded onto the cosine (even) and sine
+    # (odd) modes, M's own rows and columns of each block projected
     params, grid, state, fm, _ = run_pipeline(u0=u0, ng=ng)
     ref = _dense_generator(state, params, grid)
     n, k = ng, ng // 2 - 1
-    j, mj = mirror_points(n)
-    # even column c of the embedding is s_c (e_p + e_q), odd column (e_p - e_q) / sqrt 2
-    p = np.concatenate([[0, 1], 2 + j, 2 + n + j])
-    q = np.concatenate([[0, 1], 2 + mj, 2 + n + mj])
-    s = np.where(p == q, 0.5, np.sqrt(0.5))
-    p_odd = np.concatenate([2 + j[1:-1], 2 + n + j[1:-1]])
-    q_odd = np.concatenate([2 + mj[1:-1], 2 + n + mj[1:-1]])
-    even_cols = s * (ref[:, p] + ref[:, q])
-    odd_cols = np.sqrt(0.5) * (ref[:, p_odd] - ref[:, q_odd])
-    odd = np.sqrt(0.5) * (odd_cols[p_odd] - odd_cols[q_odd])
+    cosines = sector_basis(n).synthesis
+    sines = sector_basis(n, odd=True).synthesis
+    zero = np.zeros_like(cosines)
+    even = np.block([[np.eye(2), np.zeros((2, 2 * cosines.shape[1]))],
+                     [np.zeros((2 * n, 2)), np.block([[cosines, zero], [zero, cosines]])]])
+    odd = np.block([[sines, np.zeros_like(sines)], [np.zeros_like(sines), sines]])
+    folded_odd = odd.T @ ref[2:, 2:] @ odd
 
-    assert np.array_equal(fm.even, s[:, None] * (even_cols[p] + even_cols[q]))
-    assert np.array_equal(fm.h_odd, 0.5 * (odd[:k, :k] + odd[:k, :k].T).real)
-    assert np.array_equal(fm.phi_even, s[2 : 3 + n // 2] * (state.phi.real[j] + state.phi.real[mj]))
-    assert fm.scale == np.abs(ref).max()
+    # max|M| on the grid, kept as the reference of every relative threshold
+    assert abs(fm.scale - np.abs(ref).max()) <= 1e-12 * fm.scale
+    assert abs(fm.scale - np.abs(fm.m).max()) <= 1e-12 * fm.scale
+    assert np.abs(fm.even - even.T @ ref @ even).max() <= 1e-14 * fm.scale
+    assert np.abs(fm.h_odd - folded_odd[:k, :k]).max() <= 1e-14 * fm.scale
+    assert np.abs(fm.phi_even - cosines.T @ state.phi.real).max() <= 1e-14 * np.abs(fm.phi_even).max()
     # what the sector form leaves out of the dense M is roundoff
-    cross = np.sqrt(0.5) * (even_cols[p_odd] - even_cols[q_odd])
+    cross = odd.T @ ref[2:, :] @ even
     assert np.abs(cross).max() <= 1e-14 * fm.scale
-    assert np.abs(odd[k:, k:] + odd[:k, :k]).max() <= 1e-14 * fm.scale
+    assert np.abs(folded_odd[k:, k:] + folded_odd[:k, :k]).max() <= 1e-14 * fm.scale
+    assert np.abs(folded_odd[:k, k:]).max() <= 1e-14 * fm.scale
     assert np.abs(fm.m - ref).max() <= 1e-14 * fm.scale
     with pytest.raises(ValueError, match="read-only"):
         fm.m[0, 3] += 1.0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from bec_cavity import integrate, kinetic_matrix, make_grid, potential_profile
-from bec_cavity.grid import mirror_points, multiplier_matrix
-from bec_cavity.meanfield import ITP_DT, _fold, _folded_propagator
+from bec_cavity import integrate, make_grid, potential_profile
+from bec_cavity.grid import mirror_points, sector_basis
+from bec_cavity.meanfield import ITP_DT, _folded_propagator
+from conftest import dense_kinetic, wavenumbers
 
 
 @pytest.fixture(scope="module")
@@ -49,34 +50,82 @@ def test_integrate_is_linear_and_conjugation_commuting(grid):
     )
 
 
+def _grid_kinetic(n):
+    """The package's -d^2/dx^2 on the grid points: diag(4 m^2) in the
+    cosine and sine modes, synthesized."""
+    even, odd = sector_basis(n), sector_basis(n, odd=True)
+    return sum(b.synthesis @ np.diag(b.kinetic) @ b.synthesis.T for b in (even, odd))
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 200])
+def test_cosine_and_sine_modes_are_one_orthonormal_basis(n):
+    modes = np.hstack([sector_basis(n).synthesis, sector_basis(n, odd=True).synthesis])
+    assert modes.shape == (n, n)
+    assert np.abs(modes.T @ modes - np.eye(n)).max() <= 1e-14
+    points = make_grid(n).points
+    m = np.arange(n // 2 + 1)
+    # column m is cos 2mx (sin 2mx), to its norm; the even ones mirror-even
+    cosines = sector_basis(n).synthesis
+    assert np.abs(cosines * np.sqrt(n / 2.0) * np.where((m == 0) | (m == n // 2), np.sqrt(2.0), 1.0)
+                  - np.cos(2.0 * np.outer(points, m))).max() <= 1e-12
+    sines = sector_basis(n, odd=True).synthesis
+    assert np.abs(sines * np.sqrt(n / 2.0) - np.sin(2.0 * np.outer(points, m[1:-1]))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 200])
+@pytest.mark.parametrize("odd", [False, True])
+def test_sector_blocks_are_the_dense_operators_in_the_modes(n, odd):
+    # the closed forms against the dense FFT kinetic matrix and the lattice
+    # sampled on the points: diag(4 m^2), and T tridiagonal with 1/2 and 1/4
+    # (1/(2 sqrt 2) at the cosine block's two corners)
+    grid = make_grid(n)
+    basis = sector_basis(n, odd=odd)
+    modes = basis.synthesis
+    kinetic = modes.T @ dense_kinetic(grid) @ modes
+    assert np.abs(kinetic - np.diag(basis.kinetic)).max() <= 1e-14 * basis.kinetic.max()
+    lattice = modes.T @ (np.cos(grid.points)[:, None] ** 2 * modes)
+    assert np.abs(lattice - basis.lattice).max() <= 1e-15
+    k = basis.kinetic.size
+    assert np.array_equal(basis.lattice, basis.lattice.T)
+    assert np.array_equal(np.diag(basis.lattice), np.full(k, 0.5))
+    corner = np.sqrt(0.125) if not odd else 0.25
+    assert list(np.diag(basis.lattice, 1)[[0, -1]]) == [corner, corner]
+    assert np.all(np.diag(basis.lattice, 1)[1:-1] == 0.25)
+    assert np.count_nonzero(basis.lattice) == 3 * k - 2
+
+
 def test_kinetic_annihilates_constant(grid):
-    k = kinetic_matrix(grid)
+    k = _grid_kinetic(grid.n)
+    assert sector_basis(grid.n).kinetic[0] == 0.0
     assert np.abs(k @ np.ones(grid.n)).max() < 1e-11
 
 
 def test_kinetic_eigenfunction_cos_two_x(grid):
-    k = kinetic_matrix(grid)
+    k = _grid_kinetic(grid.n)
     f = np.cos(2.0 * grid.points)
     assert np.abs(k @ f - 4.0 * f).max() < 1e-10
 
 
-def test_kinetic_is_exactly_symmetric(grid):
-    k = kinetic_matrix(grid)
-    assert np.array_equal(k, k.T)
+def test_kinetic_is_exactly_symmetric(pipeline):
+    # diagonal in the modes, so the matter blocks H0 - mu of both sectors
+    # are exactly symmetric, as the lattice's matrix T is
+    *_, fm, _ = pipeline(u0=-0.5, ng=16)
+    n_e = fm.phi_even.size
+    h = fm.even[2 : 2 + n_e, 2 : 2 + n_e]
+    assert np.array_equal(h, h.T)
+    assert np.array_equal(fm.h_odd, fm.h_odd.T)
 
 
 def test_kinetic_spectrum_matches_free_particle(grid):
-    # independent oracle: dense symmetric diagonalization against 4 n^2
-    k = kinetic_matrix(grid)
-    eigs = np.sort(np.linalg.eigvalsh(k))
-    ns = np.sort(np.abs(2.0 * np.fft.fftfreq(grid.n, 2.0 / grid.n)))
-    expected = np.sort((2.0 * np.fft.fftfreq(grid.n, 1.0 / grid.n)) ** 2)
-    assert eigs.shape == expected.shape
-    for n in range(1, grid.n // 4):
-        target = 4.0 * n**2
-        close = np.abs(eigs - target) < 1e-10 * target
-        assert close.sum() >= 2, f"missing doubly degenerate level 4*{n}^2"
-    assert abs(eigs[0]) < 1e-10
+    # independent oracle: the dense FFT matrix's levels are the two
+    # sectors' 4 m^2, each nonzero level once in each sector but the last
+    eigs = np.sort(np.linalg.eigvalsh(dense_kinetic(grid)))
+    levels = np.sort(np.concatenate([sector_basis(grid.n).kinetic,
+                                     sector_basis(grid.n, odd=True).kinetic]))
+    assert np.abs(eigs - levels).max() <= 1e-10 * levels.max()
+    for n in range(1, grid.n // 2):
+        assert (levels == 4.0 * n**2).sum() == 2, f"level 4*{n}^2 not doubly degenerate"
+    assert levels[0] == 0.0
 
 
 def test_potential_profile_range_and_symmetry(grid):
@@ -90,22 +139,25 @@ def test_potential_profile_range_and_symmetry(grid):
 
 
 def test_grid_matrices_are_built_once_and_read_only():
-    grid = make_grid(64)
-    kin = kinetic_matrix(grid)
-    assert kinetic_matrix(make_grid(64)) is kin
-    fresh = multiplier_matrix(grid, grid.wavenumbers**2)
-    assert np.array_equal(kin, 0.5 * (fresh + fresh.T))
     for n in (16, 64):
         grid_n = make_grid(n)
+        for odd in (False, True):
+            basis = sector_basis(n, odd=odd)
+            assert sector_basis(n, odd=odd) is basis
+            for array in (basis.kinetic, basis.lattice, basis.synthesis):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
         j, mj = mirror_points(n)
         step = _folded_propagator(n, ITP_DT)
         assert _folded_propagator(n, ITP_DT) is step
-        symbol = np.exp(-ITP_DT * grid_n.wavenumbers**2)
-        expected = _fold(multiplier_matrix(grid_n, symbol), j, mj)
-        assert np.array_equal(step, expected)
+        # the dense FFT propagator, its columns j and n - j summed
+        kinetic_step = np.fft.ifft(
+            np.exp(-ITP_DT * wavenumbers(grid_n) ** 2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0
+        ).real
+        expected = kinetic_step[np.ix_(j, j)]
+        expected[:, 1:-1] += kinetic_step[np.ix_(j, mj[1:-1])]
+        assert np.abs(step - expected).max() <= 1e-15
         with pytest.raises(ValueError, match="read-only"):
             step[0, 0] = 1.0
         # keyed on the step too: a patched ITP_DT never reads a stale propagator
         assert not np.array_equal(_folded_propagator(n, 2.0 * ITP_DT), step)
-    with pytest.raises(ValueError, match="read-only"):
-        kin[0, 0] = 1.0

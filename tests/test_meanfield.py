@@ -5,14 +5,14 @@ from bec_cavity import (
     ConvergenceError,
     SystemParams,
     integrate,
-    kinetic_matrix,
     make_grid,
     potential_profile,
     solve_ground_state,
     steady_alpha,
 )
 from bec_cavity import meanfield
-from bec_cavity.grid import mirror_fold, mirror_points
+from bec_cavity.grid import mirror_points, sector_basis
+from conftest import dense_kinetic, wavenumbers
 
 
 def params(**overrides):
@@ -62,7 +62,7 @@ def test_frozen_lattice_matches_dense_diagonalization():
     p = params(u0=-10.0)
     g = make_grid(p.grid_points)
     st = solve_ground_state(p, g, frozen_alpha=1.0)
-    h = kinetic_matrix(g) + np.diag(potential_profile(g, p.u0))
+    h = dense_kinetic(g) + np.diag(potential_profile(g, p.u0))
     evals, evecs = np.linalg.eigh(h)
     phi_ref = evecs[:, 0] / np.sqrt(g.dx)
     if phi_ref[int(np.argmin(potential_profile(g, p.u0)))] < 0:
@@ -77,7 +77,7 @@ def test_self_consistent_state_is_the_dense_ground_state():
     g = make_grid(p.grid_points)
     st = solve_ground_state(p, g)
     assert abs(st.alpha - steady_alpha(p, st.u_avg)) <= 1e-12 * abs(st.alpha)
-    h = kinetic_matrix(g) + np.diag(abs(st.alpha) ** 2 * potential_profile(g, p.u0))
+    h = dense_kinetic(g) + np.diag(abs(st.alpha) ** 2 * potential_profile(g, p.u0))
     evals, evecs = np.linalg.eigh(h)
     phi_ref = evecs[:, 0] / np.sqrt(g.dx)
     if phi_ref[int(np.argmin(potential_profile(g, p.u0)))] < 0:
@@ -157,7 +157,7 @@ def _full_grid_itp(p, g, *, itp_dt=meanfield.ITP_DT, tol_phi=1e-9, tol_alpha=1e-
     u_avg, energies) or raises ConvergenceError."""
     n, dx = g.n, g.dx
     u_pot = potential_profile(g, p.u0)
-    q2 = g.wavenumbers**2
+    q2 = wavenumbers(g) ** 2
     kin_phase = np.exp(-itp_dt * q2)
     phi = np.full(n, 1.0 / np.sqrt(np.pi))
     u_avg = float((u_pot * phi**2).sum() * dx)
@@ -254,16 +254,16 @@ def _eigh_polish(p, g, u_avg):
     """Reference: the polish's secant on F(u) = <U>(u) - u with one
     ``eigh`` of the even block per step, started from u_avg.  Returns
     (<U>, the number of eigh calls)."""
-    kin_even = mirror_fold(kinetic_matrix(g))
-    *_, u_even = meanfield._even_lattice(g, p.u0)
+    basis = sector_basis(g.n)
+    lattice = p.u0 * basis.lattice
     calls = 0
 
     def residual(u):
         nonlocal calls
         calls += 1
         depth = np.abs(steady_alpha(p, u)) ** 2
-        vec = np.linalg.eigh(kin_even + np.diag(depth * u_even))[1][:, 0]
-        return float(u_even @ vec**2) - u, vec
+        vec = np.linalg.eigh(np.diag(basis.kinetic) + depth * lattice)[1][:, 0]
+        return float(vec @ lattice @ vec) - u, vec
 
     f, vec = residual(u_avg)
     if f != 0.0:
@@ -279,13 +279,12 @@ def _eigh_polish(p, g, u_avg):
                 break
             u_prev, f_prev, u = u, f, u - f * (u - u_prev) / (f - f_prev)
         vec = best_vec
-    return float(u_even @ vec**2), calls
+    return float(vec @ lattice @ vec), calls
 
 
 def _polish(p, g, u_start):
     """<U> from the package's polish, started from u_start."""
-    *_, u_even = meanfield._even_lattice(g, p.u0)
-    return meanfield._polish_fixed_point(p, kinetic_matrix(g), u_even, u_start, None)[2]
+    return meanfield._polish_fixed_point(p, sector_basis(g.n), u_start, None)[2]
 
 
 @pytest.mark.parametrize(
@@ -366,14 +365,14 @@ def test_one_fixed_point_on_the_served_range(delta_c):
     # finds exactly one sign change, and the solve lands inside it at every
     # u0 (the mean field costs about 7 ms a point at n = 16)
     g = make_grid(16)
-    kin_even = mirror_fold(kinetic_matrix(g))
+    basis = sector_basis(16)
     for u0 in np.linspace(-1.2, -0.01, 120):
         p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=16)
-        *_, u_even = meanfield._even_lattice(g, u0)
         u = np.linspace(u0, 0.0, 401)
         depth = np.abs(steady_alpha(p, u)) ** 2
-        vec = np.linalg.eigh(kin_even + depth[:, None, None] * np.diag(u_even))[1][:, :, 0]
-        f = vec**2 @ u_even - u
+        lattice = u0 * basis.lattice
+        vec = np.linalg.eigh(np.diag(basis.kinetic) + depth[:, None, None] * lattice)[1][:, :, 0]
+        f = np.einsum("ui,ij,uj->u", vec, lattice, vec) - u
         (k,) = np.flatnonzero(np.diff(f > 0))
         st = solve_ground_state(p, g)
         assert u[k] - 1e-12 <= st.u_avg <= u[k + 1] + 1e-12

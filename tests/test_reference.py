@@ -44,6 +44,10 @@ SPECTRUM_POINT = (-1000.0, -0.5)
 #   to |F| / |u| of order 1e-12, so 1e-10 leaves two digits for rounding
 #   in the eigh and in the start it picks up from
 MEAN_FIELD_RTOL = 1e-10
+#   mu is an eigenvalue of H0, whose rounding is absolute, of order
+#   eps ||H0||, which ||A||_inf bounds: where |mu| is small that is the
+#   floor (at n = 200, u0 = -0.02 the table's mu, made with a dense grid
+#   kinetic matrix, is 3.2e-12 off a long-double Rayleigh quotient)
 # - mode sums (steady and finite-time dN): sums over a basis certified
 #   biorthogonal to 1e-10 (BIORTH_LIMIT)
 SUM_RTOL = 1e-10
@@ -146,8 +150,9 @@ def test_chain_matches_the_table(delta_c):
         got = chain_point(grid_points, delta_c, ref["u0"])
         where = f"n = {grid_points}, delta_c = {delta_c}, u0 = {ref['u0']}"
         assert (got["heating"], got["stability"]) == (ref["heating"], ref["stability"]), where
-        for name in ("u_avg", "mu"):
-            _close(got[name], ref[name], MEAN_FIELD_RTOL, f"{where}: {name}")
+        _close(got["u_avg"], ref["u_avg"], MEAN_FIELD_RTOL, f"{where}: u_avg")
+        mu_floor = ref["norm_a"] * np.finfo(float).eps / abs(ref["mu"])
+        _close(got["mu"], ref["mu"], max(MEAN_FIELD_RTOL, mu_floor), f"{where}: mu")
         alpha, alpha_ref = complex(*got["alpha"]), complex(*ref["alpha"])
         assert abs(alpha - alpha_ref) <= MEAN_FIELD_RTOL * abs(alpha_ref), f"{where}: alpha"
         _close(got["steady"], ref["steady"], SUM_RTOL, f"{where}: steady dN")

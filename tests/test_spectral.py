@@ -74,7 +74,7 @@ def test_goldstone_chain_vector_matches_a_least_squares_solve(ng, delta_c, u0):
     # (-10000, -0.02) is the weakest coupling served: |r2| is about 2.5e4
     *_, fm, _ = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
     m_even = fm.even
-    chain, right, rows = phase_chain(m_even, fm.phi_even)
+    chain, right, rows = phase_chain(m_even, fm.phi_even, fm.scale)
     assert chain
     r1, r2 = right.T
     # reference: the minimum-norm solution of M r = r1, made orthogonal to r1
@@ -372,7 +372,7 @@ def test_phase_chain_refuses_a_null_vector_that_heads_no_chain():
     profile = np.array([1.0, 1.0])
     even = bordered_sector(-100.0j, profile, profile, np.diag([0.0, 2.0]))
     with pytest.raises(DecompositionError, match="heads no phase/number chain"):
-        phase_chain(even, np.array([1.0, 0.0]))
+        phase_chain(even, np.array([1.0, 0.0]), 100.0)
 
 
 @pytest.mark.parametrize("ng", [16, 200])
