@@ -405,9 +405,10 @@ def lyapunov_oracle(
     ||A h||_inf <= 4 is inside the range where expm's unscaled Pade
     approximant is accurate to rounding (theta_13 = 5.37, Higham, SIMAX 26,
     1179, 2005), and two squarings fewer than at ||A h||_inf <= 1 cut the
-    gap to the mode sum at t = 1e4 3 to 8 times (median, n = 16 to 200).  A growing
-    mode overflows the doublings at long times; that time's value is nan,
-    as is one past the horizon t ||A||_inf eps > RESOLUTION_HORIZON.
+    gap to the mode sum at t = 1e4 3 to 8 times (median, n = 16 to 200).
+    A growing mode overflows the doublings at long times; that time's
+    value is nan, as is one past the horizon
+    t ||A||_inf eps > RESOLUTION_HORIZON.
 
     Steady state: one Bartels-Stewart solve (scipy's
     solve_continuous_lyapunov).  Its own residual is the verdict: above

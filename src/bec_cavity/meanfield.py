@@ -11,15 +11,15 @@ given <U> is the closed form ``steady_alpha``.
 The steady state is the fixed point u = <U>(ground state of
 K + |alpha(u)|^2 U).  The ground state is reflection even and <U> is a
 scalar, so a secant polish on F(u) = <U>(u) - u solves it to near machine
-precision on the (n/2 + 1)-dimensional even block of H0: in the cosine
-modes of ``grid.sector_basis``, H(u) = diag(4 m^2) + |alpha(u)|^2 u0 T
-with T the tridiagonal matrix of cos^2 x.  Its eigenvector is synthesized
-on the grid once, at the end, with H0 phi for mu and the residual.  The
-polish takes one ``eigh`` of H, the anchor.  Each later step finds the ground
-state by shifted inverse iteration from the previous vector, an LU solve
-or two, and certifies it by Weyl's bound against the anchor's ground
-level and gap; a step the bound does not certify takes a fresh anchor,
-so the certificate costs time, never a point.
+precision on the (n/2 + 1)-dimensional even block of H0, in the cosine
+modes of ``grid.sector_basis`` H(u) = diag(4 m^2) + |alpha(u)|^2 u0 T,
+T the tridiagonal matrix of cos^2 x.  Its eigenvector and H0 phi are
+synthesized on the grid once, at the end.  The polish takes one
+``eigh`` of H, the anchor.  Each later step finds the ground state by
+shifted inverse iteration from the previous vector, an LU solve or two,
+and certifies it by Weyl's bound against the anchor's ground level and
+gap; a step the bound does not certify takes a fresh anchor, so the
+certificate costs time, never a point.
 
 The polish needs a starting <U> near the root, which an imaginary-time
 start gives: split-step propagation of the uniform condensate (a

@@ -509,7 +509,6 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     breach = max(
         np.max([np.abs(entries - m_even[index]).max() for index, entries in model]),
         np.abs(col.conj() - beta * col).max(),
-        np.abs(row.conj() - row / beta).max(),
         np.abs(row - beta * dx * col).max(),
     ) / scale
     if breach > STRUCTURE_TOL:
@@ -614,8 +613,8 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
     """The right vectors (columns), or the left vectors (rows), of the
     modes in the layout of M on the grid points: E even_right, or
-    even_left E^T.  left^T has the layout of right, so both take the same
-    synthesis: E keeps the photon rows and synthesizes each matter block."""
+    even_left E^T, where E keeps the photon rows and synthesizes each
+    matter block."""
     x = dec.even_left.T if left else dec.even_right
     field, conj = np.split(x[2:], 2)
     synthesis = sector_basis(dec.n_grid).synthesis

@@ -304,8 +304,9 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
 )
 def test_no_mode_of_a_stable_point_grows(delta_c, u0):
     # the secular weights carry their block's sign exactly, so a weak rung's
-    # Im omega, of order 1e-40 here, keeps the sign of its damping; from the
-    # rounded products col_q,k row_q,k 2 to 8 modes of each point grew
+    # Im omega, of order 1e-40 here, keeps the sign of its damping; weights
+    # taken as the rounded products col_q,k row_q,k give such a rung a random
+    # sign, and 2 to 8 modes of each of these points a growth rate
     *_, dec = run_pipeline(u0=u0, ng=64, delta_c=delta_c, eta=-delta_c)
     assert classify_stability(dec).label == "stable"
     rates = np.delete(dec.omegas.imag, list(dec.goldstone))
