@@ -44,10 +44,13 @@ SPECTRUM_POINT = (-1000.0, -0.5)
 #   to |F| / |u| of order 1e-12, so 1e-10 leaves two digits for rounding
 #   in the eigh and in the start it picks up from
 MEAN_FIELD_RTOL = 1e-10
-#   mu is an eigenvalue of H0, whose rounding is absolute, of order
-#   eps ||H0||, which ||A||_inf bounds: where |mu| is small that is the
-#   floor (at n = 200, u0 = -0.02 the table's mu, made with a dense grid
-#   kinetic matrix, is 3.2e-12 off a long-double Rayleigh quotient)
+#   At n = 200 mu also takes an absolute floor of eps ||H0||, with
+#   ||H0|| about n^2 + |alpha|^2 |u0| (kinetic top 4 (n/2)^2 plus the
+#   lattice depth): that table's mu is an eigenvalue of a dense grid
+#   kinetic matrix, whose rounding is absolute (at u0 = -0.02, |mu| about
+#   0.01, it is 3.2e-12 off a long-double Rayleigh quotient of the same
+#   state).  At n = 16 and 64 the relative bound holds alone.
+MU_FLOOR_GRIDS = (200,)
 # - mode sums (steady and finite-time dN): sums over a basis certified
 #   biorthogonal to 1e-10 (BIORTH_LIMIT)
 SUM_RTOL = 1e-10
@@ -151,10 +154,13 @@ def test_chain_matches_the_table(delta_c):
         where = f"n = {grid_points}, delta_c = {delta_c}, u0 = {ref['u0']}"
         assert (got["heating"], got["stability"]) == (ref["heating"], ref["stability"]), where
         _close(got["u_avg"], ref["u_avg"], MEAN_FIELD_RTOL, f"{where}: u_avg")
-        mu_floor = ref["norm_a"] * np.finfo(float).eps / abs(ref["mu"])
-        _close(got["mu"], ref["mu"], max(MEAN_FIELD_RTOL, mu_floor), f"{where}: mu")
         alpha, alpha_ref = complex(*got["alpha"]), complex(*ref["alpha"])
         assert abs(alpha - alpha_ref) <= MEAN_FIELD_RTOL * abs(alpha_ref), f"{where}: alpha"
+        mu_rtol = MEAN_FIELD_RTOL
+        if grid_points in MU_FLOOR_GRIDS:
+            h0_norm = grid_points**2 + abs(alpha_ref) ** 2 * abs(ref["u0"])
+            mu_rtol = max(mu_rtol, np.finfo(float).eps * h0_norm / abs(ref["mu"]))
+        _close(got["mu"], ref["mu"], mu_rtol, f"{where}: mu")
         _close(got["steady"], ref["steady"], SUM_RTOL, f"{where}: steady dN")
         for t, value, value_ref, oracle, oracle_ref in zip(
             TIMES, got["finite"], ref["finite"], got["oracle"], ref["oracle"]
