@@ -146,31 +146,34 @@ def bordered_sector(a_diag: complex, row: np.ndarray, col: np.ndarray, h: np.nda
     return even
 
 
+def synthesize_sector(x: np.ndarray) -> np.ndarray:
+    """E x: the even sector's rows of x in the layout of M on the grid.
+
+    E keeps the photon rows 0 and 1 and synthesizes the field block and
+    the conjugate block from their cosine modes m = 0 .. n/2, one product
+    per block.
+    """
+    field, conj = np.split(x[2:], 2)
+    synthesis = sector_basis(2 * field.shape[0] - 2).synthesis
+    return np.concatenate([x[:2], synthesis @ field, synthesis @ conj])
+
+
 def _dense_generator(fm: FluctuationMatrix) -> np.ndarray:
     """M = E even E^T + O diag(h_odd, -h_odd) O^T on the grid, read-only.
 
-    Each block of the sector is synthesized on its own, the photon rows
-    and columns one line at a time, with real and imaginary parts by
-    separate real products: the two halves of every G pair take the same
-    operations on inputs that differ only in sign, so G M G = -conj(M)
-    holds exactly when the sectors carry it.
+    E even E^T is synthesized one block at a time: the rows of each of the
+    sector's column blocks, then the columns of each of the grid's row
+    blocks, with real and imaginary parts by separate real products.  The
+    two halves of every G pair take the same operations on inputs that
+    differ only in sign, so G M G = -conj(M) holds exactly when the
+    sectors carry it.
     """
     n, n_e = fm.n_grid, fm.phi_even.size
-    cosines = sector_basis(n).synthesis
-    sines = sector_basis(n, odd=True).synthesis
-    # (sector index, grid index, synthesis) of each photon line and block
-    f, c = (slice(2, 2 + n_e), slice(2, 2 + n)), (slice(2 + n_e, None), slice(2 + n, None))
-    parts = [(0, 0, None), (1, 1, None), (*f, cosines), (*c, cosines)]
     m = np.empty((2 * n + 2, 2 * n + 2), dtype=complex)
-    for rows, grid_rows, left in parts:
-        for cols, grid_cols, right in parts:
-            block = fm.even[rows, cols]
-            for part, out in ((block.real, m.real), (block.imag, m.imag)):
-                if left is not None:
-                    part = left @ part
-                if right is not None:
-                    part = part @ right.T
-                out[grid_rows, grid_cols] = part
+    for part, out in ((fm.even.real, m.real), (fm.even.imag, m.imag)):
+        rows = np.hstack([synthesize_sector(b) for b in np.split(part, [1, 2, 2 + n_e], axis=1)])
+        np.concatenate([synthesize_sector(b.T).T for b in np.split(rows, [1, 2, 2 + n])], out=out)
+    sines = sector_basis(n, odd=True).synthesis
     odd = sines @ fm.h_odd @ sines.T
     m[2 : 2 + n, 2 : 2 + n] += odd
     m[2 + n :, 2 + n :] -= odd

@@ -71,8 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluctuation import FluctuationMatrix, sector_blocks
-from .grid import sector_basis
+from .fluctuation import FluctuationMatrix, sector_blocks, synthesize_sector
 
 EPS = np.finfo(float).eps
 
@@ -613,13 +612,10 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
     """The right vectors (columns), or the left vectors (rows), of the
     modes in the layout of M on the grid points: E even_right, or
-    even_left E^T, where E keeps the photon rows and synthesizes each
-    matter block."""
-    x = dec.even_left.T if left else dec.even_right
-    field, conj = np.split(x[2:], 2)
-    synthesis = sector_basis(dec.n_grid).synthesis
-    x = np.concatenate([x[:2], synthesis @ field, synthesis @ conj])
-    return x.T if left else x
+    even_left E^T (``fluctuation.synthesize_sector``)."""
+    if left:
+        return synthesize_sector(dec.even_left.T).T
+    return synthesize_sector(dec.even_right)
 
 
 def classify_stability(dec: ModeDecomposition) -> StabilityReport:

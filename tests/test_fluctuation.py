@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bec_cavity import build_matrix, potential_profile, symmetry_defect
+from bec_cavity.fluctuation import synthesize_sector
 from bec_cavity.grid import sector_basis
 from conftest import dense_kinetic, run_pipeline
 
@@ -133,9 +134,7 @@ def test_sectors_are_the_folds_of_the_dense_generator(ng, u0):
     n, k = ng, ng // 2 - 1
     cosines = sector_basis(n).synthesis
     sines = sector_basis(n, odd=True).synthesis
-    zero = np.zeros_like(cosines)
-    even = np.block([[np.eye(2), np.zeros((2, 2 * cosines.shape[1]))],
-                     [np.zeros((2 * n, 2)), np.block([[cosines, zero], [zero, cosines]])]])
+    even = synthesize_sector(np.eye(2 * cosines.shape[1] + 2))  # E
     odd = np.block([[sines, np.zeros_like(sines)], [np.zeros_like(sines), sines]])
     folded_odd = odd.T @ ref[2:, 2:] @ odd
 
