@@ -400,15 +400,14 @@ def lyapunov_oracle(
     phase/number block, split by rounding, would grow under the doublings.
 
     Finite t: the Van Loan block exponential (IEEE TAC 23, 395, 1978) of
-    [[A, D], [0, -A^T]] on h = t / 2^s, s = ceil(log2(t ||A||_inf / 4)),
-    gives S(h); s doublings S <- E S E^T + S, E <- E^2 then reach t.
-    ||A h||_inf <= 4 is inside the range where expm's unscaled Pade
-    approximant is accurate to rounding (theta_13 = 5.37, Higham, SIMAX 26,
-    1179, 2005), and two squarings fewer than at ||A h||_inf <= 1 cut the
-    gap to the mode sum at t = 1e4 3 to 8 times (median, n = 16 to 200).
-    A growing mode overflows the doublings at long times; that time's
-    value is nan, as is one past the horizon
-    t ||A||_inf eps > RESOLUTION_HORIZON.
+    [[A, D], [0, -A^T]] on h = t / 2^s gives S(h); s doublings
+    S <- E S E^T + S, E <- E^2 then reach t.  Each doubling adds its
+    rounding, so h is the longest step expm takes without squaring of its
+    own: s = ceil(log2(t ||A||_inf / theta_13)), theta_13 = 4.25 the
+    Pade [13/13] bound of Al-Mohy and Higham's scaling (SIMAX 31, 970,
+    2009), which scipy's expm uses.  A growing mode overflows the
+    doublings at long times; that time's value is nan, as is one past the
+    horizon t ||A||_inf eps > RESOLUTION_HORIZON.
 
     Steady state: one Bartels-Stewart solve (scipy's
     solve_continuous_lyapunov).  Its own residual is the verdict: above
@@ -469,7 +468,7 @@ def lyapunov_oracle(
         if t * norm_a * np.finfo(float).eps > RESOLUTION_HORIZON:
             values.append(math.nan)
             continue
-        doublings = max(0, math.ceil(math.log2(t * norm_a / 4.0)))
+        doublings = max(0, math.ceil(math.log2(t * norm_a / 4.25)))  # theta_13
         block = expm(van_loan * (t / 2.0**doublings))
         step = block[:dim, :dim]
         s_mat = block[:dim, dim:] @ step.T
