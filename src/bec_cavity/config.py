@@ -223,29 +223,12 @@ def format_cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 @dataclass
 class ResultTable:
     """Ordered rows of named columns with a metadata header.
 
-    Rows keep a deterministic order fixed by the producer; write/read
-    round-trips every float exactly (17 significant digits).
+    Rows keep a deterministic order fixed by the producer; every float is
+    written with 17 significant digits, so float() reads it back exactly.
     """
 
     columns: list[str]
@@ -260,26 +243,3 @@ class ResultTable:
             if len(row) != len(self.columns):
                 raise ValueError("row length does not match column count")
             stream.write(",".join(format_cell(v) for v in row) + "\n")
-
-    @classmethod
-    def read_csv(cls, stream: io.TextIOBase) -> "ResultTable":
-        meta: dict[str, str] = {}
-        columns: list[str] | None = None
-        rows: list[tuple] = []
-        for line in stream:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    meta[key.strip()] = value.strip()
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            rows.append(tuple(_parse_cell(cell) for cell in line.split(",")))
-        if columns is None:
-            raise ValueError("no header row found")
-        return cls(columns=columns, rows=rows, meta=meta)

@@ -31,16 +31,26 @@ roots beside the phase/number pair.  Each root is solved in offset form
 w = anchor + delta, anchored at its own pole +-e_j or at A or -conj(A),
 so that Im w, the damping of a weakly coupled rung, keeps full relative
 precision; a dense eigensolver resolves it only to eps max|M|.  The right
-and left vectors are closed-form resolvent columns (Gu and Eisenstat,
-SIMAX 16, 172, 1995): the right vector has matter parts
-y_c,j / (w - e_j) and -y_c,j / (w + e_j) and photon parts X / (w - A)
-and -X / (beta (w + conj A)), with X = sum_j g_j (1/(w - e_j) - 1/(w + e_j));
-the left vector is the transposed analogue with y_r, and l . r = 1 comes
-from the same products.  Q maps both back to the cosine modes.  Nothing is
-inverted and no dense eigensolver runs; instead ``decompose`` certifies
-the result (distinct roots, an exact mirror pairing, the trace identity
-sum w = tr M_even, biorthogonality, a condition bound) and raises
-DecompositionError when a certificate fails.
+vectors are closed-form resolvent columns (Gu and Eisenstat, SIMAX 16,
+172, 1995), with matter parts y_c,j / (w - e_j) and -y_c,j / (w + e_j)
+and photon parts X / (w - A) and -X / (beta (w + conj A)), where
+X = sum_j g_j (1/(w - e_j) - 1/(w + e_j)); Q maps them back to the cosine
+modes.
+
+The left vectors need no second solve: the sector is reciprocal.  With
+W = diag(conj beta, -beta, dx 1, -dx 1) on (a, a^dag, field modes,
+conjugate modes), W M is symmetric, M^T = W M W^-1, because the photon
+row is row = beta dx col on both matter blocks, the a^dag row and column
+are the G images of the a ones, and h is real symmetric.  So (W r)^T is
+a left vector of the right vector r, and l = (W r)^T / (r^T W r): the
+adjoint mode of a complex-symmetric system is its transpose (Siegman,
+PRA 39, 1253, 1989).  ``decompose``'s structure check asserts each of
+those relations to STRUCTURE_TOL before any vector is built, so the
+identity holds to the rounding that the biorthogonality certificate
+measures.  Nothing is inverted and no dense eigensolver runs; instead
+``decompose`` certifies the result (distinct roots, an exact mirror
+pairing, the trace identity sum w = tr M_even, biorthogonality, a
+condition bound) and raises DecompositionError when a certificate fails.
 
 ``decompose`` keeps the even modes in this sector form: their right and
 left vectors in the sector's orthonormal basis, a mode's index its
@@ -58,8 +68,9 @@ Castin and Dum, PRA 57, 3008, 1998).  ``phase_chain`` gives that pair's
 right columns and left rows in closed form, from one real solve with the
 matter block; ``decompose`` takes the pair from it as exact zeros and
 refuses a generator without it, and the Lyapunov oracle deflates the
-same pair.  The pair's indices are exposed so downstream sums can treat
-them separately.
+same pair.  Its vectors are self-orthogonal, r^T W r = 0, so its dual
+rows are ``phase_chain``'s, not the transposes.  The pair's indices are
+exposed so downstream sums can treat them separately.
 
 The module sees only the generator: the mean field and the per-point
 chain that feeds M in here are ``depletion.analyze_point``'s business.
@@ -121,7 +132,10 @@ class ModeDecomposition:
                    quadrature-weighted matter norm and the largest entry
                    real positive; the Goldstone columns are the analytic
                    basis
-    even_left   -- rows, with even_left @ even_right = I
+    even_left   -- rows, with even_left @ even_right = I: (W r_k)^T / (r_k^T W r_k)
+                   for the secular roots (module docstring), ``phase_chain``'s
+                   dual rows for the phase/number pair; built as the
+                   transpose of an array whose columns are the left vectors
     cond_r      -- ||R||_F ||L||_F of the right basis with unit columns,
                    an upper bound on its 2-norm condition number:
                    sqrt((n + 4) * sum of the Petermann factors)
@@ -201,9 +215,8 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 
 def _petermann_factors(right: np.ndarray, left: np.ndarray) -> np.ndarray:
     """(|l_k| |r_k|)^2 of each column of right and row of left, the norms
-    taken BLOCK rows at a time (each row of left is its own sum)."""
-    norm_l = [np.linalg.norm(left[rows], axis=1) for rows in row_blocks(left.shape[0])]
-    return (np.concatenate(norm_l) * _column_norms(right)) ** 2
+    taken BLOCK rows at a time (``decompose`` holds left as a transpose)."""
+    return (_column_norms(left.T) * _column_norms(right)) ** 2
 
 
 def phase_chain(even: np.ndarray, phi_even: np.ndarray, scale: float):
@@ -370,32 +383,19 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
     )
 
 
-def _transpose_in_place(a: np.ndarray) -> None:
-    """a <- a.T for a square a, one pair of BLOCK-square blocks at a time."""
-    slices = row_blocks(a.shape[0])
-    for i, rows in enumerate(slices):
-        a[rows, rows] = a[rows, rows].T.copy()
-        for cols in slices[i + 1 :]:
-            upper = a[rows, cols].copy()
-            a[rows, cols] = a[cols, rows].T
-            a[cols, rows] = upper.T
-
-
-def _resolvent_vectors(basis, levels, weight_r, weight_l, poles, anchors, delta, a_diag, beta):
-    """Closed-form right and left vectors of the secular roots, sector basis.
+def _resolvent_vectors(basis, levels, weight, profile, poles, anchors, delta, a_diag, beta):
+    """Closed-form right vectors of the secular roots, sector basis.
 
     In the eigenbasis of h the right vector of root w has matter entries
-    weight_r[k] / (w - levels[k]) and photon entries X / (w - A) and
-    -X / (beta (w + conj A)), X = y_r . (u + v) from the photon row; the
-    left vector has weight_l[k] / (w - levels[k]), X' / (w - A) and
-    beta X' / (w + conj A).  Each is scaled so that its entry at the root's
-    own anchor is 1 (the photon entry for a photon root), so nothing is
-    0/0 when a mode decouples and its offset vanishes.  Returns the
-    (n + 4)-square right and left arrays with the roots in the first
-    columns (rows), and the products l . r of each pair.
+    weight[k] / (w - levels[k]) and photon entries X / (w - A) and
+    -X / (beta (w + conj A)), X = profile . (u + v) from the photon row.
+    Each is scaled so that its entry at the root's own anchor is 1 (the
+    photon entry for a photon root), so nothing is 0/0 when a mode
+    decouples and its offset vanishes.  Returns the (n + 4)-square array
+    with the roots in its first columns; the left vectors are their
+    transposes under W (module docstring).
 
-    Each vector is built in its own column of the returned arrays (the
-    left ones transposed to rows at the end), and Q is applied in place
+    Each vector is built in its own column, and Q is applied in place
     through one buffer of half that size: no other (n + 4)-square array
     is made.
     """
@@ -405,49 +405,32 @@ def _resolvent_vectors(basis, levels, weight_r, weight_l, poles, anchors, delta,
     two_re = 2.0 * a_diag.real
     wa = (anchors - a_diag) + delta  # w - A
     wb = (anchors + a_diag.conjugate()) + delta  # w + conj A
-    t_r = np.zeros(n_roots, dtype=complex)  # the scale of each vector
-    t_l = np.zeros(n_roots, dtype=complex)
-    np.divide(delta[:n_poles], weight_r[poles], out=t_r[:n_poles], where=weight_r[poles] != 0)
-    np.divide(delta[:n_poles], weight_l[poles], out=t_l[:n_poles], where=weight_l[poles] != 0)
-    t_r[-2] = t_l[-2] = two_re / wb[-2]  # the root at A: delta / X from the secular equation
-    t_r[-1] = -beta * two_re / wa[-1]  # the root at -conj(A)
-    t_l[-1] = two_re / (beta * wa[-1])
-    own = (poles, np.arange(n_poles))
+    scale = np.zeros(n_roots, dtype=complex)  # the scale of each vector
+    np.divide(delta[:n_poles], weight[poles], out=scale[:n_poles], where=weight[poles] != 0)
+    scale[-2] = two_re / wb[-2]  # the root at A: delta / X from the secular equation
+    scale[-1] = -beta * two_re / wa[-1]  # the root at -conj(A)
     dim = 2 + 2 * n_e
     right = np.empty((dim, dim), dtype=complex)
-    left = np.empty((dim, dim), dtype=complex)  # the left vectors as columns until the end
-    right_q, left_q = right[2:, :n_roots], left[2:, :n_roots]
+    right_q = right[2:, :n_roots]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gaps = np.subtract(anchors, levels[:, None], out=left_q)
+        gaps = np.subtract(anchors, levels[:, None], out=right_q)
         gaps += delta
         np.reciprocal(gaps, out=gaps)  # 1 / (w_i - level_k); inf at delta = 0
-    np.multiply(weight_r[:, None], gaps, out=right_q)
-    right_q *= t_r
-    right_q[own] = 1.0
-    left_q *= weight_l[:, None]
-    left_q *= t_l
-    left_q[own] = 1.0
-    x_r = weight_l @ right_q
-    x_l = weight_r @ left_q
+    np.multiply(weight[:, None], right_q, out=right_q)
+    right_q *= scale
+    right_q[poles, np.arange(n_poles)] = 1.0
+    x = np.concatenate([profile, profile]) @ right_q
     with np.errstate(divide="ignore", invalid="ignore"):  # the photon roots are set below
-        r0, r1 = x_r / wa, -x_r / (beta * wb)
-        l0, l1 = x_l / wa, beta * x_l / wb
-    r0[-2], r1[-2] = 1.0, -delta[-2] / (beta * wb[-2])
-    l0[-2], l1[-2] = 1.0, beta * delta[-2] / wb[-2]
-    r0[-1], r1[-1] = -beta * delta[-1] / wa[-1], 1.0
-    l0[-1], l1[-1] = delta[-1] / (beta * wa[-1]), 1.0
-    dots = r0 * l0 + r1 * l1 + np.einsum("ki,ki->i", right_q, left_q)
+        right[0, :n_roots], right[1, :n_roots] = x / wa, -x / (beta * wb)
+    right[:2, n_roots - 2] = 1.0, -delta[-2] / (beta * wb[-2])
+    right[:2, n_roots - 1] = -beta * delta[-1] / wa[-1], 1.0
 
-    right[0, :n_roots], right[1, :n_roots] = r0, r1
-    left[0, :n_roots], left[1, :n_roots] = l0, l1
-    f, c = slice(2, 2 + n_e), slice(2 + n_e, dim)
     product = np.empty((n_e, n_roots), dtype=complex)
-    for z in (right[f, :n_roots], right[c, :n_roots], left[f, :n_roots], left[c, :n_roots]):
+    for z in (right[2 : 2 + n_e, :n_roots], right[2 + n_e :, :n_roots]):
         # Q z for real Q and complex z as one real product, through one buffer
         np.matmul(basis, z.view(float), out=product.view(float))
         z[...] = product
-    _transpose_in_place(left)
-    return right, left, dots
+    return right
 
 
 def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
@@ -529,8 +512,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     coupled[zero] = False
     # the matter levels +e_j (field block) and -e_j (conjugate block)
     levels = np.concatenate([energies, -energies])
-    weight_r = np.concatenate([col_q, -col_q])  # right vectors: +-y_c / (w -+ e)
-    weight_l = np.concatenate([row_q, row_q])  # left vectors: y_r / (w -+ e)
+    weight = np.concatenate([col_q, -col_q])  # right vectors: +-y_c / (w -+ e)
     poles = np.concatenate([np.flatnonzero(coupled), n_e + np.flatnonzero(coupled)])
     # the weights are col_q,k row_q,k = |alpha|^2 dx q_k^2, q = Q^T y: their
     # sign is the block's, + on the field poles and - on the conjugate ones,
@@ -545,17 +527,21 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     # the exact mirror pairs: a self-paired root lands on the imaginary axis
     omegas = 0.5 * (omegas - omegas[pairing].conj())
 
-    right, left, dots = _resolvent_vectors(
-        basis, levels, weight_r, weight_l, poles, anchors, delta, a_diag, beta
-    )
+    right = _resolvent_vectors(basis, levels, weight, row_q, poles, anchors, delta, a_diag, beta)
     dim = right.shape[0]
     # unit photon plus quadrature-weighted matter norm, largest entry real
-    # positive; each left row rescaled to l . r = 1
+    # positive
     largest = [np.argmax(np.abs(right[:, cols]), axis=0) for cols in row_blocks(n_roots)]
     pivots = right[np.concatenate(largest), np.arange(n_roots)]
     scales = np.abs(pivots) / pivots * _physical_norm_factors(right[:, :n_roots], dx)
     right[:, :n_roots] *= scales
-    left[:n_roots] /= (dots * scales)[:, None]
+    # W M is symmetric (module docstring), so the left vector of r is
+    # (W r)^T / (r^T W r); W R fills the columns of left.T
+    symmetrizer = np.concatenate([[np.conj(beta), -beta], np.full(n_e, dx), np.full(n_e, -dx)])
+    w_r = np.empty_like(right)
+    np.multiply(symmetrizer[:, None], right[:, :n_roots], out=w_r[:, :n_roots])
+    w_r[:, :n_roots] /= np.einsum("ki,ki->i", right[:, :n_roots], w_r[:, :n_roots])
+    left = w_r.T
 
     # the phase/number pair fills the last two columns
     omegas = np.concatenate([omegas, np.zeros(2)])
@@ -566,7 +552,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     chain_coupling = complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j
     left[n_roots:] = np.linalg.solve(y_g @ right[:, n_roots:], y_g)
 
-    # L R - I and M R - R W, BLOCK rows at a time through one scratch block
+    # L R - I and M R - R diag(w), BLOCK rows at a time through one scratch block
     work = np.empty((BLOCK, dim), dtype=complex)
     defects, misses = [], []
     for rows in row_blocks(dim):
@@ -649,9 +635,11 @@ def noise_coupled(dec: ModeDecomposition) -> np.ndarray:
 
 def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     """Excess-noise factor K_k = |l_k|^2 |r_k|^2 under l_k . r_k = 1 for every
-    mode: 1 for a normal mode, above 1 where the eigenbasis is skewed.  The
-    even sector's basis is orthonormal, so the factors come from the
-    sector vectors."""
+    mode: 1 for a normal mode, above 1 where the eigenbasis is skewed.  For
+    a secular root l_k = (W r_k)^T / (r_k^T W r_k) (module docstring), so
+    K_k = |W r_k|^2 |r_k|^2 / |r_k^T W r_k|^2, Siegman's form for a
+    complex-symmetric system.  The even sector's basis is orthonormal, so
+    the factors come from the sector vectors."""
     return _petermann_factors(dec.even_right, dec.even_left)
 
 

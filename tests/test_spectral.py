@@ -351,6 +351,32 @@ def test_decompose_refuses_an_anomalous_matter_block(pipeline):
         decompose(corrupt)
 
 
+@pytest.mark.parametrize("ng", [16, 64, 200])
+@pytest.mark.parametrize("u0", [0.0, -0.5])
+def test_the_even_sector_is_symmetric_under_w(ng, u0):
+    # W = diag(conj beta, -beta, dx 1, -dx 1), beta = alpha / conj(alpha):
+    # W M is symmetric, M^T = W M W^-1, and decompose takes each left vector
+    # as the transpose of W r
+    _, grid, state, fm, _ = run_pipeline(u0=u0, ng=ng)
+    n_e = fm.phi_even.size
+    beta = state.alpha / np.conj(state.alpha)
+    w = np.concatenate([[np.conj(beta), -beta], np.full(n_e, grid.dx), np.full(n_e, -grid.dx)])
+    w_m = w[:, None] * fm.even
+    assert np.abs(w_m - w_m.T).max() <= 1e-15 * fm.scale
+
+
+def test_decompose_refuses_a_photon_row_off_the_photon_column(pipeline):
+    *_, fm, _ = pipeline(u0=-0.5, ng=16)
+    even = fm.even.copy()
+    # the photon row a on both matter blocks, and row a^dag with it as its G
+    # image: G M G = -conj(M) and the block form hold, but row = beta dx col
+    # does not, and with it the symmetry of W M
+    even[:2, 2:] *= 1.0 + 1e-6
+    assert symmetry_defect(even) == 0.0
+    with pytest.raises(DecompositionError, match="bordered form"):
+        decompose(dataclasses.replace(fm, even=even))
+
+
 @pytest.mark.parametrize("shift", [1.0, -1.0])
 def test_decompose_refuses_a_sector_without_the_phase_null_vector(pipeline, shift):
     *_, fm, _ = pipeline(u0=-0.5, ng=16)
