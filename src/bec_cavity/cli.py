@@ -252,7 +252,9 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
             f"residual_phi={state.residual_phi:.2e} residual_alpha={state.residual_alpha:.2e}",
         )
     if fm is not None:
-        defect = symmetry_defect(fm.m)
+        # G swaps the same blocks in the even sector's layout; the odd
+        # sector, diag(h_odd, -h_odd) with h_odd real, keeps G by construction
+        defect = symmetry_defect(fm.even)
         record("symmetry", defect <= 1e-13, f"max|GMG + conj(M)|={defect:.2e}")
     if dec is not None:
         record(

@@ -119,20 +119,14 @@ class SteadyDepletion:
 
 
 def finite_time_kernel(z, t: float):
-    """(1 - exp(-i z t)) / (i z), series branch near z t = 0.
+    """(1 - exp(-i z t)) / (i z), as -expm1(-i z t) / (i z).
 
-    The four-term series keeps the relative error below 1e-12 at the
-    switchover |z t| = 1e-4 and removes the 0/0 at z = 0 (the kernel
-    tends to t there).
+    expm1 keeps full relative precision at small |z t|, where 1 - exp
+    cancels; the kernel tends to t at z = 0, which is taken exactly.
     """
     z = np.asarray(z, dtype=complex)
-    zt = z * t
-    small = np.abs(zt) < 1e-4
-    w = -1j * np.where(small, zt, 0.0)
-    series = t * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0)))
-    safe = np.where(small, 1.0, z)
-    direct = (1.0 - np.exp(-1j * np.where(small, 0.0, zt))) / (1j * safe)
-    return np.where(small, series, direct)
+    safe = np.where(z == 0, 1.0, z)
+    return np.where(z == 0, t, -np.expm1(-1j * z * t) / (1j * safe))
 
 
 def _pair_data(dec: ModeDecomposition) -> np.ndarray:

@@ -53,7 +53,8 @@ class FluctuationMatrix:
     scale    -- max|M| of M on the grid points, the reference for every
                 relative threshold
     m        -- the dense (2 n + 2)-square M on the grid points, synthesized
-                read-only on access
+                read-only on access; read by the benchmark's tracer and
+                the tests, never by the solve chain
     """
 
     even: np.ndarray
@@ -182,7 +183,11 @@ def _dense_generator(fm: FluctuationMatrix) -> np.ndarray:
 
 
 def symmetry_defect(m: np.ndarray) -> float:
-    """Max-entry magnitude of G M G + conj(M); zero for a valid build."""
+    """Max-entry magnitude of G M G + conj(M); zero for a valid build.
+
+    m is M on the grid or its even sector: both order their rows as
+    (a, a^dag, field block, conjugate block), which G swaps pairwise.
+    """
     dim = m.shape[0]
     n = (dim - 2) // 2
     perm = np.empty(dim, dtype=int)

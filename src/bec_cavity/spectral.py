@@ -54,11 +54,9 @@ condition bound) and raises DecompositionError when a certificate fails.
 
 ``decompose`` keeps the even modes in this sector form: their right and
 left vectors in the sector's orthonormal basis, a mode's index its
-column there.  The grid layout, left @ right = I with row k conjugated
-the left eigenvector in the conjugate-linear scalar product convention,
-is assembled only on request.  The noise weights used by the depletion
-sums are exactly the photon entries left[k, 0] and left[k, 1], the first
-two columns of the sector's left rows.
+column there.  The noise weights used by the depletion sums are exactly
+the photon entries even_left[k, 0] and even_left[k, 1], the first two
+columns of the left rows.
 
 Phase symmetry of the condensate makes the even sector defective: in the
 frame of the chemical potential the vector (0, 0, phi, -phi) is an
@@ -119,9 +117,11 @@ class ModeDecomposition:
     """The even sector's eigenvalues with paired left/right vectors, in
     sector form.
 
-    The modes are kept in the sector's orthonormal basis; the dense
-    grid-layout bases ``right`` and ``left`` are assembled only on
-    request.  A mode's index is its column of even_right.
+    The modes are kept in the sector's orthonormal basis.  A mode's index
+    is its column of even_right.  Each right vector is fixed up to a
+    phase, and its left row takes the inverse phase; nothing read from
+    the modes (Petermann factors, |l1|, |l2|, the pair weights
+    l1_k l2_l O_kl, projectors) depends on it.
 
     omegas      -- complex mode frequencies: the n + 2 secular roots, then
                    the phase/number pair as exact zeros
@@ -129,9 +129,8 @@ class ModeDecomposition:
                    even sector basis (photon rows 0 and 1, then the
                    cosine modes m = 0 .. n/2 of the field block and of
                    the conjugate block), with unit photon plus
-                   quadrature-weighted matter norm and the largest entry
-                   real positive; the Goldstone columns are the analytic
-                   basis
+                   quadrature-weighted matter norm; the Goldstone
+                   columns are the analytic basis
     even_left   -- rows, with even_left @ even_right = I: (W r_k)^T / (r_k^T W r_k)
                    for the secular roots (module docstring), ``phase_chain``'s
                    dual rows for the phase/number pair; built as the
@@ -147,8 +146,6 @@ class ModeDecomposition:
     chain       -- True when the pair is a Jordan chain
                    (M r2 = c r1, M r1 = 0) rather than two eigenvectors;
                    the coupling c is stored in chain_coupling
-    eigen_residual -- max|M r - omega r| over the modes in the sector
-                   basis (the chain column against its chain relation)
     biorth_defect  -- max|L R - I|
     """
 
@@ -161,7 +158,6 @@ class ModeDecomposition:
     goldstone: tuple[int, ...]
     chain: bool
     chain_coupling: complex
-    eigen_residual: float
     biorth_defect: float
     n_grid: int
     dx: float
@@ -170,13 +166,10 @@ class ModeDecomposition:
     @property
     def right(self) -> np.ndarray:
         """Right vectors as the columns of a dense (2n + 2) x (n + 4) array
-        in the layout of M, assembled afresh on every access."""
-        return _grid_basis(self, left=False)
-
-    @property
-    def left(self) -> np.ndarray:
-        """Left vectors as rows, left @ right = I; assembled like right."""
-        return _grid_basis(self, left=True)
+        in the layout of M on the grid points, E even_right
+        (``fluctuation.synthesize_sector``), assembled afresh on every
+        access; read by the benchmark's tracer and the tests."""
+        return synthesize_sector(self.even_right)
 
 
 def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
@@ -529,12 +522,10 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 
     right = _resolvent_vectors(basis, levels, weight, row_q, poles, anchors, delta, a_diag, beta)
     dim = right.shape[0]
-    # unit photon plus quadrature-weighted matter norm, largest entry real
-    # positive
-    largest = [np.argmax(np.abs(right[:, cols]), axis=0) for cols in row_blocks(n_roots)]
-    pivots = right[np.concatenate(largest), np.arange(n_roots)]
-    scales = np.abs(pivots) / pivots * _physical_norm_factors(right[:, :n_roots], dx)
-    right[:, :n_roots] *= scales
+    # unit photon plus quadrature-weighted matter norm; the phase stays the
+    # closed form's, real positive at the root's own anchor in the
+    # eigenbasis of h
+    right[:, :n_roots] *= _physical_norm_factors(right[:, :n_roots], dx)
     # W M is symmetric (module docstring), so the left vector of r is
     # (W r)^T / (r^T W r); W R fills the columns of left.T
     symmetrizer = np.concatenate([[np.conj(beta), -beta], np.full(n_e, dx), np.full(n_e, -dx)])
@@ -552,20 +543,14 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     chain_coupling = complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j
     left[n_roots:] = np.linalg.solve(y_g @ right[:, n_roots:], y_g)
 
-    # L R - I and M R - R diag(w), BLOCK rows at a time through one scratch block
+    # L R - I, BLOCK rows at a time through one scratch block
     work = np.empty((BLOCK, dim), dtype=complex)
-    defects, misses = [], []
+    defects = []
     for rows in row_blocks(dim):
         block = work[: rows.stop - rows.start]
         np.matmul(left[rows], right, out=block)
         block[np.arange(len(block)), np.arange(rows.start, rows.stop)] -= 1.0
         defects.append(np.abs(block).max())
-        np.matmul(m_even[rows], right, out=block)
-        block -= right[rows] * omegas
-        if chain:
-            # the chain column satisfies M r2 = c r1 instead of an eigen relation
-            block[:, -1] -= chain_coupling * right[rows, -2]
-        misses.append(np.abs(block).max())
     biorth_defect = float(np.max(defects))
     if not biorth_defect <= BIORTH_LIMIT:
         raise DecompositionError(f"even modes not biorthogonal (max|LR - I| = {biorth_defect:.2e})")
@@ -587,21 +572,11 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         goldstone=goldstone,
         chain=chain,
         chain_coupling=chain_coupling,
-        eigen_residual=float(np.max(misses)),
         biorth_defect=biorth_defect,
         n_grid=fm.n_grid,
         dx=dx,
         kappa=fm.kappa,
     )
-
-
-def _grid_basis(dec: ModeDecomposition, left: bool) -> np.ndarray:
-    """The right vectors (columns), or the left vectors (rows), of the
-    modes in the layout of M on the grid points: E even_right, or
-    even_left E^T (``fluctuation.synthesize_sector``)."""
-    if left:
-        return synthesize_sector(dec.even_left.T).T
-    return synthesize_sector(dec.even_right)
 
 
 def classify_stability(dec: ModeDecomposition) -> StabilityReport:

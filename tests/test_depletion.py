@@ -50,6 +50,22 @@ def test_kernel_series_branch_is_continuous():
         assert abs(small - direct) < 1e-11 * abs(direct)
 
 
+def test_kernel_keeps_full_precision_at_small_arguments():
+    # against the Taylor series in extended precision, which has no
+    # cancellation at |z t| <= 1e-2; 1 - exp(-i z t) loses eps / |z t|
+    rng = np.random.default_rng(3)
+    for t in (1.0, 100.0, 1e4):
+        zt = np.logspace(-12, -2, 200) * np.exp(2j * np.pi * rng.uniform(size=200))
+        w = -1j * zt.astype(np.clongdouble)
+        term, series = np.ones_like(w), np.zeros_like(w)
+        for k in range(2, 12):
+            series += term
+            term *= w / k
+        expected = t * series
+        got = finite_time_kernel(zt / t, t)
+        assert np.abs((got - expected) / expected).max() <= 1e-14
+
+
 def test_kernel_against_direct_formula():
     rng = np.random.default_rng(5)
     z = rng.normal(size=24) + 1j * rng.normal(size=24)
@@ -179,7 +195,7 @@ def test_depletion_is_real_and_nonnegative(pipeline):
 def test_goldstone_pairs_are_left_out_of_both_sums(pipeline):
     _, grid, state, _, dec = pipeline(u0=-0.5, ng=16)
     # the chain's left rows carry photon weight, so its pairs would count
-    assert np.abs(dec.left[list(dec.goldstone), :2]).max() > 0.0
+    assert np.abs(dec.even_left[list(dec.goldstone), :2]).max() > 0.0
     times = [1.0, 100.0]
     result = depletion_at_times(dec, grid, times)
     assert depletion_at_times(dec, grid, times, exclude_modes=dec.goldstone).values == result.values
@@ -252,7 +268,6 @@ def _toy_decomposition(omegas, right=None, left=None, kappa=100.0):
         goldstone=(),
         chain=False,
         chain_coupling=0.0j,
-        eigen_residual=0.0,
         biorth_defect=0.0,
         n_grid=n,
         dx=np.pi / n,
@@ -300,7 +315,7 @@ def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10):
     """The steady double sum evaluated on every one of the dim^2 pairs."""
     dim = dec.omegas.size
     n = dec.n_grid
-    l1, l2 = dec.left[:, 0], dec.left[:, 1]
+    l1, l2 = dec.even_left[:, 0], dec.even_left[:, 1]
     overlap = dec.dx * (dec.right[2 + n :].T @ dec.right[2 : 2 + n])
     weight = np.outer(l1, l2) * overlap
     zsum = dec.omegas[:, None] + dec.omegas[None, :]
@@ -339,7 +354,7 @@ def _finite_reference(dec, times, exclude_modes=()):
     """The finite-time double sum evaluated on every one of the dim^2 pairs."""
     n = dec.n_grid
     overlap = dec.dx * (dec.right[2 + n :].T @ dec.right[2 : 2 + n])
-    weight = np.outer(dec.left[:, 0], dec.left[:, 1]) * overlap
+    weight = np.outer(dec.even_left[:, 0], dec.even_left[:, 1]) * overlap
     dropped = list(dec.goldstone) + list(exclude_modes)
     weight[dropped, :] = 0.0
     weight[:, dropped] = 0.0
@@ -414,7 +429,7 @@ def test_sweep_path_never_assembles_the_grid_basis(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep path must read the modes in sector form")
 
-    monkeypatch.setattr(spectral, "_grid_basis", refuse)
+    monkeypatch.setattr(spectral, "synthesize_sector", refuse)
     monkeypatch.setattr(fluctuation, "_dense_generator", refuse)
     params, grid, _, fm, dec = run_pipeline(u0=-0.5, ng=16)
     with pytest.raises(AssertionError, match="sector form"):

@@ -38,16 +38,19 @@ def test_pairing_is_a_covering_involution(pipeline):
     assert mism.max() <= 1e-8 * scale
 
 
-def test_biorthonormality_and_reconstruction(pipeline):
-    *_, fm, dec = pipeline(u0=-0.5, ng=16)
+@pytest.mark.parametrize("ng", [16, 64, 200])
+def test_biorthonormality_and_reconstruction(pipeline, ng):
+    *_, fm, dec = pipeline(u0=-0.5, ng=ng)
     assert dec.biorth_defect <= 1e-10
-    # M_even = R B L, B diagonal but for the Goldstone chain coupling
+    # M_even = R J L, J diagonal but for the Goldstone chain coupling: the
+    # eigen relation M R = R J, which decompose does not measure itself
     block = np.diag(dec.omegas)
     if dec.chain:
         g1, g2 = dec.goldstone
         block[g1, g2] = dec.chain_coupling
     rebuilt = dec.even_right @ block @ dec.even_left
     assert np.linalg.norm(rebuilt - fm.even) < 1e-8 * np.linalg.norm(fm.even)
+    assert np.abs(rebuilt - fm.even).max() <= 1e-12 * fm.scale
 
 
 def test_goldstone_cluster_detected(pipeline):
@@ -60,7 +63,7 @@ def test_goldstone_cluster_detected(pipeline):
     assert photon <= 1e-8
     # and the cluster's left space contains a photonless row
     left_photon = min(
-        float(np.abs(dec.left[k, :2]).max() / np.linalg.norm(dec.left[k]))
+        float(np.abs(dec.even_left[k, :2]).max() / np.linalg.norm(dec.even_left[k]))
         for k in dec.goldstone
     )
     assert left_photon <= 1e-8
@@ -288,14 +291,15 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
     if u0 == 0.0:
         # decoupled: the photon line and the free levels, each a unit vector
         # of its own block; only the photon modes carry photon weight
-        photon = np.flatnonzero(np.abs(dec.left[:, :2]).max(axis=1) > 0)
+        photon = np.flatnonzero(np.abs(dec.even_left[:, :2]).max(axis=1) > 0)
         assert photon.size == 2
         assert np.array_equal(photon, np.flatnonzero(np.abs(dec.right[:2]).max(axis=0) > 0))
         for k in photon:
             unit = np.zeros(dec.right.shape[0])
             unit[np.argmax(np.abs(dec.right[:2, k]))] = 1.0
             assert np.array_equal(np.abs(dec.right[:, k]), unit)
-            assert np.array_equal(np.abs(dec.left[k]), unit)
+            # the photon rows lead both layouts
+            assert np.array_equal(np.abs(dec.even_left[k]), unit[: dec.even_left.shape[1]])
 
 
 @pytest.mark.parametrize(
@@ -324,7 +328,7 @@ def test_near_resonance_photon_roots_are_imaginary_and_self_paired(offset, monke
     dec = decompose(fm)
     assert classify_stability(dec).label == "stable"
     modes = np.setdiff1d(np.arange(dec.omegas.size), dec.goldstone)
-    photon = modes[np.argsort(-np.abs(dec.left[modes, 0] * dec.left[modes, 1]))[:2]]
+    photon = modes[np.argsort(-np.abs(dec.even_left[modes, 0] * dec.even_left[modes, 1]))[:2]]
     assert np.all(dec.omegas[photon].real == 0.0)
     assert np.array_equal(dec.pairing[photon], photon)
     assert abs(dec.omegas[photon[0]] - dec.omegas[photon[1]]) > 0.1
