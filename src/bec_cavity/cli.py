@@ -215,17 +215,18 @@ def cmd_depletion(cfg: RunConfig, stream: TextIO) -> int:
 
 
 def _oracle_equivalence(grid, point) -> tuple[bool, str]:
-    """Mode sums against the second-moment oracle on the same observable."""
+    """Mode sums against the second-moment oracle on the same observable;
+    at t = 1 alone where no steady sum exists, or where it diverges."""
     fm, dec, stability = point.fm, point.dec, point.stability
-    if stability.label != "stable" or point.state.heating:
+    stable = stability.label == "stable" and not point.state.heating
+    steady = steady_state_depletion(dec, grid, stability) if stable else None
+    if steady is None or steady.diverged:
         finite = depletion_at_times(dec, grid, [1.0])
         oracle_t = lyapunov_oracle(fm, grid, [1.0])
         diff = abs(finite.values[0] - oracle_t.values[0])
         denom = max(abs(oracle_t.values[0]), 1e-8)
-        return diff / denom <= 1e-4 or diff <= 1e-10, f"non-stable point, t=1 |diff|={diff:.2e}"
-    steady = steady_state_depletion(dec, grid, stability)
-    if steady.diverged:
-        return False, "steady sum diverged"
+        why = "non-stable point" if steady is None else "steady sum diverged"
+        return diff / denom <= 1e-4 or diff <= 1e-10, f"{why}, t=1 |diff|={diff:.2e}"
     proj = mode_projector(dec, steady.excluded_modes + dec.goldstone)
     oracle = lyapunov_oracle(fm, grid, steady=True, deflate=proj)
     rel = abs(steady.value - oracle.values[0]) / max(abs(oracle.values[0]), 1e-300)

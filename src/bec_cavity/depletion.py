@@ -106,10 +106,11 @@ class SteadyDepletion:
     value is None exactly when diverged is True: some pair has a
     frequency denominator below the numerical resolution floor while
     carrying non-negligible photon noise weight, the signature of the
-    cavity resonance.  excluded_modes lists the even modes whose own
-    symmetry pair falls under the zero-denominator skip rule; feeding
-    them to the Lyapunov oracle's deflation makes the two routes
-    compute the same observable.
+    cavity resonance or of a noise-coupled mode damped below Z_FLOOR / 2
+    (its own pair's denominator is 2|Im omega|).  excluded_modes lists
+    the even modes whose own symmetry pair falls under the zero-denominator
+    skip rule; feeding them to the Lyapunov oracle's deflation makes the
+    two routes compute the same observable.
     """
 
     value: float | None
@@ -557,13 +558,15 @@ def solve_depletion_point(
 
     Returns one row for the steady state, or one row per requested time.
     Divergences, refusals and any exception raised on the way land in
-    the status field, never in the numeric columns: a time whose mode
-    sum overflows is "diverged", one whose sum keeps a non-negligible
-    imaginary part is an error, and the point's other times keep their
-    values; an oracle value that overflows or lies past the oracle's
-    resolution horizon, or a steady oracle that finds no steady state,
-    is left blank.  eta_follows_detuning sets eta = -delta_c at each
-    point; otherwise the point keeps params.eta.
+    the status field, never in the numeric columns: a steady sum with a
+    noise-carrying pair below Z_FLOOR (so also a noise-coupled mode damped
+    below Z_FLOOR / 2) or a time whose mode sum overflows is "diverged",
+    one whose sum keeps a non-negligible imaginary part is an error, and
+    the point's other times keep their values; an oracle value that
+    overflows or lies past the oracle's resolution horizon, or a steady
+    oracle that finds no steady state, is left blank.
+    eta_follows_detuning sets eta = -delta_c at each point; otherwise the
+    point keeps params.eta.
     """
     eta = -delta_c if eta_follows_detuning else params.eta
     point = dc_replace(params, delta_c=float(delta_c), u0=float(u0), eta=float(eta))

@@ -500,6 +500,19 @@ def test_verify_default_passes(tmp_path, capsys, u0):
     assert report.count("PASS") >= 6
 
 
+def test_verify_compares_a_diverged_steady_sum_at_t1(tmp_path, capsys):
+    # draw 48 of tests/test_scan.py (seed 0): stable, its slowest noise-coupled
+    # mode damped at 2.2e-13, so its steady sum reads diverged
+    cfg = write_config(
+        tmp_path, delta_c=-17867.206784555412, kappa=0.5456346016292521,
+        eta=358.94258365021955, u0=-2.1429982206980265, n_atoms=518, grid_points=8,
+    )
+    assert main(["verify", "--config", cfg]) == 0
+    report = capsys.readouterr().out
+    assert "PASS oracle-equivalence: steady sum diverged, t=1 |diff|=" in report
+    assert "6/6 invariants passed" in report
+
+
 def test_verify_fault_injection_negative_control(tmp_path, capsys):
     cfg = write_config(tmp_path, fault_injection="corrupt-matrix")
     assert main(["verify", "--config", cfg]) == 1

@@ -11,7 +11,10 @@ cleanly: no exception escapes it, every row it writes carries a status,
 and a finite-time row the chain calls ``ok`` agrees with the
 second-moment oracle within criterion 3's 1e-4.  The steady rows are not
 held to the oracle here; the steady oracle's resolution off the served
-grid is still open.
+grid is still open.  The verdict is held everywhere: a heating point
+(delta_c > N<U>) grows, so its row reads ``unstable``.  The draw never
+makes u0 or eta exactly 0, so the cavity always couples and a heating
+point's coupled rungs all grow, however slowly.
 """
 
 import math
@@ -54,7 +57,7 @@ def _gap(depletion, oracle):
 def test_every_drawn_point_fails_cleanly_and_ok_rows_meet_the_oracle():
     rng = np.random.default_rng(SEED)
     grids = {n: make_grid(n) for n in (8, 16)}
-    rows, misses = [], []
+    rows, misses, mislabelled = [], [], []
     for _ in range(POINTS):
         params = _draw(rng)
         grid = grids[params.grid_points]
@@ -63,6 +66,8 @@ def test_every_drawn_point_fails_cleanly_and_ok_rows_meet_the_oracle():
             params, grid, params.delta_c, params.u0, times=TIMES, oracle=True
         )
         assert len(steady) == 1 and len(finite) == len(TIMES)
+        if steady[0].status == "heating" and steady[0].stability != "unstable":
+            mislabelled.append((params, steady[0].stability))
         rows += steady + finite
         for row in finite:
             if row.status == "ok":
@@ -75,3 +80,4 @@ def test_every_drawn_point_fails_cleanly_and_ok_rows_meet_the_oracle():
     ]
     assert unknown == []
     assert misses == []
+    assert mislabelled == []

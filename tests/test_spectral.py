@@ -6,16 +6,19 @@ import pytest
 from bec_cavity import (
     ConvergenceError,
     DecompositionError,
+    SystemParams,
     analyze_point,
     classify_stability,
     decompose,
+    make_grid,
     petermann_raw,
+    solve_depletion_point,
     symmetry_defect,
 )
 from bec_cavity import cli, meanfield, spectral
-from bec_cavity.depletion import error_status
+from bec_cavity.depletion import Z_FLOOR, error_status
 from bec_cavity.fluctuation import bordered_sector
-from bec_cavity.spectral import odd_frequencies, phase_chain
+from bec_cavity.spectral import noise_coupled, odd_frequencies, phase_chain
 from conftest import run_pipeline
 
 
@@ -173,14 +176,15 @@ def test_stability_plateau_is_stable(pipeline):
     *_, dec = pipeline(u0=-0.5, ng=16)
     report = classify_stability(dec)
     assert report.label == "stable"
-    assert report.max_growth_rate <= 1e-6
+    assert report.max_growth_rate < 0.0  # -1.3e-37: a weak rung, damped
 
 
 def test_stability_decoupled_is_marginal(pipeline):
     *_, dec = pipeline(u0=0.0, ng=16)
     report = classify_stability(dec)
     assert report.label == "marginal"
-    assert abs(report.max_growth_rate) <= 1e-6
+    # decoupled levels are undamped exactly: their secular offset is 0
+    assert report.max_growth_rate == 0.0
 
 
 def test_stability_beyond_critical_is_unstable():
@@ -188,6 +192,38 @@ def test_stability_beyond_critical_is_unstable():
     report = classify_stability(dec)
     assert report.label == "unstable"
     assert report.max_growth_rate > 1e-6
+
+
+# two points of tests/test_scan.py's draw (seed 0), where the verdict
+# depends on a rate far below any tolerance: the spectrum resolves the sign
+# of each Im omega exactly, so no rate is too small to decide
+SLOW_HEATING = SystemParams(  # draw 116: grows at 3.1e-8
+    delta_c=465.6823010191256, kappa=9.715719656111878, eta=-2423.4215159308133,
+    u0=0.023178093421277524, n_atoms=11, grid_points=8,
+)
+SLOW_COOLING = SystemParams(  # draw 48: slowest noise-coupled damping 2.2e-13
+    delta_c=-17867.206784555412, kappa=0.5456346016292521, eta=358.94258365021955,
+    u0=-2.1429982206980265, n_atoms=518, grid_points=8,
+)
+
+
+def test_heating_point_growing_below_a_micro_rate_is_unstable():
+    point = analyze_point(SLOW_HEATING, make_grid(8))
+    assert point.state.heating
+    assert 0.0 < point.stability.max_growth_rate < 1e-6
+    assert point.stability.label == "unstable"
+
+
+def test_cooling_point_damped_below_the_sums_resolution_is_stable_and_diverged():
+    grid = make_grid(8)
+    point = analyze_point(SLOW_COOLING, grid)
+    assert not point.state.heating
+    rates = -point.dec.omegas[noise_coupled(point.dec)].imag
+    assert 0.0 < rates.min() < 0.5 * Z_FLOOR
+    assert point.stability.label == "stable"
+    # the own pair of the slowest mode, 2 |Im omega| < Z_FLOOR, marks the sum
+    (row,) = solve_depletion_point(SLOW_COOLING, grid, SLOW_COOLING.delta_c, SLOW_COOLING.u0)
+    assert (row.status, row.stability, row.depletion) == ("diverged", "stable", None)
 
 
 def test_spectrum_sweep_rows(pipeline):
