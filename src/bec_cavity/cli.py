@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import asdict, replace as dc_replace
 from typing import TextIO
 
 import numpy as np
@@ -116,14 +116,7 @@ def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
         "residual_alpha": state.residual_alpha,
         "iterations": state.iterations,
         "heating": state.heating,
-        "params": {
-            "delta_c": cfg.params.delta_c,
-            "kappa": cfg.params.kappa,
-            "eta": cfg.params.eta,
-            "u0": cfg.params.u0,
-            "n_atoms": cfg.params.n_atoms,
-            "grid_points": cfg.params.grid_points,
-        },
+        "params": asdict(cfg.params),
     }
     json.dump(payload, stream, indent=1)
     stream.write("\n")
@@ -194,22 +187,14 @@ def cmd_depletion(cfg: RunConfig, stream: TextIO) -> int:
     worker = functools.partial(_depletion_worker, params=cfg.params, grid=grid, options=options)
     results = _pool_map(worker, items)
 
-    columns = ["delta_c", "u0"]
-    if times:
-        columns.append("time")
-    columns += ["depletion", "stability", "dominated_fraction", "status"]
-    if oracle:
-        columns.append("oracle")
-    rows = []
-    for point_rows in results:
-        for r in point_rows:
-            row = [r.delta_c, r.u0]
-            if times:
-                row.append(r.time)
-            row += [r.depletion, r.stability, r.dominated_fraction, r.status]
-            if oracle:
-                row.append(r.oracle)
-            rows.append(tuple(row))
+    # each cell is the DepletionPoint field its column names, so this list
+    # alone fixes which fields are written and in what order
+    columns = [
+        "delta_c", "u0", *(["time"] if times else []),
+        "depletion", "stability", "dominated_fraction", "status",
+        *(["oracle"] if oracle else []),
+    ]
+    rows = [tuple(getattr(r, name) for name in columns) for point in results for r in point]
     ResultTable(columns=columns, rows=rows, meta=_meta(cfg)).write_csv(stream)
     return 0
 

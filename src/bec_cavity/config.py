@@ -3,12 +3,13 @@
 Configs are flat JSON: the physical parameters, an optional sweep block
 {"parameter", "from", "to", "points", "scale"}, and run and output
 options; any other key is rejected, and so is an option the command does
-not read.  The chain's numerical tolerances and its fluctuation frame
-(the one that rotates with the chemical potential) are fixed in code,
-not settable here.  Results are written as CSV with '#'-prefixed
-metadata lines (program version, canonical config echo, timestamp)
-before the header row; floats carry 17 significant digits so a written
-table reads back bit-identically.
+not read, or a delta_c sweep beside the detunings that replace it.  The
+chain's numerical tolerances and its fluctuation frame (the one that
+rotates with the chemical potential) are fixed in code, not settable
+here.  Results are written as CSV with '#'-prefixed metadata lines
+(program version, canonical config echo, timestamp) before the header
+row; floats carry 17 significant digits so a written table reads back
+bit-identically.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -28,7 +29,7 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-_PARAM_KEYS = ("delta_c", "kappa", "eta", "u0", "n_atoms", "grid_points")
+_PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 
 # the option keys each command reads besides the parameters
 _COMMAND_KEYS = {
@@ -116,16 +117,11 @@ def parse_config(data: dict) -> RunConfig:
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
     try:
-        params = validate(
-            SystemParams(
-                delta_c=_require_number(data["delta_c"], "delta_c"),
-                kappa=_require_number(data["kappa"], "kappa"),
-                eta=_require_number(data["eta"], "eta"),
-                u0=_require_number(data["u0"], "u0"),
-                n_atoms=_require_count(data["n_atoms"], "n_atoms"),
-                grid_points=_require_count(data["grid_points"], "grid_points"),
-            )
-        )
+        # counts for the int fields of SystemParams (string annotations), numbers else
+        params = validate(SystemParams(**{
+            f.name: (_require_count if f.type == "int" else _require_number)(data[f.name], f.name)
+            for f in fields(SystemParams)
+        }))
     except (ParameterError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -137,6 +133,8 @@ def parse_config(data: dict) -> RunConfig:
         if not isinstance(det, list) or not det:
             raise ConfigError("detunings must be a non-empty list of numbers")
         cfg.detunings = [_require_number(x, "detunings entry") for x in det]
+        if cfg.sweep is not None and cfg.sweep.parameter == "delta_c":
+            raise ConfigError("'detunings' and a delta_c 'sweep' both set the detunings; set one")
     for flag in ("eta_follows_detuning", "nonneg_re_only", "oracle"):
         if flag in data:
             setattr(cfg, flag, _require_flag(data[flag], flag))

@@ -169,16 +169,28 @@ class ModeDecomposition:
         return synthesize_sector(self.even_right)
 
 
+def _squared_column_norms(x: np.ndarray) -> np.ndarray:
+    """sum_i |x_ik|^2 of each column k of a complex x, reduced by einsum over
+    its real and imaginary views, with no temporary of x's size."""
+    return np.einsum("ik,ik->k", x.real, x.real) + np.einsum("ik,ik->k", x.imag, x.imag)
+
+
 def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
-    """Column factors giving unit photon + quadrature-weighted matter norm.
+    """Column factors 1 / sqrt(|photon|^2 + dx |matter|^2) giving unit photon
+    plus quadrature-weighted matter norm, from the squared column norms of
+    the photon rows 0, 1 and of the matter rows below them.
 
     Makes per-mode quantities such as the photon noise weights |l1 l2|
     grid-resolution invariant, so the absolute skip tolerances of the
     depletion sums mean the same thing at every grid size.
     """
-    photon = np.abs(vecs[0, :]) ** 2 + np.abs(vecs[1, :]) ** 2
-    atom = _column_norms(vecs[2:, :]) ** 2
-    return 1.0 / np.sqrt(photon + dx * atom)
+    return 1.0 / np.sqrt(_squared_column_norms(vecs[:2]) + dx * _squared_column_norms(vecs[2:]))
+
+
+def _petermann_factors(right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """|l_k|^2 |r_k|^2 of each column of right and row of left, from the
+    squared norms (``decompose`` holds left as a transpose)."""
+    return _squared_column_norms(left.T) * _squared_column_norms(right)
 
 
 # rows (or columns) per block wherever a temporary the size of the even
@@ -189,24 +201,6 @@ BLOCK = 32
 def row_blocks(size: int, step: int = BLOCK) -> list[slice]:
     """Slices of at most step indices that cover range(size), in order."""
     return [slice(start, min(start + step, size)) for start in range(0, size, step)]
-
-
-def _column_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=0) of a complex x, bit for bit, through
-    temporaries of BLOCK rows: that norm adds the squares row by row, so
-    each block continues the running sums in the same order."""
-    sums = np.zeros((BLOCK + 1, x.shape[1]))
-    for rows in row_blocks(x.shape[0]):
-        block = x[rows]
-        sums[1 : block.shape[0] + 1] = (block.conj() * block).real
-        sums[0] = np.add.reduce(sums[: block.shape[0] + 1], axis=0)
-    return np.sqrt(sums[0])
-
-
-def _petermann_factors(right: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """(|l_k| |r_k|)^2 of each column of right and row of left, the norms
-    taken BLOCK rows at a time (``decompose`` holds left as a transpose)."""
-    return (_column_norms(left.T) * _column_norms(right)) ** 2
 
 
 def phase_chain(even: np.ndarray, phi_even: np.ndarray, scale: float):
@@ -609,7 +603,8 @@ def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     a secular root l_k = (W r_k)^T / (r_k^T W r_k) (module docstring), so
     K_k = |W r_k|^2 |r_k|^2 / |r_k^T W r_k|^2, Siegman's form for a
     complex-symmetric system.  The even sector's basis is orthonormal, so
-    the factors come from the sector vectors."""
+    the factors are the products of the squared row norms of even_left and
+    column norms of even_right, each one einsum over the vectors in place."""
     return _petermann_factors(dec.even_right, dec.even_left)
 
 

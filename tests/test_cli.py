@@ -121,6 +121,8 @@ def test_config_rejects_bad_physics(tmp_path):
         {"out": ""},
         {"tol_nosie": 1e-14},
         {"sweep": {"parameter": "u0", "from": -0.1, "to": -0.5, "points": 2, "scael": "log"}},
+        # depletion would read the detunings and drop the sweep
+        {"detunings": [-1000.0], "sweep": {"parameter": "delta_c", "from": -100, "to": -200, "points": 2}},
     ],
 )
 def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, override):
@@ -251,6 +253,9 @@ def test_groundstate_reference_point_converges(tmp_path):
     assert data["converged"] is True
     assert data["heating"] is False
     assert data["residual_phi"] < 1e-8
+    assert data["params"] == {
+        "delta_c": -1000.0, "kappa": 100.0, "eta": 1000.0, "u0": -0.5, "n_atoms": 1000, "grid_points": 16,
+    }
 
 
 def test_groundstate_nonconvergence_exit_code(tmp_path, monkeypatch):

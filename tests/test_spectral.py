@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,27 @@ def test_petermann_exceeds_unity_near_crossing():
     *_, dec = run_pipeline(u0=-1.0, ng=64)
     assert petermann_raw(dec).max() > 1.0 + 1e-6
     assert petermann_raw(dec).min() >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
+def test_norms_match_linalg_norm_without_a_sector_sized_temporary(ng):
+    *_, dec = run_pipeline(u0=-0.5, ng=ng)
+    right, left, dx = dec.even_right, dec.even_left, dec.dx
+    reference = np.linalg.norm(left, axis=1) ** 2 * np.linalg.norm(right, axis=0) ** 2
+    assert np.abs(petermann_raw(dec) / reference - 1.0).max() <= 1e-14
+    # decompose scales each column to unit photon plus dx-weighted matter norm
+    physical = np.linalg.norm(right[:2], axis=0) ** 2 + dx * np.linalg.norm(right[2:], axis=0) ** 2
+    factors = spectral._physical_norm_factors(right, dx)
+    assert np.abs(factors**-2 / physical - 1.0).max() <= 1e-14
+    assert np.abs(physical - 1.0).max() <= 1e-14
+    tracemalloc.start()
+    try:
+        petermann_raw(dec)
+        spectral._physical_norm_factors(right, dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < right.nbytes
 
 
 def test_stability_plateau_is_stable(pipeline):
