@@ -140,7 +140,7 @@ def _spectrum_rows(u0: float, params: SystemParams, grid, nonneg_re_only: bool):
     w = np.concatenate([dec.omegas, odd_frequencies(point.fm)])
     n_e = dec.omegas.size
     photon = np.zeros((w.size, 2))  # |l1|, |l2|
-    photon[:n_e] = np.abs(dec.even_left[:, :2])
+    photon[:n_e] = np.abs(np.column_stack([dec.l1, dec.l2]))
     petermann = np.ones(w.size)
     petermann[:n_e] = petermann_raw(dec)
     modes = np.concatenate([
@@ -278,7 +278,10 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so a flag of one call never reaches the next."""
     parser = argparse.ArgumentParser(
         prog="bec-cavity",
         description="Steady states, fluctuation spectra and cavity-noise "

@@ -12,10 +12,11 @@ Two independent routes to the same number:
   state drops the exponential.  The odd modes of the reflection
   x -> pi - x have l1 = l2 = 0 exactly and are not in the mode record,
   so the sum runs over the pairs of the n + 4 even modes alone, about a
-  quarter of the dim^2.  It reads them as the columns of the even
-  sector's orthonormal basis (the record's ``even_right`` and
-  ``even_left``), where O_kl is the same sum over the n/2 + 1 cosine
-  modes m = 0 .. n/2;
+  quarter of the dim^2.  It reads them in the even sector's orthonormal
+  basis, from the record's ``even_right`` and its photon entries ``l1``
+  and ``l2`` of the left rows, where O_kl is the same sum over the
+  n/2 + 1 cosine modes m = 0 .. n/2; both sums take the pairs a block of
+  rows at a time;
 
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
@@ -55,6 +56,7 @@ from .spectral import (
     STRUCTURE_TOL,
     ModeDecomposition,
     StabilityReport,
+    chain_duals,
     classify_stability,
     decompose,
     noise_coupled,
@@ -130,26 +132,26 @@ def finite_time_kernel(z, t: float):
     return np.where(z == 0, t, -np.expm1(-1j * z * t) / (1j * safe))
 
 
-def _pair_data(dec: ModeDecomposition) -> np.ndarray:
-    """weight l1_k l2_l O_kl of every pair of modes k, l of the record.
+def _pair_weights(dec: ModeDecomposition, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+    """weight l1_k l2_l O_kl of the pairs of modes k in rows, l in cols.
 
     The pair's frequency sum is omegas[k] + omegas[l].  The cosine modes
     of the even sector are orthonormal, so O_kl is the sum over the modes
-    m = 0 .. n/2.  The rows are formed a block at a time from views of
-    even_right.
+    m = 0 .. n/2, formed from views of even_right.
     """
-    l1 = dec.even_left[:, 0]
-    l2 = dec.even_left[:, 1]
     modes = dec.n_grid // 2 + 1
-    r3 = dec.even_right[2 : 2 + modes]
-    weight = np.empty((l1.size, l1.size), dtype=complex)
-    for rows in row_blocks(l1.size):  # a block of rows k at a time
-        r4 = dec.even_right[2 + modes :, rows]
-        block = np.matmul(r4.T, r3, out=weight[rows])  # O_kl: no conjugation anywhere
-        block *= dec.dx
-        block *= l1[rows, None]
-        block *= l2
-    return weight
+    r4 = dec.even_right[2 + modes :, rows]
+    block = np.matmul(r4.T, dec.even_right[2 : 2 + modes, cols])  # O_kl: no conjugation anywhere
+    block *= dec.dx
+    block *= dec.l1[rows, None]
+    block *= dec.l2[cols]
+    return block
+
+
+def _pair_data(dec: ModeDecomposition):
+    """(rows, weight[rows]) of every pair of modes of the record, one block
+    of rows k at a time, so that no sum holds the whole weight array."""
+    return ((rows, _pair_weights(dec, rows)) for rows in row_blocks(dec.omegas.size))
 
 
 def _to_real(value: complex, floor: float = 1e-10) -> float:
@@ -160,29 +162,31 @@ def _to_real(value: complex, floor: float = 1e-10) -> float:
     return float(value.real)
 
 
-def _kept_pairs(size: int, dropped) -> np.ndarray:
-    """Pair mask on the first size modes: False on every row and column of
-    a dropped mode."""
-    keep = ~np.isin(np.arange(size), list(dropped))
-    return keep[:, None] & keep[None, :]
-
-
 def _carried_pairs(dec: ModeDecomposition, dropped):
     """(weight, zsum) of the pairs the finite-time sum evaluates.
 
     The kernel depends on w_k + w_l alone, so each unordered pair is one
     term, weight_kl + weight_lk, taken row by row over the upper triangle;
-    pairs of a dropped mode and pairs of zero weight carry nothing.
+    pairs of a dropped mode and pairs of zero weight carry nothing.  Each
+    block of rows adds the weights of its columns below the diagonal and
+    writes its carried pairs on, in row order.
     """
-    weight = _pair_data(dec)
-    size = weight.shape[0]
-    weight[~_kept_pairs(size, dropped)] = 0.0
-    # weight_kl += weight_lk above the diagonal, in place: each row block
-    # reads only entries below it, which it leaves alone
-    for rows in row_blocks(size):
-        weight[rows] += np.triu(weight[:, rows].T, k=rows.start + 1)
-    carried = (weight != 0) & ~np.tri(size, k=-1, dtype=bool)
-    return weight[carried], (dec.omegas[:, None] + dec.omegas)[carried]
+    size = dec.omegas.size
+    kept = ~np.isin(np.arange(size), list(dropped))
+    weight = np.empty(size * (size + 1) // 2, dtype=complex)
+    zsum = np.empty_like(weight)
+    count = 0
+    for rows, block in _pair_data(dec):
+        # weight_kl += weight_lk for l > k
+        block[:, rows.start :] += np.triu(_pair_weights(dec, slice(rows.start, None), rows).T, k=1)
+        block[~kept[rows]] = 0.0
+        block[:, ~kept] = 0.0
+        carried = (block != 0) & (np.arange(size) >= np.arange(rows.start, rows.stop)[:, None])
+        found = np.count_nonzero(carried)
+        weight[count : count + found] = block[carried]
+        zsum[count : count + found] = (dec.omegas[rows, None] + dec.omegas)[carried]
+        count += found
+    return weight[:count], zsum[:count]
 
 
 def _finite_sum(kappa: float, weight: np.ndarray, zsum: np.ndarray, t: float) -> float:
@@ -264,21 +268,29 @@ def steady_state_depletion(
             f"steady-state depletion requires a stable spectrum, got "
             f"'{stability.label}' (max growth rate {stability.max_growth_rate:.3e})"
         )
-    weight = _pair_data(dec)
-    size = weight.shape[0]
-    abs_l1 = np.abs(dec.even_left[:, 0])
-    abs_l2 = np.abs(dec.even_left[:, 1])
+    size = dec.omegas.size
+    abs_l1, abs_l2 = np.abs(dec.l1), np.abs(dec.l2)
     omegas, pairing = dec.omegas, dec.pairing
-    keep = _kept_pairs(size, dec.goldstone)
-    for rows in row_blocks(size):
+    kept = ~np.isin(np.arange(size), list(dec.goldstone))
+    total = 0.0
+    paired = np.zeros(size, dtype=complex)  # each mode's own-pair term
+    own_kept = np.zeros(size, dtype=bool)
+    for rows, weight in _pair_data(dec):
+        mine = np.arange(rows.stop - rows.start)
         zsum = omegas[rows, None] + omegas
         absz = np.abs(zsum)
         noisy = np.outer(abs_l1[rows], abs_l2) >= NOISE_FLOOR
-        if ((absz < Z_FLOOR) & noisy & keep[rows]).any():
+        keep = kept[rows, None] & kept
+        if ((absz < Z_FLOOR) & noisy & keep).any():
             return SteadyDepletion(value=None, diverged=True, dominated_fraction=None)
-        keep[rows] &= (absz >= PAIR_TOL) | noisy
+        keep &= (absz >= PAIR_TOL) | noisy
         # each kept pair's term 2 kappa weight / (i zsum), in place of its weight
-        np.divide(weight[rows], zsum, out=weight[rows], where=keep[rows])
+        np.divide(weight, zsum, out=weight, where=keep)
+        weight[~keep] = 0.0
+        weight *= -2j * dec.kappa
+        total += weight.sum()
+        own_kept[rows] = keep[mine, pairing[rows]]
+        paired[rows] = weight[mine, pairing[rows]]
 
     own_z = np.abs(omegas + omegas[pairing])
     own_noise = abs_l1 * abs_l2[pairing]
@@ -287,13 +299,8 @@ def steady_state_depletion(
     own_pair[list(dec.goldstone)] = False
     excluded = tuple(int(k) for k in np.flatnonzero(own_pair))
 
-    contrib = weight
-    contrib[~keep] = 0.0
-    contrib *= -2j * dec.kappa
-    value = _to_real(contrib.sum())
-
-    rows = np.flatnonzero(keep[np.arange(size), pairing])
-    paired_sum = contrib[rows, pairing[rows]].sum().real
+    value = _to_real(complex(total))
+    paired_sum = paired[own_kept].sum().real
     dominated = paired_sum / value if value != 0.0 else None
     return SteadyDepletion(
         value=value, diverged=False, dominated_fraction=dominated, excluded_modes=excluded
@@ -325,10 +332,10 @@ def mode_projector(dec: ModeDecomposition, modes) -> np.ndarray:
     oracle: the exclusion defines the observable, while the oracle still
     computes its value without touching the eigenbasis.  The projector
     acts on the even sector, in its orthonormal basis, the only one that
-    receives noise.
+    receives noise; it derives the left rows of the given modes alone.
     """
     cols = np.unique(np.asarray(list(modes), dtype=int))
-    return np.eye(dec.omegas.size) - dec.even_right[:, cols] @ dec.even_left[cols]
+    return np.eye(dec.omegas.size) - dec.even_right[:, cols] @ dec.left_rows(cols)
 
 
 def _quadratures(mat: np.ndarray) -> np.ndarray:
@@ -421,8 +428,8 @@ def lyapunov_oracle(
     a = _real(_quadratures(-1j * fm.even), "M breaks G M G = -conj(M)")
     dim = a.shape[0]
     if deflate is None:
-        _, r_g, y_g = phase_chain(fm.even, fm.phi_even, fm.scale)
-        deflate = np.eye(dim) - r_g @ np.linalg.solve(y_g @ r_g, y_g)
+        chain, r_g, y_g = phase_chain(fm.even, fm.phi_even, fm.scale)
+        deflate = np.eye(dim) - r_g @ chain_duals(chain, r_g, y_g)
     proj = _real(_quadratures(deflate), "deflated modes without their (w, -conj w) partners")
     noise = np.zeros_like(a)
     noise[:2, :2] = fm.kappa * np.array([[1.0, 1.0], [-1.0, 1.0]])  # Re D_X + Im D_X
@@ -490,11 +497,13 @@ class PointAnalysis:
 
     Stages fill in order; error holds the exception that stopped the
     chain, and every stage after it stays None.  One record holds the
-    generator's two parity sectors (0.74 MB at n = 200) and the even
-    sector's modes (1.34 MB), so sweeps reduce it to rows where it is
-    made.  Each stage adds at most one (n + 4)-square scratch array
-    (0.67 MB) and block-sized temporaries to what it reads: a warm
-    n = 200 depletion point peaks at about 2.8 MB of numpy memory.
+    generator's two parity sectors (0.75 MB at n = 200) and the even
+    sector's modes (0.68 MB, even_right and the photon entries of the
+    left rows), so sweeps reduce it to rows where it is made.  No stage
+    adds an array of the sector's size, only blocks of it, and the
+    finite-time sum its carried pairs (two arrays of half that size): a
+    warm n = 200 depletion point peaks at 1.58 MB of numpy memory while
+    it decomposes, 1.96 MB with finite times.
     """
 
     state: MeanFieldState | None = None

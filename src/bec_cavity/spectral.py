@@ -52,11 +52,13 @@ measures.  Nothing is inverted and no dense eigensolver runs; instead
 pairing, the trace identity sum w = tr M_even, biorthogonality, a
 condition bound) and raises DecompositionError when a certificate fails.
 
-``decompose`` keeps the even modes in this sector form: their right and
-left vectors in the sector's orthonormal basis, a mode's index its
-column there.  The noise weights used by the depletion sums are exactly
-the photon entries even_left[k, 0] and even_left[k, 1], the first two
-columns of the left rows.
+``decompose`` keeps the even modes in this sector form: their right
+vectors in the sector's orthonormal basis, a mode's index its column
+there.  It stores of the left rows only what the sums read, their photon
+entries l1 and l2 (the noise weights), with the normalizers r^T W r;
+``ModeDecomposition.left_rows`` derives any full row from its right
+vector when a reader needs it: the biorthogonality certificate, a block
+at a time, and ``depletion.mode_projector``.
 
 Phase symmetry of the condensate makes the even sector defective: in the
 frame of the chemical potential the vector (0, 0, phi, -phi) is an
@@ -67,7 +69,8 @@ right columns and left rows in closed form, from one real solve with the
 matter block; ``decompose`` takes the pair from it as exact zeros and
 refuses a generator without it, and the Lyapunov oracle deflates the
 same pair.  Its vectors are self-orthogonal, r^T W r = 0, so its dual
-rows are ``phase_chain``'s, not the transposes.  The pair's indices are
+rows come from ``phase_chain``'s rows (``chain_duals``), not from the
+transposes, and the record stores them.  The pair's indices are
 exposed so downstream sums can treat them separately.
 
 The module sees only the generator: the mean field and the per-point
@@ -76,6 +79,8 @@ chain that feeds M in here are ``depletion.analyze_point``'s business.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +123,8 @@ class ModeDecomposition:
     is its column of even_right.  Each right vector is fixed up to a
     phase, and its left row takes the inverse phase; nothing read from
     the modes (Petermann factors, |l1|, |l2|, the pair weights
-    l1_k l2_l O_kl, projectors) depends on it.
+    l1_k l2_l O_kl, projectors) depends on it.  The left rows are not
+    stored: ``left_rows`` derives them from the right vectors.
 
     omegas      -- complex mode frequencies: the n + 2 secular roots, then
                    the phase/number pair as exact zeros
@@ -128,10 +134,11 @@ class ModeDecomposition:
                    the conjugate block), with unit photon plus
                    quadrature-weighted matter norm; the Goldstone
                    columns are the analytic basis
-    even_left   -- rows, with even_left @ even_right = I: (W r_k)^T / (r_k^T W r_k)
-                   for the secular roots (module docstring), ``phase_chain``'s
-                   dual rows for the phase/number pair; built as the
-                   transpose of an array whose columns are the left vectors
+    l1, l2      -- the photon entries of every left row, columns 0 and 1
+                   of even_left: all that the depletion sums read of them
+    w_norms     -- r_k^T W r_k of each secular root (module docstring)
+    beta        -- alpha / conj(alpha), the photon entries of W
+    dual_rows   -- the phase/number pair's two left rows, from ``chain_duals``
     cond_r      -- ||R||_F ||L||_F of the right basis with unit columns,
                    an upper bound on its 2-norm condition number:
                    sqrt((n + 4) * sum of the Petermann factors)
@@ -148,7 +155,11 @@ class ModeDecomposition:
 
     omegas: np.ndarray
     even_right: np.ndarray
-    even_left: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    w_norms: np.ndarray
+    beta: complex
+    dual_rows: np.ndarray
     cond_r: float
     pairing: np.ndarray
     pairing_error: float
@@ -167,6 +178,33 @@ class ModeDecomposition:
         (``fluctuation.synthesize_sector``), assembled afresh on every
         access; read by the benchmark's tracer and the tests."""
         return synthesize_sector(self.even_right)
+
+    @property
+    def symmetrizer(self) -> np.ndarray:
+        """The diagonal of W = diag(conj beta, -beta, dx 1, -dx 1)."""
+        matter = np.full(self.n_grid // 2 + 1, self.dx)
+        return np.concatenate([[np.conj(self.beta), -self.beta], matter, -matter])
+
+    def left_rows(self, cols, out: np.ndarray | None = None) -> np.ndarray:
+        """The left rows of the modes cols (ascending indices or a slice),
+        with even_left @ even_right = I: (W r_k)^T / (r_k^T W r_k) for a
+        secular root (module docstring), the stored dual row for the
+        phase/number pair.  Written into out when given; a slice reads the
+        right vectors in place."""
+        index = np.arange(self.omegas.size)[cols]
+        split = int(np.searchsorted(index, self.w_norms.size))
+        if out is None:
+            out = np.empty((index.size, self.omegas.size), dtype=complex)
+        np.multiply(self.symmetrizer, self.even_right[:, cols][:, :split].T, out=out[:split])
+        out[:split] /= self.w_norms[index[:split], None]
+        out[split:] = self.dual_rows[index[split:] - self.w_norms.size]
+        return out
+
+    @property
+    def even_left(self) -> np.ndarray:
+        """Every left row, (n + 4)-square, assembled afresh on every access;
+        read by the tests."""
+        return self.left_rows(slice(None))
 
 
 def _squared_column_norms(x: np.ndarray) -> np.ndarray:
@@ -187,12 +225,6 @@ def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     return 1.0 / np.sqrt(_squared_column_norms(vecs[:2]) + dx * _squared_column_norms(vecs[2:]))
 
 
-def _petermann_factors(right: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """|l_k|^2 |r_k|^2 of each column of right and row of left, from the
-    squared norms (``decompose`` holds left as a transpose)."""
-    return _squared_column_norms(left.T) * _squared_column_norms(right)
-
-
 # rows (or columns) per block wherever a temporary the size of the even
 # sector is cut into blocks
 BLOCK = 32
@@ -203,15 +235,28 @@ def row_blocks(size: int, step: int = BLOCK) -> list[slice]:
     return [slice(start, min(start + step, size)) for start in range(0, size, step)]
 
 
+@contextmanager
+def _small_buffers():
+    """Holds numpy's ufunc buffers to BLOCK^2 / 4 elements within.  A ufunc
+    over a strided or broadcast operand buffers up to 8192 elements of
+    each operand (0.13 MB complex), more than the blocks ``decompose``
+    works in at n = 200; an element-wise result does not depend on it."""
+    old = np.setbufsize(BLOCK * BLOCK // 4)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def phase_chain(even: np.ndarray, phi_even: np.ndarray, scale: float):
     """The condensate's phase/number pair of the even sector, in closed form.
 
     Returns (chain, right, rows): right holds the columns R_G = [r1, r2],
     rows the left rows Y = [y; z] of the same pair, which meet every other
     mode's right vector at zero, so that the dual rows are
-    L_G = solve(Y R_G, Y).  With A = even[0, 0], row = even[0, f],
-    col = even[f, 0], h = even[f, f] on the field block's modes f, and phi
-    scaled so that |r1| = 1, the chain (chain True) is
+    L_G = (Y R_G)^-1 Y (``chain_duals``).  With A = even[0, 0],
+    row = even[0, f], col = even[f, 0], h = even[f, f] on the field block's
+    modes f, and phi scaled so that |r1| = 1, the chain (chain True) is
 
         K = h - 4 Re(outer(col, row) / A),   K s = 2 phi,
         r1 = (0, 0, phi, -phi),   r2 = (-row.s / A, -conj(row).s / conj(A), s/2, s/2),
@@ -268,6 +313,23 @@ def phase_chain(even: np.ndarray, phi_even: np.ndarray, scale: float):
     return True, right, rows
 
 
+def chain_duals(chain: bool, right: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The dual rows L_G = (Y R_G)^-1 Y of the phase/number pair's columns
+    right (``phase_chain``'s, each scaled as the caller likes), from its
+    rows Y.
+
+    For a chain, y . r1 is exactly zero, so Y R_G = [[0, b], [c, d]] and
+    L_G = [[-d / (b c), 1 / c], [1 / b, 0]] Y in closed form: the number
+    mode's row is y / b, with the exact zero photon entries of y, where a
+    solve would mix in a rounded multiple of z.  Two eigenvectors (chain
+    False) are each their own dual row, and take a plain solve."""
+    gram = rows @ right
+    if not chain:
+        return np.linalg.solve(gram, rows)
+    (_, b), (c, d) = gram
+    return np.array([(-d / (b * c)) * rows[0] + rows[1] / c, rows[0] / b])
+
+
 # largest departure of the even sector from its bordered form with
 # G M G = -conj(M), or miss of the trace identity, that decompose accepts as
 # roundoff, relative to max|M|; the built generator sits near 1e-15
@@ -304,10 +366,12 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
     to_b = anchors + a_diag.conjugate()
     own_weight = np.concatenate([weights, [0.0, 0.0]])
 
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / (poles[:, None] - poles)
-    np.fill_diagonal(inv, 0.0)
-    rest = (poles - a_diag) * (poles + a_diag.conjugate()) - two_re * (inv @ weights)
+    rest = (poles - a_diag) * (poles + a_diag.conjugate())
+    for rows in row_blocks(n_poles):
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / (poles[rows, None] - poles)
+        inv[np.arange(inv.shape[0]), np.arange(rows.start, rows.stop)] = 0.0
+        rest[rows] -= two_re * (inv @ weights)
     delta = np.zeros(anchors.size, dtype=complex)
     delta[:n_poles] = two_re * weights / rest
     delta[n_poles] = 1e-3j * abs(a_diag)  # breaks the mirror symmetry of the start
@@ -379,9 +443,9 @@ def _resolvent_vectors(basis, levels, weight, profile, poles, anchors, delta, a_
     with the roots in its first columns; the left vectors are their
     transposes under W (module docstring).
 
-    Each vector is built in its own column, and Q is applied in place
-    through one buffer of half that size: no other (n + 4)-square array
-    is made.
+    Each vector is built in its own column, and Q is applied in place a
+    block of columns at a time: no other array of the sector's size is
+    made.
     """
     n_e = basis.shape[0]
     n_roots = anchors.size
@@ -409,11 +473,10 @@ def _resolvent_vectors(basis, levels, weight, profile, poles, anchors, delta, a_
     right[:2, n_roots - 2] = 1.0, -delta[-2] / (beta * wb[-2])
     right[:2, n_roots - 1] = -beta * delta[-1] / wa[-1], 1.0
 
-    product = np.empty((n_e, n_roots), dtype=complex)
     for z in (right[2 : 2 + n_e, :n_roots], right[2 + n_e :, :n_roots]):
-        # Q z for real Q and complex z as one real product, through one buffer
-        np.matmul(basis, z.view(float), out=product.view(float))
-        z[...] = product
+        for cols in row_blocks(n_roots, BLOCK // 2):
+            # Q z for real Q and complex z as one real product
+            z[:, cols] = np.matmul(basis, z[:, cols].view(float)).view(complex)
     return right
 
 
@@ -424,21 +487,26 @@ def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> tuple
     DecompositionError unless the roots are distinct, pair under
     an involution to PAIRING_RTOL, and meet the trace identity: the
     anchors sum to tr M_even exactly, so the offsets must sum to zero.
-    Distances are squared moduli, |w_i - w_k|^2 and |w_i + conj(w_k)|^2.
+    Distances are squared moduli, |w_i - w_k|^2 and |w_i + conj(w_k)|^2,
+    taken a block of rows i at a time.
     """
-    re_sum = roots.real[:, None] + roots.real
-    im_gap = np.square(roots.imag[:, None] - roots.imag)
-    mirror = np.square(re_sum) + im_gap
-    re_sum -= 2.0 * roots.real  # now re_i - re_k
-    spread = np.square(re_sum, out=re_sum)
-    spread += im_gap
-    np.fill_diagonal(spread, np.inf)
+    pairing = np.empty(roots.size, dtype=int)
+    nearest = np.empty(roots.size)  # min_k |w_i - w_k|^2 over k != i
+    mirrored = np.empty(roots.size)  # |w_i + conj(w_i')|^2
+    for rows in row_blocks(roots.size):
+        mine = np.arange(rows.stop - rows.start)
+        im_gap = np.square(roots.imag[rows, None] - roots.imag)
+        mirror = np.square(roots.real[rows, None] + roots.real) + im_gap
+        spread = np.square(roots.real[rows, None] - roots.real) + im_gap
+        spread[mine, mine + rows.start] = np.inf
+        nearest[rows] = spread.min(axis=1)
+        pairing[rows] = np.argmin(mirror, axis=1)
+        mirrored[rows] = mirror[mine, pairing[rows]]
     w_scale = float(np.abs(roots).max())
-    gap = float(np.sqrt(spread.min()))
+    gap = float(np.sqrt(nearest.min()))
     if not gap > 1e-12 * w_scale:
         raise DecompositionError(f"secular roots not distinct ({gap:.2e} apart)")
-    pairing = np.argmin(mirror, axis=1)
-    mismatch = float(np.sqrt(mirror[np.arange(roots.size), pairing].max()))
+    mismatch = float(np.sqrt(mirrored.max()))
     if not np.array_equal(pairing[pairing], np.arange(roots.size)) or mismatch > PAIRING_RTOL * w_scale:
         raise DecompositionError(f"secular roots do not pair as w, -conj(w) ({mismatch:.2e})")
     trace = abs(delta.sum())
@@ -447,6 +515,7 @@ def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> tuple
     return pairing, mismatch
 
 
+@_small_buffers()
 def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     """The even sector's modes from its secular equation (module docstring).
 
@@ -512,62 +581,80 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     omegas = 0.5 * (omegas - omegas[pairing].conj())
 
     right = _resolvent_vectors(basis, levels, weight, row_q, poles, anchors, delta, a_diag, beta)
-    dim = right.shape[0]
+    del basis
     # unit photon plus quadrature-weighted matter norm; the phase stays the
     # closed form's, real positive at the root's own anchor in the
     # eigenbasis of h
     right[:, :n_roots] *= _physical_norm_factors(right[:, :n_roots], dx)
-    # W M is symmetric (module docstring), so the left vector of r is
-    # (W r)^T / (r^T W r); W R fills the columns of left.T
-    symmetrizer = np.concatenate([[np.conj(beta), -beta], np.full(n_e, dx), np.full(n_e, -dx)])
-    w_r = np.empty_like(right)
-    np.multiply(symmetrizer[:, None], right[:, :n_roots], out=w_r[:, :n_roots])
-    w_r[:, :n_roots] /= np.einsum("ki,ki->i", right[:, :n_roots], w_r[:, :n_roots])
-    left = w_r.T
-
     # the phase/number pair fills the last two columns
-    omegas = np.concatenate([omegas, np.zeros(2)])
-    pairing = np.concatenate([pairing, [n_roots, n_roots + 1]])  # Goldstone: itself
-    goldstone = (n_roots, n_roots + 1)
     factors = _physical_norm_factors(r_g, dx)
     right[:, n_roots:] = r_g * factors
-    chain_coupling = complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j
-    left[n_roots:] = np.linalg.solve(y_g @ right[:, n_roots:], y_g)
-
-    # L R - I, BLOCK rows at a time through one scratch block
-    work = np.empty((BLOCK, dim), dtype=complex)
-    defects = []
-    for rows in row_blocks(dim):
-        block = work[: rows.stop - rows.start]
-        np.matmul(left[rows], right, out=block)
-        block[np.arange(len(block)), np.arange(rows.start, rows.stop)] -= 1.0
-        defects.append(np.abs(block).max())
-    biorth_defect = float(np.max(defects))
-    if not biorth_defect <= BIORTH_LIMIT:
-        raise DecompositionError(f"even modes not biorthogonal (max|LR - I| = {biorth_defect:.2e})")
-    # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number
-    cond_r = float(np.sqrt(dim * _petermann_factors(right, left).sum()))
-    if not cond_r <= COND_LIMIT:
-        raise DecompositionError(
-            f"right eigenvector basis is numerically singular "
-            f"(cond <= {cond_r:.3e} > {COND_LIMIT:.1e}); "
-            "use the Lyapunov second-moment oracle instead"
-        )
-    return ModeDecomposition(
-        omegas=omegas,
+    dec = ModeDecomposition(
+        omegas=np.concatenate([omegas, np.zeros(2)]),
         even_right=right,
-        even_left=left,
-        cond_r=cond_r,
-        pairing=pairing,
+        l1=np.empty(n_roots + 2, dtype=complex),
+        l2=np.empty(n_roots + 2, dtype=complex),
+        w_norms=np.empty(n_roots, dtype=complex),
+        beta=beta,
+        dual_rows=chain_duals(chain, right[:, n_roots:], y_g),
+        cond_r=math.nan,
+        pairing=np.concatenate([pairing, [n_roots, n_roots + 1]]),  # Goldstone: itself
         pairing_error=pairing_error,
-        goldstone=goldstone,
+        goldstone=(n_roots, n_roots + 1),
         chain=chain,
-        chain_coupling=chain_coupling,
-        biorth_defect=biorth_defect,
+        chain_coupling=complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j,
+        biorth_defect=math.nan,
         n_grid=fm.n_grid,
         dx=dx,
         kappa=fm.kappa,
     )
+    # W M is symmetric (module docstring), so the left vector of r is
+    # (W r)^T / (r^T W r): W r is formed a block of roots at a time
+    symmetrizer = dec.symmetrizer
+    for cols in row_blocks(n_roots, BLOCK // 2):
+        w_r = symmetrizer[:, None] * right[:, cols]
+        dec.w_norms[cols] = np.einsum("ki,ki->i", right[:, cols], w_r)
+        del w_r  # freed before the next block is formed
+    for photon, out in ((0, dec.l1), (1, dec.l2)):
+        out[:n_roots] = symmetrizer[photon] * right[photon, :n_roots] / dec.w_norms
+        out[n_roots:] = dec.dual_rows[:, photon]
+
+    dec.biorth_defect = _biorth_defect(dec)
+    if not dec.biorth_defect <= BIORTH_LIMIT:
+        raise DecompositionError(
+            f"even modes not biorthogonal (max|LR - I| = {dec.biorth_defect:.2e})"
+        )
+    # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number
+    dec.cond_r = float(np.sqrt(right.shape[0] * petermann_raw(dec).sum()))
+    if not dec.cond_r <= COND_LIMIT:
+        raise DecompositionError(
+            f"right eigenvector basis is numerically singular "
+            f"(cond <= {dec.cond_r:.3e} > {COND_LIMIT:.1e}); "
+            "use the Lyapunov second-moment oracle instead"
+        )
+    return dec
+
+
+def _biorth_defect(dec: ModeDecomposition) -> float:
+    """max|L R - I| over every entry, BLOCK / 2 left rows at a time, derived
+    into one scratch block, against each half of the right columns; each
+    tile is formed transposed, the faster product for these shapes, and
+    its moduli are taken in place."""
+    right = dec.even_right
+    dim = right.shape[0]
+    work = np.empty((BLOCK // 2, dim), dtype=complex)
+    defect = 0.0
+    for rows in row_blocks(dim, BLOCK // 2):
+        left = dec.left_rows(rows, out=work[: rows.stop - rows.start])
+        for cols in row_blocks(dim, dim // 2 + 1):
+            tile = right[:, cols].T @ left.T  # (L R)[rows, cols].T
+            mine = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+            tile[mine - cols.start, mine - rows.start] -= 1.0
+            squares = np.square(tile.real, out=tile.real)
+            squares += np.square(tile.imag, out=tile.imag)
+            defect = max(defect, float(np.sqrt(squares.max())))
+            del tile, squares  # freed before the next tile is formed
+    return defect
 
 
 def classify_stability(dec: ModeDecomposition) -> StabilityReport:
@@ -592,9 +679,8 @@ def classify_stability(dec: ModeDecomposition) -> StabilityReport:
 def noise_coupled(dec: ModeDecomposition) -> np.ndarray:
     """Indices of the noise-coupled modes: the non-Goldstone modes whose
     photon noise weight |l1 l2| exceeds NOISE_FLOOR."""
-    photon = dec.even_left[:, :2]
-    modes = np.delete(np.arange(photon.shape[0]), list(dec.goldstone))
-    return modes[np.abs(photon[modes, 0] * photon[modes, 1]) > NOISE_FLOOR]
+    modes = np.delete(np.arange(dec.omegas.size), list(dec.goldstone))
+    return modes[np.abs(dec.l1[modes] * dec.l2[modes]) > NOISE_FLOOR]
 
 
 def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
@@ -602,10 +688,16 @@ def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     mode: 1 for a normal mode, above 1 where the eigenbasis is skewed.  For
     a secular root l_k = (W r_k)^T / (r_k^T W r_k) (module docstring), so
     K_k = |W r_k|^2 |r_k|^2 / |r_k^T W r_k|^2, Siegman's form for a
-    complex-symmetric system.  The even sector's basis is orthonormal, so
-    the factors are the products of the squared row norms of even_left and
-    column norms of even_right, each one einsum over the vectors in place."""
-    return _petermann_factors(dec.even_right, dec.even_left)
+    complex-symmetric system; the phase/number pair's |l_k|^2 are its dual
+    rows' own.  The even sector's basis is orthonormal, so every norm is
+    one einsum over the vectors in place."""
+    right, roots = dec.even_right, dec.w_norms.size
+    left = np.empty(dec.omegas.size)
+    left[:roots] = abs(dec.beta) ** 2 * _squared_column_norms(right[:2, :roots])
+    left[:roots] += dec.dx**2 * _squared_column_norms(right[2:, :roots])
+    left[:roots] /= np.square(np.abs(dec.w_norms))
+    left[roots:] = _squared_column_norms(dec.dual_rows.T)
+    return left * _squared_column_norms(right)
 
 
 def odd_frequencies(fm: FluctuationMatrix) -> np.ndarray:

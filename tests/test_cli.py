@@ -459,6 +459,26 @@ def test_cli_import_loads_neither_process_pool_nor_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("depletion", ["--times", "1,100", "--oracle"]), ("spectrum", ["--nonneg-re-only"])],
+)
+def test_a_flag_of_one_call_never_reaches_the_next(tmp_path, command, flags):
+    # the parser is built once per process; a call without the flags then
+    # writes what a fresh process writes
+    assert bec_cavity.cli.build_parser() is bec_cavity.cli.build_parser()
+    cfg = write_config(tmp_path, u0=-0.5)
+    flagged, plain, fresh = (tmp_path / f"{name}.csv" for name in ("flagged", "plain", "fresh"))
+    assert main([command, "--config", cfg, "--out", str(flagged), *flags]) == 0
+    assert main([command, "--config", cfg, "--out", str(plain)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "bec_cavity.cli", command, "--config", cfg, "--out", str(fresh)]
+    subprocess.run(argv, env=env, capture_output=True, check=True)
+    assert strip_timestamp(plain.read_text()) == strip_timestamp(fresh.read_text())
+    assert strip_timestamp(flagged.read_text()) != strip_timestamp(plain.read_text())
+
+
 def test_depletion_eta_follows_detunings(tmp_path):
     cfg = write_config(
         tmp_path, u0=-0.3, detunings=[-1000.0, -2000.0], eta_follows_detuning=True

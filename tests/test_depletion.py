@@ -247,21 +247,26 @@ def test_refusals_for_non_stable_states(pipeline):
         )
 
 
-def _toy_decomposition(omegas, right=None, left=None, kappa=100.0):
+def _toy_decomposition(omegas, right=None, l1=None, l2=None, kappa=100.0):
     """A sector-form record on the n = 2 grid, where every mode is even.
 
     Both points of that grid are fixed points of x -> pi - x, so the even
-    sector basis is the grid basis itself: right and left (identity by
-    default) read as grid columns and rows.
+    sector basis is the grid basis itself: right (identity by default)
+    reads as grid columns.  The toys set the photon weights l1, l2
+    directly (by default those of identity left rows: l1 on mode 0, l2 on
+    mode 1); no sum reads any other left entry.
     """
     dim = len(omegas)
     n = (dim - 2) // 2
     right = np.eye(dim, dtype=complex) if right is None else right
-    left = np.eye(dim, dtype=complex) if left is None else left
     return ModeDecomposition(
         omegas=np.array(omegas, dtype=complex),
         even_right=right,
-        even_left=left,
+        l1=np.eye(dim, dtype=complex)[:, 0] if l1 is None else l1,
+        l2=np.eye(dim, dtype=complex)[:, 1] if l2 is None else l2,
+        w_norms=np.ones(dim, dtype=complex),
+        beta=1.0,
+        dual_rows=np.empty((0, dim), dtype=complex),
         cond_r=1.0,
         pairing=np.arange(dim),
         pairing_error=0.0,
@@ -296,12 +301,10 @@ def test_diverged_marker_for_resonant_pair():
 
 
 def test_small_denominator_with_negligible_noise_is_skipped():
-    left = np.eye(6, dtype=complex)
-    left[0, 0] = 1e-13  # photon weights below the noise tolerance
-    left[1, 1] = 1e-13
-    left[0, 1] = 0.0
-    left[1, 0] = 0.0
-    dec = _toy_decomposition([5e-12, -4.99e-12, 1.0, -1.0, 2.0, -2.0], left=left)
+    # photon weights below the noise tolerance
+    l1 = np.array([1e-13, 0, 0, 0, 0, 0], dtype=complex)
+    l2 = np.array([0, 1e-13, 0, 0, 0, 0], dtype=complex)
+    dec = _toy_decomposition([5e-12, -4.99e-12, 1.0, -1.0, 2.0, -2.0], l1=l1, l2=l2)
     dec.pairing = np.array([1, 0, 3, 2, 5, 4])
     steady = steady_state_depletion(
         dec, None, StabilityReport("stable", -1e-3), heating=False
@@ -315,7 +318,7 @@ def _steady_reference(dec, tol_pair=1e-8, tol_noise=1e-10):
     """The steady double sum evaluated on every one of the dim^2 pairs."""
     dim = dec.omegas.size
     n = dec.n_grid
-    l1, l2 = dec.even_left[:, 0], dec.even_left[:, 1]
+    l1, l2 = dec.l1, dec.l2
     overlap = dec.dx * (dec.right[2 + n :].T @ dec.right[2 : 2 + n])
     weight = np.outer(l1, l2) * overlap
     zsum = dec.omegas[:, None] + dec.omegas[None, :]
@@ -354,7 +357,7 @@ def _finite_reference(dec, times, exclude_modes=()):
     """The finite-time double sum evaluated on every one of the dim^2 pairs."""
     n = dec.n_grid
     overlap = dec.dx * (dec.right[2 + n :].T @ dec.right[2 : 2 + n])
-    weight = np.outer(dec.even_left[:, 0], dec.even_left[:, 1]) * overlap
+    weight = np.outer(dec.l1, dec.l2) * overlap
     dropped = list(dec.goldstone) + list(exclude_modes)
     weight[dropped, :] = 0.0
     weight[:, dropped] = 0.0
@@ -405,13 +408,14 @@ def test_times_gather_the_pair_data_once_per_point(monkeypatch):
 
 @pytest.mark.parametrize(
     "times, bound_mb",
-    [(None, 3.2), ([1.0, 100.0, 1e4], 3.5)],
+    [(None, 1.6), ([1.0, 100.0, 1e4], 2.1)],
     ids=["steady", "times"],
 )
 def test_depletion_point_scratch_memory_is_bounded(times, bound_mb):
-    # a warm n = 200 point keeps its mode record (1.44 MB) and, while it
-    # decomposes, the generator (0.74 MB); every other array is scratch of
-    # at most a few blocks of rows
+    # a warm n = 200 point peaks while it decomposes, holding the generator
+    # (0.75 MB) and even_right (0.67 MB) with blocks of scratch (1.58 MB
+    # measured); the finite-time sum keeps each carried pair's weight and
+    # frequency sum for all times (1.96 MB)
     params = SystemParams(delta_c=-1000.0, kappa=100.0, eta=1000.0, u0=-0.3, n_atoms=1000, grid_points=200)
     grid = make_grid(200)
     solve_depletion_point(params, grid, -1000.0, -0.3, times=times)

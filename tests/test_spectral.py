@@ -19,7 +19,7 @@ from bec_cavity import (
 from bec_cavity import cli, meanfield, spectral
 from bec_cavity.depletion import Z_FLOOR, error_status
 from bec_cavity.fluctuation import bordered_sector
-from bec_cavity.spectral import noise_coupled, odd_frequencies, phase_chain
+from bec_cavity.spectral import BIORTH_LIMIT, chain_duals, noise_coupled, odd_frequencies, phase_chain
 from conftest import run_pipeline
 
 
@@ -128,6 +128,37 @@ def test_mode_record_holds_no_grid_sized_basis():
     assert sum(a.nbytes for a in arrays) <= 2e6
     with pytest.raises(AttributeError):
         dec.right = np.eye(dec.omegas.size)
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
+def test_derived_left_rows_are_dual_to_the_right_vectors(ng):
+    # the record stores no left row: even_left is derived from even_right,
+    # and it keeps the photon entries l1, l2 that the sums read
+    *_, dec = run_pipeline(u0=-0.5, ng=ng)
+    left = dec.even_left
+    assert np.abs(left @ dec.even_right - np.eye(ng + 4)).max() <= BIORTH_LIMIT
+    assert np.array_equal(left[:, 0], dec.l1) and np.array_equal(left[:, 1], dec.l2)
+    cols = np.array([0, 5, *dec.goldstone])
+    assert np.array_equal(dec.left_rows(cols), left[cols])
+    arrays = {k: v for k, v in vars(dec).items() if isinstance(v, np.ndarray)}
+    assert [k for k, v in arrays.items() if v.ndim == 2 and min(v.shape) > 2] == ["even_right"]
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
+@pytest.mark.parametrize("u0", [-0.5, -0.16, -4.26648e-4])
+def test_number_mode_row_has_exact_zero_photon_entries(ng, u0):
+    # the number mode's dual row is y / (y . r2): no photon entry at all,
+    # where a solve with Y R_G leaves one at rounding level
+    *_, fm, dec = run_pipeline(u0=u0, ng=ng)
+    number = dec.goldstone[1]
+    assert dec.l1[number] == 0.0 and dec.l2[number] == 0.0
+    chain, right, rows = phase_chain(fm.even, fm.phi_even, fm.scale)
+    assert chain
+    right = right / np.linalg.norm(right, axis=0)  # the closed form takes any column scaling
+    closed = chain_duals(chain, right, rows)
+    solved = np.linalg.solve(rows @ right, rows)
+    assert np.abs(closed - solved).max() <= 1e-12 * np.abs(solved).max()
+    assert np.abs(closed @ right - np.eye(2)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("ng", [16, 64], ids=["True-16", "True-64"])
