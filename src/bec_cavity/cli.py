@@ -21,7 +21,6 @@ import argparse
 import datetime
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace as dc_replace
@@ -30,7 +29,7 @@ from typing import TextIO
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ResultTable, RunConfig, load_config, sweep_values
+from .config import ConfigError, ResultTable, RunConfig, load_config, parse_times, sweep_values
 from .depletion import (
     analyze_point,
     depletion_at_times,
@@ -329,13 +328,11 @@ def main(argv=None) -> int:
 
     times = cfg.times
     if args.times is not None:
+        # the config's rule for a time list, on the flag's floats
         try:
-            times = [float(t) for t in args.times.split(",") if t.strip()]
-        except ValueError:
-            print(f"bad --times value: {args.times!r}", file=sys.stderr)
-            return 2
-        if not times or not all(0.0 <= t < math.inf for t in times):
-            print("--times must be a non-empty list of finite, nonnegative numbers", file=sys.stderr)
+            times = parse_times([float(t) for t in args.times.split(",") if t.strip()])
+        except ValueError as exc:  # a ConfigError among them
+            print(f"bad --times value {args.times!r}: {exc}", file=sys.stderr)
             return 2
     # the flags only switch options on; the "# config:" echo stays cfg.raw
     cfg = dc_replace(

@@ -139,7 +139,7 @@ def parse_config(data: dict) -> RunConfig:
         if flag in data:
             setattr(cfg, flag, _require_flag(data[flag], flag))
     if "times" in data:
-        cfg.times = _parse_times(data["times"])
+        cfg.times = parse_times(data["times"])
     if "out" in data:
         if not isinstance(data["out"], str) or not data["out"]:
             raise ConfigError(f"out must be a non-empty file path, got {data['out']!r}")
@@ -177,7 +177,7 @@ def _parse_sweep(block: Any) -> SweepSpec:
     return SweepSpec(parameter=parameter, start=start, stop=stop, points=points, scale=scale)
 
 
-def _parse_times(value: Any) -> list[float]:
+def parse_times(value: Any) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError("times must be a non-empty list of nonnegative numbers")
     times = [_require_number(t, "times entry") for t in value]

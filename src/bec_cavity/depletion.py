@@ -15,8 +15,9 @@ Two independent routes to the same number:
   quarter of the dim^2.  It reads them in the even sector's orthonormal
   basis, from the record's ``even_right`` and its photon entries ``l1``
   and ``l2`` of the left rows, where O_kl is the same sum over the
-  n/2 + 1 cosine modes m = 0 .. n/2; both sums take the pairs a block of
-  rows at a time;
+  n/2 + 1 cosine modes m = 0 .. n/2; both sums add up their pairs a
+  block of rows at a time, each block as it forms, so neither holds an
+  array of the pair count;
 
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
@@ -148,56 +149,12 @@ def _pair_weights(dec: ModeDecomposition, rows: slice, cols: slice = slice(None)
     return block
 
 
-def _pair_data(dec: ModeDecomposition):
-    """(rows, weight[rows]) of every pair of modes of the record, one block
-    of rows k at a time, so that no sum holds the whole weight array."""
-    return ((rows, _pair_weights(dec, rows)) for rows in row_blocks(dec.omegas.size))
-
-
-def _to_real(value: complex, floor: float = 1e-10) -> float:
-    if abs(value.imag) > max(1e-8 * abs(value.real), floor):
+def _to_real(value: complex) -> float:
+    if abs(value.imag) > max(1e-8 * abs(value.real), 1e-10):
         raise RuntimeError(
             f"depletion acquired a non-negligible imaginary part: {value!r}"
         )
     return float(value.real)
-
-
-def _carried_pairs(dec: ModeDecomposition, dropped):
-    """(weight, zsum) of the pairs the finite-time sum evaluates.
-
-    The kernel depends on w_k + w_l alone, so each unordered pair is one
-    term, weight_kl + weight_lk, taken row by row over the upper triangle;
-    pairs of a dropped mode and pairs of zero weight carry nothing.  Each
-    block of rows adds the weights of its columns below the diagonal and
-    writes its carried pairs on, in row order.
-    """
-    size = dec.omegas.size
-    kept = ~np.isin(np.arange(size), list(dropped))
-    weight = np.empty(size * (size + 1) // 2, dtype=complex)
-    zsum = np.empty_like(weight)
-    count = 0
-    for rows, block in _pair_data(dec):
-        # weight_kl += weight_lk for l > k
-        block[:, rows.start :] += np.triu(_pair_weights(dec, slice(rows.start, None), rows).T, k=1)
-        block[~kept[rows]] = 0.0
-        block[:, ~kept] = 0.0
-        carried = (block != 0) & (np.arange(size) >= np.arange(rows.start, rows.stop)[:, None])
-        found = np.count_nonzero(carried)
-        weight[count : count + found] = block[carried]
-        zsum[count : count + found] = (dec.omegas[rows, None] + dec.omegas)[carried]
-        count += found
-    return weight[:count], zsum[:count]
-
-
-def _finite_sum(kappa: float, weight: np.ndarray, zsum: np.ndarray, t: float) -> float:
-    """2 kappa sum weight f(zsum, t), nan when it overflows; the kernel is
-    evaluated in chunks into one array of terms."""
-    terms = np.empty_like(weight)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for part in row_blocks(weight.size, 4096):
-            np.multiply(weight[part], finite_time_kernel(zsum[part], t), out=terms[part])
-        total = 2.0 * kappa * terms.sum()
-    return _to_real(total) if np.isfinite(total) else math.nan
 
 
 def depletion_at_times(
@@ -212,20 +169,40 @@ def depletion_at_times(
     Well defined for any spectrum and any t >= 0; dN(0) = 0 exactly.
     The Goldstone modes never enter the sum, and exclude_modes drops
     more (e.g. the steady-state rule's exclusion set, for like-for-like
-    comparison with a deflated oracle run).  The pairs are gathered once
-    for all times, and each time is summed on its own: a growing mode
-    makes the kernel overflow at long times, and such a time's value is
-    nan; a time whose sum keeps a non-negligible imaginary part has its
+    comparison with a deflated oracle run).  The kernel depends on
+    w_k + w_l alone, so each unordered pair is one term,
+    weight_kl + weight_lk, taken a block of rows k at a time over l >= k;
+    each block's pairs of non-zero weight are summed into every time's
+    total as the block forms.  Each time is checked on its own: a growing
+    mode makes the kernel overflow at long times, and such a time's value
+    is nan; a time whose sum keeps a non-negligible imaginary part has its
     RuntimeError in ``errors`` and nan as its value.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    weight, zsum = _carried_pairs(dec, dec.goldstone + tuple(exclude_modes))
+    size = dec.omegas.size
+    kept = ~np.isin(np.arange(size), list(dec.goldstone) + list(exclude_modes))
+    totals = np.zeros(len(times), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(size):
+            upper = slice(rows.start, None)
+            # weight_kl + weight_lk for l >= k, the diagonal taken once
+            block = np.triu(_pair_weights(dec, rows, upper))
+            block += np.triu(_pair_weights(dec, upper, rows).T, k=1)
+            block[~kept[rows]] = 0.0
+            block[:, ~kept[upper]] = 0.0
+            carried = block != 0
+            weight = block[carried]
+            zsum = (dec.omegas[rows, None] + dec.omegas[upper])[carried]
+            for i, t in enumerate(times):
+                if t > 0.0:  # dN(0) = 0 exactly
+                    totals[i] += weight @ finite_time_kernel(zsum, t)
+        totals *= 2.0 * dec.kappa
     values, errors = [], []
-    for t in times:
+    for total in totals:
         try:
-            values.append(0.0 if t == 0.0 else _finite_sum(dec.kappa, weight, zsum, t))
+            values.append(_to_real(total) if np.isfinite(total) else math.nan)
             errors.append(None)
         except RuntimeError as exc:
             values.append(math.nan)
@@ -252,12 +229,12 @@ def steady_state_depletion(
     are kept: their denominators are accurate, since the paired
     eigenvalues are symmetrized against the exact G M G = -conj(M)
     relation.  excluded_modes applies the same rule to each even mode's
-    own symmetry pair (k, pairing[k]), and holds both modes of a pair
-    dropped in either order, so that its mode_projector is real in the
-    oracle's quadratures.  The dominated_fraction is the share
-    contributed by the symmetry-paired terms.  The pair denominators and
-    masks are formed a block of rows at a time, each pair's term written
-    over its weight.
+    own symmetry pair (k, pairing[k]), read off the sum's own mask, and
+    holds both modes of a pair dropped in either order, so that its
+    mode_projector is real in the oracle's quadratures.  The
+    dominated_fraction is the share contributed by the symmetry-paired
+    terms.  The pair denominators and masks are formed a block of rows at
+    a time, each pair's term written over its weight.
     """
     if heating:
         raise StabilityError(
@@ -275,7 +252,8 @@ def steady_state_depletion(
     total = 0.0
     paired = np.zeros(size, dtype=complex)  # each mode's own-pair term
     own_kept = np.zeros(size, dtype=bool)
-    for rows, weight in _pair_data(dec):
+    for rows in row_blocks(size):
+        weight = _pair_weights(dec, rows)
         mine = np.arange(rows.stop - rows.start)
         zsum = omegas[rows, None] + omegas
         absz = np.abs(zsum)
@@ -292,12 +270,10 @@ def steady_state_depletion(
         own_kept[rows] = keep[mine, pairing[rows]]
         paired[rows] = weight[mine, pairing[rows]]
 
-    own_z = np.abs(omegas + omegas[pairing])
-    own_noise = abs_l1 * abs_l2[pairing]
-    own_pair = (own_z < PAIR_TOL) & (own_noise < NOISE_FLOOR)
-    own_pair |= own_pair[pairing]  # the rule drops a pair, so both of its modes
-    own_pair[list(dec.goldstone)] = False
-    excluded = tuple(int(k) for k in np.flatnonzero(own_pair))
+    own_dropped = ~own_kept
+    own_dropped[list(dec.goldstone)] = False
+    own_dropped |= own_dropped[pairing]  # the rule drops a pair, so both of its modes
+    excluded = tuple(int(k) for k in np.flatnonzero(own_dropped))
 
     value = _to_real(complex(total))
     paired_sum = paired[own_kept].sum().real
@@ -500,10 +476,9 @@ class PointAnalysis:
     generator's two parity sectors (0.75 MB at n = 200) and the even
     sector's modes (0.68 MB, even_right and the photon entries of the
     left rows), so sweeps reduce it to rows where it is made.  No stage
-    adds an array of the sector's size, only blocks of it, and the
-    finite-time sum its carried pairs (two arrays of half that size): a
-    warm n = 200 depletion point peaks at 1.58 MB of numpy memory while
-    it decomposes, 1.96 MB with finite times.
+    adds an array of the sector's size, only blocks of it: a warm n = 200
+    depletion point peaks at 1.58 MB of numpy memory while it decomposes,
+    with finite times or without.
     """
 
     state: MeanFieldState | None = None

@@ -97,9 +97,9 @@ class MeanFieldState:
     H0 = kinetic + |alpha|^2 U(x).  residual_phi is max|H0 phi - mu phi|;
     residual_alpha is |alpha - alpha'|, where alpha = steady_alpha(u_avg)
     and alpha' is the amplitude whose lattice depth phi is the ground state
-    of (0 for a frozen alpha).  iterations counts the imaginary-time
-    steps of the start.  heating flags delta_c - N<U> > 0, the regime
-    where cavity back-action amplifies atomic motion.
+    of.  iterations counts the imaginary-time steps of the start.  heating
+    flags delta_c - N<U> > 0, the regime where cavity back-action
+    amplifies atomic motion.
     """
 
     phi: np.ndarray
@@ -139,7 +139,7 @@ def _folded_propagator(n_points: int, dt: float) -> np.ndarray:
     return step
 
 
-def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
+def _imaginary_time_start(params: SystemParams, grid: Grid):
     """Split-step imaginary-time propagation from the uniform condensate
     on the even values, alpha under-relaxed after every step.
 
@@ -161,7 +161,7 @@ def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
 
     phi = np.full(j.size, 1.0 / np.sqrt(np.pi))
     u_avg = float(u_weight @ phi**2)
-    alpha = frozen_alpha if frozen_alpha is not None else steady_alpha(params, u_avg)
+    alpha = steady_alpha(params, u_avg)
 
     d_phi = d_alpha = np.inf
     # a lattice step that overflows turns phi nan; the check below stops it
@@ -173,10 +173,7 @@ def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
             phi_new /= np.sqrt(weight @ phi_new**2)
 
             u_new = float(u_weight @ phi_new**2)
-            if frozen_alpha is not None:
-                alpha_new = alpha
-            else:
-                alpha_new = (1.0 - MIXING) * alpha + MIXING * steady_alpha(params, u_new)
+            alpha_new = (1.0 - MIXING) * alpha + MIXING * steady_alpha(params, u_new)
 
             d_phi = float(abs(phi_new - phi).max())
             d_alpha = abs(alpha_new - alpha)
@@ -200,9 +197,7 @@ def _imaginary_time_start(params: SystemParams, grid: Grid, frozen_alpha):
     )
 
 
-def solve_ground_state(
-    params: SystemParams, grid: Grid, *, frozen_alpha: complex | None = None
-) -> MeanFieldState:
+def solve_ground_state(params: SystemParams, grid: Grid) -> MeanFieldState:
     """Solve the coupled mean-field equations for the steady state.
 
     The imaginary-time start gives <U> near the fixed point, at a cost
@@ -211,15 +206,12 @@ def solve_ground_state(
     on the step, and phi is synthesized on the grid once.  The polish
     takes one anchor ``eigh`` and certified inverse-iteration steps.
 
-    frozen_alpha pins the cavity amplitude (an externally imposed
-    lattice).
-
     Raises ConvergenceError when the start exhausts MAX_ITERS steps or
     takes a step that is not finite.
     """
-    _, _, u_start, iterations = _imaginary_time_start(params, grid, frozen_alpha)
+    _, _, u_start, iterations = _imaginary_time_start(params, grid)
     basis = sector_basis(grid.n)
-    vec, alpha, u_avg, alpha_built = _polish_fixed_point(params, basis, u_start, frozen_alpha)
+    vec, alpha, u_avg, alpha_built = _polish_fixed_point(params, basis, u_start)
 
     # H0 vec in the cosine modes; mu and max|H0 phi - mu phi| on the grid
     # from one synthesis of vec and H0 vec
@@ -247,7 +239,7 @@ def solve_ground_state(
     )
 
 
-def _polish_fixed_point(params, basis: SectorBasis, u_avg, frozen_alpha):
+def _polish_fixed_point(params, basis: SectorBasis, u_avg):
     """Polish the fixed point to the discrete ground state of H0.
 
     The split-step fixed point carries an O(dt^2) bias relative to the
@@ -256,8 +248,7 @@ def _polish_fixed_point(params, basis: SectorBasis, u_avg, frozen_alpha):
     H(u) = diag(4 m^2) + d(u) U, d(u) = |alpha(u)|^2 and U = u0 T the
     lattice in the cosine modes.  With alpha = steady_alpha(u) the fixed
     point is the root of F(u) = <U> - u; a secant method started at the
-    imaginary-time <U> finds it, and stops when |F| stops falling.  A
-    frozen alpha takes the anchor alone.
+    imaginary-time <U> finds it, and stops when |F| stops falling.
 
     The first F(u) is an anchor: one ``eigh``, which keeps the ground
     state, its level lambda0 and the gap g to the next level.  Every later
@@ -280,11 +271,8 @@ def _polish_fixed_point(params, basis: SectorBasis, u_avg, frozen_alpha):
     u_scale = abs(params.u0)
     anchor = {}
 
-    def alpha_at(u):
-        return steady_alpha(params, u) if frozen_alpha is None else frozen_alpha
-
     def ground_state(u, vec):
-        depth = np.abs(alpha_at(u)) ** 2
+        depth = np.abs(steady_alpha(params, u)) ** 2
         ham = kinetic + depth * lattice
         if anchor:
             shift = abs(depth - anchor["depth"]) * u_scale
@@ -311,7 +299,7 @@ def _polish_fixed_point(params, basis: SectorBasis, u_avg, frozen_alpha):
 
     u_built = u_avg
     f, vec = residual(u_built, None)
-    if frozen_alpha is None and f != 0.0:
+    if f != 0.0:
         best_abs, best_vec = abs(f), vec
         # a fixed-point step gives the second secant point
         u_prev, f_prev, u = u_avg, f, u_avg + f
@@ -326,7 +314,7 @@ def _polish_fixed_point(params, basis: SectorBasis, u_avg, frozen_alpha):
             u_prev, f_prev, u = u, f, u - f * (u - u_prev) / (f - f_prev)
         vec = best_vec
     u_avg = float(vec @ lattice @ vec)
-    return vec, alpha_at(u_avg), u_avg, alpha_at(u_built)
+    return vec, steady_alpha(params, u_avg), u_avg, steady_alpha(params, u_built)
 
 
 def _inverse_iteration(ham, vec, norm):

@@ -249,24 +249,26 @@ def test_criterion_8_mean_field_solver():
     expected = params.eta**2 / (params.delta_c**2 + params.kappa**2)
     assert abs(abs(state.alpha) ** 2 - expected) <= 1e-10
 
-    frozen = validate(
+    # a deep lattice one atom barely shifts: self-consistent |alpha|^2 u0 = -10.07
+    deep = validate(
         SystemParams(
             delta_c=-1000.0, kappa=KAPPA, eta=1000.0, u0=-10.0,
-            n_atoms=1000, grid_points=200,
+            n_atoms=1, grid_points=200,
         )
     )
     g200 = make_grid(200)
-    trapped = solve_ground_state(frozen, g200, frozen_alpha=1.0)
-    h = dense_kinetic(g200) + np.diag(potential_profile(g200, frozen.u0))
+    trapped = solve_ground_state(deep, g200)
+    depth = abs(trapped.alpha) ** 2 * potential_profile(g200, deep.u0)
+    h = dense_kinetic(g200) + np.diag(depth)
     evals, evecs = np.linalg.eigh(h)
     phi_ref = evecs[:, 0] / np.sqrt(g200.dx)
-    if phi_ref[int(np.argmin(potential_profile(g200, frozen.u0)))] < 0:
+    if phi_ref[int(np.argmin(depth))] < 0:
         phi_ref = -phi_ref
     mu_err = abs(trapped.mu - evals[0])
     phi_err = np.abs(trapped.phi.real - phi_ref).max()
     assert mu_err <= 1e-8 and phi_err <= 1e-8
     report(8, f"uniform limit exact (|alpha|^2 err {abs(abs(state.alpha)**2 - expected):.1e}); "
-              f"depth-10 lattice vs dense diagonalization: mu err {mu_err:.1e}, "
+              f"depth-{abs(depth.min()):.2f} lattice vs dense diagonalization: mu err {mu_err:.1e}, "
               f"phi err {phi_err:.1e} <= 1e-8")
 
 

@@ -394,13 +394,13 @@ def test_depletion_time_whose_sum_fails_costs_only_its_own_row(tmp_path, monkeyp
     # the cosine modes no time of the shipped sweep does, up to 1e60); the
     # point's other times keep their rows
     module = bec_cavity.depletion
-    finite_sum = module._finite_sum
+    kernel = module.finite_time_kernel
 
-    def failing_at_1e25(kappa, weight, zsum, t):
-        value = finite_sum(kappa, weight, zsum, t)
-        return module._to_real(complex(value, value)) if t == 1e25 else value
+    def failing_at_1e25(z, t):
+        value = kernel(z, t)
+        return value * (1.0 + 1.0j) if t == 1e25 else value  # Im dN = Re dN
 
-    monkeypatch.setattr(module, "_finite_sum", failing_at_1e25)
+    monkeypatch.setattr(module, "finite_time_kernel", failing_at_1e25)
     cfg = write_config(tmp_path, delta_c=-100.0, eta=100.0, u0=-0.05)
     tables = []
     for times in ("1,100", "1,100,1e25"):

@@ -392,30 +392,36 @@ def test_overflowing_times_are_nan_and_the_earlier_times_stay():
 
 
 def test_times_gather_the_pair_data_once_per_point(monkeypatch):
+    # every time is summed in the one pass over the pair blocks, so the
+    # pair weights are formed as often for three times as for one
     calls = []
-    pair_data = depletion._pair_data
+    pair_weights = depletion._pair_weights
 
-    def counted(dec):
+    def counted(dec, *args):
         calls.append(dec)
-        return pair_data(dec)
+        return pair_weights(dec, *args)
 
-    monkeypatch.setattr(depletion, "_pair_data", counted)
+    monkeypatch.setattr(depletion, "_pair_weights", counted)
     params, grid, *_ = run_pipeline(u0=-0.5, ng=16)
-    rows = solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0, 100.0, 1e4])
-    assert [r.status for r in rows] == ["ok", "ok", "ok"]
-    assert len(calls) == 1
+    counts = []
+    for times in ([1.0], [1.0, 100.0, 1e4]):
+        calls.clear()
+        rows = solve_depletion_point(params, grid, -1000.0, -0.5, times=times)
+        assert all(r.status == "ok" for r in rows)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize(
     "times, bound_mb",
-    [(None, 1.6), ([1.0, 100.0, 1e4], 2.1)],
+    [(None, 1.6), ([1.0, 100.0, 1e4], 1.6)],
     ids=["steady", "times"],
 )
 def test_depletion_point_scratch_memory_is_bounded(times, bound_mb):
     # a warm n = 200 point peaks while it decomposes, holding the generator
     # (0.75 MB) and even_right (0.67 MB) with blocks of scratch (1.58 MB
-    # measured); the finite-time sum keeps each carried pair's weight and
-    # frequency sum for all times (1.96 MB)
+    # measured); the finite-time sum adds up each block of pairs as it
+    # forms, so it holds no array of the pair count
     params = SystemParams(delta_c=-1000.0, kappa=100.0, eta=1000.0, u0=-0.3, n_atoms=1000, grid_points=200)
     grid = make_grid(200)
     solve_depletion_point(params, grid, -1000.0, -0.3, times=times)

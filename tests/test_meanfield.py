@@ -58,17 +58,17 @@ def test_uniform_ground_state_without_coupling():
 
 
 def test_frozen_lattice_matches_dense_diagonalization():
-    # external lattice of depth 10: alpha pinned at 1, u0 = -10
-    p = params(u0=-10.0)
+    # a deep lattice one atom barely shifts: self-consistent |alpha|^2 u0 = -10.07
+    p = params(u0=-10.0, n_atoms=1)
     g = make_grid(p.grid_points)
-    st = solve_ground_state(p, g, frozen_alpha=1.0)
-    h = dense_kinetic(g) + np.diag(potential_profile(g, p.u0))
+    st = solve_ground_state(p, g)
+    h = dense_kinetic(g) + np.diag(abs(st.alpha) ** 2 * potential_profile(g, p.u0))
     evals, evecs = np.linalg.eigh(h)
     phi_ref = evecs[:, 0] / np.sqrt(g.dx)
     if phi_ref[int(np.argmin(potential_profile(g, p.u0)))] < 0:
         phi_ref = -phi_ref
-    assert abs(st.mu - evals[0]) < 1e-8
-    assert np.abs(st.phi.real - phi_ref).max() < 1e-8
+    assert abs(st.mu - evals[0]) < 1e-10
+    assert np.abs(st.phi.real - phi_ref).max() < 1e-10
 
 
 def test_self_consistent_state_is_the_dense_ground_state():
@@ -186,18 +186,20 @@ def _full_grid_itp(p, g, *, itp_dt=meanfield.ITP_DT, tol_phi=1e-9, tol_alpha=1e-
 # the step count is a threshold crossing, so equal counts hold to roundoff
 # only: at delta_c = -10000, u0 = -0.12 the reference took 4340, 4339 and
 # 4340 steps at n = 16, 64 and 200 with a step of 1e-3; at 4e-3 it took 1086
-# and at ITP_DT = 1e-2 it takes 435 at all three
+# and at ITP_DT = 1e-2 it takes 435 at all three.  n_atoms None keeps the
+# 1000 atoms of params(); one atom gives a deep lattice, |alpha|^2 u0 = -10.07
 @pytest.mark.parametrize(
-    "n, delta_c, u0, frozen_alpha",
+    "n, delta_c, u0, n_atoms",
     [(n, dc, u0, None) for n in (16, 64, 200) for dc in (-100.0, -1000.0, -10000.0)
      for u0 in (-0.05, -1.03)]
-    + [(64, -1000.0, -5.0, 1.0)],
+    + [(64, -1000.0, -10.0, 1)],
 )
-def test_even_half_grid_loop_matches_the_full_grid_loop(n, delta_c, u0, frozen_alpha):
-    p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n)
+def test_even_half_grid_loop_matches_the_full_grid_loop(n, delta_c, u0, n_atoms):
+    atoms = {} if n_atoms is None else {"n_atoms": n_atoms}
+    p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n, **atoms)
     g = make_grid(n)
-    iterations, phi, alpha, u_avg, _ = _full_grid_itp(p, g, frozen_alpha=frozen_alpha)
-    phi_even, alpha_even, u_even, steps = meanfield._imaginary_time_start(p, g, frozen_alpha)
+    iterations, phi, alpha, u_avg, _ = _full_grid_itp(p, g)
+    phi_even, alpha_even, u_even, steps = meanfield._imaginary_time_start(p, g)
     assert steps == iterations
     assert abs(u_even - u_avg) <= 1e-13
     assert abs(alpha_even - alpha) <= 1e-12 * abs(alpha)
@@ -205,7 +207,7 @@ def test_even_half_grid_loop_matches_the_full_grid_loop(n, delta_c, u0, frozen_a
     assert np.abs(phi_even - phi[j]).max() <= 1e-12
     assert np.abs(phi_even - phi[mj]).max() <= 1e-12
     # the polished solve reports the start's step count
-    assert solve_ground_state(p, g, frozen_alpha=frozen_alpha).iterations == iterations
+    assert solve_ground_state(p, g).iterations == iterations
 
 
 @pytest.mark.parametrize("n", [16, 64, 200])
@@ -234,7 +236,7 @@ def test_solution_does_not_depend_on_the_start_step(n, delta_c, u0, monkeypatch)
     dt, st = meanfield.ITP_DT, solve_ground_state(p, g)
     with monkeypatch.context() as patch:
         patch.setattr(meanfield, "TOL_PHI", np.inf)
-        alpha_steps = meanfield._imaginary_time_start(p, g, None)[3]
+        alpha_steps = meanfield._imaginary_time_start(p, g)[3]
     monkeypatch.setattr(meanfield, "ITP_DT", 1e-3)
     fine = solve_ground_state(p, g)
     assert abs(st.u_avg - fine.u_avg) <= 1e-11 * abs(fine.u_avg)
@@ -284,7 +286,7 @@ def _eigh_polish(p, g, u_avg):
 
 def _polish(p, g, u_start):
     """<U> from the package's polish, started from u_start."""
-    return meanfield._polish_fixed_point(p, sector_basis(g.n), u_start, None)[2]
+    return meanfield._polish_fixed_point(p, sector_basis(g.n), u_start)[2]
 
 
 @pytest.mark.parametrize(
@@ -297,7 +299,7 @@ def test_certified_polish_matches_an_eigh_polish(n, delta_c, u0):
     # eigen-residual RQI_TOL ||H|| over the gap; <U> agrees to rounding
     p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n)
     g = make_grid(n)
-    u_start = meanfield._imaginary_time_start(p, g, None)[2]
+    u_start = meanfield._imaginary_time_start(p, g)[2]
     ref, _ = _eigh_polish(p, g, u_start)
     assert abs(_polish(p, g, u_start) - ref) <= 1e-11 * abs(ref)
 
@@ -323,7 +325,7 @@ def test_an_uncertified_step_reanchors(n, monkeypatch):
     # same u, so <U> is the reference's
     p = params(delta_c=-1000.0, eta=1000.0, u0=-0.5, grid_points=n)
     g = make_grid(n)
-    u_start = meanfield._imaginary_time_start(p, g, None)[2]
+    u_start = meanfield._imaginary_time_start(p, g)[2]
     ref, evaluations = _eigh_polish(p, g, u_start)
     calls = []
     eigh = np.linalg.eigh
@@ -349,7 +351,6 @@ def test_residual_alpha_is_the_polish_mismatch(monkeypatch):
     g = make_grid(p.grid_points)
     polished = solve_ground_state(p, g)
     assert polished.residual_alpha <= 1e-12 * abs(polished.alpha)
-    assert solve_ground_state(p, g, frozen_alpha=1.0).residual_alpha == 0.0
     monkeypatch.setattr(meanfield, "SECANT_STEPS", 0)
     start = solve_ground_state(p, g)
     assert start.residual_alpha > 1e3 * polished.residual_alpha
