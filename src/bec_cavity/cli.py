@@ -43,7 +43,7 @@ from .fluctuation import symmetry_defect
 from .grid import make_grid
 from .meanfield import ConvergenceError, solve_ground_state
 from .params import SystemParams
-from .spectral import odd_frequencies, petermann_raw
+from .spectral import BIORTH_LIMIT, PAIRING_RTOL, odd_frequencies, petermann_raw
 
 
 def _worker_count(n_items: int) -> int:
@@ -244,14 +244,14 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
     if dec is not None:
         record(
             "biorthonormality",
-            dec.biorth_defect <= 1e-10,
+            dec.biorth_defect <= BIORTH_LIMIT,
             f"max|LR - I|={dec.biorth_defect:.2e}",
         )
         scale = float(np.abs(dec.omegas).max())
         record(
             "eigenvalue-pairing",
-            dec.pairing_error <= 1e-8 * scale,
-            f"pairing error={dec.pairing_error:.2e} (bound {1e-8 * scale:.2e})",
+            dec.pairing_error <= PAIRING_RTOL * scale,
+            f"pairing error={dec.pairing_error:.2e} (bound {PAIRING_RTOL * scale:.2e})",
         )
         # decompose refuses a generator without the phase/number pair, so
         # every decomposition carries exactly two Goldstone modes

@@ -47,7 +47,9 @@ adjoint mode of a complex-symmetric system is its transpose (Siegman,
 PRA 39, 1253, 1989).  ``decompose``'s structure check asserts each of
 those relations to STRUCTURE_TOL before any vector is built, so the
 identity holds to the rounding that the biorthogonality certificate
-measures.  Nothing is inverted and no dense eigensolver runs; instead
+measures.  W is diagonal, so the Gram R^T W R is complex symmetric, and
+the certificate forms only its tiles on and above the diagonal.  Nothing
+is inverted and no dense eigensolver runs; instead
 ``decompose`` certifies the result (distinct roots, an exact mirror
 pairing, the trace identity sum w = tr M_even, biorthogonality, a
 condition bound) and raises DecompositionError when a certificate fails.
@@ -57,8 +59,8 @@ vectors in the sector's orthonormal basis, a mode's index its column
 there.  It stores of the left rows only what the sums read, their photon
 entries l1 and l2 (the noise weights), with the normalizers r^T W r;
 ``ModeDecomposition.left_rows`` derives any full row from its right
-vector when a reader needs it: the biorthogonality certificate, a block
-at a time, and ``depletion.mode_projector``.
+vector when a reader needs it, ``depletion.mode_projector`` and the
+tests.
 
 Phase symmetry of the condensate makes the even sector defective: in the
 frame of the chemical potential the vector (0, 0, phi, -phi) is an
@@ -141,7 +143,9 @@ class ModeDecomposition:
     dual_rows   -- the phase/number pair's two left rows, from ``chain_duals``
     cond_r      -- ||R||_F ||L||_F of the right basis with unit columns,
                    an upper bound on its 2-norm condition number:
-                   sqrt((n + 4) * sum of the Petermann factors)
+                   sqrt((n + 4) * sum of the Petermann factors), taken
+                   from the squared photon and matter norms that the
+                   columns' normalization forms
     pairing     -- involution k -> k' with omega_k' = -conj(omega_k)
                    exactly (Goldstone modes pair with themselves)
     pairing_error -- max|w_k' + conj(w_k)| of the secular roots as solved,
@@ -185,16 +189,14 @@ class ModeDecomposition:
         matter = np.full(self.n_grid // 2 + 1, self.dx)
         return np.concatenate([[np.conj(self.beta), -self.beta], matter, -matter])
 
-    def left_rows(self, cols, out: np.ndarray | None = None) -> np.ndarray:
+    def left_rows(self, cols) -> np.ndarray:
         """The left rows of the modes cols (ascending indices or a slice),
         with even_left @ even_right = I: (W r_k)^T / (r_k^T W r_k) for a
         secular root (module docstring), the stored dual row for the
-        phase/number pair.  Written into out when given; a slice reads the
-        right vectors in place."""
+        phase/number pair.  A slice reads the right vectors in place."""
         index = np.arange(self.omegas.size)[cols]
         split = int(np.searchsorted(index, self.w_norms.size))
-        if out is None:
-            out = np.empty((index.size, self.omegas.size), dtype=complex)
+        out = np.empty((index.size, self.omegas.size), dtype=complex)
         np.multiply(self.symmetrizer, self.even_right[:, cols][:, :split].T, out=out[:split])
         out[:split] /= self.w_norms[index[:split], None]
         out[split:] = self.dual_rows[index[split:] - self.w_norms.size]
@@ -213,16 +215,20 @@ def _squared_column_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ik->k", x.real, x.real) + np.einsum("ik,ik->k", x.imag, x.imag)
 
 
-def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
+def _physical_norm_factors(vecs: np.ndarray, dx: float):
     """Column factors 1 / sqrt(|photon|^2 + dx |matter|^2) giving unit photon
     plus quadrature-weighted matter norm, from the squared column norms of
-    the photon rows 0, 1 and of the matter rows below them.
+    the photon rows 0, 1 and of the matter rows below them.  Returns
+    (factors, photon, matter), the two squared norms of the columns as
+    given, from which ``decompose`` also takes the condition bound.
 
     Makes per-mode quantities such as the photon noise weights |l1 l2|
     grid-resolution invariant, so the absolute skip tolerances of the
     depletion sums mean the same thing at every grid size.
     """
-    return 1.0 / np.sqrt(_squared_column_norms(vecs[:2]) + dx * _squared_column_norms(vecs[2:]))
+    photon = _squared_column_norms(vecs[:2])
+    matter = _squared_column_norms(vecs[2:])
+    return 1.0 / np.sqrt(photon + dx * matter), photon, matter
 
 
 # rows (or columns) per block wherever a temporary the size of the even
@@ -585,10 +591,11 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     # unit photon plus quadrature-weighted matter norm; the phase stays the
     # closed form's, real positive at the root's own anchor in the
     # eigenbasis of h
-    right[:, :n_roots] *= _physical_norm_factors(right[:, :n_roots], dx)
+    factors, photon_sq, matter_sq = _physical_norm_factors(right[:, :n_roots], dx)
+    right[:, :n_roots] *= factors
     # the phase/number pair fills the last two columns
-    factors = _physical_norm_factors(r_g, dx)
-    right[:, n_roots:] = r_g * factors
+    g_factors, g_photon_sq, g_matter_sq = _physical_norm_factors(r_g, dx)
+    right[:, n_roots:] = r_g * g_factors
     dec = ModeDecomposition(
         omegas=np.concatenate([omegas, np.zeros(2)]),
         even_right=right,
@@ -602,7 +609,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         pairing_error=pairing_error,
         goldstone=(n_roots, n_roots + 1),
         chain=chain,
-        chain_coupling=complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j,
+        chain_coupling=complex(g_factors[1] / g_factors[0]) if chain else 0.0 + 0.0j,
         biorth_defect=math.nan,
         n_grid=fm.n_grid,
         dx=dx,
@@ -624,8 +631,16 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         raise DecompositionError(
             f"even modes not biorthogonal (max|LR - I| = {dec.biorth_defect:.2e})"
         )
-    # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number
-    dec.cond_r = float(np.sqrt(right.shape[0] * petermann_raw(dec).sum()))
+    # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number:
+    # sqrt((n + 4) sum_k K_k) over the Petermann factors K_k = |l_k|^2 |r_k|^2
+    # (``petermann_raw``), from the squared norms the factors came from,
+    # rescaled by factor^2, with |l_k| = |W r_k| / |w_k|
+    squared = np.square(factors)
+    right_sq = squared * (photon_sq + matter_sq)
+    left_sq = squared * (abs(beta) ** 2 * photon_sq + dx**2 * matter_sq)
+    left_sq /= np.square(np.abs(dec.w_norms))
+    pair = _squared_column_norms(dec.dual_rows.T) @ (np.square(g_factors) * (g_photon_sq + g_matter_sq))
+    dec.cond_r = float(np.sqrt(right.shape[0] * (left_sq @ right_sq + pair)))
     if not dec.cond_r <= COND_LIMIT:
         raise DecompositionError(
             f"right eigenvector basis is numerically singular "
@@ -636,25 +651,46 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 
 
 def _biorth_defect(dec: ModeDecomposition) -> float:
-    """max|L R - I| over every entry, BLOCK / 2 left rows at a time, derived
-    into one scratch block, against each half of the right columns; each
-    tile is formed transposed, the faster product for these shapes, and
-    its moduli are taken in place."""
-    right = dec.even_right
-    dim = right.shape[0]
-    work = np.empty((BLOCK // 2, dim), dtype=complex)
-    defect = 0.0
-    for rows in row_blocks(dim, BLOCK // 2):
-        left = dec.left_rows(rows, out=work[: rows.stop - rows.start])
-        for cols in row_blocks(dim, dim // 2 + 1):
-            tile = right[:, cols].T @ left.T  # (L R)[rows, cols].T
-            mine = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
-            tile[mine - cols.start, mine - rows.start] -= 1.0
+    """max|L R - I| over every entry, from the tiles of the Gram
+    G = R^T W R on and above its diagonal.
+
+    G is complex symmetric (W is diagonal), and a secular root's left row
+    is (W r_k)^T / w_k, so G_kl gives both (L R)_kl = G_kl / w_k and
+    (L R)_lk = G_kl / w_l.  Panels of BLOCK / 2 secular modes k meet the
+    columns l >= k, the Goldstone ones included, in tiles at most half the
+    sector wide, each formed transposed (the faster product for these
+    shapes) and squared in place; each secular mode keeps the largest
+    off-diagonal |G|^2 of its row and column.  The phase/number pair's
+    dual rows meet every column."""
+    right, w_norms = dec.even_right, dec.w_norms
+    dim, roots = right.shape[0], w_norms.size
+    symmetrizer = dec.symmetrizer[:, None]
+    largest = np.zeros(roots)  # max over l != k of |G_kl|^2
+    diagonal = np.empty(roots, dtype=complex)
+    for rows in row_blocks(roots, BLOCK // 2):
+        w_r = symmetrizer * right[:, rows]
+        for cols in row_blocks(dim - rows.start, dim // 2 + 1):
+            cols = slice(rows.start + cols.start, rows.start + cols.stop)
+            tile = right[:, cols].T @ w_r  # G[cols, rows]
+            mine = np.arange(cols.start, min(rows.stop, cols.stop))
+            diagonal[mine] = tile[mine - cols.start, mine - rows.start]
+            tile[mine - cols.start, mine - rows.start] = 0.0
             squares = np.square(tile.real, out=tile.real)
             squares += np.square(tile.imag, out=tile.imag)
-            defect = max(defect, float(np.sqrt(squares.max())))
+            np.maximum(largest[rows], squares.max(axis=0), out=largest[rows])
+            secular = np.arange(cols.start, min(cols.stop, roots))
+            largest[secular] = np.maximum(largest[secular], squares[: secular.size].max(axis=1))
             del tile, squares  # freed before the next tile is formed
-    return defect
+        del w_r  # freed before the next panel is formed
+    pair = dec.dual_rows @ right
+    pair[:, roots:] -= np.eye(dim - roots)
+    return float(
+        np.max([
+            (np.sqrt(largest) / np.abs(w_norms)).max(),
+            np.abs(diagonal / w_norms - 1.0).max(),
+            np.abs(pair).max(),
+        ])
+    )
 
 
 def classify_stability(dec: ModeDecomposition) -> StabilityReport:

@@ -145,6 +145,53 @@ def test_derived_left_rows_are_dual_to_the_right_vectors(ng):
 
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
+@pytest.mark.parametrize("delta_c", [-100.0, -1000.0, -10000.0])
+@pytest.mark.parametrize("u0", [-0.5, -4.26648e-4])
+def test_biorth_defect_from_the_upper_gram_tiles_matches_the_full_product(ng, delta_c, u0):
+    # u0 = -4.26648e-4 is a very weakly coupled chain; delta_c = -100 at
+    # u0 = -0.5 a heating point
+    _, _, state, _, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
+    assert state.heating == (delta_c == -100.0 and u0 == -0.5)
+    full = np.abs(dec.even_left @ dec.even_right - np.eye(ng + 4)).max()
+    assert abs(spectral._biorth_defect(dec) - full) <= 1e-14
+    assert dec.biorth_defect == spectral._biorth_defect(dec)
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
+def test_biorth_defect_reports_an_entry_below_the_diagonal(ng):
+    # scaling the photon entry of the right vector in column 1 puts
+    # the largest entry of L R - I in a photon root's row, below the
+    # diagonal: the certificate forms only the tiles above it, so it must
+    # take that entry from its mirror under the photon root's normalizer
+    *_, dec = run_pipeline(u0=-0.5, ng=ng)
+    right = dec.even_right.copy()
+    right[0, 1] *= 1.001
+    bad = dataclasses.replace(dec, even_right=right)
+    product = np.abs(bad.even_left @ right - np.eye(ng + 4))
+    row, col = np.unravel_index(np.argmax(product), product.shape)
+    assert col < row < dec.w_norms.size
+    assert product.max() > BIORTH_LIMIT
+    assert abs(spectral._biorth_defect(bad) - product.max()) <= 1e-14
+
+
+@pytest.mark.parametrize("col", [1, 40])
+def test_biorth_defect_is_nan_when_an_entry_is(col):
+    # a nan entry fails the certificate by itself, wherever its tile
+    *_, dec = run_pipeline(u0=-0.5, ng=64)
+    right = dec.even_right.copy()
+    right[5, col] = np.nan
+    assert np.isnan(spectral._biorth_defect(dataclasses.replace(dec, even_right=right)))
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
+@pytest.mark.parametrize("u0", [-0.5, -4.26648e-4, -1.2])
+def test_cond_r_is_the_petermann_sum_bound(ng, u0):
+    *_, dec = run_pipeline(u0=u0, ng=ng)
+    bound = np.sqrt((ng + 4) * petermann_raw(dec).sum())
+    assert abs(dec.cond_r / bound - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("ng", [16, 64, 200])
 @pytest.mark.parametrize("u0", [-0.5, -0.16, -4.26648e-4])
 def test_number_mode_row_has_exact_zero_photon_entries(ng, u0):
     # the number mode's dual row is y / (y . r2): no photon entry at all,
@@ -211,9 +258,13 @@ def test_norms_match_linalg_norm_without_a_sector_sized_temporary(ng):
     reference = np.linalg.norm(left, axis=1) ** 2 * np.linalg.norm(right, axis=0) ** 2
     assert np.abs(petermann_raw(dec) / reference - 1.0).max() <= 1e-14
     # decompose scales each column to unit photon plus dx-weighted matter norm
-    physical = np.linalg.norm(right[:2], axis=0) ** 2 + dx * np.linalg.norm(right[2:], axis=0) ** 2
-    factors = spectral._physical_norm_factors(right, dx)
+    photon = np.linalg.norm(right[:2], axis=0) ** 2
+    matter = np.linalg.norm(right[2:], axis=0) ** 2
+    physical = photon + dx * matter
+    factors, photon_sq, matter_sq = spectral._physical_norm_factors(right, dx)
     assert np.abs(factors**-2 / physical - 1.0).max() <= 1e-14
+    assert np.abs(photon_sq - photon).max() <= 1e-14 * photon.max()
+    assert np.abs(matter_sq / matter - 1.0).max() <= 1e-14
     assert np.abs(physical - 1.0).max() <= 1e-14
     tracemalloc.start()
     try:
