@@ -126,18 +126,11 @@ def finite_time_kernel(z, t: float):
     """(1 - exp(-i z t)) / (i z), as -expm1(-i z t) / (i z).
 
     expm1 keeps full relative precision at small |z t|, where 1 - exp
-    cancels; the kernel tends to t at z = 0, which is taken exactly.  The
-    quotient is formed in its output array, beside one temporary for i z.
+    cancels; the kernel tends to t at z = 0, which is taken exactly.
     """
     z = np.asarray(z, dtype=complex)
-    out = np.multiply(-1j, z)
-    out *= t
-    np.expm1(out, out=out)
-    np.negative(out, out=out)
-    zero = z == 0
-    np.divide(out, np.multiply(1j, z), out=out, where=~zero)
-    out[zero] = t
-    return out
+    safe = np.where(z == 0, 1.0, z)
+    return np.where(z == 0, t, -np.expm1(-1j * z * t) / (1j * safe))
 
 
 def _pair_weights(dec: ModeDecomposition, rows: slice, cols: slice = slice(None)) -> np.ndarray:

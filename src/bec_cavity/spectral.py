@@ -143,9 +143,7 @@ class ModeDecomposition:
     dual_rows   -- the phase/number pair's two left rows, from ``chain_duals``
     cond_r      -- ||R||_F ||L||_F of the right basis with unit columns,
                    an upper bound on its 2-norm condition number:
-                   sqrt((n + 4) * sum of the Petermann factors), taken
-                   from the squared photon and matter norms that the
-                   columns' normalization forms
+                   sqrt((n + 4) * sum of the Petermann factors)
     pairing     -- involution k -> k' with omega_k' = -conj(omega_k)
                    exactly (Goldstone modes pair with themselves)
     pairing_error -- max|w_k' + conj(w_k)| of the secular roots as solved,
@@ -215,20 +213,16 @@ def _squared_column_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ik->k", x.real, x.real) + np.einsum("ik,ik->k", x.imag, x.imag)
 
 
-def _physical_norm_factors(vecs: np.ndarray, dx: float):
+def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     """Column factors 1 / sqrt(|photon|^2 + dx |matter|^2) giving unit photon
     plus quadrature-weighted matter norm, from the squared column norms of
-    the photon rows 0, 1 and of the matter rows below them.  Returns
-    (factors, photon, matter), the two squared norms of the columns as
-    given, from which ``decompose`` also takes the condition bound.
+    the photon rows 0, 1 and of the matter rows below them.
 
     Makes per-mode quantities such as the photon noise weights |l1 l2|
     grid-resolution invariant, so the absolute skip tolerances of the
     depletion sums mean the same thing at every grid size.
     """
-    photon = _squared_column_norms(vecs[:2])
-    matter = _squared_column_norms(vecs[2:])
-    return 1.0 / np.sqrt(photon + dx * matter), photon, matter
+    return 1.0 / np.sqrt(_squared_column_norms(vecs[:2]) + dx * _squared_column_norms(vecs[2:]))
 
 
 # rows (or columns) per block wherever a temporary the size of the even
@@ -591,11 +585,10 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     # unit photon plus quadrature-weighted matter norm; the phase stays the
     # closed form's, real positive at the root's own anchor in the
     # eigenbasis of h
-    factors, photon_sq, matter_sq = _physical_norm_factors(right[:, :n_roots], dx)
-    right[:, :n_roots] *= factors
+    right[:, :n_roots] *= _physical_norm_factors(right[:, :n_roots], dx)
     # the phase/number pair fills the last two columns
-    g_factors, g_photon_sq, g_matter_sq = _physical_norm_factors(r_g, dx)
-    right[:, n_roots:] = r_g * g_factors
+    factors = _physical_norm_factors(r_g, dx)
+    right[:, n_roots:] = r_g * factors
     dec = ModeDecomposition(
         omegas=np.concatenate([omegas, np.zeros(2)]),
         even_right=right,
@@ -609,7 +602,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         pairing_error=pairing_error,
         goldstone=(n_roots, n_roots + 1),
         chain=chain,
-        chain_coupling=complex(g_factors[1] / g_factors[0]) if chain else 0.0 + 0.0j,
+        chain_coupling=complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j,
         biorth_defect=math.nan,
         n_grid=fm.n_grid,
         dx=dx,
@@ -631,16 +624,8 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         raise DecompositionError(
             f"even modes not biorthogonal (max|LR - I| = {dec.biorth_defect:.2e})"
         )
-    # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number:
-    # sqrt((n + 4) sum_k K_k) over the Petermann factors K_k = |l_k|^2 |r_k|^2
-    # (``petermann_raw``), from the squared norms the factors came from,
-    # rescaled by factor^2, with |l_k| = |W r_k| / |w_k|
-    squared = np.square(factors)
-    right_sq = squared * (photon_sq + matter_sq)
-    left_sq = squared * (abs(beta) ** 2 * photon_sq + dx**2 * matter_sq)
-    left_sq /= np.square(np.abs(dec.w_norms))
-    pair = _squared_column_norms(dec.dual_rows.T) @ (np.square(g_factors) * (g_photon_sq + g_matter_sq))
-    dec.cond_r = float(np.sqrt(right.shape[0] * (left_sq @ right_sq + pair)))
+    # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number
+    dec.cond_r = float(np.sqrt(right.shape[0] * petermann_raw(dec).sum()))
     if not dec.cond_r <= COND_LIMIT:
         raise DecompositionError(
             f"right eigenvector basis is numerically singular "

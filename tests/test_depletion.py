@@ -74,49 +74,6 @@ def test_kernel_against_direct_formula():
     assert np.abs(finite_time_kernel(z, t) - expected).max() < 1e-12
 
 
-def _kernel_by_where(z, t):
-    """The kernel as two np.where selections over whole-array temporaries:
-    the reference the in-place form must match bit for bit."""
-    z = np.asarray(z, dtype=complex)
-    safe = np.where(z == 0, 1.0, z)
-    return np.where(z == 0, t, -np.expm1(-1j * z * t) / (1j * safe))
-
-
-def _kernel_input(size=6528):
-    # zero, tiny and large |z|, and growing frequencies (Im z > 0)
-    rng = np.random.default_rng(11)
-    z = (rng.normal(size=size) + 1j * rng.normal(size=size)) * np.logspace(-14, 3, size)
-    z[::97] = 0.0
-    return z
-
-
-@pytest.mark.parametrize("t", [0.0, 1e-9, 1.0, 1e4, 1e300])
-def test_kernel_is_bit_identical_to_its_where_form(t):
-    # t = 1e-9 keeps |z t| << 1, t = 1e4 makes it large, and t = 1e300
-    # overflows expm1 on every growing pair
-    z = _kernel_input()
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, expected = finite_time_kernel(z, t), _kernel_by_where(z, t)
-    assert got.dtype == expected.dtype == complex
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    if t == 1e300:
-        assert np.isnan(got).any()
-
-
-def test_kernel_holds_at_most_three_input_sizes():
-    # a full-width n = 200 block of pairs: 6,528 entries, 0.10 MB
-    z = _kernel_input()
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite_time_kernel(z, 100.0)
-        tracemalloc.start()
-        try:
-            finite_time_kernel(z, 100.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= 3 * z.nbytes
-
-
 # ---------------------------------------------------------------------------
 # double-sum values
 

@@ -184,14 +184,6 @@ def test_biorth_defect_is_nan_when_an_entry_is(col):
 
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
-@pytest.mark.parametrize("u0", [-0.5, -4.26648e-4, -1.2])
-def test_cond_r_is_the_petermann_sum_bound(ng, u0):
-    *_, dec = run_pipeline(u0=u0, ng=ng)
-    bound = np.sqrt((ng + 4) * petermann_raw(dec).sum())
-    assert abs(dec.cond_r / bound - 1.0) <= 1e-13
-
-
-@pytest.mark.parametrize("ng", [16, 64, 200])
 @pytest.mark.parametrize("u0", [-0.5, -0.16, -4.26648e-4])
 def test_number_mode_row_has_exact_zero_photon_entries(ng, u0):
     # the number mode's dual row is y / (y . r2): no photon entry at all,
@@ -258,13 +250,9 @@ def test_norms_match_linalg_norm_without_a_sector_sized_temporary(ng):
     reference = np.linalg.norm(left, axis=1) ** 2 * np.linalg.norm(right, axis=0) ** 2
     assert np.abs(petermann_raw(dec) / reference - 1.0).max() <= 1e-14
     # decompose scales each column to unit photon plus dx-weighted matter norm
-    photon = np.linalg.norm(right[:2], axis=0) ** 2
-    matter = np.linalg.norm(right[2:], axis=0) ** 2
-    physical = photon + dx * matter
-    factors, photon_sq, matter_sq = spectral._physical_norm_factors(right, dx)
+    physical = np.linalg.norm(right[:2], axis=0) ** 2 + dx * np.linalg.norm(right[2:], axis=0) ** 2
+    factors = spectral._physical_norm_factors(right, dx)
     assert np.abs(factors**-2 / physical - 1.0).max() <= 1e-14
-    assert np.abs(photon_sq - photon).max() <= 1e-14 * photon.max()
-    assert np.abs(matter_sq / matter - 1.0).max() <= 1e-14
     assert np.abs(physical - 1.0).max() <= 1e-14
     tracemalloc.start()
     try:
