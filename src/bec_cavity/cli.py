@@ -277,6 +277,15 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
     return 1 if failed else 0
 
 
+# each subcommand's handler; the parser admits no other command
+COMMANDS = {
+    "groundstate": cmd_groundstate,
+    "spectrum": cmd_spectrum,
+    "depletion": cmd_depletion,
+    "verify": cmd_verify,
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
@@ -351,18 +360,10 @@ def main(argv=None) -> int:
     # every command reports its own runtime failures: groundstate catches the
     # mean field's ConvergenceError, the others record each point's error
     try:
-        if args.command == "groundstate":
-            return cmd_groundstate(cfg, stream)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, stream)
-        if args.command == "depletion":
-            return cmd_depletion(cfg, stream)
-        if args.command == "verify":
-            return cmd_verify(cfg, stream)
+        return COMMANDS[args.command](cfg, stream)
     finally:
         if close:
             stream.close()
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def entry_point() -> None:

@@ -48,11 +48,14 @@ PRA 39, 1253, 1989).  ``decompose``'s structure check asserts each of
 those relations to STRUCTURE_TOL before any vector is built, so the
 identity holds to the rounding that the biorthogonality certificate
 measures.  W is diagonal, so the Gram R^T W R is complex symmetric, and
-the certificate forms only its tiles on and above the diagonal.  Nothing
-is inverted and no dense eigensolver runs; instead
-``decompose`` certifies the result (distinct roots, an exact mirror
-pairing, the trace identity sum w = tr M_even, biorthogonality, a
-condition bound) and raises DecompositionError when a certificate fails.
+the certificate forms only its tiles on and above the diagonal.  The
+normalizers r^T W r are that Gram's diagonal, taken in the same pass, so
+a secular root's (L R)_kk is 1 by construction and the certificate
+measures the entries off it.  Nothing is inverted and no dense
+eigensolver runs; instead ``decompose`` certifies the result (distinct
+roots, an exact mirror pairing, the trace identity sum w = tr M_even,
+biorthogonality, a condition bound) and raises DecompositionError when a
+certificate fails.
 
 ``decompose`` keeps the even modes in this sector form: their right
 vectors in the sector's orthonormal basis, a mode's index its column
@@ -138,7 +141,8 @@ class ModeDecomposition:
                    columns are the analytic basis
     l1, l2      -- the photon entries of every left row, columns 0 and 1
                    of even_left: all that the depletion sums read of them
-    w_norms     -- r_k^T W r_k of each secular root (module docstring)
+    w_norms     -- r_k^T W r_k of each secular root (module docstring), the
+                   diagonal of the Gram that the certificate forms
     beta        -- alpha / conj(alpha), the photon entries of W
     dual_rows   -- the phase/number pair's two left rows, from ``chain_duals``
     cond_r      -- ||R||_F ||L||_F of the right basis with unit columns,
@@ -608,22 +612,16 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         dx=dx,
         kappa=fm.kappa,
     )
-    # W M is symmetric (module docstring), so the left vector of r is
-    # (W r)^T / (r^T W r): W r is formed a block of roots at a time
-    symmetrizer = dec.symmetrizer
-    for cols in row_blocks(n_roots, BLOCK // 2):
-        w_r = symmetrizer[:, None] * right[:, cols]
-        dec.w_norms[cols] = np.einsum("ki,ki->i", right[:, cols], w_r)
-        del w_r  # freed before the next block is formed
-    for photon, out in ((0, dec.l1), (1, dec.l2)):
-        out[:n_roots] = symmetrizer[photon] * right[photon, :n_roots] / dec.w_norms
-        out[n_roots:] = dec.dual_rows[:, photon]
-
-    dec.biorth_defect = _biorth_defect(dec)
+    dec.w_norms, dec.biorth_defect = _biorth_defect(dec)
     if not dec.biorth_defect <= BIORTH_LIMIT:
         raise DecompositionError(
             f"even modes not biorthogonal (max|LR - I| = {dec.biorth_defect:.2e})"
         )
+    # W M is symmetric (module docstring), so the left vector of r is
+    # (W r)^T / (r^T W r)
+    for photon, out in ((0, dec.l1), (1, dec.l2)):
+        out[:n_roots] = dec.symmetrizer[photon] * right[photon, :n_roots] / dec.w_norms
+        out[n_roots:] = dec.dual_rows[:, photon]
     # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number
     dec.cond_r = float(np.sqrt(right.shape[0] * petermann_raw(dec).sum()))
     if not dec.cond_r <= COND_LIMIT:
@@ -635,20 +633,23 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     return dec
 
 
-def _biorth_defect(dec: ModeDecomposition) -> float:
-    """max|L R - I| over every entry, from the tiles of the Gram
-    G = R^T W R on and above its diagonal.
+def _biorth_defect(dec: ModeDecomposition) -> tuple[np.ndarray, float]:
+    """The normalizers w_k = r_k^T W r_k of the secular roots and the
+    certificate max|L R - I| of the left rows they give, both from the
+    tiles of the Gram G = R^T W R on and above its diagonal; dec.w_norms
+    is not read.
 
-    G is complex symmetric (W is diagonal), and a secular root's left row
-    is (W r_k)^T / w_k, so G_kl gives both (L R)_kl = G_kl / w_k and
+    w is G's diagonal, so (L R)_kk = G_kk / w_k is 1 by construction.  G is
+    complex symmetric (W is diagonal), and a secular root's left row is
+    (W r_k)^T / w_k, so G_kl gives both (L R)_kl = G_kl / w_k and
     (L R)_lk = G_kl / w_l.  Panels of BLOCK / 2 secular modes k meet the
     columns l >= k, the Goldstone ones included, in tiles at most half the
     sector wide, each formed transposed (the faster product for these
     shapes) and squared in place; each secular mode keeps the largest
     off-diagonal |G|^2 of its row and column.  The phase/number pair's
     dual rows meet every column."""
-    right, w_norms = dec.even_right, dec.w_norms
-    dim, roots = right.shape[0], w_norms.size
+    right = dec.even_right
+    dim, roots = right.shape[0], right.shape[0] - len(dec.dual_rows)
     symmetrizer = dec.symmetrizer[:, None]
     largest = np.zeros(roots)  # max over l != k of |G_kl|^2
     diagonal = np.empty(roots, dtype=complex)
@@ -669,13 +670,7 @@ def _biorth_defect(dec: ModeDecomposition) -> float:
         del w_r  # freed before the next panel is formed
     pair = dec.dual_rows @ right
     pair[:, roots:] -= np.eye(dim - roots)
-    return float(
-        np.max([
-            (np.sqrt(largest) / np.abs(w_norms)).max(),
-            np.abs(diagonal / w_norms - 1.0).max(),
-            np.abs(pair).max(),
-        ])
-    )
+    return diagonal, float(np.max([(np.sqrt(largest) / np.abs(diagonal)).max(), np.abs(pair).max()]))
 
 
 def classify_stability(dec: ModeDecomposition) -> StabilityReport:

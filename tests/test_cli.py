@@ -11,6 +11,7 @@ import pytest
 import bec_cavity.cli
 import bec_cavity.depletion
 import bec_cavity.meanfield
+import bec_cavity.spectral
 from bec_cavity.cli import main
 from bec_cavity.config import (
     ConfigError,
@@ -290,6 +291,18 @@ def test_unwritable_output_fails_before_any_point_runs(tmp_path, capsys, monkeyp
     assert calls == []
 
 
+def test_every_subcommand_has_a_handler_and_no_other_command_parses(tmp_path, capsys):
+    # main looks the handler up by command name; argparse refuses any other
+    # name with exit code 2 before a config is read
+    parser = bec_cavity.cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert sorted(sub.choices) == sorted(bec_cavity.cli.COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", write_config(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_code_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -387,6 +400,76 @@ def test_depletion_oracle_cell_is_blank_where_the_oracle_overflows(tmp_path, cap
     assert float(oracle[0]) == pytest.approx(float(depletion[0]), rel=1e-6)
     assert float(oracle[1]) == pytest.approx(float(depletion[1]), rel=1e-6)
     assert oracle[2] == ""
+
+
+def _steady_oracle_sweep(tmp_path, name="dep.csv"):
+    # the served u0 range at n = 16, at a detuning with heating points and
+    # one without
+    cfg = write_config(
+        tmp_path, name=f"{name}.json", detunings=[-100.0, -1000.0], eta_follows_detuning=True,
+        sweep={"parameter": "u0", "from": -0.02, "to": -1.04, "points": 7},
+    )
+    out = tmp_path / name
+    assert main(["depletion", "--config", cfg, "--out", str(out), "--oracle"]) == 0
+    columns, rows = read_table(out)
+    return [dict(zip(columns, row)) for row in rows]
+
+
+def test_steady_oracle_column_agrees_with_the_mode_sums(tmp_path):
+    # criterion 3's steady bound, 1e-6 relative, on every ok row; the worst
+    # gap here is about 1.4e-8
+    rows = _steady_oracle_sweep(tmp_path)
+    ok = [r for r in rows if r["status"] == "ok"]
+    assert {float(r["delta_c"]) for r in ok} == {-100.0, -1000.0}
+    assert len(ok) >= 9 and all(r["oracle"] for r in ok)
+    for r in ok:
+        assert float(r["depletion"]) == pytest.approx(float(r["oracle"]), rel=1e-6)
+    # a heating point has no steady state, and no oracle value either
+    assert all(r["oracle"] == "" for r in rows if r["status"] == "heating")
+
+
+def test_steady_oracle_cell_is_blank_where_the_oracle_is_singular(tmp_path, monkeypatch):
+    # the row keeps its mode sum and its ok status; only the oracle is lost
+    reference = _steady_oracle_sweep(tmp_path, "reference.csv")
+
+    def singular(*args, **kwargs):
+        raise bec_cavity.depletion.OracleSingularError("injected: no steady state")
+
+    monkeypatch.setattr(bec_cavity.depletion, "lyapunov_oracle", singular)
+    rows = _steady_oracle_sweep(tmp_path)
+    assert any(r["status"] == "ok" for r in rows)
+    assert all(r["oracle"] == "" for r in rows)
+    assert [{**r, "oracle": ""} for r in reference] == rows
+
+
+@pytest.mark.parametrize("times", [None, "1,100"])
+def test_depletion_point_whose_chain_fails_writes_one_error_row(tmp_path, monkeypatch, times):
+    # decompose refuses the middle u0 of the sweep: that point writes one
+    # error row, whatever the number of times, and the others their ok rows
+    decompose = bec_cavity.depletion.decompose
+    calls = []
+
+    def refusing_second_call(fm):
+        calls.append(fm)
+        if len(calls) == 2:
+            raise bec_cavity.spectral.DecompositionError("injected refusal at the middle point")
+        return decompose(fm)
+
+    monkeypatch.setattr(bec_cavity.depletion, "decompose", refusing_second_call)
+    monkeypatch.setenv("BEC_CAVITY_THREADS", "1")
+    cfg = write_config(tmp_path, sweep={"parameter": "u0", "from": -0.3, "to": -0.5, "points": 3})
+    out = tmp_path / "dep.csv"
+    argv = ["depletion", "--config", cfg, "--out", str(out), *(["--times", times] if times else [])]
+    assert main(argv) == 0
+    assert len(calls) == 3
+    columns, rows = read_table(out)
+    per_point = 2 if times else 1
+    assert len(rows) == 2 * per_point + 1
+    _, middle, _ = dict.fromkeys(r[1] for r in rows)  # the u0 cells, in order
+    (row,) = [dict(zip(columns, r)) for r in rows if r[1] == middle]
+    assert row["status"] == "error: DecompositionError: injected refusal at the middle point"
+    assert all(row[name] == "" for name in columns if name not in ("delta_c", "u0", "status"))
+    assert [r[columns.index("status")] for r in rows if r[1] != middle] == ["ok"] * 2 * per_point
 
 
 def test_depletion_time_whose_sum_fails_costs_only_its_own_row(tmp_path, monkeypatch):
@@ -487,6 +570,21 @@ def test_depletion_eta_follows_detunings(tmp_path):
     assert main(["depletion", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_table(out)
     assert [float(r[0]) for r in rows] == [-1000, -2000]
+
+
+def test_depletion_delta_c_sweep_writes_the_swept_detunings_in_order(tmp_path):
+    # a delta_c sweep gives the rows that the same detunings, listed, give
+    sweep = {"parameter": "delta_c", "from": -2000.0, "to": -500.0, "points": 3}
+    tables = []
+    for name, keys in (("sweep", {"sweep": sweep}), ("listed", {"detunings": [-2000.0, -1250.0, -500.0]})):
+        cfg = write_config(tmp_path, f"{name}.json", u0=-0.3, eta_follows_detuning=True, **keys)
+        out = tmp_path / f"{name}.csv"
+        assert main(["depletion", "--config", cfg, "--out", str(out)]) == 0
+        tables.append(read_table(out))
+    (columns, rows), listed = tables
+    assert [float(r[0]) for r in rows] == [-2000.0, -1250.0, -500.0]
+    assert all(r[columns.index("status")] == "ok" for r in rows)
+    assert (columns, rows) == listed
 
 
 def test_depletion_reads_the_config_eta(tmp_path):

@@ -153,8 +153,10 @@ def test_biorth_defect_from_the_upper_gram_tiles_matches_the_full_product(ng, de
     _, _, state, _, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
     assert state.heating == (delta_c == -100.0 and u0 == -0.5)
     full = np.abs(dec.even_left @ dec.even_right - np.eye(ng + 4)).max()
-    assert abs(spectral._biorth_defect(dec) - full) <= 1e-14
-    assert dec.biorth_defect == spectral._biorth_defect(dec)
+    w_norms, defect = spectral._biorth_defect(dec)
+    assert abs(defect - full) <= 1e-14
+    # the record's normalizers and certificate are this pass's
+    assert np.array_equal(w_norms, dec.w_norms) and defect == dec.biorth_defect
 
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
@@ -162,16 +164,18 @@ def test_biorth_defect_reports_an_entry_below_the_diagonal(ng):
     # scaling the photon entry of the right vector in column 1 puts
     # the largest entry of L R - I in a photon root's row, below the
     # diagonal: the certificate forms only the tiles above it, so it must
-    # take that entry from its mirror under the photon root's normalizer
+    # take that entry from its mirror under the photon root's normalizer;
+    # the left rows are the ones the certificate's normalizers give
     *_, dec = run_pipeline(u0=-0.5, ng=ng)
     right = dec.even_right.copy()
     right[0, 1] *= 1.001
-    bad = dataclasses.replace(dec, even_right=right)
+    w_norms, defect = spectral._biorth_defect(dataclasses.replace(dec, even_right=right))
+    bad = dataclasses.replace(dec, even_right=right, w_norms=w_norms)
     product = np.abs(bad.even_left @ right - np.eye(ng + 4))
     row, col = np.unravel_index(np.argmax(product), product.shape)
     assert col < row < dec.w_norms.size
     assert product.max() > BIORTH_LIMIT
-    assert abs(spectral._biorth_defect(bad) - product.max()) <= 1e-14
+    assert abs(defect - product.max()) <= 1e-14
 
 
 @pytest.mark.parametrize("col", [1, 40])
@@ -180,7 +184,35 @@ def test_biorth_defect_is_nan_when_an_entry_is(col):
     *_, dec = run_pipeline(u0=-0.5, ng=64)
     right = dec.even_right.copy()
     right[5, col] = np.nan
-    assert np.isnan(spectral._biorth_defect(dataclasses.replace(dec, even_right=right)))
+    assert np.isnan(spectral._biorth_defect(dataclasses.replace(dec, even_right=right))[1])
+
+
+def test_biorth_defect_is_nan_when_a_dual_row_entry_is():
+    # the secular part stays finite and only the phase/number pair's part is
+    # nan: the maximum over the parts must keep it (Python's max drops it)
+    *_, dec = run_pipeline(u0=-0.5, ng=64)
+    rows = dec.dual_rows.copy()
+    rows[1, 5] = np.nan
+    w_norms, defect = spectral._biorth_defect(dataclasses.replace(dec, dual_rows=rows))
+    assert np.array_equal(w_norms, dec.w_norms) and np.isnan(defect)
+
+
+@pytest.mark.parametrize(
+    "limit, value, message",
+    [("BIORTH_LIMIT", 0.0, "even modes not biorthogonal"),
+     ("COND_LIMIT", 1.0, "right eigenvector basis is numerically singular")],
+)
+def test_decompose_refuses_a_failed_certificate(monkeypatch, limit, value, message):
+    # below any decomposition's defect, or below the least condition bound,
+    # n + 4 (every Petermann factor is at least 1), each gate refuses a
+    # sound generator; analyze_point records the refusal and keeps no modes
+    params, grid, _, fm, _ = run_pipeline(u0=-0.5, ng=16)
+    monkeypatch.setattr(spectral, limit, value)
+    with pytest.raises(DecompositionError, match=message):
+        decompose(fm)
+    point = analyze_point(params, grid)
+    assert isinstance(point.error, DecompositionError) and message in str(point.error)
+    assert point.fm is not None and point.dec is None and point.stability is None
 
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
