@@ -2,7 +2,9 @@
 
 Every command takes --config pointing at a JSON file (see config.py)
 and writes its result to --out, the config's "out" entry (which verify
-does not read), or stdout.
+does not read), or stdout.  depletion alone takes two more flags:
+--times (finite-time rows instead of the steady state) and --oracle (a
+second-moment oracle column); every other setting is a config key.
 spectrum, depletion and verify all run each point through
 ``depletion.analyze_point``; a sweep worker reduces that record to its
 output rows, so no matrix ever crosses the process boundary.
@@ -29,7 +31,7 @@ from typing import TextIO
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ResultTable, RunConfig, load_config, parse_times, sweep_values
+from .config import ConfigError, RunConfig, load_config, parse_times, sweep_values, write_csv
 from .depletion import (
     analyze_point,
     depletion_at_times,
@@ -80,18 +82,10 @@ def _meta(cfg: RunConfig) -> dict:
     }
 
 
-def _u0_values(cfg: RunConfig) -> np.ndarray:
-    if cfg.sweep is not None and cfg.sweep.parameter == "u0":
-        return sweep_values(cfg.sweep)
-    return np.array([cfg.params.u0])
-
-
-def _detunings(cfg: RunConfig) -> list[float]:
-    if cfg.detunings is not None:
-        return cfg.detunings
-    if cfg.sweep is not None and cfg.sweep.parameter == "delta_c":
-        return [float(x) for x in sweep_values(cfg.sweep)]
-    return [cfg.params.delta_c]
+def _u0_values(cfg: RunConfig) -> list[float]:
+    if cfg.sweep is None:
+        return [cfg.params.u0]
+    return [float(u) for u in sweep_values(cfg.sweep)]
 
 
 def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
@@ -165,9 +159,9 @@ def cmd_spectrum(cfg: RunConfig, stream: TextIO) -> int:
         "u0", "mode_index", "re_omega", "im_omega",
         "abs_l1", "abs_l2", "petermann", "status",
     ]
-    points = _pool_map(worker, [float(u) for u in _u0_values(cfg)])
+    points = _pool_map(worker, _u0_values(cfg))
     rows = [row for point_rows in points for row in point_rows]
-    ResultTable(columns=columns, rows=rows, meta=_meta(cfg)).write_csv(stream)
+    write_csv(stream, columns, rows, _meta(cfg))
     return 0
 
 
@@ -179,9 +173,8 @@ def _depletion_worker(args, params: SystemParams, grid, options: dict):
 def cmd_depletion(cfg: RunConfig, stream: TextIO) -> int:
     grid = make_grid(cfg.params.grid_points)
     times, oracle = cfg.times, cfg.oracle
-    u0s = [float(u) for u in _u0_values(cfg)]
-    detunings = _detunings(cfg)
-    items = [(dc, u0) for dc in detunings for u0 in u0s]
+    u0s = _u0_values(cfg)
+    items = [(dc, u0) for dc in cfg.detunings or [cfg.params.delta_c] for u0 in u0s]
     options = dict(eta_follows_detuning=cfg.eta_follows_detuning, times=times, oracle=oracle)
     worker = functools.partial(_depletion_worker, params=cfg.params, grid=grid, options=options)
     results = _pool_map(worker, items)
@@ -194,7 +187,7 @@ def cmd_depletion(cfg: RunConfig, stream: TextIO) -> int:
         *(["oracle"] if oracle else []),
     ]
     rows = [tuple(getattr(r, name) for name in columns) for point in results for r in point]
-    ResultTable(columns=columns, rows=rows, meta=_meta(cfg)).write_csv(stream)
+    write_csv(stream, columns, rows, _meta(cfg))
     return 0
 
 
@@ -302,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path (default: config 'out' or stdout)")
 
     sub.add_parser("groundstate", parents=[common], help="solve the mean-field steady state")
-    p_spec = sub.add_parser("spectrum", parents=[common], help="eigenvalue sweep table")
-    p_spec.add_argument(
-        "--nonneg-re-only",
-        action="store_true",
-        help="keep only modes with nonnegative real frequency",
+    sub.add_parser(
+        "spectrum", parents=[common],
+        help="eigenvalue table over the config's u0 sweep (config nonneg_re_only keeps Re omega >= 0)",
     )
-    p_dep = sub.add_parser("depletion", parents=[common], help="depletion sweep table")
+    p_dep = sub.add_parser(
+        "depletion", parents=[common], help="depletion table over the config's detunings and u0 sweep"
+    )
     p_dep.add_argument(
         "--times",
         default=None,
@@ -321,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser("verify", parents=[common], help="run the invariant suite")
     # a command without one of these flags reads it as unset
-    parser.set_defaults(times=None, oracle=False, nonneg_re_only=False)
+    parser.set_defaults(times=None, oracle=False)
     return parser
 
 
@@ -335,21 +328,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    times = cfg.times
+    times = None
     if args.times is not None:
-        # the config's rule for a time list, on the flag's floats
         try:
-            times = parse_times([float(t) for t in args.times.split(",") if t.strip()])
+            times = parse_times(args.times)
         except ValueError as exc:  # a ConfigError among them
             print(f"bad --times value {args.times!r}: {exc}", file=sys.stderr)
             return 2
-    # the flags only switch options on; the "# config:" echo stays cfg.raw
-    cfg = dc_replace(
-        cfg,
-        times=times,
-        oracle=cfg.oracle or args.oracle,
-        nonneg_re_only=cfg.nonneg_re_only or args.nonneg_re_only,
-    )
+    # the "# config:" echo stays cfg.raw, which holds no flag
+    cfg = dc_replace(cfg, times=times, oracle=args.oracle)
 
     # opened before any point runs, so a bad path throws away no work
     try:

@@ -1,24 +1,33 @@
 """Run configuration and bit-stable tabular output.
 
-Configs are flat JSON: the physical parameters, an optional sweep block
-{"parameter", "from", "to", "points", "scale"}, and run and output
-options; any other key is rejected, and so is an option the command does
-not read, or a delta_c sweep beside the detunings that replace it.  The
-chain's numerical tolerances and its fluctuation frame (the one that
-rotates with the chemical potential) are fixed in code, not settable
-here.  Results are written as CSV with '#'-prefixed metadata lines
-(program version, canonical config echo, timestamp) before the header
-row; floats carry 17 significant digits so a written table reads back
-bit-identically.
+Configs are flat JSON: the physical parameters (delta_c, kappa, eta, u0,
+n_atoms, grid_points) and the option keys its command reads:
+
+  sweep                 spectrum, depletion: a u0 sweep {"parameter": "u0",
+                        "from", "to", "points", "scale": "linear" | "log"}
+  detunings             depletion: the delta_c values, in order (default:
+                        delta_c alone)
+  eta_follows_detuning  depletion: eta = -delta_c at each detuning
+  nonneg_re_only        spectrum: keep the modes with Re omega >= 0
+  out                   groundstate, spectrum, depletion: the output path
+  fault_injection       verify: "corrupt-matrix"
+
+Any other key is rejected, and so is an option the command does not
+read.  Finite times and the oracle column are the depletion command's
+--times and --oracle flags, not config keys.  The chain's numerical
+tolerances and its fluctuation frame (the one that rotates with the
+chemical potential) are fixed in code, not settable here.  Results are
+written as CSV with '#'-prefixed metadata lines (program version,
+canonical config echo, timestamp) before the header row; floats carry 17
+significant digits so a written table reads back bit-identically.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -35,7 +44,7 @@ _PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 _COMMAND_KEYS = {
     "groundstate": ("out",),
     "spectrum": ("sweep", "nonneg_re_only", "out"),
-    "depletion": ("sweep", "detunings", "times", "oracle", "eta_follows_detuning", "out"),
+    "depletion": ("sweep", "detunings", "eta_follows_detuning", "out"),
     "verify": ("fault_injection",),
 }
 # every key parse_config reads besides the parameters
@@ -51,7 +60,8 @@ def _reject_unknown(block: dict, known, where: str) -> None:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    parameter: str
+    """A u0 sweep: points values from start to stop, both included."""
+
     start: float
     stop: float
     points: int
@@ -64,9 +74,10 @@ class RunConfig:
     sweep: SweepSpec | None = None
     detunings: list[float] | None = None
     eta_follows_detuning: bool = False
-    times: list[float] | None = None
     out: str | None = None
     nonneg_re_only: bool = False
+    # set from the depletion command's --times and --oracle, never from the config
+    times: list[float] | None = None
     oracle: bool = False
     fault_injection: str | None = None
     raw: dict = field(default_factory=dict, repr=False)
@@ -84,8 +95,6 @@ class RunConfig:
         unread = sorted(set(self.raw) & set(_OPTION_KEYS) - set(_COMMAND_KEYS[command]))
         if unread:
             raise ConfigError(f"{command} does not read {', '.join(map(repr, unread))}")
-        if command == "spectrum" and self.sweep is not None and self.sweep.parameter == "delta_c":
-            raise ConfigError("spectrum sweeps u0 only and cannot use a delta_c 'sweep'")
 
 
 def _require_number(value: Any, name: str) -> float:
@@ -133,13 +142,9 @@ def parse_config(data: dict) -> RunConfig:
         if not isinstance(det, list) or not det:
             raise ConfigError("detunings must be a non-empty list of numbers")
         cfg.detunings = [_require_number(x, "detunings entry") for x in det]
-        if cfg.sweep is not None and cfg.sweep.parameter == "delta_c":
-            raise ConfigError("'detunings' and a delta_c 'sweep' both set the detunings; set one")
-    for flag in ("eta_follows_detuning", "nonneg_re_only", "oracle"):
+    for flag in ("eta_follows_detuning", "nonneg_re_only"):
         if flag in data:
             setattr(cfg, flag, _require_flag(data[flag], flag))
-    if "times" in data:
-        cfg.times = parse_times(data["times"])
     if "out" in data:
         if not isinstance(data["out"], str) or not data["out"]:
             raise ConfigError(f"out must be a non-empty file path, got {data['out']!r}")
@@ -159,14 +164,16 @@ def _parse_sweep(block: Any) -> SweepSpec:
     for key in ("parameter", "from", "to", "points"):
         if key not in block:
             raise ConfigError(f"sweep is missing '{key}'")
-    parameter = block["parameter"]
-    if parameter not in ("u0", "delta_c"):
-        raise ConfigError(f"sweep parameter must be 'u0' or 'delta_c', got {parameter!r}")
+    if block["parameter"] != "u0":
+        raise ConfigError(
+            f"sweep parameter must be 'u0', got {block['parameter']!r}; "
+            "list the delta_c values under 'detunings'"
+        )
     start = _require_number(block["from"], "sweep from")
     stop = _require_number(block["to"], "sweep to")
-    points = block["points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ConfigError(f"sweep points must be a positive integer, got {points!r}")
+    points = _require_count(block["points"], "sweep points")
+    if points < 1:
+        raise ConfigError(f"sweep points must be a positive integer, got {block['points']!r}")
     if points > 1 and start == stop:
         raise ConfigError("sweep bounds must differ for more than one point")
     scale = block.get("scale", "linear")
@@ -174,13 +181,16 @@ def _parse_sweep(block: Any) -> SweepSpec:
         raise ConfigError(f"sweep scale must be 'linear' or 'log', got {scale!r}")
     if scale == "log" and (start * stop <= 0):
         raise ConfigError("log-scale sweep bounds must be nonzero and share a sign")
-    return SweepSpec(parameter=parameter, start=start, stop=stop, points=points, scale=scale)
+    return SweepSpec(start=start, stop=stop, points=points, scale=scale)
 
 
-def parse_times(value: Any) -> list[float]:
-    if not isinstance(value, list) or not value:
+def parse_times(text: str) -> list[float]:
+    """The depletion command's --times: comma-separated finite, nonnegative
+    times, at least one.  Anything else raises ValueError (a ConfigError
+    among them)."""
+    times = [_require_number(float(t), "times entry") for t in text.split(",") if t.strip()]
+    if not times:
         raise ConfigError("times must be a non-empty list of nonnegative numbers")
-    times = [_require_number(t, "times entry") for t in value]
     if any(t < 0 for t in times):
         raise ConfigError("times must be nonnegative")
     return times
@@ -221,23 +231,14 @@ def format_cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-@dataclass
-class ResultTable:
-    """Ordered rows of named columns with a metadata header.
-
-    Rows keep a deterministic order fixed by the producer; every float is
-    written with 17 significant digits, so float() reads it back exactly.
-    """
-
-    columns: list[str]
-    rows: list[tuple]
-    meta: dict[str, str] = field(default_factory=dict)
-
-    def write_csv(self, stream: io.TextIOBase) -> None:
-        for key in self.meta:
-            stream.write(f"# {key}: {self.meta[key]}\n")
-        stream.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row length does not match column count")
-            stream.write(",".join(format_cell(v) for v in row) + "\n")
+def write_csv(stream: TextIO, columns: list[str], rows: list[tuple], meta: dict[str, str]) -> None:
+    """One '# key: value' line per meta entry, the header, then the rows in
+    the order given; every float has 17 significant digits, so float()
+    reads it back exactly."""
+    for key, value in meta.items():
+        stream.write(f"# {key}: {value}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        if len(row) != len(columns):
+            raise ValueError("row length does not match column count")
+        stream.write(",".join(format_cell(v) for v in row) + "\n")

@@ -140,7 +140,8 @@ class ModeDecomposition:
                    quadrature-weighted matter norm; the Goldstone
                    columns are the analytic basis
     l1, l2      -- the photon entries of every left row, columns 0 and 1
-                   of even_left: all that the depletion sums read of them
+                   of left_rows(slice(None)): all that the depletion sums
+                   read of them
     w_norms     -- r_k^T W r_k of each secular root (module docstring), the
                    diagonal of the Gram that the certificate forms
     beta        -- alpha / conj(alpha), the photon entries of W
@@ -193,7 +194,7 @@ class ModeDecomposition:
 
     def left_rows(self, cols) -> np.ndarray:
         """The left rows of the modes cols (ascending indices or a slice),
-        with even_left @ even_right = I: (W r_k)^T / (r_k^T W r_k) for a
+        with left_rows(slice(None)) @ even_right = I: (W r_k)^T / (r_k^T W r_k) for a
         secular root (module docstring), the stored dual row for the
         phase/number pair.  A slice reads the right vectors in place."""
         index = np.arange(self.omegas.size)[cols]
@@ -203,12 +204,6 @@ class ModeDecomposition:
         out[:split] /= self.w_norms[index[:split], None]
         out[split:] = self.dual_rows[index[split:] - self.w_norms.size]
         return out
-
-    @property
-    def even_left(self) -> np.ndarray:
-        """Every left row, (n + 4)-square, assembled afresh on every access;
-        read by the tests."""
-        return self.left_rows(slice(None))
 
 
 def _squared_column_norms(x: np.ndarray) -> np.ndarray:

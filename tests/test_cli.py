@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -15,11 +16,11 @@ import bec_cavity.spectral
 from bec_cavity.cli import main
 from bec_cavity.config import (
     ConfigError,
-    ResultTable,
     SweepSpec,
     load_config,
     parse_config,
     sweep_values,
+    write_csv,
 )
 
 
@@ -79,11 +80,13 @@ def test_config_defaults_applied(tmp_path):
     assert not any(hasattr(cfg, key) for key in FIXED_POLICY)
 
 
-def test_config_rejects_bad_sweep_parameter(tmp_path):
+@pytest.mark.parametrize("parameter", ["kappa", "delta_c"])
+def test_config_rejects_bad_sweep_parameter(tmp_path, parameter):
+    # u0 is the one swept parameter; the error points a detuning scan at 'detunings'
     path = write_config(
-        tmp_path, sweep={"parameter": "kappa", "from": 1, "to": 2, "points": 3}
+        tmp_path, sweep={"parameter": parameter, "from": -100, "to": -200, "points": 3}
     )
-    with pytest.raises(ConfigError, match="parameter"):
+    with pytest.raises(ConfigError, match="parameter must be 'u0'.*'detunings'"):
         load_config(path)
 
 
@@ -103,18 +106,18 @@ def test_config_rejects_bad_physics(tmp_path):
     [
         {"eta_follows_detuning": "false"},
         {"nonneg_re_only": "no"},
-        {"oracle": 1},
         {"n_atoms": 1000.7},
         {"n_atoms": "1000"},
         {"grid_points": 16.5},
         {"detunings": ["abc"]},
-        {"times": ["x"]},
         {"sweep": {"parameter": "u0", "from": "abc", "to": -0.5, "points": 2}},
+        {"sweep": {"parameter": "u0", "from": -0.1, "to": -0.5, "points": 2.5}},
+        {"sweep": {"parameter": "u0", "from": -0.1, "to": -0.5, "points": 0}},
+        {"sweep": {"parameter": "u0", "from": -0.1, "to": -0.5, "points": True}},
         {"detunings": [True]},
         {"u0": float("nan")},
         {"eta": float("inf")},
         {"sweep": {"parameter": "u0", "from": -0.1, "to": float("-inf"), "points": 2}},
-        {"times": [float("nan")]},
         {"fault_injection": "corrupt_matrix"},
         {"delta_c": 10**400},
         {"out": None},
@@ -122,8 +125,10 @@ def test_config_rejects_bad_physics(tmp_path):
         {"out": ""},
         {"tol_nosie": 1e-14},
         {"sweep": {"parameter": "u0", "from": -0.1, "to": -0.5, "points": 2, "scael": "log"}},
-        # depletion would read the detunings and drop the sweep
-        {"detunings": [-1000.0], "sweep": {"parameter": "delta_c", "from": -100, "to": -200, "points": 2}},
+        # inputs with another way in: 'detunings', --times and --oracle
+        {"sweep": {"parameter": "delta_c", "from": -100, "to": -200, "points": 2}},
+        {"times": [1, 10]},
+        {"oracle": True},
     ],
 )
 def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, override):
@@ -131,6 +136,21 @@ def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, overri
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["groundstate", "--config", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"n_atoms": 1000.0},
+        {"grid_points": 16.0},
+        {"sweep": {"parameter": "u0", "from": 0.0, "to": -1.0, "points": 3.0}},
+    ],
+)
+def test_config_accepts_a_whole_float_count(tmp_path, override):
+    # one rule for every count: a whole number, as an int or a float
+    cfg = load_config(write_config(tmp_path, **override))
+    assert (cfg.params.n_atoms, cfg.params.grid_points) == (1000, 16)
+    assert cfg.sweep is None or cfg.sweep.points == 3
 
 
 @pytest.mark.parametrize(
@@ -142,6 +162,9 @@ def test_config_rejects_non_boolean_flags_and_fractional_counts(tmp_path, overri
             "scael",
             id="scael",
         ),
+        # the depletion command's --times and --oracle flags
+        pytest.param({"times": [1, 10]}, "times", id="times"),
+        pytest.param({"oracle": True}, "oracle", id="oracle"),
         *(pytest.param({key: value}, key, id=key) for key, value in FIXED_POLICY.items()),
     ],
 )
@@ -165,22 +188,17 @@ def test_shipped_configs_load():
 @pytest.mark.parametrize(
     "command, key, override",
     [
-        ("spectrum", "sweep", {"sweep": {"parameter": "delta_c", "from": -100, "to": -10000, "points": 3}}),
         ("spectrum", "detunings", {"detunings": [-100.0, -1000.0]}),
         ("groundstate", "sweep", {"sweep": {"parameter": "u0", "from": 0.0, "to": -0.5, "points": 2}}),
         ("groundstate", "detunings", {"detunings": [-1000.0]}),
-        ("verify", "sweep", {"sweep": {"parameter": "delta_c", "from": -100, "to": -1000, "points": 2}}),
+        ("verify", "sweep", {"sweep": {"parameter": "u0", "from": 0.0, "to": -0.5, "points": 2}}),
         ("verify", "detunings", {"detunings": [-100.0, -1000.0]}),
         # option keys the command does not read
-        ("spectrum", "times", {"times": [1, 10]}),
-        ("spectrum", "oracle", {"oracle": True}),
         ("spectrum", "eta_follows_detuning", {"eta_follows_detuning": True}),
         ("spectrum", "fault_injection", {"fault_injection": "corrupt-matrix"}),
-        ("verify", "times", {"times": [1, 10]}),
-        ("verify", "oracle", {"oracle": True}),
         ("verify", "nonneg_re_only", {"nonneg_re_only": True}),
         ("verify", "out", {"out": "verify.txt"}),
-        ("groundstate", "times", {"times": [1, 10]}),
+        ("groundstate", "nonneg_re_only", {"nonneg_re_only": True}),
         ("groundstate", "eta_follows_detuning", {"eta_follows_detuning": False}),
         ("groundstate", "fault_injection", {"fault_injection": "corrupt-matrix"}),
         ("depletion", "nonneg_re_only", {"nonneg_re_only": False}),
@@ -205,27 +223,25 @@ def test_depletion_rejects_non_finite_times_flag(tmp_path, times):
 
 
 def test_sweep_values_linear_and_log():
-    lin = sweep_values(SweepSpec("u0", 0.0, -1.0, 5))
+    lin = sweep_values(SweepSpec(0.0, -1.0, 5))
     assert np.allclose(lin, np.linspace(0.0, -1.0, 5))
-    log = sweep_values(SweepSpec("u0", -0.01, -1.0, 3, scale="log"))
+    log = sweep_values(SweepSpec(-0.01, -1.0, 3, scale="log"))
     assert np.allclose(log, -np.geomspace(0.01, 1.0, 3))
 
 
 def test_result_table_roundtrip(tmp_path):
-    table = ResultTable(
-        columns=["a", "b", "status"],
-        rows=[(0.1, -1234.5678901234567, "ok"), (1e-17, 3.0, "diverged")],
-        meta={"program": "x", "config": "{}"},
-    )
+    columns = ["a", "b", "status"]
+    rows = [(0.1, -1234.5678901234567, "ok"), (1e-17, 3.0, "diverged")]
     path = tmp_path / "t.csv"
     with open(path, "w", newline="\n") as fh:
-        table.write_csv(fh)
-    columns, rows = read_table(path)
-    assert columns == table.columns
+        write_csv(fh, columns, rows, {"program": "x", "config": "{}"})
+    assert path.read_text().startswith("# program: x\n# config: {}\na,b,status\n")
+    written_columns, written = read_table(path)
+    assert written_columns == columns
     # bit-exact float round trip
-    assert [[float(a), float(b), status] for a, b, status in rows] == [
-        list(row) for row in table.rows
-    ]
+    assert [(float(a), float(b), status) for a, b, status in written] == rows
+    with pytest.raises(ValueError, match="row length"):
+        write_csv(io.StringIO(), columns, [(1.0, "ok")], {})
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +353,17 @@ def test_spectrum_csv_contains_photon_line(tmp_path):
     assert u0s == sorted(u0s, reverse=True)  # sweep order preserved
 
 
-def test_spectrum_nonneg_filter(tmp_path):
-    cfg = write_config(tmp_path, u0=0.0)
+def test_spectrum_nonneg_filter(tmp_path, capsys):
+    cfg = write_config(tmp_path, u0=0.0, nonneg_re_only=True)
     out = tmp_path / "spec.csv"
-    assert main(["spectrum", "--config", cfg, "--out", str(out), "--nonneg-re-only"]) == 0
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_table(out)
-    assert all(float(row[2]) >= 0.0 for row in rows if row[7] == "ok")
+    assert rows and all(float(row[2]) >= 0.0 for row in rows if row[7] == "ok")
+    # the config key is the one way in: spectrum takes no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", cfg, "--out", str(out), "--nonneg-re-only"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nonneg-re-only" in capsys.readouterr().err
 
 
 def test_depletion_csv_steady_state(tmp_path):
@@ -544,7 +565,7 @@ def test_cli_import_loads_neither_process_pool_nor_scipy():
 
 @pytest.mark.parametrize(
     "command, flags",
-    [("depletion", ["--times", "1,100", "--oracle"]), ("spectrum", ["--nonneg-re-only"])],
+    [("depletion", ["--times", "1,100", "--oracle"])],
 )
 def test_a_flag_of_one_call_never_reaches_the_next(tmp_path, command, flags):
     # the parser is built once per process; a call without the flags then
@@ -570,21 +591,6 @@ def test_depletion_eta_follows_detunings(tmp_path):
     assert main(["depletion", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_table(out)
     assert [float(r[0]) for r in rows] == [-1000, -2000]
-
-
-def test_depletion_delta_c_sweep_writes_the_swept_detunings_in_order(tmp_path):
-    # a delta_c sweep gives the rows that the same detunings, listed, give
-    sweep = {"parameter": "delta_c", "from": -2000.0, "to": -500.0, "points": 3}
-    tables = []
-    for name, keys in (("sweep", {"sweep": sweep}), ("listed", {"detunings": [-2000.0, -1250.0, -500.0]})):
-        cfg = write_config(tmp_path, f"{name}.json", u0=-0.3, eta_follows_detuning=True, **keys)
-        out = tmp_path / f"{name}.csv"
-        assert main(["depletion", "--config", cfg, "--out", str(out)]) == 0
-        tables.append(read_table(out))
-    (columns, rows), listed = tables
-    assert [float(r[0]) for r in rows] == [-2000.0, -1250.0, -500.0]
-    assert all(r[columns.index("status")] == "ok" for r in rows)
-    assert (columns, rows) == listed
 
 
 def test_depletion_reads_the_config_eta(tmp_path):

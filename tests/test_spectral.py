@@ -52,7 +52,7 @@ def test_biorthonormality_and_reconstruction(pipeline, ng):
     if dec.chain:
         g1, g2 = dec.goldstone
         block[g1, g2] = dec.chain_coupling
-    rebuilt = dec.even_right @ block @ dec.even_left
+    rebuilt = dec.even_right @ block @ dec.left_rows(slice(None))
     assert np.linalg.norm(rebuilt - fm.even) < 1e-8 * np.linalg.norm(fm.even)
     assert np.abs(rebuilt - fm.even).max() <= 1e-12 * fm.scale
 
@@ -66,9 +66,9 @@ def test_goldstone_cluster_detected(pipeline):
     photon = min(float(np.abs(dec.right[:2, k]).max()) for k in dec.goldstone)
     assert photon <= 1e-8
     # and the cluster's left space contains a photonless row
+    left = dec.left_rows(slice(None))
     left_photon = min(
-        float(np.abs(dec.even_left[k, :2]).max() / np.linalg.norm(dec.even_left[k]))
-        for k in dec.goldstone
+        float(np.abs(left[k, :2]).max() / np.linalg.norm(left[k])) for k in dec.goldstone
     )
     assert left_photon <= 1e-8
 
@@ -132,10 +132,10 @@ def test_mode_record_holds_no_grid_sized_basis():
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
 def test_derived_left_rows_are_dual_to_the_right_vectors(ng):
-    # the record stores no left row: even_left is derived from even_right,
+    # the record stores no left row: left_rows derives them from even_right,
     # and it keeps the photon entries l1, l2 that the sums read
     *_, dec = run_pipeline(u0=-0.5, ng=ng)
-    left = dec.even_left
+    left = dec.left_rows(slice(None))
     assert np.abs(left @ dec.even_right - np.eye(ng + 4)).max() <= BIORTH_LIMIT
     assert np.array_equal(left[:, 0], dec.l1) and np.array_equal(left[:, 1], dec.l2)
     cols = np.array([0, 5, *dec.goldstone])
@@ -152,7 +152,7 @@ def test_biorth_defect_from_the_upper_gram_tiles_matches_the_full_product(ng, de
     # u0 = -0.5 a heating point
     _, _, state, _, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
     assert state.heating == (delta_c == -100.0 and u0 == -0.5)
-    full = np.abs(dec.even_left @ dec.even_right - np.eye(ng + 4)).max()
+    full = np.abs(dec.left_rows(slice(None)) @ dec.even_right - np.eye(ng + 4)).max()
     w_norms, defect = spectral._biorth_defect(dec)
     assert abs(defect - full) <= 1e-14
     # the record's normalizers and certificate are this pass's
@@ -171,7 +171,7 @@ def test_biorth_defect_reports_an_entry_below_the_diagonal(ng):
     right[0, 1] *= 1.001
     w_norms, defect = spectral._biorth_defect(dataclasses.replace(dec, even_right=right))
     bad = dataclasses.replace(dec, even_right=right, w_norms=w_norms)
-    product = np.abs(bad.even_left @ right - np.eye(ng + 4))
+    product = np.abs(bad.left_rows(slice(None)) @ right - np.eye(ng + 4))
     row, col = np.unravel_index(np.argmax(product), product.shape)
     assert col < row < dec.w_norms.size
     assert product.max() > BIORTH_LIMIT
@@ -278,7 +278,7 @@ def test_petermann_exceeds_unity_near_crossing():
 @pytest.mark.parametrize("ng", [16, 64, 200])
 def test_norms_match_linalg_norm_without_a_sector_sized_temporary(ng):
     *_, dec = run_pipeline(u0=-0.5, ng=ng)
-    right, left, dx = dec.even_right, dec.even_left, dec.dx
+    right, left, dx = dec.even_right, dec.left_rows(slice(None)), dec.dx
     reference = np.linalg.norm(left, axis=1) ** 2 * np.linalg.norm(right, axis=0) ** 2
     assert np.abs(petermann_raw(dec) / reference - 1.0).max() <= 1e-14
     # decompose scales each column to unit photon plus dx-weighted matter norm
@@ -451,7 +451,8 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
     if u0 == 0.0:
         # decoupled: the photon line and the free levels, each a unit vector
         # of its own block; only the photon modes carry photon weight
-        photon = np.flatnonzero(np.abs(dec.even_left[:, :2]).max(axis=1) > 0)
+        left = dec.left_rows(slice(None))
+        photon = np.flatnonzero(np.abs(left[:, :2]).max(axis=1) > 0)
         assert photon.size == 2
         assert np.array_equal(photon, np.flatnonzero(np.abs(dec.right[:2]).max(axis=0) > 0))
         for k in photon:
@@ -459,7 +460,7 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
             unit[np.argmax(np.abs(dec.right[:2, k]))] = 1.0
             assert np.array_equal(np.abs(dec.right[:, k]), unit)
             # the photon rows lead both layouts
-            assert np.array_equal(np.abs(dec.even_left[k]), unit[: dec.even_left.shape[1]])
+            assert np.array_equal(np.abs(left[k]), unit[: left.shape[1]])
 
 
 @pytest.mark.parametrize(
@@ -488,7 +489,8 @@ def test_near_resonance_photon_roots_are_imaginary_and_self_paired(offset, monke
     dec = decompose(fm)
     assert classify_stability(dec).label == "stable"
     modes = np.setdiff1d(np.arange(dec.omegas.size), dec.goldstone)
-    photon = modes[np.argsort(-np.abs(dec.even_left[modes, 0] * dec.even_left[modes, 1]))[:2]]
+    left = dec.left_rows(slice(None))
+    photon = modes[np.argsort(-np.abs(left[modes, 0] * left[modes, 1]))[:2]]
     assert np.all(dec.omegas[photon].real == 0.0)
     assert np.array_equal(dec.pairing[photon], photon)
     assert abs(dec.omegas[photon[0]] - dec.omegas[photon[1]]) > 0.1
