@@ -10,14 +10,16 @@ Two independent routes to the same number:
   l1_k = left[k, 0], l2_l = left[l, 1] of the left vectors, and the
   unconjugated overlap O_kl = dx * sum_j r4_k(x_j) r3_l(x_j); the steady
   state drops the exponential.  The odd modes of the reflection
-  x -> pi - x have l1 = l2 = 0 exactly and are not in the mode record,
-  so the sum runs over the pairs of the n + 4 even modes alone, about a
-  quarter of the dim^2.  It reads them in the even sector's orthonormal
-  basis, from the record's ``even_right`` and its photon entries ``l1``
-  and ``l2`` of the left rows, where O_kl is the same sum over the
-  n/2 + 1 cosine modes m = 0 .. n/2; both sums add up their pairs a
-  block of rows at a time, each block as it forms, so neither holds an
-  array of the pair count;
+  x -> pi - x have l1 = l2 = 0 exactly and are not in the mode record;
+  the even modes that ``decompose`` deflates have l1 = l2 = 0 exactly
+  too.  The sum runs over the pairs of the record's ``coupled`` modes
+  alone: k^2 pairs for the k coupled roots, k = 8 to 28 at n = 200 on
+  the shipped sweep, against (n + 4)^2 = 41,616 even pairs.  It reads them in the even sector's
+  orthonormal basis, from the record's ``even_right`` and its photon
+  entries ``l1`` and ``l2`` of the left rows, where O_kl is the same sum
+  over the n/2 + 1 cosine modes m = 0 .. n/2; both sums add up their
+  pairs a block of rows at a time, each block as it forms, so neither
+  holds an array of the pair count;
 
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
@@ -133,12 +135,12 @@ def finite_time_kernel(z, t: float):
     return np.where(z == 0, t, -np.expm1(-1j * z * t) / (1j * safe))
 
 
-def _pair_weights(dec: ModeDecomposition, rows: slice, cols: slice = slice(None)) -> np.ndarray:
+def _pair_weights(dec: ModeDecomposition, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """weight l1_k l2_l O_kl of the pairs of modes k in rows, l in cols.
 
     The pair's frequency sum is omegas[k] + omegas[l].  The cosine modes
     of the even sector are orthonormal, so O_kl is the sum over the modes
-    m = 0 .. n/2, formed from views of even_right.
+    m = 0 .. n/2, formed from the columns rows and cols of even_right.
     """
     modes = dec.n_grid // 2 + 1
     r4 = dec.even_right[2 + modes :, rows]
@@ -167,11 +169,13 @@ def depletion_at_times(
     """Finite-time depletion from the mode double sum.
 
     Well defined for any spectrum and any t >= 0; dN(0) = 0 exactly.
-    The Goldstone modes never enter the sum, and exclude_modes drops
-    more (e.g. the steady-state rule's exclusion set, for like-for-like
-    comparison with a deflated oracle run).  The kernel depends on
-    w_k + w_l alone, so each unordered pair is one term,
-    weight_kl + weight_lk, taken a block of rows k at a time over l >= k;
+    The sum runs over the coupled modes (``ModeDecomposition.coupled``):
+    every other mode has l1 = l2 = 0, and the Goldstone modes never
+    enter.  exclude_modes drops more (e.g. the steady-state rule's
+    exclusion set, for like-for-like comparison with a deflated oracle
+    run).  The kernel depends on w_k + w_l alone, so each unordered pair
+    is one term, weight_kl + weight_lk, taken a block of rows k at a time
+    over l >= k;
     each block's pairs of non-zero weight are summed into every time's
     total as the block forms.  Each time is checked on its own: a growing
     mode makes the kernel overflow at long times, and such a time's value
@@ -181,20 +185,17 @@ def depletion_at_times(
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
-    size = dec.omegas.size
-    kept = ~np.isin(np.arange(size), list(dec.goldstone) + list(exclude_modes))
+    modes = dec.coupled[~np.isin(dec.coupled, list(exclude_modes))]
     totals = np.zeros(len(times), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(size):
-            upper = slice(rows.start, None)
+        for rows in row_blocks(modes.size):
+            mine, upper = modes[rows], modes[rows.start :]
             # weight_kl + weight_lk for l >= k, the diagonal taken once
-            block = np.triu(_pair_weights(dec, rows, upper))
-            block += np.triu(_pair_weights(dec, upper, rows).T, k=1)
-            block[~kept[rows]] = 0.0
-            block[:, ~kept[upper]] = 0.0
+            block = np.triu(_pair_weights(dec, mine, upper))
+            block += np.triu(_pair_weights(dec, upper, mine).T, k=1)
             carried = block != 0
             weight = block[carried]
-            zsum = (dec.omegas[rows, None] + dec.omegas[upper])[carried]
+            zsum = (dec.omegas[mine, None] + dec.omegas[upper])[carried]
             for i, t in enumerate(times):
                 if t > 0.0:  # dN(0) = 0 exactly
                     totals[i] += weight @ finite_time_kernel(zsum, t)
@@ -219,8 +220,9 @@ def steady_state_depletion(
 ) -> SteadyDepletion:
     """Steady-state depletion, refusing non-stable states.
 
-    The sum runs over the pairs of photon-weighted modes, the Goldstone
-    modes left out.  Zero-denominator policy: pairs with
+    The sum runs over the pairs of the coupled modes
+    (``ModeDecomposition.coupled``), the only ones with photon weight; the
+    Goldstone modes are not among them.  Zero-denominator policy: pairs with
     |w_k + w_l| < PAIR_TOL and photon noise weight |l1_k l2_l| < NOISE_FLOOR
     are dropped (they are exactly the numerically unresolvable, noise-free
     pairs).  A pair below the resolution floor Z_FLOOR that still carries
@@ -229,12 +231,13 @@ def steady_state_depletion(
     are kept: their denominators are accurate, since the paired
     eigenvalues are symmetrized against the exact G M G = -conj(M)
     relation.  excluded_modes applies the same rule to each even mode's
-    own symmetry pair (k, pairing[k]), read off the sum's own mask, and
-    holds both modes of a pair dropped in either order, so that its
-    mode_projector is real in the oracle's quadratures.  The
-    dominated_fraction is the share contributed by the symmetry-paired
-    terms.  The pair denominators and masks are formed a block of rows at
-    a time, each pair's term written over its weight.
+    own symmetry pair (k, pairing[k]), read off the sum's own mask for a
+    coupled mode; a deflated mode's own pair, e_j - e_j = 0 with no photon
+    weight, is always dropped.  It holds both modes of a pair dropped in
+    either order, so that its mode_projector is real in the oracle's
+    quadratures.  The dominated_fraction is the share contributed by the
+    symmetry-paired terms.  The pair denominators and masks are formed a
+    block of rows at a time, each pair's term written over its weight.
     """
     if heating:
         raise StabilityError(
@@ -246,29 +249,29 @@ def steady_state_depletion(
             f"'{stability.label}' (max growth rate {stability.max_growth_rate:.3e})"
         )
     size = dec.omegas.size
-    abs_l1, abs_l2 = np.abs(dec.l1), np.abs(dec.l2)
-    omegas, pairing = dec.omegas, dec.pairing
-    kept = ~np.isin(np.arange(size), list(dec.goldstone))
+    modes = dec.coupled
+    abs_l1, abs_l2 = np.abs(dec.l1[modes]), np.abs(dec.l2[modes])
+    omegas, pairing = dec.omegas[modes], dec.pairing
+    own = np.searchsorted(modes, pairing[modes])  # the coupled set is closed under pairing
     total = 0.0
     paired = np.zeros(size, dtype=complex)  # each mode's own-pair term
     own_kept = np.zeros(size, dtype=bool)
-    for rows in row_blocks(size):
-        weight = _pair_weights(dec, rows)
+    for rows in row_blocks(modes.size):
+        weight = _pair_weights(dec, modes[rows], modes)
         mine = np.arange(rows.stop - rows.start)
         zsum = omegas[rows, None] + omegas
         absz = np.abs(zsum)
         noisy = np.outer(abs_l1[rows], abs_l2) >= NOISE_FLOOR
-        keep = kept[rows, None] & kept
-        if ((absz < Z_FLOOR) & noisy & keep).any():
+        if ((absz < Z_FLOOR) & noisy).any():
             return SteadyDepletion(value=None, diverged=True, dominated_fraction=None)
-        keep &= (absz >= PAIR_TOL) | noisy
+        keep = (absz >= PAIR_TOL) | noisy
         # each kept pair's term 2 kappa weight / (i zsum), in place of its weight
         np.divide(weight, zsum, out=weight, where=keep)
         weight[~keep] = 0.0
         weight *= -2j * dec.kappa
         total += weight.sum()
-        own_kept[rows] = keep[mine, pairing[rows]]
-        paired[rows] = weight[mine, pairing[rows]]
+        own_kept[modes[rows]] = keep[mine, own[rows]]
+        paired[modes[rows]] = weight[mine, own[rows]]
 
     own_dropped = ~own_kept
     own_dropped[list(dec.goldstone)] = False
@@ -477,8 +480,10 @@ class PointAnalysis:
     sector's modes (0.68 MB, even_right and the photon entries of the
     left rows), so sweeps reduce it to rows where it is made.  No stage
     adds an array of the sector's size, only blocks of it: a warm n = 200
-    depletion point peaks at 1.58 MB of numpy memory while it decomposes,
-    with finite times or without.
+    depletion point peaks at 1.58 MB of numpy memory while it decomposes
+    (even_right beside the generator and h's eigh basis, then the
+    certificate's Gram tiles), with finite times or without; the sums over
+    the coupled modes add under 0.05 MB.
     """
 
     state: MeanFieldState | None = None

@@ -37,6 +37,27 @@ and photon parts X / (w - A) and -X / (beta (w + conj A)), where
 X = sum_j g_j (1/(w - e_j) - 1/(w + e_j)); Q maps them back to the cosine
 modes.
 
+Most matter levels never see the cavity: the photon border's entries in
+the eigenbasis of h fall super-exponentially with the level, as the
+condensate's cosine coefficients do: at n = 200, 3 to 13 of the 100
+levels keep one above rounding over the shipped depletion sweep.
+``decompose`` deflates the rest before the secular solve, the step of the
+divide-and-conquer eigensolver (Cuppen, Numer. Math. 36, 177, 1981; Gu
+and Eisenstat, SIMAX 16, 172, 1995).  A level j is decoupled when both
+of its border entries, |y_c,j| and |y_r,j|, are at most DEFLATION_TOL
+max|M| = eps max|M|.  Setting them to zero perturbs M by no more than
+the rounding that ``eigh`` already leaves in e_j, so the decomposition
+stays backward stable.  The level enters the secular equation only
+through g_j = |y_c,j y_r,j| <= (eps max|M|)^2, over the photon factors
+(w - A)(w + conj A), each at least kappa = |Im A| on the real axis, so
+deflation moves the root near e_j by about 2 |A| g_j / kappa^2 at most:
+second order in eps.  A deflated level is an exact eigenpair of the deflated
+sector: frequency +-e_j, right vector the ``eigh`` column q_j in its own
+matter block, photon entries and with them l1 and l2 exact zeros, and
+Petermann factor 1.  Only the coupled levels and the photon pair go
+through the Aberth solve and the resolvent vectors, and the depletion
+sums read only their columns.
+
 The left vectors need no second solve: the sector is reciprocal.  With
 W = diag(conj beta, -beta, dx 1, -dx 1) on (a, a^dag, field modes,
 conjugate modes), W M is symmetric, M^T = W M W^-1, because the photon
@@ -103,6 +124,9 @@ BIORTH_LIMIT = 1e-10
 PAIRING_RTOL = 1e-8
 # cap on the Aberth sweeps of the secular solve, which takes 3-8
 SECULAR_STEPS = 50
+# largest photon border entry of a matter level in the eigenbasis of h,
+# relative to max|M|, at which the level deflates (module docstring)
+DEFLATION_TOL = EPS
 # smallest photon noise weight |l1 l2| through which a mode counts as
 # coupled to the cavity noise, in classify_stability and the depletion sums;
 # the verdict itself takes no rate tolerance (see classify_stability)
@@ -132,13 +156,24 @@ class ModeDecomposition:
     stored: ``left_rows`` derives them from the right vectors.
 
     omegas      -- complex mode frequencies: the n + 2 secular roots, then
-                   the phase/number pair as exact zeros
+                   the phase/number pair as exact zeros; root i < n/2 sits
+                   at or near +e_j of the i-th nonzero level of h, root
+                   n/2 + i at or near -e_j, the last two near A and -conj(A)
     even_right  -- (n + 4)-square: columns are the right vectors in the
                    even sector basis (photon rows 0 and 1, then the
                    cosine modes m = 0 .. n/2 of the field block and of
                    the conjugate block), with unit photon plus
-                   quadrature-weighted matter norm; the Goldstone
-                   columns are the analytic basis
+                   quadrature-weighted matter norm; a deflated root's
+                   column is the ``eigh`` column q_j of h in its own
+                   block, zero elsewhere, the coupled roots' columns are
+                   resolvent vectors, and the Goldstone columns are the
+                   analytic basis
+    coupled     -- ascending indices of the secular roots that were not
+                   deflated (module docstring): the coupled levels' roots
+                   and the photon pair, closed under pairing; every other
+                   non-Goldstone mode has omega = +-e_j exactly and
+                   l1 = l2 = 0, so the depletion sums read these columns
+                   alone
     l1, l2      -- the photon entries of every left row, columns 0 and 1
                    of left_rows(slice(None)): all that the depletion sums
                    read of them
@@ -151,8 +186,9 @@ class ModeDecomposition:
                    sqrt((n + 4) * sum of the Petermann factors)
     pairing     -- involution k -> k' with omega_k' = -conj(omega_k)
                    exactly (Goldstone modes pair with themselves)
-    pairing_error -- max|w_k' + conj(w_k)| of the secular roots as solved,
-                   before each pair is averaged to its exact mirror
+    pairing_error -- max|w_k' + conj(w_k)| of the coupled roots as solved,
+                   before each pair is averaged to its exact mirror; a
+                   deflated pair +-e_j is exact
     goldstone   -- indices of the condensate phase/number pair, (n + 2, n + 3)
     chain       -- True when the pair is a Jordan chain
                    (M r2 = c r1, M r1 = 0) rather than two eigenvectors;
@@ -170,6 +206,7 @@ class ModeDecomposition:
     cond_r: float
     pairing: np.ndarray
     pairing_error: float
+    coupled: np.ndarray
     goldstone: tuple[int, ...]
     chain: bool
     chain_coupling: complex
@@ -340,9 +377,9 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
 
     The equation is f(w) = (w - A)(w + conj A) - 2 Re A sum_k c_k / (w - p_k)
     with real poles p_k and weights c_k; it has one root per pole plus
-    two.  Root i is anchors[i] + delta[i]: roots 0 .. P-1 are anchored at
-    their own pole p_i, the last two at the photon frequencies A and
-    -conj(A).  The anchor is subtracted exactly (w - p_i = delta_i), so
+    two.  Returns the offsets delta: root i is anchor_i + delta[i], where
+    roots 0 .. P-1 are anchored at their own pole p_i, the last two at
+    the photon frequencies A and -conj(A).  The anchor is subtracted exactly (w - p_i = delta_i), so
     delta keeps full relative precision however close the root sits to
     its pole, and with it the damping Im w of a weakly coupled mode.
 
@@ -424,7 +461,7 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
         last[active] = size
         active = active[moving]
         if not active.size:
-            return anchors, delta
+            return delta
     raise DecompositionError(
         f"secular equation: {active.size} roots unconverged after {SECULAR_STEPS} sweeps"
     )
@@ -433,59 +470,56 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
 def _resolvent_vectors(basis, levels, weight, profile, poles, anchors, delta, a_diag, beta):
     """Closed-form right vectors of the secular roots, sector basis.
 
+    basis holds the ``eigh`` columns of the levels the vectors reach (the
+    coupled ones and the condensate's), levels their +e then -e, weight
+    the photon column's entries +-y_c there and profile the photon row's
+    y_r; every other level is deflated, so no vector has an entry on it.
     In the eigenbasis of h the right vector of root w has matter entries
     weight[k] / (w - levels[k]) and photon entries X / (w - A) and
     -X / (beta (w + conj A)), X = profile . (u + v) from the photon row.
-    Each is scaled so that its entry at the root's own anchor is 1 (the
-    photon entry for a photon root), so nothing is 0/0 when a mode
-    decouples and its offset vanishes.  Returns the (n + 4)-square array
-    with the roots in its first columns; the left vectors are their
-    transposes under W (module docstring).
-
-    Each vector is built in its own column, and Q is applied in place a
-    block of columns at a time: no other array of the sector's size is
-    made.
+    Each is scaled so that its entry at the root's own anchor, levels[poles[i]]
+    for a matter root i, is 1 (the photon entry for a photon root), so
+    nothing is 0/0 when a mode decouples and its offset vanishes.  Returns
+    the (n + 4)-row array of the vectors, one column per root; the left
+    vectors are their transposes under W (module docstring).
     """
-    n_e = basis.shape[0]
-    n_roots = anchors.size
+    n_e, n_kept = basis.shape
     n_poles = poles.size
     two_re = 2.0 * a_diag.real
     wa = (anchors - a_diag) + delta  # w - A
     wb = (anchors + a_diag.conjugate()) + delta  # w + conj A
-    scale = np.zeros(n_roots, dtype=complex)  # the scale of each vector
+    scale = np.zeros(anchors.size, dtype=complex)  # the scale of each vector
     np.divide(delta[:n_poles], weight[poles], out=scale[:n_poles], where=weight[poles] != 0)
     scale[-2] = two_re / wb[-2]  # the root at A: delta / X from the secular equation
     scale[-1] = -beta * two_re / wa[-1]  # the root at -conj(A)
-    dim = 2 + 2 * n_e
-    right = np.empty((dim, dim), dtype=complex)
-    right_q = right[2:, :n_roots]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gaps = np.subtract(anchors, levels[:, None], out=right_q)
-        gaps += delta
-        np.reciprocal(gaps, out=gaps)  # 1 / (w_i - level_k); inf at delta = 0
-    np.multiply(weight[:, None], right_q, out=right_q)
-    right_q *= scale
-    right_q[poles, np.arange(n_poles)] = 1.0
-    x = np.concatenate([profile, profile]) @ right_q
+        # w_i - level_k as (anchor_i - level_k) + delta_i: exact at its own pole
+        eig = np.reciprocal((anchors - levels[:, None]) + delta)  # inf at delta = 0
+    eig *= weight[:, None]
+    eig *= scale
+    eig[poles, np.arange(n_poles)] = 1.0
+    x = np.concatenate([profile, profile]) @ eig
+    right = np.empty((2 + 2 * n_e, anchors.size), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):  # the photon roots are set below
-        right[0, :n_roots], right[1, :n_roots] = x / wa, -x / (beta * wb)
-    right[:2, n_roots - 2] = 1.0, -delta[-2] / (beta * wb[-2])
-    right[:2, n_roots - 1] = -beta * delta[-1] / wa[-1], 1.0
-
-    for z in (right[2 : 2 + n_e, :n_roots], right[2 + n_e :, :n_roots]):
-        for cols in row_blocks(n_roots, BLOCK // 2):
-            # Q z for real Q and complex z as one real product
-            z[:, cols] = np.matmul(basis, z[:, cols].view(float)).view(complex)
+        right[0], right[1] = x / wa, -x / (beta * wb)
+    right[:2, -2] = 1.0, -delta[-2] / (beta * wb[-2])
+    right[:2, -1] = -beta * delta[-1] / wa[-1], 1.0
+    # Q z for real Q and complex z as one real product, per matter block
+    right[2 : 2 + n_e] = np.matmul(basis, eig[:n_kept].view(float)).view(complex)
+    right[2 + n_e :] = np.matmul(basis, eig[n_kept:].view(float)).view(complex)
     return right
 
 
-def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
+def _mirror_pairing(
+    roots: np.ndarray, delta: np.ndarray, scale: float, w_scale: float
+) -> tuple[np.ndarray, float]:
     """The involution k -> k' with roots[k'] = -conj(roots[k]), certified.
 
     Returns (pairing, mismatch), mismatch = max|w_k' + conj(w_k)|.  Raises
-    DecompositionError unless the roots are distinct, pair under
-    an involution to PAIRING_RTOL, and meet the trace identity: the
-    anchors sum to tr M_even exactly, so the offsets must sum to zero.
+    DecompositionError unless the roots are distinct to 1e-12 w_scale, pair
+    under an involution to PAIRING_RTOL w_scale, and meet the trace
+    identity: the anchors sum to tr M_even exactly, so the offsets must sum
+    to zero.  w_scale is max|w| over every even root, deflated ones too.
     Distances are squared moduli, |w_i - w_k|^2 and |w_i + conj(w_k)|^2,
     taken a block of rows i at a time.
     """
@@ -501,7 +535,6 @@ def _mirror_pairing(roots: np.ndarray, delta: np.ndarray, scale: float) -> tuple
         nearest[rows] = spread.min(axis=1)
         pairing[rows] = np.argmin(mirror, axis=1)
         mirrored[rows] = mirror[mine, pairing[rows]]
-    w_scale = float(np.abs(roots).max())
     gap = float(np.sqrt(nearest.min()))
     if not gap > 1e-12 * w_scale:
         raise DecompositionError(f"secular roots not distinct ({gap:.2e} apart)")
@@ -522,9 +555,11 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     Raises DecompositionError when the even sector departs from the
     bordered form with G M G = -conj(M) beyond STRUCTURE_TOL, when it has
     no phase/number pair (see ``phase_chain``), or when the modes fail a
-    certificate: n + 2 distinct roots beside that pair, an exact mirror
-    pairing, the trace identity, biorthogonality to BIORTH_LIMIT, and a
-    condition bound within COND_LIMIT.  There is no fallback solve.
+    certificate: distinct coupled roots, an exact mirror pairing, the
+    trace identity, biorthogonality of all n + 4 columns to BIORTH_LIMIT,
+    and a condition bound within COND_LIMIT.  The deflated levels (module
+    docstring) pair exactly and add nothing to the trace by construction.
+    There is no fallback solve.
     """
     m_even, phi_even, dx, scale = fm.even, fm.phi_even, fm.dx, fm.scale
     n_e = phi_even.size
@@ -557,29 +592,61 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     col_q = basis.T @ col
     row_q = basis.T @ row
     # the condensate's own level is the exact zero of H0 - mu; its pole
-    # pair cancels from the secular sum (its term carries 2 e_j)
+    # pair cancels from the secular sum (its term carries 2 e_j), but its
+    # entries stay in the coupled roots' vectors
     zero = int(np.argmax(np.abs(basis.T @ phi_even)))
     energies[zero] = 0.0
-    coupled = np.ones(n_e, dtype=bool)
-    coupled[zero] = False
-    # the matter levels +e_j (field block) and -e_j (conjugate block)
-    levels = np.concatenate([energies, -energies])
-    weight = np.concatenate([col_q, -col_q])  # right vectors: +-y_c / (w -+ e)
-    poles = np.concatenate([np.flatnonzero(coupled), n_e + np.flatnonzero(coupled)])
+    free = np.flatnonzero(np.arange(n_e) != zero)  # the levels with a root pair
+    bound = DEFLATION_TOL * scale
+    live = (np.abs(col_q) > bound) | (np.abs(row_q) > bound)  # not deflated
+    half = free.size
+    # root i < half at +e of level free[i], root half + i at -e, then the
+    # photon roots; a deflated root stays exactly at its level
+    levels = np.concatenate([energies[free], -energies[free]])
+    anchors = np.concatenate([levels, [a_diag, -a_diag.conjugate()]])
+    n_roots = anchors.size
+    coupled = np.flatnonzero(np.concatenate([live[free], live[free], [True, True]]))
     # the weights are col_q,k row_q,k = |alpha|^2 dx q_k^2, q = Q^T y: their
     # sign is the block's, + on the field poles and - on the conjugate ones,
     # exactly, where a weak rung's rounded product would take a random sign
-    coupling = np.abs(col_q * row_q)
-    anchors, delta = _secular_roots(
-        levels[poles], np.concatenate([coupling, -coupling])[poles], a_diag
-    )
-    n_roots = anchors.size
+    coupling = np.abs(col_q * row_q)[free]
+    poles = coupled[:-2]
+    offsets = _secular_roots(levels[poles], np.concatenate([coupling, -coupling])[poles], a_diag)
+    delta = np.zeros(n_roots, dtype=complex)
+    delta[coupled] = offsets
     omegas = anchors + delta
-    pairing, pairing_error = _mirror_pairing(omegas, delta, scale)
+    # a deflated pair +-e_j is exact; the coupled roots are certified
+    pairing = np.concatenate([np.arange(half, 2 * half), np.arange(half), [0, 0]])
+    sub, pairing_error = _mirror_pairing(
+        omegas[coupled], offsets, scale, float(np.abs(omegas).max())
+    )
+    pairing[coupled] = coupled[sub]
     # the exact mirror pairs: a self-paired root lands on the imaginary axis
     omegas = 0.5 * (omegas - omegas[pairing].conj())
 
-    right = _resolvent_vectors(basis, levels, weight, row_q, poles, anchors, delta, a_diag, beta)
+    reached = np.flatnonzero(live | (np.arange(n_e) == zero))  # the vectors' levels
+    own = np.searchsorted(reached, free[poles % half]) + np.where(poles < half, 0, reached.size)
+    vectors = _resolvent_vectors(
+        basis[:, reached],
+        np.concatenate([energies[reached], -energies[reached]]),
+        np.concatenate([col_q[reached], -col_q[reached]]),  # right vectors: +-y_c / (w -+ e)
+        row_q[reached],
+        own,
+        anchors[coupled],
+        offsets,
+        a_diag,
+        beta,
+    )
+    dim = 2 + 2 * n_e
+    right = np.zeros((dim, dim), dtype=complex)
+    right[:, coupled] = vectors
+    del vectors
+    # a deflated root's vector is its level's eigh column, in its own block;
+    # copied a block of columns at a time, where a point's memory peaks
+    deflated = np.flatnonzero(~live[free])
+    for cols in row_blocks(deflated.size):
+        right[f, deflated[cols]] = basis[:, free[deflated[cols]]]
+        right[2 + n_e :, half + deflated[cols]] = basis[:, free[deflated[cols]]]
     del basis
     # unit photon plus quadrature-weighted matter norm; the phase stays the
     # closed form's, real positive at the root's own anchor in the
@@ -599,6 +666,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         cond_r=math.nan,
         pairing=np.concatenate([pairing, [n_roots, n_roots + 1]]),  # Goldstone: itself
         pairing_error=pairing_error,
+        coupled=coupled,
         goldstone=(n_roots, n_roots + 1),
         chain=chain,
         chain_coupling=complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j,
@@ -678,7 +746,9 @@ def classify_stability(dec: ModeDecomposition) -> StabilityReport:
     undamped.  No tolerance enters: the secular solve gives each Im omega
     to full relative precision and with an exact sign, and a coupled mode
     damped below the sums' resolution, 2|Im omega| < ``depletion.Z_FLOOR``,
-    is the steady sum's to mark diverged.
+    is the steady sum's to mark diverged.  A deflated mode (module
+    docstring) has l1 = l2 = 0 and a real omega exactly: it is never
+    noise-coupled, and its Im omega of 0 is no growth.
     """
     max_growth = float(np.delete(dec.omegas.imag, list(dec.goldstone)).max())
     coupled = noise_coupled(dec)

@@ -270,6 +270,7 @@ def _toy_decomposition(omegas, right=None, l1=None, l2=None, kappa=100.0):
         cond_r=1.0,
         pairing=np.arange(dim),
         pairing_error=0.0,
+        coupled=np.arange(dim),
         goldstone=(),
         chain=False,
         chain_coupling=0.0j,
@@ -556,3 +557,33 @@ def test_depletion_sweep_finite_times(pipeline):
     assert rows[0].depletion == 0.0
     assert rows[1].depletion > 0.0
 
+
+
+@pytest.mark.parametrize("ng", [64, 200])
+@pytest.mark.parametrize("delta_c", [-100.0, -1000.0, -10000.0])
+@pytest.mark.parametrize("u0", [-0.05, -0.5])
+def test_deflation_changes_no_depletion_value(ng, delta_c, u0, monkeypatch):
+    # the deflated levels carry |l1 l2| below 1e-29, so the sums over the
+    # coupled modes alone give every status, label, exclusion set and value
+    # that the sums over all n + 4 even modes of an undeflated solve give
+    params = SystemParams(delta_c=delta_c, kappa=100.0, eta=-delta_c, u0=u0, n_atoms=1000, grid_points=ng)
+    grid = make_grid(ng)
+    times = [1.0, 100.0, 1e4]
+    runs = []
+    for tol in (spectral.DEFLATION_TOL, 0.0):
+        monkeypatch.setattr(spectral, "DEFLATION_TOL", tol)
+        point = analyze_point(params, grid)
+        stable = point.stability.label == "stable" and not point.state.heating
+        excluded = steady_state_depletion(point.dec, grid, point.stability).excluded_modes if stable else None
+        rows = [solve_depletion_point(params, grid, delta_c, u0, times=t) for t in (None, times)]
+        runs.append((point.dec, point.stability.label, excluded, sum(rows, [])))
+    (dec, label, excluded, rows), (full, full_label, full_excluded, full_rows) = runs
+    assert dec.coupled.size < full.coupled.size == ng + 2
+    assert label == full_label and excluded == full_excluded
+    assert [r.status for r in rows] == [r.status for r in full_rows]
+    for row, full_row in zip(rows, full_rows):
+        for name in ("depletion", "dominated_fraction"):
+            value, full_value = getattr(row, name), getattr(full_row, name)
+            assert (value is None) == (full_value is None)
+            if full_value is not None:
+                assert value == pytest.approx(full_value, rel=1e-14, abs=0.0)

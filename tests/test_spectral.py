@@ -22,6 +22,8 @@ from bec_cavity.fluctuation import bordered_sector
 from bec_cavity.spectral import BIORTH_LIMIT, chain_duals, noise_coupled, odd_frequencies, phase_chain
 from conftest import run_pipeline
 
+EPS = np.finfo(float).eps
+
 
 def test_zero_coupling_spectrum(pipeline):
     *_, fm, dec = pipeline(u0=0.0, ng=16)
@@ -300,7 +302,10 @@ def test_stability_plateau_is_stable(pipeline):
     *_, dec = pipeline(u0=-0.5, ng=16)
     report = classify_stability(dec)
     assert report.label == "stable"
-    assert report.max_growth_rate < 0.0  # -1.3e-37: a weak rung, damped
+    # the deflated levels are undamped exactly, every coupled rung damped
+    # (the weakest at -3.8e-27)
+    assert report.max_growth_rate == 0.0
+    assert dec.omegas[dec.coupled].imag.max() < 0.0
 
 
 def test_stability_decoupled_is_marginal(pipeline):
@@ -468,14 +473,15 @@ def test_secular_spectrum_matches_eigvals(ng, delta_c, u0, label):
     [(-100.0, -0.14), (-1000.0, -0.05), (-1000.0, -0.5), (-1000.0, -1.0), (-10000.0, -0.5)],
 )
 def test_no_mode_of_a_stable_point_grows(delta_c, u0):
-    # the secular weights carry their block's sign exactly, so a weak rung's
-    # Im omega, of order 1e-40 here, keeps the sign of its damping; weights
-    # taken as the rounded products col_q,k row_q,k give such a rung a random
-    # sign, and 2 to 8 modes of each of these points a growth rate
+    # the secular weights carry their block's sign exactly, so a weak coupled
+    # rung's Im omega, down to 1e-31 here, keeps the sign of its damping;
+    # weights taken as the rounded products col_q,k row_q,k give such a rung
+    # a random sign; a deflated level is undamped exactly
     *_, dec = run_pipeline(u0=u0, ng=64, delta_c=delta_c, eta=-delta_c)
     assert classify_stability(dec).label == "stable"
-    rates = np.delete(dec.omegas.imag, list(dec.goldstone))
-    assert rates.max() < 0.0
+    assert dec.omegas[dec.coupled].imag.max() < 0.0
+    deflated = np.setdiff1d(np.arange(dec.omegas.size), [*dec.coupled, *dec.goldstone])
+    assert deflated.size > 0 and np.all(dec.omegas[deflated].imag == 0.0)
 
 
 @pytest.mark.parametrize("offset", [1e-3, 1e-4, 2e-5])
@@ -592,17 +598,17 @@ def test_secular_roots_that_do_not_converge_are_refused(monkeypatch):
 def test_mirror_pairing_certificates():
     roots = np.array([3.0 - 0.1j, -3.0 - 0.1j, -2.0j, 1.0 - 1.0j, -1.0 - 1.0j])
     offsets = np.array([0.01j, -0.01j, 0.0, 0.0, 0.0])
-    pairing, mismatch = spectral._mirror_pairing(roots, offsets, 10.0)
+    pairing, mismatch = spectral._mirror_pairing(roots, offsets, 10.0, 3.0)
     assert list(pairing) == [1, 0, 2, 4, 3] and mismatch == 0.0
     # the mismatch is measured, not implied by the pairing
-    _, mismatch = spectral._mirror_pairing(roots + np.array([0, 1e-9, 0, 0, 0]), offsets, 10.0)
+    _, mismatch = spectral._mirror_pairing(roots + np.array([0, 1e-9, 0, 0, 0]), offsets, 10.0, 3.0)
     assert mismatch == pytest.approx(1e-9, rel=1e-6)
     with pytest.raises(DecompositionError, match="distinct"):
-        spectral._mirror_pairing(np.append(roots, roots[0]), np.append(offsets, 0.0), 10.0)
+        spectral._mirror_pairing(np.append(roots, roots[0]), np.append(offsets, 0.0), 10.0, 3.0)
     with pytest.raises(DecompositionError, match="pair"):
-        spectral._mirror_pairing(roots + np.array([0, 0, 0, 0, 0.5]), offsets, 10.0)
+        spectral._mirror_pairing(roots + np.array([0, 0, 0, 0, 0.5]), offsets, 10.0, 3.0)
     with pytest.raises(DecompositionError, match="trace"):
-        spectral._mirror_pairing(roots, offsets + 1e-6, 10.0)
+        spectral._mirror_pairing(roots, offsets + 1e-6, 10.0, 3.0)
 
 
 def test_pairing_error_is_the_measured_mismatch(pipeline):
@@ -611,3 +617,64 @@ def test_pairing_error_is_the_measured_mismatch(pipeline):
     *_, dec = pipeline(u0=-0.5, ng=16)
     scale = float(np.abs(dec.omegas).max())
     assert 0.0 < dec.pairing_error <= spectral.PAIRING_RTOL * scale
+
+
+def _levels(fm):
+    """h's eigh levels and columns, as decompose takes them, with the
+    levels that carry a root pair: root i < n/2 sits at +e of free[i], root
+    n/2 + i at -e."""
+    n_e = fm.phi_even.size
+    h = fm.even[2 : 2 + n_e, 2 : 2 + n_e].real
+    energies, basis = np.linalg.eigh(0.5 * (h + h.T))
+    zero = int(np.argmax(np.abs(basis.T @ fm.phi_even)))
+    return energies, basis, np.flatnonzero(np.arange(n_e) != zero)
+
+
+def _deflated(dec):
+    return np.setdiff1d(np.arange(dec.omegas.size), [*dec.coupled, *dec.goldstone])
+
+
+@pytest.mark.parametrize("ng", [64, 200])
+@pytest.mark.parametrize("delta_c", [-100.0, -1000.0, -10000.0])
+@pytest.mark.parametrize("u0", [-0.05, -0.5])
+def test_a_deflated_mode_is_an_exact_eigh_pair(ng, delta_c, u0):
+    # a deflated root is its level of h, +-e_j exactly and real, with the
+    # eigh column q_j as its right vector in its own block and no photon
+    # entry; it is an eigenpair of M_even to the rounding eigh leaves
+    *_, fm, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
+    energies, basis, free = _levels(fm)
+    n_e, half = fm.phi_even.size, free.size
+    deflated = _deflated(dec)
+    assert deflated.size > 0 and np.isin(dec.pairing[dec.coupled], dec.coupled).all()
+    for k in deflated:
+        level, block = (free[k], 2) if k < half else (free[k - half], 2 + n_e)
+        assert dec.omegas[k] == (energies[level] if k < half else -energies[level])
+        assert dec.omegas[k].imag == 0.0 and dec.pairing[dec.pairing[k]] == k
+        assert dec.l1[k] == 0.0 and dec.l2[k] == 0.0
+        column = dec.even_right[:, k]
+        own = column[block : block + n_e]
+        assert not np.delete(column, np.arange(block, block + n_e)).any()
+        assert np.all(own.imag == 0.0)
+        # the eigh column, scaled to unit quadrature-weighted norm
+        assert np.abs(own.real * np.sqrt(fm.dx) - basis[:, level]).max() <= 16 * EPS
+    right = dec.even_right[:, deflated] / np.linalg.norm(dec.even_right[:, deflated], axis=0)
+    residual = np.linalg.norm(fm.even @ right - right * dec.omegas[deflated], axis=0)
+    assert residual.max() <= 16 * EPS * fm.scale
+
+
+@pytest.mark.parametrize("ng", [64, 200])
+def test_rung_2_stays_coupled_and_keeps_its_damping(ng, monkeypatch):
+    # rung 2 at delta_c = -1000, u0 = -0.05 (Re omega near 16, Im omega
+    # -1.04e-11, |l1 l2| 1.6e-12) is resolved, not noise: the deflation must
+    # keep it, and with it the damping an undeflated solve gives
+    *_, fm, dec = run_pipeline(u0=-0.05, ng=ng, delta_c=-1000.0, eta=1000.0)
+    monkeypatch.setattr(spectral, "DEFLATION_TOL", 0.0)
+    full = decompose(fm)
+    assert full.coupled.size == ng + 2 and not _deflated(full).size
+    half = ng // 2
+    matter = dec.coupled[dec.coupled < half]  # the field-block roots
+    rung = matter[np.argsort(dec.omegas[matter].real)[1]]
+    assert abs(dec.omegas[rung].real - 16.0) < 1.0
+    assert -2e-11 < dec.omegas[rung].imag < -5e-12
+    assert abs(dec.omegas[rung].imag - full.omegas[rung].imag) <= 1e-12 * abs(full.omegas[rung].imag)
+    assert abs(dec.l1[rung] * dec.l2[rung]) > 1e-12
