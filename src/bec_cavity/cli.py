@@ -248,7 +248,7 @@ def cmd_verify(cfg: RunConfig, stream: TextIO) -> int:
         )
         # decompose refuses a generator without the phase/number pair, so
         # every decomposition carries exactly two Goldstone modes
-        photon = min(float(np.abs(dec.even_right[:2, k]).max()) for k in dec.goldstone)
+        photon = float(np.abs(dec.coupled_right[:2, dec.coupled.size :]).max(axis=0).min())
         freq = max(float(abs(dec.omegas[k])) for k in dec.goldstone)
         record(
             "goldstone",

@@ -14,9 +14,10 @@ Two independent routes to the same number:
   the even modes that ``decompose`` deflates have l1 = l2 = 0 exactly
   too.  The sum runs over the pairs of the record's ``coupled`` modes
   alone: k^2 pairs for the k coupled roots, k = 8 to 28 at n = 200 on
-  the shipped sweep, against (n + 4)^2 = 41,616 even pairs.  It reads them in the even sector's
-  orthonormal basis, from the record's ``even_right`` and its photon
-  entries ``l1`` and ``l2`` of the left rows, where O_kl is the same sum
+  the shipped sweep, against (n + 4)^2 = 41,616 even pairs.  It reads them
+  in the even sector's orthonormal basis, from the record's block
+  ``coupled_right`` and its photon entries ``l1`` and ``l2`` of the left
+  rows, where O_kl is the same sum
   over the n/2 + 1 cosine modes m = 0 .. n/2; both sums add up their
   pairs a block of rows at a time, each block as it forms, so neither
   holds an array of the pair count;
@@ -140,11 +141,12 @@ def _pair_weights(dec: ModeDecomposition, rows: np.ndarray, cols: np.ndarray) ->
 
     The pair's frequency sum is omegas[k] + omegas[l].  The cosine modes
     of the even sector are orthonormal, so O_kl is the sum over the modes
-    m = 0 .. n/2, formed from the columns rows and cols of even_right.
+    m = 0 .. n/2, formed from the coupled modes' columns of coupled_right.
     """
     modes = dec.n_grid // 2 + 1
-    r4 = dec.even_right[2 + modes :, rows]
-    block = np.matmul(r4.T, dec.even_right[2 : 2 + modes, cols])  # O_kl: no conjugation anywhere
+    right = dec.coupled_right
+    r4 = right[2 + modes :, np.searchsorted(dec.coupled, rows)]
+    block = np.matmul(r4.T, right[2 : 2 + modes, np.searchsorted(dec.coupled, cols)])  # O_kl: no conjugation
     block *= dec.dx
     block *= dec.l1[rows, None]
     block *= dec.l2[cols]
@@ -314,7 +316,7 @@ def mode_projector(dec: ModeDecomposition, modes) -> np.ndarray:
     receives noise; it derives the left rows of the given modes alone.
     """
     cols = np.unique(np.asarray(list(modes), dtype=int))
-    return np.eye(dec.omegas.size) - dec.even_right[:, cols] @ dec.left_rows(cols)
+    return np.eye(dec.omegas.size) - dec.even_right(cols) @ dec.left_rows(cols)
 
 
 def _quadratures(mat: np.ndarray) -> np.ndarray:
@@ -477,13 +479,12 @@ class PointAnalysis:
     Stages fill in order; error holds the exception that stopped the
     chain, and every stage after it stays None.  One record holds the
     generator's two parity sectors (0.75 MB at n = 200) and the even
-    sector's modes (0.68 MB, even_right and the photon entries of the
-    left rows), so sweeps reduce it to rows where it is made.  No stage
-    adds an array of the sector's size, only blocks of it: a warm n = 200
-    depletion point peaks at 1.58 MB of numpy memory while it decomposes
-    (even_right beside the generator and h's eigh basis, then the
-    certificate's Gram tiles), with finite times or without; the sums over
-    the coupled modes add under 0.05 MB.
+    sector's modes (0.16 MB: h's eigh basis, the coupled modes' right
+    vectors, the photon entries of the left rows), so sweeps reduce it to
+    rows where it is made.  No stage adds an array of the sector's size:
+    a warm n = 200 depletion point peaks at 1.37 MB of numpy memory while
+    it decomposes (the generator beside its structure check, or beside the
+    certificate's deflated-level products), with finite times or without.
     """
 
     state: MeanFieldState | None = None

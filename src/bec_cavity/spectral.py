@@ -68,23 +68,18 @@ adjoint mode of a complex-symmetric system is its transpose (Siegman,
 PRA 39, 1253, 1989).  ``decompose``'s structure check asserts each of
 those relations to STRUCTURE_TOL before any vector is built, so the
 identity holds to the rounding that the biorthogonality certificate
-measures.  W is diagonal, so the Gram R^T W R is complex symmetric, and
-the certificate forms only its tiles on and above the diagonal.  The
-normalizers r^T W r are that Gram's diagonal, taken in the same pass, so
-a secular root's (L R)_kk is 1 by construction and the certificate
-measures the entries off it.  Nothing is inverted and no dense
-eigensolver runs; instead ``decompose`` certifies the result (distinct
-roots, an exact mirror pairing, the trace identity sum w = tr M_even,
-biorthogonality, a condition bound) and raises DecompositionError when a
-certificate fails.
+measures.  The normalizers r^T W r are the diagonal of the Gram R^T W R,
+so a secular root's (L R)_kk is 1 by construction and the certificate
+measures the entries off it, over all n + 4 modes (``_biorth_defect``).
+Nothing is inverted and no dense eigensolver runs; instead ``decompose``
+certifies the result (distinct roots, an exact mirror pairing, the trace
+identity sum w = tr M_even, biorthogonality, a condition bound) and
+raises DecompositionError when a certificate fails.
 
-``decompose`` keeps the even modes in this sector form: their right
-vectors in the sector's orthonormal basis, a mode's index its column
-there.  It stores of the left rows only what the sums read, their photon
-entries l1 and l2 (the noise weights), with the normalizers r^T W r;
-``ModeDecomposition.left_rows`` derives any full row from its right
-vector when a reader needs it, ``depletion.mode_projector`` and the
-tests.
+``decompose`` keeps the even modes in this sector form
+(``ModeDecomposition``): h's eigh basis, which gives every deflated
+vector, one block of the coupled modes' vectors, and of the left rows
+only their photon entries l1 and l2, the noise weights that the sums read.
 
 Phase symmetry of the condensate makes the even sector defective: in the
 frame of the chemical potential the vector (0, 0, phi, -phi) is an
@@ -106,7 +101,6 @@ chain that feeds M in here are ``depletion.analyze_point``'s business.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,32 +142,33 @@ class ModeDecomposition:
     """The even sector's eigenvalues with paired left/right vectors, in
     sector form.
 
-    The modes are kept in the sector's orthonormal basis.  A mode's index
-    is its column of even_right.  Each right vector is fixed up to a
-    phase, and its left row takes the inverse phase; nothing read from
-    the modes (Petermann factors, |l1|, |l2|, the pair weights
-    l1_k l2_l O_kl, projectors) depends on it.  The left rows are not
-    stored: ``left_rows`` derives them from the right vectors.
+    The modes are kept in the sector's orthonormal basis, a mode's index
+    its column there; ``even_right`` and ``left_rows`` assemble any
+    dense column or row on demand.  Each right vector is fixed up to a
+    phase, and its left row takes the inverse phase; nothing read from the
+    modes (Petermann factors, |l1|, |l2|, the pair weights l1_k l2_l O_kl,
+    projectors) depends on it.
 
     omegas      -- complex mode frequencies: the n + 2 secular roots, then
                    the phase/number pair as exact zeros; root i < n/2 sits
-                   at or near +e_j of the i-th nonzero level of h, root
-                   n/2 + i at or near -e_j, the last two near A and -conj(A)
-    even_right  -- (n + 4)-square: columns are the right vectors in the
-                   even sector basis (photon rows 0 and 1, then the
-                   cosine modes m = 0 .. n/2 of the field block and of
-                   the conjugate block), with unit photon plus
-                   quadrature-weighted matter norm; a deflated root's
-                   column is the ``eigh`` column q_j of h in its own
-                   block, zero elsewhere, the coupled roots' columns are
-                   resolvent vectors, and the Goldstone columns are the
-                   analytic basis
+                   at or near +e_j of level levels[i] of h, root n/2 + i
+                   at or near -e_j, the last two near A and -conj(A)
+    basis       -- h's real (n/2 + 1)-square ``eigh`` basis Q; a deflated
+                   root's right vector is its level's column q_j / sqrt(dx)
+                   in its own matter block, zero elsewhere
+    levels      -- the level of h, a column of basis, that roots i and
+                   n/2 + i sit at: every level but the condensate's own
     coupled     -- ascending indices of the secular roots that were not
                    deflated (module docstring): the coupled levels' roots
                    and the photon pair, closed under pairing; every other
                    non-Goldstone mode has omega = +-e_j exactly and
                    l1 = l2 = 0, so the depletion sums read these columns
                    alone
+    coupled_right -- (n + 4) x (k + 2): the k coupled modes' resolvent
+                   vectors, then the phase/number pair's analytic ones, in
+                   the sector basis (photon rows 0 and 1, then the cosine
+                   modes m = 0 .. n/2 of the field and conjugate blocks),
+                   with unit photon plus quadrature-weighted matter norm
     l1, l2      -- the photon entries of every left row, columns 0 and 1
                    of left_rows(slice(None)): all that the depletion sums
                    read of them
@@ -193,11 +188,14 @@ class ModeDecomposition:
     chain       -- True when the pair is a Jordan chain
                    (M r2 = c r1, M r1 = 0) rather than two eigenvectors;
                    the coupling c is stored in chain_coupling
-    biorth_defect  -- max|L R - I|
+    biorth_defect  -- max|L R - I| over all n + 4 modes
     """
 
     omegas: np.ndarray
-    even_right: np.ndarray
+    basis: np.ndarray
+    levels: np.ndarray
+    coupled: np.ndarray
+    coupled_right: np.ndarray
     l1: np.ndarray
     l2: np.ndarray
     w_norms: np.ndarray
@@ -206,7 +204,6 @@ class ModeDecomposition:
     cond_r: float
     pairing: np.ndarray
     pairing_error: float
-    coupled: np.ndarray
     goldstone: tuple[int, ...]
     chain: bool
     chain_coupling: complex
@@ -221,7 +218,7 @@ class ModeDecomposition:
         in the layout of M on the grid points, E even_right
         (``fluctuation.synthesize_sector``), assembled afresh on every
         access; read by the benchmark's tracer and the tests."""
-        return synthesize_sector(self.even_right)
+        return synthesize_sector(self.even_right())
 
     @property
     def symmetrizer(self) -> np.ndarray:
@@ -229,15 +226,31 @@ class ModeDecomposition:
         matter = np.full(self.n_grid // 2 + 1, self.dx)
         return np.concatenate([[np.conj(self.beta), -self.beta], matter, -matter])
 
+    def even_right(self, cols=slice(None)) -> np.ndarray:
+        """The (n + 4)-row right vectors of the modes cols (ascending indices
+        or a slice), assembled afresh from the record's fields; read by
+        ``depletion.mode_projector`` and the tests, never by the sums."""
+        index = np.arange(self.omegas.size)[cols]
+        stored = np.concatenate([self.coupled, np.asarray(self.goldstone, dtype=int)])
+        at = np.minimum(np.searchsorted(stored, index), stored.size - 1)
+        kept = stored[at] == index
+        half, n_e = self.levels.size, self.basis.shape[0]
+        out = np.zeros((2 + 2 * n_e, index.size), dtype=complex)
+        out[:, kept] = self.coupled_right[:, at[kept]]
+        for block, mine in ((slice(2, 2 + n_e), index < half), (slice(2 + n_e, None), index >= half)):
+            mine &= ~kept
+            out[block, mine] = self.basis[:, self.levels[index[mine] % half]] / math.sqrt(self.dx)
+        return out
+
     def left_rows(self, cols) -> np.ndarray:
         """The left rows of the modes cols (ascending indices or a slice),
-        with left_rows(slice(None)) @ even_right = I: (W r_k)^T / (r_k^T W r_k) for a
+        with left_rows(slice(None)) @ even_right() = I: (W r_k)^T / (r_k^T W r_k) for a
         secular root (module docstring), the stored dual row for the
-        phase/number pair.  A slice reads the right vectors in place."""
+        phase/number pair."""
         index = np.arange(self.omegas.size)[cols]
         split = int(np.searchsorted(index, self.w_norms.size))
         out = np.empty((index.size, self.omegas.size), dtype=complex)
-        np.multiply(self.symmetrizer, self.even_right[:, cols][:, :split].T, out=out[:split])
+        np.multiply(self.symmetrizer, self.even_right(index[:split]).T, out=out[:split])
         out[:split] /= self.w_norms[index[:split], None]
         out[split:] = self.dual_rows[index[split:] - self.w_norms.size]
         return out
@@ -261,27 +274,14 @@ def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     return 1.0 / np.sqrt(_squared_column_norms(vecs[:2]) + dx * _squared_column_norms(vecs[2:]))
 
 
-# rows (or columns) per block wherever a temporary the size of the even
-# sector is cut into blocks
+# rows per block wherever a temporary of the coupled roots' count squared is
+# cut into blocks: that count reaches n + 2 in a deep lattice
 BLOCK = 32
 
 
-def row_blocks(size: int, step: int = BLOCK) -> list[slice]:
-    """Slices of at most step indices that cover range(size), in order."""
-    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
-
-
-@contextmanager
-def _small_buffers():
-    """Holds numpy's ufunc buffers to BLOCK^2 / 4 elements within.  A ufunc
-    over a strided or broadcast operand buffers up to 8192 elements of
-    each operand (0.13 MB complex), more than the blocks ``decompose``
-    works in at n = 200; an element-wise result does not depend on it."""
-    old = np.setbufsize(BLOCK * BLOCK // 4)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
+def row_blocks(size: int) -> list[slice]:
+    """Slices of at most BLOCK indices that cover range(size), in order."""
+    return [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
 
 
 def phase_chain(even: np.ndarray, phi_even: np.ndarray, scale: float):
@@ -547,7 +547,6 @@ def _mirror_pairing(
     return pairing, mismatch
 
 
-@_small_buffers()
 def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     """The even sector's modes from its secular equation (module docstring).
 
@@ -637,36 +636,27 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
         a_diag,
         beta,
     )
-    dim = 2 + 2 * n_e
-    right = np.zeros((dim, dim), dtype=complex)
-    right[:, coupled] = vectors
-    del vectors
-    # a deflated root's vector is its level's eigh column, in its own block;
-    # copied a block of columns at a time, where a point's memory peaks
-    deflated = np.flatnonzero(~live[free])
-    for cols in row_blocks(deflated.size):
-        right[f, deflated[cols]] = basis[:, free[deflated[cols]]]
-        right[2 + n_e :, half + deflated[cols]] = basis[:, free[deflated[cols]]]
-    del basis
     # unit photon plus quadrature-weighted matter norm; the phase stays the
     # closed form's, real positive at the root's own anchor in the
-    # eigenbasis of h
-    right[:, :n_roots] *= _physical_norm_factors(right[:, :n_roots], dx)
-    # the phase/number pair fills the last two columns
+    # eigenbasis of h; the phase/number pair fills the last two columns
+    vectors *= _physical_norm_factors(vectors, dx)
     factors = _physical_norm_factors(r_g, dx)
-    right[:, n_roots:] = r_g * factors
+    stored = np.concatenate([vectors, r_g * factors], axis=1)
+    del vectors
     dec = ModeDecomposition(
         omegas=np.concatenate([omegas, np.zeros(2)]),
-        even_right=right,
-        l1=np.empty(n_roots + 2, dtype=complex),
-        l2=np.empty(n_roots + 2, dtype=complex),
+        basis=basis,
+        levels=free,
+        coupled=coupled,
+        coupled_right=stored,
+        l1=np.zeros(n_roots + 2, dtype=complex),
+        l2=np.zeros(n_roots + 2, dtype=complex),
         w_norms=np.empty(n_roots, dtype=complex),
         beta=beta,
-        dual_rows=chain_duals(chain, right[:, n_roots:], y_g),
+        dual_rows=chain_duals(chain, stored[:, -2:], y_g),
         cond_r=math.nan,
         pairing=np.concatenate([pairing, [n_roots, n_roots + 1]]),  # Goldstone: itself
         pairing_error=pairing_error,
-        coupled=coupled,
         goldstone=(n_roots, n_roots + 1),
         chain=chain,
         chain_coupling=complex(factors[1] / factors[0]) if chain else 0.0 + 0.0j,
@@ -681,12 +671,12 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
             f"even modes not biorthogonal (max|LR - I| = {dec.biorth_defect:.2e})"
         )
     # W M is symmetric (module docstring), so the left vector of r is
-    # (W r)^T / (r^T W r)
+    # (W r)^T / (r^T W r); a deflated mode's photon entries stay exact zeros
     for photon, out in ((0, dec.l1), (1, dec.l2)):
-        out[:n_roots] = dec.symmetrizer[photon] * right[photon, :n_roots] / dec.w_norms
+        out[coupled] = dec.symmetrizer[photon] * stored[photon, :-2] / dec.w_norms[coupled]
         out[n_roots:] = dec.dual_rows[:, photon]
     # ||R||_F ||L||_F over unit columns bounds the 2-norm condition number
-    dec.cond_r = float(np.sqrt(right.shape[0] * petermann_raw(dec).sum()))
+    dec.cond_r = float(np.sqrt(stored.shape[0] * petermann_raw(dec).sum()))
     if not dec.cond_r <= COND_LIMIT:
         raise DecompositionError(
             f"right eigenvector basis is numerically singular "
@@ -698,42 +688,47 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 
 def _biorth_defect(dec: ModeDecomposition) -> tuple[np.ndarray, float]:
     """The normalizers w_k = r_k^T W r_k of the secular roots and the
-    certificate max|L R - I| of the left rows they give, both from the
-    tiles of the Gram G = R^T W R on and above its diagonal; dec.w_norms
-    is not read.
+    certificate max|L R - I| over all n + 4 modes; dec.w_norms is not read.
 
-    w is G's diagonal, so (L R)_kk = G_kk / w_k is 1 by construction.  G is
-    complex symmetric (W is diagonal), and a secular root's left row is
-    (W r_k)^T / w_k, so G_kl gives both (L R)_kl = G_kl / w_k and
-    (L R)_lk = G_kl / w_l.  Panels of BLOCK / 2 secular modes k meet the
-    columns l >= k, the Goldstone ones included, in tiles at most half the
-    sector wide, each formed transposed (the faster product for these
-    shapes) and squared in place; each secular mode keeps the largest
-    off-diagonal |G|^2 of its row and column.  The phase/number pair's
-    dual rows meet every column."""
-    right = dec.even_right
-    dim, roots = right.shape[0], right.shape[0] - len(dec.dual_rows)
-    symmetrizer = dec.symmetrizer[:, None]
-    largest = np.zeros(roots)  # max over l != k of |G_kl|^2
-    diagonal = np.empty(roots, dtype=complex)
-    for rows in row_blocks(roots, BLOCK // 2):
-        w_r = symmetrizer * right[:, rows]
-        for cols in row_blocks(dim - rows.start, dim // 2 + 1):
-            cols = slice(rows.start + cols.start, rows.start + cols.stop)
-            tile = right[:, cols].T @ w_r  # G[cols, rows]
-            mine = np.arange(cols.start, min(rows.stop, cols.stop))
-            diagonal[mine] = tile[mine - cols.start, mine - rows.start]
-            tile[mine - cols.start, mine - rows.start] = 0.0
-            squares = np.square(tile.real, out=tile.real)
-            squares += np.square(tile.imag, out=tile.imag)
-            np.maximum(largest[rows], squares.max(axis=0), out=largest[rows])
-            secular = np.arange(cols.start, min(cols.stop, roots))
-            largest[secular] = np.maximum(largest[secular], squares[: secular.size].max(axis=1))
-            del tile, squares  # freed before the next tile is formed
-        del w_r  # freed before the next panel is formed
-    pair = dec.dual_rows @ right
-    pair[:, roots:] -= np.eye(dim - roots)
-    return diagonal, float(np.max([(np.sqrt(largest) / np.abs(diagonal)).max(), np.abs(pair).max()]))
+    w is the diagonal of the Gram G = R^T W R, and a secular root's left
+    row is (W r_k)^T / w_k, so (L R)_kl = G_kl / w_k, 1 on the diagonal by
+    construction.  The stored block gives its (k + 2)-square Gram, the
+    phase/number pair its dual rows.  A deflated root's vector is
+    q_j / sqrt(dx) in one matter block, where W is +dx or -dx, and the two
+    blocks share no support, so the real products Q_d^T Q_d and Q_d^T (the
+    block's and the dual rows' field or conjugate rows), d the deflated
+    levels, give every other entry.  A nan anywhere is the verdict."""
+    stored, k = dec.coupled_right, dec.coupled.size
+    n_e, half = dec.basis.shape[0], dec.levels.size
+    f, c = slice(2, 2 + n_e), slice(2 + n_e, None)
+    scale = 1.0 / math.sqrt(dec.dx)  # a deflated right vector is q_j scale
+    gram = stored.T @ (dec.symmetrizer[:, None] * stored)
+    w_stored = gram.diagonal()[:k].copy()
+    # the deflated field-block roots; np.setdiff1d would import numpy.ma (1.2 MB)
+    deflated = np.flatnonzero(~np.isin(np.arange(half), dec.coupled))
+    q = dec.basis[:, dec.levels[deflated]]
+    overlap = q.T @ q
+    norms = overlap.diagonal().copy()
+    columns = [stored[f], stored[c], dec.dual_rows[:, f].T, dec.dual_rows[:, c].T]
+    cross = np.matmul(q.T, np.concatenate(columns, axis=1).view(float)).view(complex)  # q_j . column
+    on_block = cross[:, : 2 * k + 4].reshape(-1, 2, k + 2)  # per q_j: field rows, conjugate rows
+    eye = np.eye(k + 2)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a nan or inf is the verdict
+        overlap /= norms[:, None]
+        overlap.flat[:: norms.size + 1] -= 1.0
+        parts = [
+            gram[:k] / w_stored[:, None] - eye[:k],  # secular stored rows on the block
+            dec.dual_rows @ stored - eye[k:],  # the pair's rows on the block
+            overlap,  # deflated rows on deflated columns, alike in both blocks
+            on_block / (scale * norms[:, None, None]),  # deflated rows on the block
+            dec.dx * scale * on_block[..., :k] / w_stored,  # secular stored rows on deflated
+            scale * cross[:, 2 * k + 4 :],  # the pair's rows on deflated columns
+        ]
+    w_norms = np.empty(2 * half + 2, dtype=complex)
+    w_norms[dec.coupled] = w_stored
+    w_norms[deflated] = dec.dx * scale**2 * norms
+    w_norms[half + deflated] = -w_norms[deflated]
+    return w_norms, float(np.max([np.abs(part).max(initial=0.0) for part in parts]))
 
 
 def classify_stability(dec: ModeDecomposition) -> StabilityReport:
@@ -770,15 +765,18 @@ def petermann_raw(dec: ModeDecomposition) -> np.ndarray:
     a secular root l_k = (W r_k)^T / (r_k^T W r_k) (module docstring), so
     K_k = |W r_k|^2 |r_k|^2 / |r_k^T W r_k|^2, Siegman's form for a
     complex-symmetric system; the phase/number pair's |l_k|^2 are its dual
-    rows' own.  The even sector's basis is orthonormal, so every norm is
-    one einsum over the vectors in place."""
-    right, roots = dec.even_right, dec.w_norms.size
-    left = np.empty(dec.omegas.size)
-    left[:roots] = abs(dec.beta) ** 2 * _squared_column_norms(right[:2, :roots])
-    left[:roots] += dec.dx**2 * _squared_column_norms(right[2:, :roots])
-    left[:roots] /= np.square(np.abs(dec.w_norms))
-    left[roots:] = _squared_column_norms(dec.dual_rows.T)
-    return left * _squared_column_norms(right)
+    rows' own.  A deflated root's vector lies in one matter block, where W
+    is dx or -dx, so its K is 1 exactly.  The even sector's basis is
+    orthonormal, so every norm is one einsum over the stored vectors."""
+    stored, k = dec.coupled_right, dec.coupled.size
+    vectors = stored[:, :k]
+    left = abs(dec.beta) ** 2 * _squared_column_norms(vectors[:2])
+    left += dec.dx**2 * _squared_column_norms(vectors[2:])
+    left /= np.square(np.abs(dec.w_norms[dec.coupled]))
+    raw = np.ones(dec.omegas.size)
+    raw[dec.coupled] = left * _squared_column_norms(vectors)
+    raw[list(dec.goldstone)] = _squared_column_norms(dec.dual_rows.T) * _squared_column_norms(stored[:, k:])
+    return raw
 
 
 def odd_frequencies(fm: FluctuationMatrix) -> np.ndarray:

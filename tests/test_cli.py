@@ -563,6 +563,26 @@ def test_cli_import_loads_neither_process_pool_nor_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_sweep_commands_load_no_numpy_ma(tmp_path):
+    # np.unique and np.setdiff1d import numpy.ma on first use, 1.2 MB of
+    # resident memory; a steady and a finite-time depletion sweep and a
+    # spectrum sweep at n = 200 must not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfg = write_config(tmp_path, u0=-0.5, grid_points=200)
+    code = (
+        "import sys; from bec_cavity.cli import main; "
+        f"main(['depletion', '--config', {cfg!r}, '--out', {str(tmp_path / 'a.csv')!r}]); "
+        f"main(['depletion', '--config', {cfg!r}, '--times', '1,100', '--out', {str(tmp_path / 'b.csv')!r}]); "
+        f"main(['spectrum', '--config', {cfg!r}, '--out', {str(tmp_path / 'c.csv')!r}]); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [("depletion", ["--times", "1,100", "--oracle"])],

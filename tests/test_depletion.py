@@ -261,7 +261,10 @@ def _toy_decomposition(omegas, right=None, l1=None, l2=None, kappa=100.0):
     right = np.eye(dim, dtype=complex) if right is None else right
     return ModeDecomposition(
         omegas=np.array(omegas, dtype=complex),
-        even_right=right,
+        basis=np.eye(n // 2 + 1),
+        levels=np.arange(n // 2),
+        coupled=np.arange(dim),
+        coupled_right=right,
         l1=np.eye(dim, dtype=complex)[:, 0] if l1 is None else l1,
         l2=np.eye(dim, dtype=complex)[:, 1] if l2 is None else l2,
         w_norms=np.ones(dim, dtype=complex),
@@ -270,7 +273,6 @@ def _toy_decomposition(omegas, right=None, l1=None, l2=None, kappa=100.0):
         cond_r=1.0,
         pairing=np.arange(dim),
         pairing_error=0.0,
-        coupled=np.arange(dim),
         goldstone=(),
         chain=False,
         chain_coupling=0.0j,
@@ -415,14 +417,15 @@ def test_times_gather_the_pair_data_once_per_point(monkeypatch):
 
 @pytest.mark.parametrize(
     "times, bound_mb",
-    [(None, 1.6), ([1.0, 100.0, 1e4], 1.6)],
+    [(None, 1.4), ([1.0, 100.0, 1e4], 1.4)],
     ids=["steady", "times"],
 )
 def test_depletion_point_scratch_memory_is_bounded(times, bound_mb):
     # a warm n = 200 point peaks while it decomposes, holding the generator
-    # (0.75 MB) and even_right (0.67 MB) with blocks of scratch (1.58 MB
-    # measured); the finite-time sum adds up each block of pairs as it
-    # forms, so it holds no array of the pair count
+    # (0.75 MB) beside the structure check's matter blocks or the
+    # certificate's products of the deflated levels (1.37 MB measured, the
+    # bound 2.5% above it); the mode record holds no sector-sized array,
+    # and the finite-time sum adds up each block of pairs as it forms
     params = SystemParams(delta_c=-1000.0, kappa=100.0, eta=1000.0, u0=-0.3, n_atoms=1000, grid_points=200)
     grid = make_grid(200)
     solve_depletion_point(params, grid, -1000.0, -0.3, times=times)
@@ -454,6 +457,26 @@ def test_sweep_path_never_assembles_the_grid_basis(monkeypatch):
     rows = cli._spectrum_rows(-0.5, params, grid, nonneg_re_only=False)
     assert len(rows) == 2 * dec.n_grid + 2  # the odd modes too
     assert all(row[-1] == "ok" for row in rows)
+
+
+def test_sweep_path_never_assembles_a_dense_mode_column(monkeypatch):
+    # the sums, the verdict and the spectrum listing read the record's
+    # coupled block, photon entries and Petermann factors alone; the
+    # oracle's projector is the one reader that assembles dense columns
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep path must read the stored coupled block")
+
+    monkeypatch.setattr(ModeDecomposition, "even_right", refuse)
+    params = SystemParams(delta_c=-1000.0, kappa=100.0, eta=1000.0, u0=-0.5, n_atoms=1000, grid_points=200)
+    grid = make_grid(200)
+    steady = solve_depletion_point(params, grid, -1000.0, -0.5)
+    assert [r.status for r in steady] == ["ok"]
+    timed = solve_depletion_point(params, grid, -1000.0, -0.5, times=[1.0, 100.0, 1e4])
+    assert [r.status for r in timed] == ["ok", "ok", "ok"]
+    rows = cli._spectrum_rows(-0.5, params, grid, nonneg_re_only=False)
+    assert len(rows) == 2 * 200 + 2 and all(row[-1] == "ok" for row in rows)
+    (row,) = solve_depletion_point(params, grid, -1000.0, -0.5, oracle=True)
+    assert row.status.startswith("error: AssertionError: the sweep path")
 
 
 def test_depletion_chain_never_reads_the_odd_sector():

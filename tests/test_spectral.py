@@ -54,7 +54,7 @@ def test_biorthonormality_and_reconstruction(pipeline, ng):
     if dec.chain:
         g1, g2 = dec.goldstone
         block[g1, g2] = dec.chain_coupling
-    rebuilt = dec.even_right @ block @ dec.left_rows(slice(None))
+    rebuilt = dec.even_right() @ block @ dec.left_rows(slice(None))
     assert np.linalg.norm(rebuilt - fm.even) < 1e-8 * np.linalg.norm(fm.even)
     assert np.abs(rebuilt - fm.even).max() <= 1e-12 * fm.scale
 
@@ -123,38 +123,44 @@ def test_odd_modes_are_noiseless_and_normal(pipeline):
 
 
 def test_mode_record_holds_no_grid_sized_basis():
-    # the even sector's (n + 4)^2 blocks, against the 5.2 MB of
-    # dense 402 x 402 right and left vectors at n = 200
+    # h's 101-square eigh basis and the 204 x 16 block of the 14 coupled
+    # modes and the phase/number pair, 155,928 bytes measured, against the
+    # 0.68 MB of a square even_right and the 5.2 MB of dense 402 x 402
+    # right and left vectors at n = 200
     *_, dec = run_pipeline(u0=-0.5, ng=200)
     arrays = [v for v in vars(dec).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) <= 2e6
+    assert dec.coupled.size == 14
+    assert sum(a.nbytes for a in arrays) <= 1.6e5
     with pytest.raises(AttributeError):
         dec.right = np.eye(dec.omegas.size)
 
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
 def test_derived_left_rows_are_dual_to_the_right_vectors(ng):
-    # the record stores no left row: left_rows derives them from even_right,
-    # and it keeps the photon entries l1, l2 that the sums read
+    # the record stores no left row: left_rows derives them from the right
+    # vectors, and it keeps the photon entries l1, l2 that the sums read
     *_, dec = run_pipeline(u0=-0.5, ng=ng)
     left = dec.left_rows(slice(None))
-    assert np.abs(left @ dec.even_right - np.eye(ng + 4)).max() <= BIORTH_LIMIT
+    assert np.abs(left @ dec.even_right() - np.eye(ng + 4)).max() <= BIORTH_LIMIT
     assert np.array_equal(left[:, 0], dec.l1) and np.array_equal(left[:, 1], dec.l2)
     cols = np.array([0, 5, *dec.goldstone])
     assert np.array_equal(dec.left_rows(cols), left[cols])
     arrays = {k: v for k, v in vars(dec).items() if isinstance(v, np.ndarray)}
-    assert [k for k, v in arrays.items() if v.ndim == 2 and min(v.shape) > 2] == ["even_right"]
+    # the only 2-D arrays: h's eigh basis and the coupled modes' block
+    assert [k for k, v in arrays.items() if v.ndim == 2 and min(v.shape) > 2] == ["basis", "coupled_right"]
+    assert dec.basis.shape == (ng // 2 + 1, ng // 2 + 1)
+    assert dec.coupled_right.shape == (ng + 4, dec.coupled.size + 2) and dec.coupled.size < ng + 2
 
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
 @pytest.mark.parametrize("delta_c", [-100.0, -1000.0, -10000.0])
 @pytest.mark.parametrize("u0", [-0.5, -4.26648e-4])
-def test_biorth_defect_from_the_upper_gram_tiles_matches_the_full_product(ng, delta_c, u0):
+def test_biorth_defect_from_the_split_gram_matches_the_full_product(ng, delta_c, u0):
     # u0 = -4.26648e-4 is a very weakly coupled chain; delta_c = -100 at
     # u0 = -0.5 a heating point
     _, _, state, _, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
     assert state.heating == (delta_c == -100.0 and u0 == -0.5)
-    full = np.abs(dec.left_rows(slice(None)) @ dec.even_right - np.eye(ng + 4)).max()
+    full = np.abs(dec.left_rows(slice(None)) @ dec.even_right() - np.eye(ng + 4)).max()
     w_norms, defect = spectral._biorth_defect(dec)
     assert abs(defect - full) <= 1e-14
     # the record's normalizers and certificate are this pass's
@@ -163,30 +169,51 @@ def test_biorth_defect_from_the_upper_gram_tiles_matches_the_full_product(ng, de
 
 @pytest.mark.parametrize("ng", [16, 64, 200])
 def test_biorth_defect_reports_an_entry_below_the_diagonal(ng):
-    # scaling the photon entry of the right vector in column 1 puts
-    # the largest entry of L R - I in a photon root's row, below the
-    # diagonal: the certificate forms only the tiles above it, so it must
-    # take that entry from its mirror under the photon root's normalizer;
+    # scaling the photon entry of mode 1's stored right vector puts the
+    # largest entry of L R - I in a photon root's row, below the diagonal;
     # the left rows are the ones the certificate's normalizers give
     *_, dec = run_pipeline(u0=-0.5, ng=ng)
-    right = dec.even_right.copy()
-    right[0, 1] *= 1.001
-    w_norms, defect = spectral._biorth_defect(dataclasses.replace(dec, even_right=right))
-    bad = dataclasses.replace(dec, even_right=right, w_norms=w_norms)
-    product = np.abs(bad.left_rows(slice(None)) @ right - np.eye(ng + 4))
+    stored = dec.coupled_right.copy()
+    assert dec.coupled[1] == 1
+    stored[0, 1] *= 1.001
+    w_norms, defect = spectral._biorth_defect(dataclasses.replace(dec, coupled_right=stored))
+    bad = dataclasses.replace(dec, coupled_right=stored, w_norms=w_norms)
+    product = np.abs(bad.left_rows(slice(None)) @ bad.even_right() - np.eye(ng + 4))
     row, col = np.unravel_index(np.argmax(product), product.shape)
     assert col < row < dec.w_norms.size
     assert product.max() > BIORTH_LIMIT
     assert abs(defect - product.max()) <= 1e-14
 
 
-@pytest.mark.parametrize("col", [1, 40])
+@pytest.mark.parametrize("col", [1, -1], ids=["secular", "pair"])
 def test_biorth_defect_is_nan_when_an_entry_is(col):
-    # a nan entry fails the certificate by itself, wherever its tile
+    # a nan entry of the stored block fails the certificate by itself, in a
+    # coupled root's column or in the phase/number pair's
     *_, dec = run_pipeline(u0=-0.5, ng=64)
-    right = dec.even_right.copy()
-    right[5, col] = np.nan
-    assert np.isnan(spectral._biorth_defect(dataclasses.replace(dec, even_right=right))[1])
+    stored = dec.coupled_right.copy()
+    stored[5, col] = np.nan
+    assert np.isnan(spectral._biorth_defect(dataclasses.replace(dec, coupled_right=stored))[1])
+
+
+@pytest.mark.parametrize("change", ["nan", "perturbed"])
+@pytest.mark.parametrize("ng", [64, 200])
+def test_biorth_defect_reads_the_stored_basis_of_a_deflated_level(ng, change):
+    # a deflated root's right vector is its level's stored eigh column: the
+    # certificate must measure that column, not take eigh's orthogonality
+    # on trust, so a nan or a 1e-6 change in one of its entries fails it
+    *_, dec = run_pipeline(u0=-0.5, ng=ng)
+    deflated = np.setdiff1d(np.arange(dec.levels.size), dec.coupled)
+    level = dec.levels[deflated[deflated.size // 2]]
+    basis = dec.basis.copy()
+    basis[3, level] = np.nan if change == "nan" else basis[3, level] + 1e-6
+    bad = dataclasses.replace(dec, basis=basis)
+    w_norms, defect = spectral._biorth_defect(bad)
+    if change == "nan":
+        assert np.isnan(defect)
+    else:
+        assert defect > BIORTH_LIMIT
+        full = np.abs(dataclasses.replace(bad, w_norms=w_norms).left_rows(slice(None)) @ bad.even_right())
+        assert abs(defect - np.abs(full - np.eye(ng + 4)).max()) <= 1e-14
 
 
 def test_biorth_defect_is_nan_when_a_dual_row_entry_is():
@@ -280,7 +307,7 @@ def test_petermann_exceeds_unity_near_crossing():
 @pytest.mark.parametrize("ng", [16, 64, 200])
 def test_norms_match_linalg_norm_without_a_sector_sized_temporary(ng):
     *_, dec = run_pipeline(u0=-0.5, ng=ng)
-    right, left, dx = dec.even_right, dec.left_rows(slice(None)), dec.dx
+    right, left, dx = dec.even_right(), dec.left_rows(slice(None)), dec.dx
     reference = np.linalg.norm(left, axis=1) ** 2 * np.linalg.norm(right, axis=0) ** 2
     assert np.abs(petermann_raw(dec) / reference - 1.0).max() <= 1e-14
     # decompose scales each column to unit photon plus dx-weighted matter norm
@@ -639,8 +666,9 @@ def _deflated(dec):
 @pytest.mark.parametrize("u0", [-0.05, -0.5])
 def test_a_deflated_mode_is_an_exact_eigh_pair(ng, delta_c, u0):
     # a deflated root is its level of h, +-e_j exactly and real, with the
-    # eigh column q_j as its right vector in its own block and no photon
-    # entry; it is an eigenpair of M_even to the rounding eigh leaves
+    # eigh column q_j as its right vector in its own block, no photon entry
+    # and a Petermann factor of exactly 1; it is an eigenpair of M_even to
+    # the rounding eigh leaves
     *_, fm, dec = run_pipeline(u0=u0, ng=ng, delta_c=delta_c, eta=-delta_c)
     energies, basis, free = _levels(fm)
     n_e, half = fm.phi_even.size, free.size
@@ -650,14 +678,15 @@ def test_a_deflated_mode_is_an_exact_eigh_pair(ng, delta_c, u0):
         level, block = (free[k], 2) if k < half else (free[k - half], 2 + n_e)
         assert dec.omegas[k] == (energies[level] if k < half else -energies[level])
         assert dec.omegas[k].imag == 0.0 and dec.pairing[dec.pairing[k]] == k
-        assert dec.l1[k] == 0.0 and dec.l2[k] == 0.0
-        column = dec.even_right[:, k]
+        assert dec.l1[k] == 0.0 and dec.l2[k] == 0.0 and petermann_raw(dec)[k] == 1.0
+        column = dec.even_right([k])[:, 0]
         own = column[block : block + n_e]
         assert not np.delete(column, np.arange(block, block + n_e)).any()
         assert np.all(own.imag == 0.0)
         # the eigh column, scaled to unit quadrature-weighted norm
         assert np.abs(own.real * np.sqrt(fm.dx) - basis[:, level]).max() <= 16 * EPS
-    right = dec.even_right[:, deflated] / np.linalg.norm(dec.even_right[:, deflated], axis=0)
+    right = dec.even_right(deflated)
+    right /= np.linalg.norm(right, axis=0)
     residual = np.linalg.norm(fm.even @ right - right * dec.omegas[deflated], axis=0)
     assert residual.max() <= 16 * EPS * fm.scale
 
