@@ -25,6 +25,8 @@ import functools
 import json
 import os
 import sys
+import time
+from collections import Counter
 from dataclasses import asdict, replace as dc_replace
 from typing import TextIO
 
@@ -108,6 +110,8 @@ def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
         "residual_phi": state.residual_phi,
         "residual_alpha": state.residual_alpha,
         "iterations": state.iterations,
+        "block": state.block,
+        "tail": state.tail,
         "heating": state.heating,
         "params": asdict(cfg.params),
     }
@@ -148,7 +152,16 @@ def _spectrum_rows(u0: float, params: SystemParams, grid, nonneg_re_only: bool):
     ]
 
 
+def _summary(command: str, statuses: list[str], start: float) -> None:
+    """One stderr line at the end of a sweep: its rows per status (every
+    error: status counted as "error") and its wall time since start."""
+    counts = Counter(status.split(":")[0] for status in statuses)
+    tally = ", ".join(f"{count} {status}" for status, count in sorted(counts.items()))
+    print(f"{command}: {len(statuses)} rows ({tally}) in {time.perf_counter() - start:.2f} s", file=sys.stderr)
+
+
 def cmd_spectrum(cfg: RunConfig, stream: TextIO) -> int:
+    start = time.perf_counter()
     worker = functools.partial(
         _spectrum_rows,
         params=cfg.params,
@@ -162,6 +175,7 @@ def cmd_spectrum(cfg: RunConfig, stream: TextIO) -> int:
     points = _pool_map(worker, _u0_values(cfg))
     rows = [row for point_rows in points for row in point_rows]
     write_csv(stream, columns, rows, _meta(cfg))
+    _summary("spectrum", [row[-1] for row in rows], start)
     return 0
 
 
@@ -171,6 +185,7 @@ def _depletion_worker(args, params: SystemParams, grid, options: dict):
 
 
 def cmd_depletion(cfg: RunConfig, stream: TextIO) -> int:
+    start = time.perf_counter()
     grid = make_grid(cfg.params.grid_points)
     times, oracle = cfg.times, cfg.oracle
     u0s = _u0_values(cfg)
@@ -188,6 +203,7 @@ def cmd_depletion(cfg: RunConfig, stream: TextIO) -> int:
     ]
     rows = [tuple(getattr(r, name) for name in columns) for point in results for r in point]
     write_csv(stream, columns, rows, _meta(cfg))
+    _summary("depletion", [r.status for point in results for r in point], start)
     return 0
 
 

@@ -119,31 +119,33 @@ def build_matrix(
     )
 
 
-def sector_blocks(a_diag: complex, row: np.ndarray, col: np.ndarray, h: np.ndarray):
-    """The even sector's bordered form, block by block: (index, entries)
-    pairs that cover the sector, with G M G = -conj(M) built in.
+def border_blocks(a_diag: complex, row: np.ndarray, col: np.ndarray):
+    """The photon rows and columns of the even sector's bordered form:
+    (index, entries) pairs, with G M G = -conj(M) built in.
 
-    A and -conj(A) on the photon diagonal, matter blocks h and -h, photon
-    row a equal to row on both matter blocks and photon column a equal to
-    col and -col; photon row and column a^dag are their G images.  Every
-    other block is zero.
+    A and -conj(A) on the photon diagonal, photon row a equal to row on
+    both matter blocks and photon column a equal to col and -col; photon
+    row and column a^dag are their G images.  The matter blocks, h and -h
+    with zero blocks between them, complete the sector.
     """
-    n_e = h.shape[0]
+    n_e = row.size
     f, c = slice(2, 2 + n_e), slice(2 + n_e, None)
     return [
         ((0, 0), a_diag), ((1, 1), -np.conj(a_diag)), ((0, 1), 0.0), ((1, 0), 0.0),
         ((0, f), row), ((0, c), row), ((1, f), -row.conj()), ((1, c), -row.conj()),
         ((f, 0), col), ((c, 0), -col), ((f, 1), col.conj()), ((c, 1), -col.conj()),
-        ((f, f), h), ((c, c), -h), ((f, c), 0.0), ((c, f), 0.0),
     ]
 
 
 def bordered_sector(a_diag: complex, row: np.ndarray, col: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The even sector assembled from its blocks (``sector_blocks``)."""
-    dim = 2 + 2 * h.shape[0]
-    even = np.empty((dim, dim), dtype=complex)
-    for index, entries in sector_blocks(a_diag, row, col, h):
+    """The even sector assembled from its border (``border_blocks``) and
+    its matter blocks h and -h."""
+    n_e = h.shape[0]
+    even = np.zeros((2 + 2 * n_e, 2 + 2 * n_e), dtype=complex)
+    for index, entries in border_blocks(a_diag, row, col):
         even[index] = entries
+    even[2 : 2 + n_e, 2 : 2 + n_e] = h
+    even[2 + n_e :, 2 + n_e :] = -h
     return even
 
 

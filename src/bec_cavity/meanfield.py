@@ -11,24 +11,56 @@ given <U> is the closed form ``steady_alpha``.
 The steady state is the fixed point u = <U>(ground state of
 K + |alpha(u)|^2 U).  The ground state is reflection even and <U> is a
 scalar, so a secant polish on F(u) = <U>(u) - u solves it to near machine
-precision on the (n/2 + 1)-dimensional even block of H0, in the cosine
-modes of ``grid.sector_basis`` H(u) = diag(4 m^2) + |alpha(u)|^2 u0 T,
-T the tridiagonal matrix of cos^2 x.  Its eigenvector and H0 phi are
-synthesized on the grid once, at the end.  The polish takes one
-``eigh`` of H, the anchor.  Each later step finds the ground state by
-shifted inverse iteration from the previous vector, an LU solve or two,
-and certifies it by Weyl's bound against the anchor's ground level and
-gap; a step the bound does not certify takes a fresh anchor, so the
-certificate costs time, never a point.
+precision in the cosine modes of ``grid.sector_basis``, where
+H(u) = diag(4 m^2) + |alpha(u)|^2 u0 T, T the tridiagonal matrix of
+cos^2 x.  Its ground vector and H0 phi are synthesized on the grid once,
+at the end.
 
-The polish needs a starting <U> near the root, which an imaginary-time
-start gives: split-step propagation of the uniform condensate (a
-normalized gradient flow, Bao & Du, SIAM J. Sci. Comput. 25, 1674, 2004),
-the cavity amplitude updated under-relaxed after every step.  The start
-and every split step are even under the reflection x -> pi - x, so it
-runs on the n/2 + 1 values phi[j], j = 0 .. n/2: the kinetic step is one
-product with the propagator exp(-dt K) folded over the mirror pairs
-(j, n - j), built from the cosine modes.
+The block.  The condensate's cosine coefficients v_m fall
+super-exponentially, as a Mathieu function's do, so it occupies the
+leading few of the n/2 + 1 modes whatever n is (5 to 16 above eps max|v|
+on the shipped sweep).  The polish runs on the leading b modes:
+kinetic[:b] and lattice[:b, :b] of the n-grid's own H, which are exactly
+H's leading block, so neither its cost nor its rounding grows with n.  T
+couples the block to the rest through one entry, so H applied to the
+block's ground vector v, padded with zeros, leaves the block's own
+eigen-residual and a spill t |v_{b-1}| on mode b, t = |alpha|^2 |u0|
+T[b-1, b] (1/4 away from the corner).  By the Davis-Kahan sin theta
+theorem the full ground state is about t |v_{b-1}| / gap away from v
+(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998), while the block's
+inverse iteration stops at an eigen-residual of RQI_TOL ||H_b||, which
+leaves v about RQI_TOL ||H_b|| / gap away from the block's own ground
+state.  So the block is certified when
+
+    t |v_{b-1}| <= RQI_TOL ||H_b||:
+
+the cut then moves the state no more than the block's own stop does.
+The first b takes every cosine coefficient of the start above eps of its
+largest and the next one.  A block that fails the certificate doubles, up
+to n/2 + 1, where nothing spills and the certificate holds by itself, and
+is polished again from the current <U>.  residual_phi is still taken on
+the full grid with the full H0, spill included, so a block too small
+shows there as well.
+
+The polish takes one ``eigh`` of the block, the anchor.  Each later step
+finds the ground state by shifted inverse iteration from the previous
+vector, an LU solve or two, and certifies it by Weyl's bound against the
+anchor's ground level and gap; a step the bound does not certify takes a
+fresh anchor, so the certificate costs time, never a point.
+
+The start.  The polish needs a starting <U> near the root, which an
+imaginary-time start gives: split-step propagation of the uniform
+condensate (a normalized gradient flow, Bao & Du, SIAM J. Sci. Comput.
+25, 1674, 2004), the cavity amplitude updated under-relaxed after every
+step.  The start and every split step are even under the reflection
+x -> pi - x, so it runs on the values phi[j], j = 0 .. n/2, of its grid:
+the kinetic step is one product with the propagator exp(-dt K) folded
+over the mirror pairs (j, n - j), built from the cosine modes.  It only
+seeds the polish, so its grid is its own: the smallest even grid that
+holds every mode one kinetic step exp(-4 m^2 ITP_DT) does not damp below
+eps, m <= sqrt(ln(1/eps) / (4 ITP_DT)) (60 points at ITP_DT = 1e-2), or
+the n-grid when that is smaller.  A start whose last cosine coefficient
+is above eps of its largest runs again on a grid twice as large, up to n.
 
 The step dt sets only the start's cost.  Its stop rule bounds the change
 of phi per unit of imaginary time, so the start ends about as close to
@@ -45,30 +77,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SectorBasis, mirror_points, potential_profile, sector_basis
+from .grid import Grid, make_grid, mirror_points, potential_profile, sector_basis
 from .params import SystemParams
 
 
 # the imaginary-time start: its step, its stop on the sup-norm change of phi
 # per unit of imaginary time (TOL_PHI, so TOL_PHI * ITP_DT per step) and of
 # alpha per step (TOL_ALPHA), the under-relaxation of alpha, and the cap on
-# its steps.  The step sets only the start's cost (a median 446 steps over
-# the shipped detunings and light shifts, 1,102 at 4e-3); a larger step
-# leaves the polish more secant steps, each an LU solve or two
+# the steps of each of its runs.  The step sets the start's cost (a median
+# 446 steps over the shipped detunings and light shifts, 1,102 at 4e-3)
+# and its grid (60 points at 1e-2); a larger step leaves the polish more
+# secant steps, each an LU solve or two
 ITP_DT = 1e-2
 TOL_PHI = 1e-9
 TOL_ALPHA = 1e-10
 MIXING = 0.3
 MAX_ITERS = 1_000_000
-# cap on the secant steps of the fixed-point polish, which takes 1-6 from
-# the start (a median of 3 at n = 16, 4 at n = 64 and 200; one eigh and a
-# mean of 2.3-2.5 LU solves per solve) over the shipped detunings and
-# light shifts -0.01 .. -1.2
+# cap on the secant steps of the fixed-point polish, which takes 2-6 from
+# the start (a median of 3 at n = 16, 64 and 200; one eigh and a mean of
+# 2.4 LU solves per solve) over the shipped detunings and light shifts
+# -0.02 .. -1.04
 SECANT_STEPS = 50
 # the polish's inverse iteration: its shift below the Rayleigh quotient and
-# its stop on the eigen-residual, both relative to ||H||, and its cap on LU
-# solves per step (it takes at most 2).  A stop at 1e-14 ||H|| would leave
-# <U> about 5e-11 off at n = 200
+# its stop on the eigen-residual, both relative to ||H|| of the block it
+# runs on, and its cap on LU solves per step (it takes at most 2).  The
+# block's norm is set by its 6 to 18 modes on the shipped sweep, not by the
+# grid's n/2 + 1, so neither the stop nor what it leaves in <U> grows with
+# n; a stop at 1e-14 ||H|| would leave <U> up to 7e-13 off there.  RQI_TOL
+# also bounds the spill of the block's truncation certificate
 RQI_SHIFT = 1e-10
 RQI_TOL = 4.0 * np.finfo(float).eps
 RQI_SOLVES = 3
@@ -94,12 +130,16 @@ class MeanFieldState:
     phi is gauge fixed: real, nonnegative at the potential minimum, and
     normalized so that integrate(|phi|^2) = 1.  mu is the chemical
     potential <phi|H0|phi> of the final single-particle Hamiltonian
-    H0 = kinetic + |alpha|^2 U(x).  residual_phi is max|H0 phi - mu phi|;
-    residual_alpha is |alpha - alpha'|, where alpha = steady_alpha(u_avg)
-    and alpha' is the amplitude whose lattice depth phi is the ground state
-    of.  iterations counts the imaginary-time steps of the start.  heating
-    flags delta_c - N<U> > 0, the regime where cavity back-action
-    amplifies atomic motion.
+    H0 = kinetic + |alpha|^2 U(x).  residual_phi is max|H0 phi - mu phi|
+    on the grid, with the full H0; residual_alpha is |alpha - alpha'|,
+    where alpha = steady_alpha(u_avg) and alpha' is the amplitude whose
+    lattice depth phi is the ground state of.  iterations counts the
+    imaginary-time steps of the start on its own grid, every run of it
+    when that grid grew.  block is the number b of leading cosine modes
+    phi was solved on, and tail = |v_{b-1}| / max|v| the truncation
+    certificate's last coefficient (module docstring).  heating flags
+    delta_c - N<U> > 0, the regime where cavity back-action amplifies
+    atomic motion.
     """
 
     phi: np.ndarray
@@ -111,6 +151,8 @@ class MeanFieldState:
     residual_alpha: float
     iterations: int
     heating: bool
+    block: int
+    tail: float
 
 
 def steady_alpha(params: SystemParams, u_avg: float) -> complex:
@@ -197,27 +239,69 @@ def _imaginary_time_start(params: SystemParams, grid: Grid):
     )
 
 
+def _start(params: SystemParams, n_points: int):
+    """The imaginary-time start on its own grid (module docstring).
+
+    Returns (<U>, phi's cosine coefficients on the start's grid, steps).
+    """
+    eps = np.finfo(float).eps
+    size = min(n_points, 2 * int(math.sqrt(math.log(1.0 / eps) / (4.0 * ITP_DT))))
+    steps = 0
+    while True:
+        phi, _, u_avg, taken = _imaginary_time_start(params, make_grid(size))
+        steps += taken
+        # the cosine coefficients of the even values, up to a common factor
+        j, mj = mirror_points(size)
+        coeffs = sector_basis(size).synthesis[j].T @ (np.where(j == mj, 1.0, 2.0) * phi)
+        if size == n_points or abs(coeffs[-1]) <= eps * np.abs(coeffs).max():
+            return u_avg, coeffs, steps
+        size = min(2 * size, n_points)
+
+
+def _first_block(coeffs: np.ndarray, size: int) -> int:
+    """The first block: the leading modes up to the start's first cosine
+    coefficient at or below eps of its largest, or all size modes."""
+    small = np.abs(coeffs) <= np.finfo(float).eps * np.abs(coeffs).max()
+    return int(np.argmax(small)) + 1 if small.any() else size
+
+
 def solve_ground_state(params: SystemParams, grid: Grid) -> MeanFieldState:
     """Solve the coupled mean-field equations for the steady state.
 
     The imaginary-time start gives <U> near the fixed point, at a cost
     set by ITP_DT; the polish then solves the fixed point to the discrete
-    ground state of H0 in the cosine modes, so the result does not depend
-    on the step, and phi is synthesized on the grid once.  The polish
-    takes one anchor ``eigh`` and certified inverse-iteration steps.
+    ground state of H0 on a certified block of leading cosine modes, so
+    the result depends neither on the step nor, once n holds the block,
+    on the grid, and phi is synthesized on the grid once.  The polish
+    takes one anchor ``eigh`` per block and certified inverse-iteration
+    steps.
 
     Raises ConvergenceError when the start exhausts MAX_ITERS steps or
     takes a step that is not finite.
     """
-    _, _, u_start, iterations = _imaginary_time_start(params, grid)
+    u_avg, coeffs, iterations = _start(params, grid.n)
     basis = sector_basis(grid.n)
-    vec, alpha, u_avg, alpha_built = _polish_fixed_point(params, basis, u_start)
+    size = basis.kinetic.size
+    block = _first_block(coeffs, size)
+    while True:
+        kinetic, lattice = basis.kinetic[:block], basis.lattice[:block, :block]
+        vec, alpha, u_avg, alpha_built, norm = _polish_fixed_point(params, kinetic, lattice, u_avg)
+        # H0 vec in the cosine modes: the block's rows, then the one entry
+        # across the cut, which is the certificate's spill t v_{b-1}
+        depth = np.abs(alpha) ** 2 * params.u0
+        h_vec = kinetic * vec + depth * (lattice @ vec)
+        spill = depth * (basis.lattice[block - 1, block] if block < size else 0.0) * vec[-1]
+        if abs(spill) <= RQI_TOL * norm:
+            break
+        block = min(2 * block, size)
 
-    # H0 vec in the cosine modes; mu and max|H0 phi - mu phi| on the grid
-    # from one synthesis of vec and H0 vec
-    h_vec = basis.kinetic * vec + (np.abs(alpha) ** 2 * params.u0) * (basis.lattice @ vec)
     mu = float(vec @ h_vec)
-    phi, h_phi = (basis.synthesis @ np.column_stack([vec, h_vec])).T / np.sqrt(grid.dx)
+    # phi and H0 phi on the grid from one synthesis; max|H0 phi - mu phi|
+    # there, the spill included
+    modes = np.zeros((min(block + 1, size), 2))
+    modes[:block] = np.column_stack([vec, h_vec])
+    modes[block:, 1] = spill
+    phi, h_phi = (basis.synthesis[:, : modes.shape[0]] @ modes).T / np.sqrt(grid.dx)
     residual_phi = float(np.abs(h_phi - mu * phi).max())
     # gauge: real phi, nonnegative at the potential minimum
     if phi[int(np.argmin(potential_profile(grid, params.u0)))] < 0:
@@ -236,53 +320,58 @@ def solve_ground_state(params: SystemParams, grid: Grid) -> MeanFieldState:
         residual_alpha=float(residual_alpha),
         iterations=iterations,
         heating=heating,
+        block=block,
+        tail=float(abs(vec[-1]) / np.abs(vec).max()),
     )
 
 
-def _polish_fixed_point(params, basis: SectorBasis, u_avg):
-    """Polish the fixed point to the discrete ground state of H0.
+def _polish_fixed_point(params, kinetic, lattice, u_avg):
+    """Polish the fixed point to the discrete ground state of H0 on a block
+    of leading cosine modes.
 
     The split-step fixed point carries an O(dt^2) bias relative to the
     discrete ground state.  That state is reflection even, so it is the
-    lowest eigenvector of the (n/2 + 1)-dimensional even block
-    H(u) = diag(4 m^2) + d(u) U, d(u) = |alpha(u)|^2 and U = u0 T the
-    lattice in the cosine modes.  With alpha = steady_alpha(u) the fixed
-    point is the root of F(u) = <U> - u; a secant method started at the
-    imaginary-time <U> finds it, and stops when |F| stops falling.
+    lowest eigenvector of H(u) = diag(kinetic) + d(u) U, d(u) = |alpha(u)|^2
+    and U = u0 lattice, the block of cos^2 x.  With alpha = steady_alpha(u)
+    the fixed point is the root of F(u) = <U> - u; a secant method started
+    at u_avg finds it, and stops when |F| stops falling.
 
     The first F(u) is an anchor: one ``eigh``, which keeps the ground
     state, its level lambda0 and the gap g to the next level.  Every later
     F(u) takes the ground state of H(u) by shifted inverse iteration from
     the previous vector (``_inverse_iteration``), and certifies it by
     Weyl's bound: H(u) - H(anchor) = (d(u) - d_anchor) U, whose 2-norm is
-    |d(u) - d_anchor| |u0| (the levels of T are the values of cos^2 x on
-    the even points, 1 at x = 0), so with
+    at most |d(u) - d_anchor| |u0| (the levels of cos^2 x on the even
+    points lie in [0, 1], and a block's interlace with them), so with
     delta = |d(u) - d_anchor| |u0| + ||H v - lambda v||, the vector is the
     ground state when |lambda - lambda0| <= delta and 2 delta < g
     (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  A step the
     bound does not certify takes a fresh anchor at its u.
 
-    Returns the unit eigenvector, phi's cosine coefficients times
-    sqrt(dx), with its alpha and <U>, and the alpha whose lattice depth
-    built it.
+    Returns the unit eigenvector, phi's leading cosine coefficients times
+    sqrt(dx), with its alpha and <U>, the alpha whose lattice depth built
+    it, and the bound on ||H|| that the vector's eigen-residual stop was
+    taken against.
     """
-    kinetic = np.diag(basis.kinetic)
-    lattice = params.u0 * basis.lattice
+    kinetic = np.diag(kinetic)
+    lattice = params.u0 * lattice
     u_scale = abs(params.u0)
     anchor = {}
 
     def ground_state(u, vec):
+        """(the ground state of H(u), the bound on ||H(u)||_2 it stopped on)."""
         depth = np.abs(steady_alpha(params, u)) ** 2
         ham = kinetic + depth * lattice
         if anchor:
             shift = abs(depth - anchor["depth"]) * u_scale
             # ||H(u)||_2 by Weyl's bound from the anchor's extreme levels
-            found = _inverse_iteration(ham, vec, anchor["norm"] + shift)
+            norm = anchor["norm"] + shift
+            found = _inverse_iteration(ham, vec, norm)
             if found is not None:
                 vec, level, resid = found
                 delta = shift + resid
                 if abs(level - anchor["level"]) <= delta and 2.0 * delta < anchor["gap"]:
-                    return vec
+                    return vec, norm
         levels, vecs = np.linalg.eigh(ham)
         anchor.update(
             depth=depth,
@@ -290,31 +379,31 @@ def _polish_fixed_point(params, basis: SectorBasis, u_avg):
             gap=levels[1] - levels[0],
             norm=max(abs(levels[0]), abs(levels[-1])),
         )
-        return vecs[:, 0]
+        return vecs[:, 0], anchor["norm"]
 
     def residual(u, vec):
-        """(F(u), the even ground state it comes from)."""
-        vec = ground_state(u, vec)
-        return float(vec @ lattice @ vec) - u, vec
+        """(F(u), the even ground state it comes from, its norm bound)."""
+        vec, norm = ground_state(u, vec)
+        return float(vec @ lattice @ vec) - u, vec, norm
 
     u_built = u_avg
-    f, vec = residual(u_built, None)
+    f, vec, norm = residual(u_built, None)
     if f != 0.0:
-        best_abs, best_vec = abs(f), vec
+        best_abs, best = abs(f), (vec, norm)
         # a fixed-point step gives the second secant point
         u_prev, f_prev, u = u_avg, f, u_avg + f
         for step in range(SECANT_STEPS):
-            f, vec = residual(u, vec)
+            f, vec, norm = residual(u, vec)
             if abs(f) < best_abs:
-                best_abs, best_vec, u_built = abs(f), vec, u
+                best_abs, best, u_built = abs(f), (vec, norm), u
             elif step:
                 break  # |F| stopped falling
             if f == 0.0 or f == f_prev:
                 break
             u_prev, f_prev, u = u, f, u - f * (u - u_prev) / (f - f_prev)
-        vec = best_vec
+        vec, norm = best
     u_avg = float(vec @ lattice @ vec)
-    return vec, steady_alpha(params, u_avg), u_avg, steady_alpha(params, u_built)
+    return vec, steady_alpha(params, u_avg), u_avg, steady_alpha(params, u_built), norm
 
 
 def _inverse_iteration(ham, vec, norm):

@@ -105,7 +105,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluctuation import FluctuationMatrix, sector_blocks, synthesize_sector
+from .fluctuation import FluctuationMatrix, border_blocks, synthesize_sector
 
 EPS = np.finfo(float).eps
 
@@ -562,23 +562,34 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     """
     m_even, phi_even, dx, scale = fm.even, fm.phi_even, fm.dx, fm.scale
     n_e = phi_even.size
-    f = slice(2, 2 + n_e)
+    f, c = slice(2, 2 + n_e), slice(2 + n_e, None)
     a_diag = complex(m_even[0, 0])
     col = m_even[f, 0]  # matter rows of the photon column, conj(alpha) y
     row = m_even[0, f]  # photon row on the matter columns, alpha y dx
     pivot = col[np.argmax(np.abs(col))]
     beta = np.conj(pivot) / pivot if pivot != 0 else 1.0  # alpha / conj(alpha)
-    h = m_even[f, f].real
-    h = 0.5 * (h + h.T)
-    # the form build_matrix gives: matter blocks h and -h, no anomalous
-    # blocks, and a rank-one photon border, row = beta dx col; compared
-    # block by block
-    model = sector_blocks(a_diag, row, col, h)
+    h = m_even[f, f].real + m_even[f, f].real.T
+    h *= 0.5
+    # the form build_matrix gives: a rank-one photon border, row = beta dx
+    # col, compared block by block, and matter blocks h and -h with no
+    # anomalous blocks, compared against h a block of rows at a time, the
+    # real and imaginary parts apart, so that no sector-sized or complex
+    # array is made
     breach = max(
-        np.max([np.abs(entries - m_even[index]).max() for index, entries in model]),
+        max(np.abs(entries - m_even[index]).max() for index, entries in border_blocks(a_diag, row, col)),
         np.abs(col.conj() - beta * col).max(),
         np.abs(row - beta * dx * col).max(),
-    ) / scale
+    )
+    for rows in row_blocks(n_e):
+        field, conj = m_even[f][rows], m_even[c][rows]
+        breach = max(
+            breach,
+            np.hypot(field[:, f].real - h[rows], field[:, f].imag).max(),
+            np.hypot(conj[:, c].real + h[rows], conj[:, c].imag).max(),
+            np.abs(field[:, c]).max(),
+            np.abs(conj[:, f]).max(),
+        )
+    breach /= scale
     if breach > STRUCTURE_TOL:
         raise DecompositionError(
             f"M breaks G M G = -conj(M) or the bordered form of the even sector "
@@ -587,7 +598,7 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
 
     chain, r_g, y_g = phase_chain(m_even, phi_even, scale)
     energies, basis = np.linalg.eigh(h)
-    del h, model  # freed before the vectors are built, where a point's memory peaks
+    del h  # freed before the vectors are built, where a point's memory peaks
     col_q = basis.T @ col
     row_q = basis.T @ row
     # the condensate's own level is the exact zero of H0 - mu; its pole

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +271,10 @@ def test_groundstate_reference_point_converges(tmp_path):
     assert data["converged"] is True
     assert data["heating"] is False
     assert data["residual_phi"] < 1e-8
+    # the truncation certificate: the cosine modes the polish ran on, at
+    # most n/2 + 1, and its last coefficient against the largest
+    assert 2 <= data["block"] <= 9
+    assert 0.0 <= data["tail"] <= np.finfo(float).eps
     assert data["params"] == {
         "delta_c": -1000.0, "kappa": 100.0, "eta": 1000.0, "u0": -0.5, "n_atoms": 1000, "grid_points": 16,
     }
@@ -412,7 +417,8 @@ def test_depletion_oracle_cell_is_blank_where_the_oracle_overflows(tmp_path, cap
     out = tmp_path / "dep.csv"
     argv = ["depletion", "--config", cfg, "--out", str(out), "--times", "1,100,10000", "--oracle"]
     assert main(argv) == 0
-    assert capsys.readouterr().err == ""
+    # no overflow warning: the sweep's summary is the one stderr line
+    assert capsys.readouterr().err.startswith("depletion: 3 rows (1 diverged, 2 ok) in ")
     columns, rows = read_table(out)
     status = [r[columns.index("status")] for r in rows]
     oracle = [r[columns.index("oracle")] for r in rows]
@@ -548,6 +554,29 @@ def test_depletion_failing_point_is_recorded_and_the_sweep_continues(tmp_path, m
     assert status[0] == "ok" and status[2] == "ok"
     assert status[1].startswith("error: RuntimeError: injected failure")
     assert rows[1][2:5] == ["", "", ""]
+
+
+def test_sweeps_end_with_one_status_summary_line(tmp_path, capsys, monkeypatch):
+    # the rows per status, every error: status counted as "error", and the
+    # wall time, on stderr: the CSV does not change
+    real_to_real = bec_cavity.depletion._to_real
+    calls = []
+
+    def failing_second_call(value, *args, **kwargs):
+        calls.append(value)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure, middle point")
+        return real_to_real(value, *args, **kwargs)
+
+    monkeypatch.setattr(bec_cavity.depletion, "_to_real", failing_second_call)
+    monkeypatch.setenv("BEC_CAVITY_THREADS", "1")
+    cfg = write_config(tmp_path, sweep={"parameter": "u0", "from": -0.3, "to": -0.5, "points": 3})
+    assert main(["depletion", "--config", cfg, "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line.startswith("depletion")] == []
+    assert re.fullmatch(r"depletion: 3 rows \(1 error, 2 ok\) in \d+\.\d\d s\n", captured.err)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spectrum.csv")]) == 0
+    assert re.fullmatch(r"spectrum: 102 rows \(102 ok\) in \d+\.\d\d s\n", capsys.readouterr().err)
 
 
 def test_cli_import_loads_neither_process_pool_nor_scipy():

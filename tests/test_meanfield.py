@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bec_cavity import (
     steady_alpha,
 )
 from bec_cavity import meanfield
+from bec_cavity.config import load_config, sweep_values
 from bec_cavity.grid import mirror_points, sector_basis
 from conftest import dense_kinetic, wavenumbers
 
@@ -206,12 +209,15 @@ def test_even_half_grid_loop_matches_the_full_grid_loop(n, delta_c, u0, n_atoms)
     j, mj = mirror_points(n)
     assert np.abs(phi_even - phi[j]).max() <= 1e-12
     assert np.abs(phi_even - phi[mj]).max() <= 1e-12
-    # the polished solve reports the start's step count
+    # the solve's start, on its own grid of at most 60 points, takes the
+    # same steps as the loop on all n points
     assert solve_ground_state(p, g).iterations == iterations
 
 
 @pytest.mark.parametrize("n", [16, 64, 200])
 def test_even_half_grid_loop_fails_with_the_full_grid_residuals(n, monkeypatch):
+    # the solve's start runs on 60 points at n = 64 and 200; its residuals
+    # are the n-point loop's all the same
     monkeypatch.setattr(meanfield, "MAX_ITERS", 2)
     p = params(grid_points=n)
     g = make_grid(n)
@@ -285,8 +291,10 @@ def _eigh_polish(p, g, u_avg):
 
 
 def _polish(p, g, u_start):
-    """<U> from the package's polish, started from u_start."""
-    return meanfield._polish_fixed_point(p, sector_basis(g.n), u_start)[2]
+    """<U> from the package's polish on all n/2 + 1 cosine modes, started
+    from u_start."""
+    basis = sector_basis(g.n)
+    return meanfield._polish_fixed_point(p, basis.kinetic, basis.lattice, u_start)[2]
 
 
 @pytest.mark.parametrize(
@@ -388,3 +396,100 @@ def test_a_non_finite_start_stops_at_its_first_bad_step():
     step = int(str(err.value).split()[2])
     assert step < 10 < meanfield.MAX_ITERS
     assert not np.isfinite(err.value.residual_phi)
+
+
+def _served_points():
+    """(delta_c, u0) over configs/depletion_vs_u0.json, eta = -delta_c."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "depletion_vs_u0.json")
+    assert cfg.eta_follows_detuning
+    return [(dc, float(u0)) for dc in cfg.detunings for u0 in sweep_values(cfg.sweep)]
+
+
+def test_mean_field_does_not_depend_on_the_grid_once_it_holds_the_block():
+    # the start runs on 60 points and the polish on the leading cosine
+    # modes of the n-grid's H, the same block at n = 64 and 200; the parent
+    # of this solve, on all n/2 + 1 modes, differed by up to 1.0e-11
+    for delta_c, u0 in _served_points():
+        p64, p200 = (params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n) for n in (64, 200))
+        coarse, fine = solve_ground_state(p64, make_grid(64)), solve_ground_state(p200, make_grid(200))
+        assert coarse.block == fine.block < 33
+        assert fine.tail <= np.finfo(float).eps
+        assert abs(coarse.u_avg - fine.u_avg) <= 1e-14 * abs(fine.u_avg)
+        assert abs(coarse.mu - fine.mu) <= 1e-14 * abs(fine.mu)
+        assert abs(coarse.alpha - fine.alpha) <= 1e-14 * abs(fine.alpha)
+        assert coarse.iterations == fine.iterations
+        assert max(coarse.residual_phi, fine.residual_phi) < 1e-8
+
+
+def _polish_calls(monkeypatch):
+    """The block sizes the solve polishes on, in order."""
+    sizes = []
+    polish = meanfield._polish_fixed_point
+
+    def counted(p, kinetic, lattice, u_avg):
+        sizes.append(kinetic.size)
+        return polish(p, kinetic, lattice, u_avg)
+
+    monkeypatch.setattr(meanfield, "_polish_fixed_point", counted)
+    return sizes
+
+
+# criterion 8's one-atom point, |alpha|^2 u0 = -10.07, and a lattice about
+# 180 recoils deep
+@pytest.mark.parametrize("u0", [-10.0, -100.0])
+@pytest.mark.parametrize("first", [None, 3])
+def test_a_block_that_fails_its_certificate_grows_to_the_full_polish(u0, first, monkeypatch):
+    # the full polish runs on all n/2 + 1 modes; a first block of 3 modes
+    # fails the certificate and doubles until one passes
+    p = params(u0=u0, n_atoms=1, grid_points=64)
+    g = make_grid(64)
+    with monkeypatch.context() as patch:
+        patch.setattr(meanfield, "_first_block", lambda coeffs, size: size)
+        full = solve_ground_state(p, g)
+    assert full.block == 33
+    if first is not None:
+        monkeypatch.setattr(meanfield, "_first_block", lambda coeffs, size: first)
+    sizes = _polish_calls(monkeypatch)
+    st = solve_ground_state(p, g)
+    if first is not None:
+        assert sizes[:2] == [3, 6] and sizes[-1] == st.block < full.block
+    assert abs(st.u_avg - full.u_avg) <= 1e-13 * abs(full.u_avg)
+    assert abs(st.mu - full.mu) <= 1e-13 * abs(full.mu)
+    assert abs(st.alpha - full.alpha) <= 1e-13 * abs(full.alpha)
+    assert np.abs(st.phi - full.phi).max() <= 1e-13 * np.abs(full.phi).max()
+    assert st.residual_phi <= 1e-12
+
+
+def test_a_block_too_small_shows_in_the_full_grid_residual(monkeypatch):
+    # negative control: with the polish's stop bound reported as infinite
+    # the certificate passes any block, and a 3-mode block of the deep
+    # lattice is returned; residual_phi, taken on the full grid with the
+    # spill across the cut, then fails verify's 1e-8
+    p = params(u0=-10.0, n_atoms=1, grid_points=64)
+    g = make_grid(64)
+    monkeypatch.setattr(meanfield, "_first_block", lambda coeffs, size: 3)
+    polish = meanfield._polish_fixed_point
+    monkeypatch.setattr(meanfield, "_polish_fixed_point", lambda *args: (*polish(*args)[:4], np.inf))
+    silent = solve_ground_state(p, g)
+    assert silent.block == 3
+    assert silent.tail > 1e-3
+    assert silent.residual_phi > 1e-2
+
+
+@pytest.mark.parametrize("u0, size", [(-0.5, 60), (-300.0, 60), (-500.0, 120), (-700.0, 200)])
+def test_the_start_runs_on_its_own_grid(u0, size, monkeypatch):
+    # 60 points hold every mode one kinetic step leaves above eps; a start
+    # whose last cosine coefficient is above eps there doubles its grid
+    grids = []
+    start = meanfield._imaginary_time_start
+
+    def recorded(p, g):
+        grids.append(g.n)
+        return start(p, g)
+
+    monkeypatch.setattr(meanfield, "_imaginary_time_start", recorded)
+    p = params(u0=u0, n_atoms=1 if u0 < -1.0 else 1000, grid_points=200)
+    st = solve_ground_state(p, make_grid(200))
+    assert grids[-1] == size
+    assert grids == [60, 120, 200][: len(grids)]
+    assert st.residual_phi < 1e-8
