@@ -13,14 +13,17 @@ Two independent routes to the same number:
   x -> pi - x have l1 = l2 = 0 exactly and are not in the mode record;
   the even modes that ``decompose`` deflates have l1 = l2 = 0 exactly
   too.  The sum runs over the pairs of the record's ``coupled`` modes
-  alone: k^2 pairs for the k coupled roots, k = 8 to 28 at n = 200 on
-  the shipped sweep, against (n + 4)^2 = 41,616 even pairs.  It reads them
-  in the even sector's orthonormal basis, from the record's block
-  ``coupled_right`` and its photon entries ``l1`` and ``l2`` of the left
-  rows, where O_kl is the same sum
-  over the n/2 + 1 cosine modes m = 0 .. n/2; both sums add up their
-  pairs a block of rows at a time, each block as it forms, so neither
-  holds an array of the pair count;
+  alone, read in the even sector's orthonormal basis from the record's
+  block ``coupled_right`` and its photon entries ``l1`` and ``l2`` of the
+  left rows, where O_kl is the same sum over the n/2 + 1 cosine modes
+  m = 0 .. n/2.  Both sums form one k x k pair table over the k coupled
+  roots, the weights and the frequency sums w_k + w_l alike, where the
+  even sector has (n + 4)^2 = 41,616 pairs at n = 200.  k is 8 to 28 at
+  n = 200 on the shipped sweep, and at most 32 at n = 200 down to
+  u0 = -398 with one atom.  It reaches its bound n + 2 only where no
+  level deflates, as at n = 64 with one atom at u0 = -700, whose
+  condensate fills all 33 cosine modes; a full table at n = 200 would
+  take 0.65 MB, below the 0.75 MB generator;
 
 * the second-moment (Lyapunov) oracle, which never touches the
   eigenbasis: the ordered moment matrix S = <R R^T> obeys
@@ -65,7 +68,6 @@ from .spectral import (
     decompose,
     noise_coupled,
     phase_chain,
-    row_blocks,
 )
 
 # numerical resolution floor for the frequency sums; a pair denominator
@@ -136,21 +138,20 @@ def finite_time_kernel(z, t: float):
     return np.where(z == 0, t, -np.expm1(-1j * z * t) / (1j * safe))
 
 
-def _pair_weights(dec: ModeDecomposition, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """weight l1_k l2_l O_kl of the pairs of modes k in rows, l in cols.
+def _pair_weights(dec: ModeDecomposition, modes: np.ndarray) -> np.ndarray:
+    """The pair table of modes: weight l1_k l2_l O_kl at row k, column l.
 
     The pair's frequency sum is omegas[k] + omegas[l].  The cosine modes
     of the even sector are orthonormal, so O_kl is the sum over the modes
     m = 0 .. n/2, formed from the coupled modes' columns of coupled_right.
     """
-    modes = dec.n_grid // 2 + 1
-    right = dec.coupled_right
-    r4 = right[2 + modes :, np.searchsorted(dec.coupled, rows)]
-    block = np.matmul(r4.T, right[2 : 2 + modes, np.searchsorted(dec.coupled, cols)])  # O_kl: no conjugation
-    block *= dec.dx
-    block *= dec.l1[rows, None]
-    block *= dec.l2[cols]
-    return block
+    n_e = dec.n_grid // 2 + 1
+    right = dec.coupled_right[:, np.searchsorted(dec.coupled, modes)]
+    table = np.matmul(right[2 + n_e :].T, right[2 : 2 + n_e])  # O_kl: no conjugation
+    table *= dec.dx
+    table *= dec.l1[modes, None]
+    table *= dec.l2[modes]
+    return table
 
 
 def _to_real(value: complex) -> float:
@@ -175,11 +176,8 @@ def depletion_at_times(
     every other mode has l1 = l2 = 0, and the Goldstone modes never
     enter.  exclude_modes drops more (e.g. the steady-state rule's
     exclusion set, for like-for-like comparison with a deflated oracle
-    run).  The kernel depends on w_k + w_l alone, so each unordered pair
-    is one term, weight_kl + weight_lk, taken a block of rows k at a time
-    over l >= k;
-    each block's pairs of non-zero weight are summed into every time's
-    total as the block forms.  Each time is checked on its own: a growing
+    run).  The pairs of non-zero weight in the one pair table are summed
+    into every time's total.  Each time is checked on its own: a growing
     mode makes the kernel overflow at long times, and such a time's value
     is nan; a time whose sum keeps a non-negligible imaginary part has its
     RuntimeError in ``errors`` and nan as its value.
@@ -188,19 +186,15 @@ def depletion_at_times(
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
     modes = dec.coupled[~np.isin(dec.coupled, list(exclude_modes))]
+    table = _pair_weights(dec, modes)
+    carried = table != 0
+    weight = table[carried]
+    zsum = (dec.omegas[modes, None] + dec.omegas[modes])[carried]
     totals = np.zeros(len(times), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(modes.size):
-            mine, upper = modes[rows], modes[rows.start :]
-            # weight_kl + weight_lk for l >= k, the diagonal taken once
-            block = np.triu(_pair_weights(dec, mine, upper))
-            block += np.triu(_pair_weights(dec, upper, mine).T, k=1)
-            carried = block != 0
-            weight = block[carried]
-            zsum = (dec.omegas[mine, None] + dec.omegas[upper])[carried]
-            for i, t in enumerate(times):
-                if t > 0.0:  # dN(0) = 0 exactly
-                    totals[i] += weight @ finite_time_kernel(zsum, t)
+        for i, t in enumerate(times):
+            if t > 0.0:  # dN(0) = 0 exactly
+                totals[i] = weight @ finite_time_kernel(zsum, t)
         totals *= 2.0 * dec.kappa
     values, errors = [], []
     for total in totals:
@@ -238,8 +232,8 @@ def steady_state_depletion(
     weight, is always dropped.  It holds both modes of a pair dropped in
     either order, so that its mode_projector is real in the oracle's
     quadratures.  The dominated_fraction is the share contributed by the
-    symmetry-paired terms.  The pair denominators and masks are formed a
-    block of rows at a time, each pair's term written over its weight.
+    symmetry-paired terms.  Each kept pair's term is written over its
+    weight in the one pair table.
     """
     if heating:
         raise StabilityError(
@@ -250,37 +244,32 @@ def steady_state_depletion(
             f"steady-state depletion requires a stable spectrum, got "
             f"'{stability.label}' (max growth rate {stability.max_growth_rate:.3e})"
         )
-    size = dec.omegas.size
-    modes = dec.coupled
-    abs_l1, abs_l2 = np.abs(dec.l1[modes]), np.abs(dec.l2[modes])
-    omegas, pairing = dec.omegas[modes], dec.pairing
-    own = np.searchsorted(modes, pairing[modes])  # the coupled set is closed under pairing
-    total = 0.0
-    paired = np.zeros(size, dtype=complex)  # each mode's own-pair term
-    own_kept = np.zeros(size, dtype=bool)
-    for rows in row_blocks(modes.size):
-        weight = _pair_weights(dec, modes[rows], modes)
-        mine = np.arange(rows.stop - rows.start)
-        zsum = omegas[rows, None] + omegas
-        absz = np.abs(zsum)
-        noisy = np.outer(abs_l1[rows], abs_l2) >= NOISE_FLOOR
-        if ((absz < Z_FLOOR) & noisy).any():
-            return SteadyDepletion(value=None, diverged=True, dominated_fraction=None)
-        keep = (absz >= PAIR_TOL) | noisy
-        # each kept pair's term 2 kappa weight / (i zsum), in place of its weight
-        np.divide(weight, zsum, out=weight, where=keep)
-        weight[~keep] = 0.0
-        weight *= -2j * dec.kappa
-        total += weight.sum()
-        own_kept[modes[rows]] = keep[mine, own[rows]]
-        paired[modes[rows]] = weight[mine, own[rows]]
+    modes, pairing = dec.coupled, dec.pairing
+    omegas = dec.omegas[modes]
+    zsum = omegas[:, None] + omegas
+    absz = np.abs(zsum)
+    noisy = np.outer(np.abs(dec.l1[modes]), np.abs(dec.l2[modes])) >= NOISE_FLOOR
+    if ((absz < Z_FLOOR) & noisy).any():
+        return SteadyDepletion(value=None, diverged=True, dominated_fraction=None)
+    keep = (absz >= PAIR_TOL) | noisy
+    # each kept pair's term 2 kappa weight / (i zsum), in place of its weight
+    weight = _pair_weights(dec, modes)
+    np.divide(weight, zsum, out=weight, where=keep)
+    weight[~keep] = 0.0
+    weight *= -2j * dec.kappa
+    # each mode's own-pair entry: the coupled set is closed under pairing
+    own = (np.arange(modes.size), np.searchsorted(modes, pairing[modes]))
+    own_kept = np.zeros(dec.omegas.size, dtype=bool)
+    own_kept[modes] = keep[own]
+    paired = np.zeros(dec.omegas.size, dtype=complex)
+    paired[modes] = weight[own]
 
     own_dropped = ~own_kept
     own_dropped[list(dec.goldstone)] = False
     own_dropped |= own_dropped[pairing]  # the rule drops a pair, so both of its modes
     excluded = tuple(int(k) for k in np.flatnonzero(own_dropped))
 
-    value = _to_real(complex(total))
+    value = _to_real(complex(weight.sum()))
     paired_sum = paired[own_kept].sum().real
     dominated = paired_sum / value if value != 0.0 else None
     return SteadyDepletion(
@@ -482,9 +471,9 @@ class PointAnalysis:
     sector's modes (0.16 MB: h's eigh basis, the coupled modes' right
     vectors, the photon entries of the left rows), so sweeps reduce it to
     rows where it is made.  No stage adds an array of the sector's size:
-    a warm n = 200 depletion point peaks at 1.37 MB of numpy memory while
-    it decomposes (the generator beside its structure check, or beside the
-    certificate's deflated-level products), with finite times or without.
+    a warm n = 200 depletion point peaks at 1.31 MB of numpy memory in
+    ``decompose``'s biorthogonality certificate, the generator beside the
+    products of the deflated levels, with finite times or without.
     """
 
     state: MeanFieldState | None = None

@@ -56,7 +56,13 @@ sector: frequency +-e_j, right vector the ``eigh`` column q_j in its own
 matter block, photon entries and with them l1 and l2 exact zeros, and
 Petermann factor 1.  Only the coupled levels and the photon pair go
 through the Aberth solve and the resolvent vectors, and the depletion
-sums read only their columns.
+sums read only their columns.  The Aberth sweep and the pairing
+certificate each form whole k x k tables over the k coupled roots: k is
+8 to 28 at n = 200 on the shipped sweep, and at most 32 at n = 200 down
+to u0 = -398 with one atom.  It reaches its bound n + 2 only where no
+level deflates, as at n = 64 with one atom at u0 = -700, whose
+condensate fills all 33 cosine modes; a full complex table at n = 200
+would take 0.65 MB, below the 0.75 MB generator.
 
 The left vectors need no second solve: the sector is reciprocal.  With
 W = diag(conj beta, -beta, dx 1, -dx 1) on (a, a^dag, field modes,
@@ -274,16 +280,6 @@ def _physical_norm_factors(vecs: np.ndarray, dx: float) -> np.ndarray:
     return 1.0 / np.sqrt(_squared_column_norms(vecs[:2]) + dx * _squared_column_norms(vecs[2:]))
 
 
-# rows per block wherever a temporary of the coupled roots' count squared is
-# cut into blocks: that count reaches n + 2 in a deep lattice
-BLOCK = 32
-
-
-def row_blocks(size: int) -> list[slice]:
-    """Slices of at most BLOCK indices that cover range(size), in order."""
-    return [slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK)]
-
-
 def phase_chain(even: np.ndarray, phi_even: np.ndarray, scale: float):
     """The condensate's phase/number pair of the even sector, in closed form.
 
@@ -402,12 +398,11 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
     to_b = anchors + a_diag.conjugate()
     own_weight = np.concatenate([weights, [0.0, 0.0]])
 
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / (poles[:, None] - poles)
+    np.fill_diagonal(inv, 0.0)
     rest = (poles - a_diag) * (poles + a_diag.conjugate())
-    for rows in row_blocks(n_poles):
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / (poles[rows, None] - poles)
-        inv[np.arange(inv.shape[0]), np.arange(rows.start, rows.stop)] = 0.0
-        rest[rows] -= two_re * (inv @ weights)
+    rest -= two_re * (inv @ weights)
     delta = np.zeros(anchors.size, dtype=complex)
     delta[:n_poles] = two_re * weights / rest
     delta[n_poles] = 1e-3j * abs(a_diag)  # breaks the mirror symmetry of the start
@@ -417,34 +412,29 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray, a_diag: complex):
     for _ in range(SECULAR_STEPS):
         d = delta[active]
         matter = active < n_poles
-        rest, slope, push = (np.empty(active.size, dtype=complex) for _ in range(3))
-        # the sums BLOCK active roots at a time, so a sweep's scratch is a
-        # few BLOCK-row arrays instead of (n + 2)-square ones
-        for rows in row_blocks(active.size):
-            roots, d_rows = active[rows], d[rows]
-            mine = np.arange(roots.size)
-            own = (mine[roots < n_poles], roots[roots < n_poles])
-            inv = anchors[roots, None] - poles
-            inv += d_rows[:, None]
-            inv[own] = 1.0
-            np.reciprocal(inv, out=inv)
-            inv[own] = 0.0  # sums over the other poles
-            rest[rows] = inv @ weights
-            slope[rows] = np.square(inv) @ weights
-            # Aberth term: the other roots' sum of 1/(z - z_k), less the
-            # 1/(z - p_k) of each matter root's pole already in h'/h, is
-            # -push; per matter root the difference is
-            # -delta_k / ((z - p_k)(z - z_k)), free of cancellation
-            repel = anchors[roots, None] - anchors
-            repel += d_rows[:, None]
-            repel -= delta
-            repel[mine, roots] = 1.0
-            np.reciprocal(repel, out=repel)
-            repel[mine, roots] = 0.0
-            push[rows] = repel[:, n_poles:].sum(axis=1)
-            repel = repel[:, :n_poles]
-            repel *= inv
-            push[rows] += repel @ delta[:n_poles]
+        mine = np.arange(active.size)
+        own = (mine[matter], active[matter])
+        inv = anchors[active, None] - poles
+        inv += d[:, None]
+        inv[own] = 1.0
+        np.reciprocal(inv, out=inv)
+        inv[own] = 0.0  # sums over the other poles
+        rest = inv @ weights
+        slope = np.square(inv) @ weights
+        # Aberth term: the other roots' sum of 1/(z - z_k), less the
+        # 1/(z - p_k) of each matter root's pole already in h'/h, is
+        # -push; per matter root the difference is
+        # -delta_k / ((z - p_k)(z - z_k)), free of cancellation
+        repel = anchors[active, None] - anchors
+        repel += d[:, None]
+        repel -= delta
+        repel[mine, active] = 1.0
+        np.reciprocal(repel, out=repel)
+        repel[mine, active] = 0.0
+        push = repel[:, n_poles:].sum(axis=1)
+        repel = repel[:, :n_poles]
+        repel *= inv
+        push += repel @ delta[:n_poles]
         wa = to_a[active] + d
         wb = to_b[active] + d
         f = wa * wb - two_re * rest
@@ -520,25 +510,17 @@ def _mirror_pairing(
     under an involution to PAIRING_RTOL w_scale, and meet the trace
     identity: the anchors sum to tr M_even exactly, so the offsets must sum
     to zero.  w_scale is max|w| over every even root, deflated ones too.
-    Distances are squared moduli, |w_i - w_k|^2 and |w_i + conj(w_k)|^2,
-    taken a block of rows i at a time.
+    Distances are squared moduli, |w_i - w_k|^2 and |w_i + conj(w_k)|^2.
     """
-    pairing = np.empty(roots.size, dtype=int)
-    nearest = np.empty(roots.size)  # min_k |w_i - w_k|^2 over k != i
-    mirrored = np.empty(roots.size)  # |w_i + conj(w_i')|^2
-    for rows in row_blocks(roots.size):
-        mine = np.arange(rows.stop - rows.start)
-        im_gap = np.square(roots.imag[rows, None] - roots.imag)
-        mirror = np.square(roots.real[rows, None] + roots.real) + im_gap
-        spread = np.square(roots.real[rows, None] - roots.real) + im_gap
-        spread[mine, mine + rows.start] = np.inf
-        nearest[rows] = spread.min(axis=1)
-        pairing[rows] = np.argmin(mirror, axis=1)
-        mirrored[rows] = mirror[mine, pairing[rows]]
-    gap = float(np.sqrt(nearest.min()))
+    im_gap = np.square(roots.imag[:, None] - roots.imag)
+    mirror = np.square(roots.real[:, None] + roots.real) + im_gap
+    spread = np.square(roots.real[:, None] - roots.real) + im_gap
+    np.fill_diagonal(spread, np.inf)
+    pairing = np.argmin(mirror, axis=1)
+    gap = float(np.sqrt(spread.min()))
     if not gap > 1e-12 * w_scale:
         raise DecompositionError(f"secular roots not distinct ({gap:.2e} apart)")
-    mismatch = float(np.sqrt(mirrored.max()))
+    mismatch = float(np.sqrt(mirror.min(axis=1).max()))
     if not np.array_equal(pairing[pairing], np.arange(roots.size)) or mismatch > PAIRING_RTOL * w_scale:
         raise DecompositionError(f"secular roots do not pair as w, -conj(w) ({mismatch:.2e})")
     trace = abs(delta.sum())
@@ -572,23 +554,17 @@ def decompose(fm: FluctuationMatrix) -> ModeDecomposition:
     h *= 0.5
     # the form build_matrix gives: a rank-one photon border, row = beta dx
     # col, compared block by block, and matter blocks h and -h with no
-    # anomalous blocks, compared against h a block of rows at a time, the
-    # real and imaginary parts apart, so that no sector-sized or complex
-    # array is made
+    # anomalous blocks, compared against h with the real and imaginary parts
+    # apart, so that no sector-sized or complex array is made
     breach = max(
         max(np.abs(entries - m_even[index]).max() for index, entries in border_blocks(a_diag, row, col)),
         np.abs(col.conj() - beta * col).max(),
         np.abs(row - beta * dx * col).max(),
+        np.hypot(m_even[f, f].real - h, m_even[f, f].imag).max(),
+        np.hypot(m_even[c, c].real + h, m_even[c, c].imag).max(),
+        np.abs(m_even[f, c]).max(),
+        np.abs(m_even[c, f]).max(),
     )
-    for rows in row_blocks(n_e):
-        field, conj = m_even[f][rows], m_even[c][rows]
-        breach = max(
-            breach,
-            np.hypot(field[:, f].real - h[rows], field[:, f].imag).max(),
-            np.hypot(conj[:, c].real + h[rows], conj[:, c].imag).max(),
-            np.abs(field[:, c]).max(),
-            np.abs(conj[:, f]).max(),
-        )
     breach /= scale
     if breach > STRUCTURE_TOL:
         raise DecompositionError(

@@ -395,8 +395,8 @@ def test_overflowing_times_are_nan_and_the_earlier_times_stay():
 
 
 def test_times_gather_the_pair_data_once_per_point(monkeypatch):
-    # every time is summed in the one pass over the pair blocks, so the
-    # pair weights are formed as often for three times as for one
+    # every time is summed from the one pair table, so the pair weights
+    # are formed as often for three times as for one
     calls = []
     pair_weights = depletion._pair_weights
 
@@ -424,9 +424,9 @@ def test_depletion_point_scratch_memory_is_bounded(times, bound_mb):
     # a warm n = 200 point peaks while it decomposes, holding the generator
     # (0.75 MB) beside the certificate's products of the deflated levels
     # (1.31 MB measured, the bound 3% above it); the structure check
-    # compares the matter blocks a block of rows at a time (0.21 MB above
-    # the generator), the mode record holds no sector-sized array, and the
-    # finite-time sum adds up each block of pairs as it forms
+    # compares the whole matter blocks against h (0.31 MB above the
+    # generator), the mode record holds no sector-sized array, and each
+    # depletion sum forms one table of the coupled modes' pairs (0.05 MB)
     params = SystemParams(delta_c=-1000.0, kappa=100.0, eta=1000.0, u0=-0.3, n_atoms=1000, grid_points=200)
     grid = make_grid(200)
     solve_depletion_point(params, grid, -1000.0, -0.3, times=times)
@@ -611,3 +611,20 @@ def test_deflation_changes_no_depletion_value(ng, delta_c, u0, monkeypatch):
             assert (value is None) == (full_value is None)
             if full_value is not None:
                 assert value == pytest.approx(full_value, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("u0", [-650.0, -700.0])
+def test_mode_sums_match_the_oracle_where_no_level_deflates(u0):
+    # one atom this deep in the lattice fills all 33 cosine modes of the
+    # n = 64 grid, so 60 and 66 = n + 2 roots stay coupled: the pair tables
+    # are wider than any shipped sweep's, and the sums still meet the
+    # deflated oracle at criterion 3's bounds
+    params = SystemParams(delta_c=-1000.0, kappa=100.0, eta=1000.0, u0=u0, n_atoms=1, grid_points=64)
+    grid = make_grid(64)
+    assert analyze_point(params, grid).dec.coupled.size > 32
+    for times, rel in ((None, 1e-6), ([1.0, 100.0, 1e4], 1e-4)):
+        rows = solve_depletion_point(params, grid, -1000.0, u0, times=times, oracle=True)
+        assert len(rows) == len(times or [None])
+        for row in rows:
+            assert row.status == "ok" and row.oracle is not None
+            assert row.depletion == pytest.approx(row.oracle, rel=rel)
