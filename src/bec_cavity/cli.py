@@ -95,11 +95,7 @@ def cmd_groundstate(cfg: RunConfig, stream: TextIO) -> int:
     try:
         state = solve_ground_state(cfg.params, grid)
     except ConvergenceError as exc:
-        print(
-            f"groundstate failed: {exc} "
-            f"(residual_phi={exc.residual_phi:.3e}, residual_alpha={exc.residual_alpha:.3e})",
-            file=sys.stderr,
-        )
+        print(f"groundstate failed: {exc}", file=sys.stderr)
         return 1
     payload = {
         "phi": [[z.real, z.imag] for z in state.phi],

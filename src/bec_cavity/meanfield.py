@@ -27,26 +27,25 @@ block's ground vector v, padded with zeros, leaves the block's own
 eigen-residual and a spill t |v_{b-1}| on mode b, t = |alpha|^2 |u0|
 T[b-1, b] (1/4 away from the corner).  By the Davis-Kahan sin theta
 theorem the full ground state is about t |v_{b-1}| / gap away from v
-(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998), while the block's
-inverse iteration stops at an eigen-residual of RQI_TOL ||H_b||, which
-leaves v about RQI_TOL ||H_b|| / gap away from the block's own ground
-state.  So the block is certified when
+(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998), while the
+block's ``eigh`` leaves an eigen-residual of at most EIGH_RESIDUAL
+||H_b||, which leaves v about EIGH_RESIDUAL ||H_b|| / gap away from the
+block's own ground state.  So the block is certified when
 
-    t |v_{b-1}| <= RQI_TOL ||H_b||:
+    t |v_{b-1}| <= EIGH_RESIDUAL ||H_b||:
 
-the cut then moves the state no more than the block's own stop does.
+the cut then moves the state no more than the block's own rounding does.
 The first b takes every cosine coefficient of the start above eps of its
-largest and the next one.  A block that fails the certificate doubles, up
-to n/2 + 1, where nothing spills and the certificate holds by itself, and
-is polished again from the current <U>.  residual_phi is still taken on
-the full grid with the full H0, spill included, so a block too small
-shows there as well.
+largest and the next one, or every mode of the start's grid when none
+falls to eps.  A block that fails the certificate doubles, up to n/2 + 1,
+where nothing spills and the certificate holds by itself, and is
+polished again from the current <U>.  residual_phi is still taken on the
+full grid with the full H0, spill included, so a block too small shows
+there as well.
 
-The polish takes one ``eigh`` of the block, the anchor.  Each later step
-finds the ground state by shifted inverse iteration from the previous
-vector, an LU solve or two, and certifies it by Weyl's bound against the
-anchor's ground level and gap; a step the bound does not certify takes a
-fresh anchor, so the certificate costs time, never a point.
+Each evaluation of F(u) in the polish is one ``eigh`` of the block's
+H(u): its ground vector gives <U>, and its extreme levels give ||H_b||_2
+for the certificate.
 
 The start.  The polish needs a starting <U> near the root, which an
 imaginary-time start gives: split-step propagation of the uniform
@@ -59,8 +58,9 @@ over the mirror pairs (j, n - j), built from the cosine modes.  It only
 seeds the polish, so its grid is its own: the smallest even grid that
 holds every mode one kinetic step exp(-4 m^2 ITP_DT) does not damp below
 eps, m <= sqrt(ln(1/eps) / (4 ITP_DT)) (60 points at ITP_DT = 1e-2), or
-the n-grid when that is smaller.  A start whose last cosine coefficient
-is above eps of its largest runs again on a grid twice as large, up to n.
+the n-grid when that is smaller.  It runs once: on a lattice so deep
+that the condensate fills every mode of that grid, the start still seeds
+the polish, and the block then begins with all of the start grid's modes.
 
 The step dt sets only the start's cost.  Its stop rule bounds the change
 of phi per unit of imaginary time, so the start ends about as close to
@@ -87,34 +87,33 @@ from .params import SystemParams
 # the steps of each of its runs.  The step sets the start's cost (a median
 # 446 steps over the shipped detunings and light shifts, 1,102 at 4e-3)
 # and its grid (60 points at 1e-2); a larger step leaves the polish more
-# secant steps, each an LU solve or two
+# secant steps, each one eigh of the block
 ITP_DT = 1e-2
 TOL_PHI = 1e-9
 TOL_ALPHA = 1e-10
 MIXING = 0.3
 MAX_ITERS = 1_000_000
-# cap on the secant steps of the fixed-point polish, which takes 2-6 from
-# the start (a median of 3 at n = 16, 64 and 200; one eigh and a mean of
-# 2.4 LU solves per solve) over the shipped detunings and light shifts
+# cap on the secant steps of the fixed-point polish, which takes 2-7 from
+# the start (a median of 3 at n = 16, 64 and 200, so a median of 4 and at
+# most 8 eigh calls per solve) over the shipped detunings and light shifts
 # -0.02 .. -1.04
 SECANT_STEPS = 50
-# the polish's inverse iteration: its shift below the Rayleigh quotient and
-# its stop on the eigen-residual, both relative to ||H|| of the block it
-# runs on, and its cap on LU solves per step (it takes at most 2).  The
-# block's norm is set by its 6 to 18 modes on the shipped sweep, not by the
-# grid's n/2 + 1, so neither the stop nor what it leaves in <U> grows with
-# n; a stop at 1e-14 ||H|| would leave <U> up to 7e-13 off there.  RQI_TOL
-# also bounds the spill of the block's truncation certificate
-RQI_SHIFT = 1e-10
-RQI_TOL = 4.0 * np.finfo(float).eps
-RQI_SOLVES = 3
+# a bound on the eigen-residual an eigh of the polish's block leaves,
+# relative to the block's ||H||_2 (under 0.5 eps on the shipped sweep); it
+# also bounds the spill of the block's truncation certificate.  The block's
+# norm is set by its 6 to 18 modes on the shipped sweep, not by the grid's
+# n/2 + 1, so neither the bound nor what the block's rounding leaves in <U>
+# grows with n
+EIGH_RESIDUAL = 4.0 * np.finfo(float).eps
 
 
 class ConvergenceError(RuntimeError):
     """Imaginary-time iteration exhausted MAX_ITERS steps, or took a step
     that is not finite.
 
-    Carries the final residuals in ``residual_phi`` and ``residual_alpha``.
+    ``residual_phi`` and ``residual_alpha`` hold the changes over the last
+    step, the sup-norm change of phi and the change of alpha, which the
+    stop rule reads; the message gives them as well.
     """
 
     def __init__(self, message: str, residual_phi: float, residual_alpha: float):
@@ -134,8 +133,8 @@ class MeanFieldState:
     on the grid, with the full H0; residual_alpha is |alpha - alpha'|,
     where alpha = steady_alpha(u_avg) and alpha' is the amplitude whose
     lattice depth phi is the ground state of.  iterations counts the
-    imaginary-time steps of the start on its own grid, every run of it
-    when that grid grew.  block is the number b of leading cosine modes
+    imaginary-time steps of the start, which runs once on its own grid.
+    block is the number b of leading cosine modes
     phi was solved on, and tail = |v_{b-1}| / max|v| the truncation
     certificate's last coefficient (module docstring).  heating flags
     delta_c - N<U> > 0, the regime where cavity back-action amplifies
@@ -246,23 +245,19 @@ def _start(params: SystemParams, n_points: int):
     """
     eps = np.finfo(float).eps
     size = min(n_points, 2 * int(math.sqrt(math.log(1.0 / eps) / (4.0 * ITP_DT))))
-    steps = 0
-    while True:
-        phi, _, u_avg, taken = _imaginary_time_start(params, make_grid(size))
-        steps += taken
-        # the cosine coefficients of the even values, up to a common factor
-        j, mj = mirror_points(size)
-        coeffs = sector_basis(size).synthesis[j].T @ (np.where(j == mj, 1.0, 2.0) * phi)
-        if size == n_points or abs(coeffs[-1]) <= eps * np.abs(coeffs).max():
-            return u_avg, coeffs, steps
-        size = min(2 * size, n_points)
+    phi, _, u_avg, steps = _imaginary_time_start(params, make_grid(size))
+    # the cosine coefficients of the even values, up to a common factor
+    j, mj = mirror_points(size)
+    coeffs = sector_basis(size).synthesis[j].T @ (np.where(j == mj, 1.0, 2.0) * phi)
+    return u_avg, coeffs, steps
 
 
-def _first_block(coeffs: np.ndarray, size: int) -> int:
+def _first_block(coeffs: np.ndarray) -> int:
     """The first block: the leading modes up to the start's first cosine
-    coefficient at or below eps of its largest, or all size modes."""
+    coefficient at or below eps of its largest, or all of the start
+    grid's modes."""
     small = np.abs(coeffs) <= np.finfo(float).eps * np.abs(coeffs).max()
-    return int(np.argmax(small)) + 1 if small.any() else size
+    return int(np.argmax(small)) + 1 if small.any() else coeffs.size
 
 
 def solve_ground_state(params: SystemParams, grid: Grid) -> MeanFieldState:
@@ -273,8 +268,7 @@ def solve_ground_state(params: SystemParams, grid: Grid) -> MeanFieldState:
     ground state of H0 on a certified block of leading cosine modes, so
     the result depends neither on the step nor, once n holds the block,
     on the grid, and phi is synthesized on the grid once.  The polish
-    takes one anchor ``eigh`` per block and certified inverse-iteration
-    steps.
+    takes one ``eigh`` of the block per evaluation of the fixed point.
 
     Raises ConvergenceError when the start exhausts MAX_ITERS steps or
     takes a step that is not finite.
@@ -282,7 +276,7 @@ def solve_ground_state(params: SystemParams, grid: Grid) -> MeanFieldState:
     u_avg, coeffs, iterations = _start(params, grid.n)
     basis = sector_basis(grid.n)
     size = basis.kinetic.size
-    block = _first_block(coeffs, size)
+    block = _first_block(coeffs)
     while True:
         kinetic, lattice = basis.kinetic[:block], basis.lattice[:block, :block]
         vec, alpha, u_avg, alpha_built, norm = _polish_fixed_point(params, kinetic, lattice, u_avg)
@@ -291,7 +285,7 @@ def solve_ground_state(params: SystemParams, grid: Grid) -> MeanFieldState:
         depth = np.abs(alpha) ** 2 * params.u0
         h_vec = kinetic * vec + depth * (lattice @ vec)
         spill = depth * (basis.lattice[block - 1, block] if block < size else 0.0) * vec[-1]
-        if abs(spill) <= RQI_TOL * norm:
+        if abs(spill) <= EIGH_RESIDUAL * norm:
             break
         block = min(2 * block, size)
 
@@ -336,64 +330,30 @@ def _polish_fixed_point(params, kinetic, lattice, u_avg):
     the fixed point is the root of F(u) = <U> - u; a secant method started
     at u_avg finds it, and stops when |F| stops falling.
 
-    The first F(u) is an anchor: one ``eigh``, which keeps the ground
-    state, its level lambda0 and the gap g to the next level.  Every later
-    F(u) takes the ground state of H(u) by shifted inverse iteration from
-    the previous vector (``_inverse_iteration``), and certifies it by
-    Weyl's bound: H(u) - H(anchor) = (d(u) - d_anchor) U, whose 2-norm is
-    at most |d(u) - d_anchor| |u0| (the levels of cos^2 x on the even
-    points lie in [0, 1], and a block's interlace with them), so with
-    delta = |d(u) - d_anchor| |u0| + ||H v - lambda v||, the vector is the
-    ground state when |lambda - lambda0| <= delta and 2 delta < g
-    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  A step the
-    bound does not certify takes a fresh anchor at its u.
+    Each F(u) is one ``eigh`` of H(u), whose ground vector gives <U>.
 
     Returns the unit eigenvector, phi's leading cosine coefficients times
     sqrt(dx), with its alpha and <U>, the alpha whose lattice depth built
-    it, and the bound on ||H|| that the vector's eigen-residual stop was
-    taken against.
+    it, and ||H||_2 of that depth, max(|lambda_0|, |lambda_max|).
     """
     kinetic = np.diag(kinetic)
     lattice = params.u0 * lattice
-    u_scale = abs(params.u0)
-    anchor = {}
 
-    def ground_state(u, vec):
-        """(the ground state of H(u), the bound on ||H(u)||_2 it stopped on)."""
+    def residual(u):
+        """(F(u), the even ground state it comes from, ||H(u)||_2)."""
         depth = np.abs(steady_alpha(params, u)) ** 2
-        ham = kinetic + depth * lattice
-        if anchor:
-            shift = abs(depth - anchor["depth"]) * u_scale
-            # ||H(u)||_2 by Weyl's bound from the anchor's extreme levels
-            norm = anchor["norm"] + shift
-            found = _inverse_iteration(ham, vec, norm)
-            if found is not None:
-                vec, level, resid = found
-                delta = shift + resid
-                if abs(level - anchor["level"]) <= delta and 2.0 * delta < anchor["gap"]:
-                    return vec, norm
-        levels, vecs = np.linalg.eigh(ham)
-        anchor.update(
-            depth=depth,
-            level=levels[0],
-            gap=levels[1] - levels[0],
-            norm=max(abs(levels[0]), abs(levels[-1])),
-        )
-        return vecs[:, 0], anchor["norm"]
-
-    def residual(u, vec):
-        """(F(u), the even ground state it comes from, its norm bound)."""
-        vec, norm = ground_state(u, vec)
-        return float(vec @ lattice @ vec) - u, vec, norm
+        levels, vecs = np.linalg.eigh(kinetic + depth * lattice)
+        vec = vecs[:, 0]
+        return float(vec @ lattice @ vec) - u, vec, max(abs(levels[0]), abs(levels[-1]))
 
     u_built = u_avg
-    f, vec, norm = residual(u_built, None)
+    f, vec, norm = residual(u_built)
     if f != 0.0:
         best_abs, best = abs(f), (vec, norm)
         # a fixed-point step gives the second secant point
         u_prev, f_prev, u = u_avg, f, u_avg + f
         for step in range(SECANT_STEPS):
-            f, vec, norm = residual(u, vec)
+            f, vec, norm = residual(u)
             if abs(f) < best_abs:
                 best_abs, best, u_built = abs(f), (vec, norm), u
             elif step:
@@ -404,25 +364,3 @@ def _polish_fixed_point(params, kinetic, lattice, u_avg):
         vec, norm = best
     u_avg = float(vec @ lattice @ vec)
     return vec, steady_alpha(params, u_avg), u_avg, steady_alpha(params, u_built), norm
-
-
-def _inverse_iteration(ham, vec, norm):
-    """Rayleigh-quotient iteration on a real symmetric ham from the unit vec.
-
-    Each solve is shifted to just below the Rayleigh quotient lambda, by
-    RQI_SHIFT ||ham||, so the LU is never exactly singular; it stops when
-    ||ham v - lambda v|| <= RQI_TOL ||ham||.  Returns (v, lambda,
-    ||ham v - lambda v||), which the caller certifies, or None when
-    RQI_SOLVES solves do not get there.
-    """
-    eye = np.eye(vec.size)
-    for solve in range(RQI_SOLVES + 1):
-        h_vec = ham @ vec
-        level = float(vec @ h_vec)
-        resid = float(np.linalg.norm(h_vec - level * vec))
-        if resid <= RQI_TOL * norm:
-            return vec, level, resid
-        if solve < RQI_SOLVES:
-            vec = np.linalg.solve(ham - (level - RQI_SHIFT * norm) * eye, vec)
-            vec /= np.linalg.norm(vec)
-    return None

@@ -280,10 +280,17 @@ def test_groundstate_reference_point_converges(tmp_path):
     }
 
 
-def test_groundstate_nonconvergence_exit_code(tmp_path, monkeypatch):
+def test_groundstate_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bec_cavity.meanfield, "MAX_ITERS", 2)
     cfg = write_config(tmp_path)
     assert main(["groundstate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+    # the last step's changes are printed once, under their own names: they
+    # are not the state's residuals
+    assert re.fullmatch(
+        r"groundstate failed: no convergence after 2 imaginary-time steps "
+        r"\(\|d phi\| = \S+, \|d alpha\| = \S+\)\n",
+        capsys.readouterr().err,
+    )
 
 
 @pytest.mark.parametrize("command", ["groundstate", "spectrum", "depletion"])

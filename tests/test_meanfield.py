@@ -303,51 +303,34 @@ def _polish(p, g, u_start):
      for u0 in (-0.05, -0.5, -1.03, -1.2)],
 )
 def test_certified_polish_matches_an_eigh_polish(n, delta_c, u0):
-    # a certified step finds the same ground state as an eigh, to the
-    # eigen-residual RQI_TOL ||H|| over the gap; <U> agrees to rounding
+    # the package's polish on all n/2 + 1 modes, the largest block, where
+    # the truncation certificate holds by itself, lands on the reference's
+    # <U>: both take one eigh per secant step (they agree to the bit on
+    # these 36 points)
     p = params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=n)
     g = make_grid(n)
     u_start = meanfield._imaginary_time_start(p, g)[2]
     ref, _ = _eigh_polish(p, g, u_start)
-    assert abs(_polish(p, g, u_start) - ref) <= 1e-11 * abs(ref)
-
-
-@pytest.mark.parametrize("delta_c", [-100.0, -1000.0, -10000.0])
-def test_polish_takes_one_eigh_per_solve(delta_c, monkeypatch):
-    # the anchor is the only eigh: every later step is certified by Weyl's
-    # bound over the served light shifts
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(1) or eigh(h))
-    g = make_grid(16)
-    for u0 in np.linspace(-1.2, -0.01, 60):
-        calls.clear()
-        solve_ground_state(params(delta_c=delta_c, eta=-delta_c, u0=u0, grid_points=16), g)
-        assert len(calls) == 1, f"u0 = {u0}: {len(calls)} eigh calls"
+    assert abs(_polish(p, g, u_start) - ref) <= 1e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("n", [16, 200])
-def test_an_uncertified_step_reanchors(n, monkeypatch):
-    # an anchor with no gap certifies no step, so every step takes a fresh
-    # anchor: one eigh per evaluation of F, as the reference does, at the
-    # same u, so <U> is the reference's
+def test_polish_takes_one_eigh_per_evaluation_of_f(n, monkeypatch):
+    # each evaluation of F is one eigh of H(u), at the same u as the
+    # reference's, so <U> is the reference's
     p = params(delta_c=-1000.0, eta=1000.0, u0=-0.5, grid_points=n)
     g = make_grid(n)
     u_start = meanfield._imaginary_time_start(p, g)[2]
-    ref, evaluations = _eigh_polish(p, g, u_start)
     calls = []
     eigh = np.linalg.eigh
-
-    def gapless(h):
-        calls.append(1)
-        levels, vecs = eigh(h)
-        levels[1] = levels[0]
-        return levels, vecs
-
-    monkeypatch.setattr(np.linalg, "eigh", gapless)
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    ref, evaluations = _eigh_polish(p, g, u_start)
+    ref_calls = calls[:]
+    calls.clear()
     u_avg = _polish(p, g, u_start)
     assert evaluations > 2
     assert len(calls) == evaluations
+    assert all(np.array_equal(h, h_ref) for h, h_ref in zip(calls, ref_calls))
     assert abs(u_avg - ref) <= 1e-11 * abs(ref)
 
 
@@ -444,11 +427,11 @@ def test_a_block_that_fails_its_certificate_grows_to_the_full_polish(u0, first, 
     p = params(u0=u0, n_atoms=1, grid_points=64)
     g = make_grid(64)
     with monkeypatch.context() as patch:
-        patch.setattr(meanfield, "_first_block", lambda coeffs, size: size)
+        patch.setattr(meanfield, "_first_block", lambda coeffs: 33)
         full = solve_ground_state(p, g)
     assert full.block == 33
     if first is not None:
-        monkeypatch.setattr(meanfield, "_first_block", lambda coeffs, size: first)
+        monkeypatch.setattr(meanfield, "_first_block", lambda coeffs: first)
     sizes = _polish_calls(monkeypatch)
     st = solve_ground_state(p, g)
     if first is not None:
@@ -467,7 +450,7 @@ def test_a_block_too_small_shows_in_the_full_grid_residual(monkeypatch):
     # spill across the cut, then fails verify's 1e-8
     p = params(u0=-10.0, n_atoms=1, grid_points=64)
     g = make_grid(64)
-    monkeypatch.setattr(meanfield, "_first_block", lambda coeffs, size: 3)
+    monkeypatch.setattr(meanfield, "_first_block", lambda coeffs: 3)
     polish = meanfield._polish_fixed_point
     monkeypatch.setattr(meanfield, "_polish_fixed_point", lambda *args: (*polish(*args)[:4], np.inf))
     silent = solve_ground_state(p, g)
@@ -476,10 +459,14 @@ def test_a_block_too_small_shows_in_the_full_grid_residual(monkeypatch):
     assert silent.residual_phi > 1e-2
 
 
-@pytest.mark.parametrize("u0, size", [(-0.5, 60), (-300.0, 60), (-500.0, 120), (-700.0, 200)])
-def test_the_start_runs_on_its_own_grid(u0, size, monkeypatch):
-    # 60 points hold every mode one kinetic step leaves above eps; a start
-    # whose last cosine coefficient is above eps there doubles its grid
+# one atom below u0 = -1, so -500 and -700 are lattices deep enough that the
+# start's condensate fills every one of the 31 modes of its 60 points
+@pytest.mark.parametrize("u0, n", [(-0.5, 16), (-0.5, 60), (-300.0, 60), (-500.0, 120), (-700.0, 200)])
+def test_the_start_runs_on_its_own_grid(u0, n, monkeypatch):
+    # 60 points hold every mode one kinetic step leaves above eps; the start
+    # runs once there, or on the n-grid when it is smaller.  Where it fills
+    # all of its grid's modes the first block is all 31 of them, and the
+    # block certificate grows it on the n-grid
     grids = []
     start = meanfield._imaginary_time_start
 
@@ -488,8 +475,12 @@ def test_the_start_runs_on_its_own_grid(u0, size, monkeypatch):
         return start(p, g)
 
     monkeypatch.setattr(meanfield, "_imaginary_time_start", recorded)
-    p = params(u0=u0, n_atoms=1 if u0 < -1.0 else 1000, grid_points=200)
-    st = solve_ground_state(p, make_grid(200))
-    assert grids[-1] == size
-    assert grids == [60, 120, 200][: len(grids)]
+    sizes = _polish_calls(monkeypatch)
+    p = params(u0=u0, n_atoms=1 if u0 < -1.0 else 1000, grid_points=n)
+    st = solve_ground_state(p, make_grid(n))
+    assert grids == [min(n, 60)]
+    if u0 < -400.0:
+        assert sizes[0] == 31
+    if u0 == -700.0:
+        assert st.block > 31
     assert st.residual_phi < 1e-8
